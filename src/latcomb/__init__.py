@@ -1,9 +1,12 @@
 """Lattice combination toolkit.
 
 Combines an NMT translation lattice (with UNK placeholders) and a hiero
-translation lattice by composing them through a typed edit-distance
-transducer and taking the shortest path; the combined translation is the
-NMT hypothesis with each UNK filled from the aligned hiero words.
+translation lattice by finding the cheapest typed edit-distance
+alignment of an NMT path with a hiero path, searched directly over
+pairs of lattice states; the combined translation is the NMT hypothesis
+with each UNK filled from the aligned hiero words.  The edit-distance
+flower transducers, composition and shortest path remain available as
+the reference construction of the same optimum.
 """
 
 from .algorithms import (
@@ -21,6 +24,7 @@ from .editfst import (
     build_modified_edit_fst,
     build_standard_edit_fst,
     build_unk_insertion_fst,
+    edit_weight,
 )
 from .errors import ContractError, FormatError, LatcombError, NoPathError
 from .fst import (

@@ -17,7 +17,16 @@ from dataclasses import dataclass
 from itertools import count
 
 from .errors import ContractError, NoPathError
-from .fst import EPSILON, NO_STATE, UNK, Arc, SymbolTable, Wfst, is_acyclic, topological_order
+from .fst import (
+    EPSILON,
+    NO_STATE,
+    UNK,
+    Arc,
+    SymbolTable,
+    Wfst,
+    accessible_states,
+    topological_order,
+)
 from .semiring import (
     NUM_FEATURES,
     ONE,
@@ -277,21 +286,27 @@ def _weight_key(w: FeatureWeight, cost: float) -> _Key:
     return (cost, w.dense())
 
 
-def _check_searchable(fst: Wfst, params: ParamVector) -> bool:
-    """True when acyclic; otherwise require nonnegative arc scalarizations."""
-    if is_acyclic(fst):
-        return True
+def _check_searchable(fst: Wfst, params: ParamVector) -> list[int] | None:
+    """The topological order when acyclic; otherwise None, after requiring
+    nonnegative arc scalarizations."""
+    order = topological_order(fst)
+    if order is not None:
+        return order
     for s in fst.states():
         for arc in fst.arcs(s):
             if scalarize(arc.weight, params) < 0.0:
                 raise ContractError("cyclic machine with a negative-cost arc: shortest path undefined")
-    return False
+    return None
 
 
-def _forward_distances(fst: Wfst, params: ParamVector, acyclic: bool,
+def _forward_distances(fst: Wfst, params: ParamVector, order: list[int] | None,
                        ) -> tuple[list[FeatureWeight | None], list[float],
                                   list[tuple[int, Arc] | None]]:
-    """Best weight from the initial state to every state, with backpointers."""
+    """Best weight from the initial state to every state, with backpointers.
+
+    ``order`` is the machine's topological order, or None for a cyclic
+    machine (searched with Dijkstra).
+    """
     n = fst.num_states
     dist: list[FeatureWeight | None] = [None] * n
     cost: list[float] = [0.0] * n
@@ -301,9 +316,7 @@ def _forward_distances(fst: Wfst, params: ParamVector, acyclic: bool,
     dist[fst.initial] = ONE
     cost[fst.initial] = 0.0
 
-    if acyclic:
-        order = topological_order(fst)
-        assert order is not None
+    if order is not None:
         for s in order:
             dw = dist[s]
             if dw is None:
@@ -345,9 +358,12 @@ def _forward_distances(fst: Wfst, params: ParamVector, acyclic: bool,
     return dist, cost, back
 
 
-def _backward_distances(fst: Wfst, params: ParamVector, acyclic: bool,
+def _backward_distances(fst: Wfst, params: ParamVector, order: list[int] | None,
                         ) -> tuple[list[FeatureWeight | None], list[float]]:
-    """Best weight from every state to acceptance (final weight included)."""
+    """Best weight from every state to acceptance (final weight included).
+
+    ``order`` is as for :func:`_forward_distances`.
+    """
     n = fst.num_states
     dist: list[FeatureWeight | None] = [None] * n
     cost: list[float] = [0.0] * n
@@ -355,9 +371,7 @@ def _backward_distances(fst: Wfst, params: ParamVector, acyclic: bool,
         dist[s] = fw
         cost[s] = scalarize(fw, params)
 
-    if acyclic:
-        order = topological_order(fst)
-        assert order is not None
+    if order is not None:
         for s in reversed(order):
             for arc in fst.arcs(s):
                 tw = dist[arc.target]
@@ -411,9 +425,14 @@ def shortest_path(fst: Wfst, params: ParamVector) -> PathWitness:
     _check_frozen(fst)
     if fst.initial == NO_STATE or fst.num_finals == 0:
         raise NoPathError("machine accepts nothing")
-    acyclic = _check_searchable(fst, params)
-    dist, cost, back = _forward_distances(fst, params, acyclic)
+    order = _check_searchable(fst, params)
+    dist, _, back = _forward_distances(fst, params, order)
+    return _best_path(fst, params, dist, back)
 
+
+def _best_path(fst: Wfst, params: ParamVector, dist: list[FeatureWeight | None],
+               back: list[tuple[int, Arc] | None]) -> PathWitness:
+    """The best complete path given forward distances and backpointers."""
     best_state = NO_STATE
     best_w: FeatureWeight | None = None
     best_key: _Key | None = None
@@ -446,9 +465,12 @@ def shortest_path(fst: Wfst, params: ParamVector) -> PathWitness:
     return PathWitness(arcs=tuple(arcs), final_weight=final_w, weight=best_w, cost=best_key[0])
 
 
-def _nbest_raw(fst: Wfst, n: int, params: ParamVector, acyclic: bool) -> list[PathWitness]:
-    """Up to n cheapest paths via best-first search with an exact heuristic."""
-    beta, _ = _backward_distances(fst, params, acyclic)
+def _nbest_raw(fst: Wfst, n: int, params: ParamVector,
+               beta: list[FeatureWeight | None]) -> list[PathWitness]:
+    """Up to n cheapest paths via best-first search with an exact heuristic.
+
+    ``beta`` holds the backward distances of :func:`_backward_distances`.
+    """
     if fst.initial == NO_STATE or beta[fst.initial] is None:
         return []
 
@@ -520,18 +542,19 @@ def nbest(fst: Wfst, n: int, params: ParamVector, unique: bool = False) -> list[
         raise ContractError(f"n must be positive, got {n}")
     if fst.initial == NO_STATE or fst.num_finals == 0:
         raise NoPathError("machine accepts nothing")
-    acyclic = _check_searchable(fst, params)
+    order = _check_searchable(fst, params)
+    if unique and order is None:
+        raise ContractError("unique n-best requires an acyclic machine")
+    beta, _ = _backward_distances(fst, params, order)
     if not unique:
-        paths = _nbest_raw(fst, n, params, acyclic)
+        paths = _nbest_raw(fst, n, params, beta)
         if not paths:
             raise NoPathError("no path from the initial state to a final state")
         return paths
 
-    if not acyclic:
-        raise ContractError("unique n-best requires an acyclic machine")
     k = n
     while True:
-        raw = _nbest_raw(fst, k, params, acyclic)
+        raw = _nbest_raw(fst, k, params, beta)
         if not raw:
             raise NoPathError("no path from the initial state to a final state")
         seen: set[tuple[int, ...]] = set()
@@ -560,17 +583,20 @@ def prune_to_node_budget(fst: Wfst, budget: int, params: ParamVector) -> Wfst:
     _check_frozen(fst)
     if budget < 1:
         raise ContractError(f"budget must be positive, got {budget}")
-    if not is_acyclic(fst):
+    order = topological_order(fst)
+    if order is None:
         raise ContractError("pruning is defined for acyclic machines only")
-    best = shortest_path(fst, params)  # raises NoPathError on empty machines
+    if fst.initial == NO_STATE or not any(fst.is_final(s) for s in accessible_states(fst)):
+        raise NoPathError("machine accepts nothing")
+    if fst.num_states <= budget:
+        return fst
+    fdist, fcost, back = _forward_distances(fst, params, order)
+    best = _best_path(fst, params, fdist, back)
     sp_states = len(best.arcs) + 1
     if budget < sp_states:
         raise ContractError(f"budget {budget} is below the {sp_states} states on the shortest path")
-    if fst.num_states <= budget:
-        return fst
 
-    fdist, fcost, _ = _forward_distances(fst, params, acyclic=True)
-    bdist, bcost = _backward_distances(fst, params, acyclic=True)
+    bdist, bcost = _backward_distances(fst, params, order)
     inf = float("inf")
     through = [inf] * fst.num_states
     for s in fst.states():

@@ -1,4 +1,4 @@
-"""Builders for the edit-distance flower automata and the UNK run expander.
+"""Edit typing, the edit-distance flower automata and the UNK run expander.
 
 The standard flower charges one edit count for every substitution,
 insertion, and deletion.  The modified flower distinguishes three kinds
@@ -12,7 +12,9 @@ lattice is cheap:
 
 Arcs carry raw counters, not costs; the lambda multipliers enter only at
 search time through the parameter vector, so one machine serves every
-parameter setting.
+parameter setting.  :func:`edit_weight` defines the typing once.  The
+flowers are the reference construction (``latcomb build-edit-fst``);
+``pipeline.combine`` aligns the two lattices directly without them.
 """
 
 from __future__ import annotations
@@ -65,6 +67,26 @@ class EditCostModel:
         return label in self.nmt_vocab
 
 
+def edit_weight(model: EditCostModel, nmt_label: int, hiero_label: int) -> FeatureWeight:
+    """Count weight of aligning one NMT label with one hiero label.
+
+    Either side may be EPSILON: ``(a, EPSILON)`` deletes ``a``,
+    ``(EPSILON, b)`` inserts ``b``, and ``(EPSILON, EPSILON)`` (one side
+    advancing on an epsilon arc) is free.  A match is free; UNK against a
+    word is a free or in-vocabulary fill; everything else, deleting UNK
+    included, is one ``edit_count``.  This is the single definition of
+    edit typing: the modified flower and the direct alignment search in
+    the pipeline both read their weights from here.
+    """
+    if hiero_label == UNK:
+        raise ContractError("UNK is never aligned to the hiero side")
+    if nmt_label == hiero_label:
+        return ONE
+    if nmt_label == UNK and hiero_label != EPSILON:
+        return _SUB_ONE if model.in_vocab(hiero_label) else ONE
+    return _EDIT_ONE
+
+
 def build_standard_edit_fst(alphabet: FrozenSet[int] | set[int], symbols: SymbolTable) -> Wfst:
     """Single-state flower computing plain edit distance over ``alphabet``.
 
@@ -104,14 +126,14 @@ def build_modified_edit_fst(model: EditCostModel, symbols: SymbolTable) -> Wfst:
     fst.set_initial(q)
     fst.set_final(q, ONE)
     for a in letters:
-        fst.add_arc(q, Arc(a, a, ONE, q))
-        fst.add_arc(q, Arc(a, EPSILON, _EDIT_ONE, q))
-        fst.add_arc(q, Arc(EPSILON, a, _EDIT_ONE, q))
-        fst.add_arc(q, Arc(UNK, a, _SUB_ONE if model.in_vocab(a) else ONE, q))
+        fst.add_arc(q, Arc(a, a, edit_weight(model, a, a), q))
+        fst.add_arc(q, Arc(a, EPSILON, edit_weight(model, a, EPSILON), q))
+        fst.add_arc(q, Arc(EPSILON, a, edit_weight(model, EPSILON, a), q))
+        fst.add_arc(q, Arc(UNK, a, edit_weight(model, UNK, a), q))
         for b in letters:
             if a != b:
-                fst.add_arc(q, Arc(a, b, _EDIT_ONE, q))
-    fst.add_arc(q, Arc(UNK, EPSILON, _EDIT_ONE, q))
+                fst.add_arc(q, Arc(a, b, edit_weight(model, a, b), q))
+    fst.add_arc(q, Arc(UNK, EPSILON, edit_weight(model, UNK, EPSILON), q))
     return fst.freeze()
 
 

@@ -191,14 +191,6 @@ class Wfst:
     def is_acceptor(self) -> bool:
         return all(arc.ilabel == arc.olabel for arcs in self._arcs for arc in arcs)
 
-    def copy(self) -> "Wfst":
-        """Mutable structural copy sharing the symbol tables."""
-        out = Wfst(self.isyms, self.osyms)
-        out._arcs = [list(arcs) for arcs in self._arcs]
-        out._finals = dict(self._finals)
-        out.initial = self.initial
-        return out
-
     def __repr__(self) -> str:
         return (f"Wfst(states={self.num_states}, arcs={self.num_arcs}, "
                 f"finals={len(self._finals)}, initial={self.initial}, frozen={self._frozen})")

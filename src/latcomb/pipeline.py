@@ -1,35 +1,44 @@
 """End-to-end combination of an NMT lattice with a hiero lattice.
 
 The steps: prune the hiero lattice to a node budget, splice the UNK run
-expander over the NMT lattice's UNK arcs, compose both sides with the
-typed edit-distance flower, take the single shortest path, and read the
-combined translation off that path (input labels, with each UNK replaced
-by its aligned output labels).  The selected pair of hypotheses
-minimizes typed edit distance plus the scaled model scores over all
-pairs the two lattices offer.
+expander over the NMT lattice's UNK arcs, find the cheapest typed-edit
+alignment of an NMT path with a hiero path, and read the combined
+translation off that alignment (NMT words, with each UNK replaced by its
+aligned hiero words).  The selected pair of hypotheses minimizes typed
+edit distance plus the scaled model scores over all pairs the two
+lattices offer.
 
-Per-sentence combinations are independent; the flower and run expander
-are built per sentence over the labels actually present, which keeps
-them small without changing the optimum.
+The alignment is one shortest-distance pass over pairs of lattice
+states (Mohri, "Edit-Distance of Weighted Automata", 2003).  It finds
+the same optimum, at the same cost and feature vector, as composing the
+extended NMT lattice with the modified edit flower and the hiero lattice
+and taking the shortest path, which is the paper's construction; but it
+builds no flower and no composed machine, so its work does not depend on
+the alphabet size.  Per-sentence combinations are independent.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field, replace as dc_replace
+from math import inf
+from operator import add
 from typing import FrozenSet, Iterable, Sequence
 
-from .algorithms import PathWitness, compose, nbest, prune_to_node_budget, replace, shortest_path
-from .editfst import EditCostModel, build_modified_edit_fst, build_unk_insertion_fst
-from .errors import ContractError
-from .fst import EPSILON, UNK, Wfst, count_paths, is_acyclic
+from .algorithms import PathWitness, nbest, prune_to_node_budget, replace
+from .editfst import EditCostModel, build_unk_insertion_fst, edit_weight
+from .errors import ContractError, NoPathError
+from .fst import EPSILON, UNK, Arc, Wfst, count_paths, is_acyclic, topological_order
 from .semiring import (
+    CANONICAL_EPS,
     EDIT_COUNT,
+    NUM_FEATURES,
     SUB_COUNT,
     UNK_EXT_COUNT,
     FeatureWeight,
     ParamVector,
     format_weight,
+    times,
 )
 
 # The combination is designed around small NMT hypothesis sets; larger
@@ -74,7 +83,7 @@ class CombinationParams:
     def with_vocab(self, vocab: Iterable[int]) -> "CombinationParams":
         return dc_replace(self, nmt_vocab=frozenset(vocab))
 
-    def edit_model(self, alphabet: Iterable[int]) -> EditCostModel:
+    def edit_model(self, alphabet: Iterable[int] = ()) -> EditCostModel:
         return EditCostModel(alphabet=frozenset(alphabet), nmt_vocab=self.nmt_vocab,
                              sub_cost=self.lambda_sub, edit_cost=self.lambda_edit,
                              ins_cost=self.lambda_ins)
@@ -97,7 +106,8 @@ class EditStats:
 class CombinationResult:
     """Combined translation plus the hypothesis pair and diagnostics.
 
-    ``path`` is the winning path of the combined machine (None when the
+    ``path`` is the winning alignment, arc by arc as the path of the
+    machine composed through the edit flower would read (None when the
     result was assembled elsewhere, e.g. in reports).
     """
 
@@ -151,6 +161,21 @@ def combine(nmt_lattice: Wfst, hiero_lattice: Wfst, params: CombinationParams,
     probabilistic view: exp(-total_cost) is the edit-similarity factor
     times the lambda-weighted likelihoods of the selected pair.  That is
     an identity on the returned cost, not a separate runtime semiring.
+
+    Tie rule.  Alignments compare on (cost, feature vector in id order).
+    Among exactly tied alignments the first one found wins: cells (NMT
+    state, hiero state) are visited in lexicographic order of their
+    (NMT, hiero) topological positions; from each cell, each outgoing
+    arc of the extended NMT state is tried in arc order (an epsilon arc
+    advances alone; any other arc is deleted, then paired with each
+    non-epsilon hiero arc in arc order), then each outgoing hiero arc in
+    arc order (an epsilon arc advances alone; any other arc is
+    inserted); a cell takes a new value only on a strictly smaller key,
+    and among final cells the first in visiting order with the smallest
+    key wins.  For example, NMT ``UNK die`` against hiero ``die`` (``die``
+    out of vocabulary) ties deleting the UNK with filling it and deleting
+    ``die``; the deletion of the UNK is found first, so ``t_comb`` is
+    ``die``.
     """
     _check_lattice(nmt_lattice, "NMT", forbid_unk=False)
     _check_lattice(hiero_lattice, "hiero", forbid_unk=True)
@@ -166,12 +191,8 @@ def combine(nmt_lattice: Wfst, hiero_lattice: Wfst, params: CombinationParams,
     run_fst = build_unk_insertion_fst(params.max_unk_run, nmt_lattice.isyms)
     extended_nmt = replace(nmt_lattice, UNK, run_fst)
 
-    alphabet = (nmt_lattice.all_labels() | pruned_hiero.all_labels()) - {EPSILON, UNK}
-    model = params.edit_model(alphabet)
-    edit_fst = build_modified_edit_fst(model, nmt_lattice.isyms)
-
-    combined = compose(compose(extended_nmt, edit_fst), pruned_hiero)
-    path = shortest_path(combined, params.as_param_vector())
+    model = params.edit_model()
+    path = _best_alignment(extended_nmt, pruned_hiero, model, params.as_param_vector())
     stats = decompose_alignment(path, model)
 
     syms = nmt_lattice.isyms
@@ -185,6 +206,153 @@ def combine(nmt_lattice: Wfst, hiero_lattice: Wfst, params: CombinationParams,
         source_id=source_id,
         path=path,
     )
+
+
+def _canonical(values: tuple[float, ...]) -> tuple[float, ...]:
+    """Zero the entries that :func:`~latcomb.semiring.times` would drop."""
+    return tuple(0.0 if -CANONICAL_EPS < v < CANONICAL_EPS else v for v in values)
+
+
+def _has_negative(fst: Wfst) -> bool:
+    return (any(v < 0.0 for s in fst.states() for arc in fst.arcs(s) for _, v in arc.weight.pairs)
+            or any(v < 0.0 for _, w in fst.finals() for _, v in w.pairs))
+
+
+def _best_alignment(nmt: Wfst, hiero: Wfst, model: EditCostModel,
+                    params: ParamVector) -> PathWitness:
+    """Cheapest typed-edit alignment of an NMT path with a hiero path.
+
+    A forward shortest-distance pass over the cells (NMT state, hiero
+    state) of two acyclic machines that have initial states (``combine``
+    checks both), in the order and with the moves that
+    :func:`combine` documents.  NMT output labels are matched against
+    hiero input labels; the returned path writes (NMT input label, hiero
+    output label) on each arc and carries the same per-arc weights as
+    the composition with the modified flower would.
+
+    Weights are accumulated as dense tuples, and the cost of a tuple is
+    its dot product with ``params`` in feature-id order, which is what
+    :func:`~latcomb.semiring.scalarize` computes on the sparse form.
+    When every feature of an aligned pair comes from one side (as for
+    lattices that pass :func:`~latcomb.fst.validate` for their kind), the
+    cost and feature vector are bit-identical to the shortest path of the
+    composed machine.  Raises :class:`NoPathError` when either machine
+    accepts nothing.
+    """
+    order_n = topological_order(nmt)
+    order_h = topological_order(hiero)
+    assert order_n is not None and order_h is not None
+    pos_n = [0] * nmt.num_states
+    for i, s in enumerate(order_n):
+        pos_n[s] = i
+    pos_h = [0] * hiero.num_states
+    for j, s in enumerate(order_h):
+        pos_h[s] = j
+    width = len(order_h)
+
+    # Dense edit weights by NMT label, then hiero label, filled on demand.
+    typed: dict[int, dict[int, tuple[float, ...]]] = {}
+
+    def edit_dense(x: int, y: int) -> tuple[float, ...]:
+        row = typed.setdefault(x, {})
+        e = row.get(y)
+        if e is None:
+            e = row[y] = edit_weight(model, x, y).dense()
+        return e
+
+    # Moves per topological position: (arc, label matched, target, dense
+    # arc weight, dense weight of deleting / inserting the label), and
+    # for NMT moves the label's row of ``typed``.
+    nmt_moves = [[(arc, arc.olabel, pos_n[arc.target] * width, arc.weight.dense(),
+                   None if arc.olabel == EPSILON else edit_dense(arc.olabel, EPSILON),
+                   typed.setdefault(arc.olabel, {}))
+                  for arc in nmt.arcs(s) if not arc.weight.infinite] for s in order_n]
+    hiero_moves = [[(arc, arc.ilabel, pos_h[arc.target], arc.weight.dense(),
+                     None if arc.ilabel == EPSILON else edit_dense(EPSILON, arc.ilabel))
+                    for arc in hiero.arcs(s) if not arc.weight.infinite] for s in order_h]
+    hiero_pairs = [[move for move in moves if move[1] != EPSILON] for moves in hiero_moves]
+
+    signed = _has_negative(nmt) or _has_negative(hiero)
+    p0, p1, p2, p3, p4 = params.as_tuple()
+    size = len(order_n) * width
+    cost = [inf] * (size + 1)
+    dense: list[tuple[float, ...] | None] = [None] * (size + 1)
+    back: list[tuple[int, Arc | None, Arc | None] | None] = [None] * (size + 1)
+
+    def relax(t: int, cand: tuple[float, ...], src: int, a: Arc | None, h: Arc | None) -> None:
+        if signed:
+            cand = _canonical(cand)
+        c0, c1, c2, c3, c4 = cand
+        cc = p0 * c0 + p1 * c1 + p2 * c2 + p3 * c3 + p4 * c4
+        old = cost[t]
+        if cc < old or (cc == old and cand < dense[t]):
+            cost[t] = cc
+            dense[t] = cand
+            back[t] = (src, a, h)
+
+    start = pos_n[nmt.initial] * width + pos_h[hiero.initial]
+    cost[start] = 0.0
+    dense[start] = (0.0,) * NUM_FEATURES
+    for i in range(pos_n[nmt.initial], len(order_n)):
+        moves_n = nmt_moves[i]
+        base = i * width
+        for j in range(width):
+            c = base + j
+            d = dense[c]
+            if d is None:
+                continue
+            for a, x, t_base, w_a, w_del, row in moves_n:
+                dn = tuple(map(add, d, w_a))
+                if x == EPSILON:
+                    relax(t_base + j, dn, c, a, None)
+                    continue
+                relax(t_base + j, tuple(map(add, dn, w_del)), c, a, None)
+                for h, y, t_j, w_h, _ in hiero_pairs[j]:
+                    e = row.get(y)
+                    if e is None:
+                        e = edit_dense(x, y)
+                    relax(t_base + t_j, tuple(map(add, map(add, dn, e), w_h)), c, a, h)
+            for h, y, t_j, w_h, w_ins in hiero_moves[j]:
+                if y != EPSILON:
+                    cand = tuple(map(add, map(add, d, w_ins), w_h))
+                else:
+                    cand = tuple(map(add, d, w_h))
+                relax(base + t_j, cand, c, None, h)
+
+    # Acceptance is one more cell, relaxed from the final cells in order.
+    accept = size
+    for i in sorted(pos_n[s] for s, _ in nmt.finals()):
+        fw_n = nmt.final_weight(order_n[i]).dense()
+        for j in sorted(pos_h[s] for s, _ in hiero.finals()):
+            c = i * width + j
+            d = dense[c]
+            if d is not None:
+                fw_h = hiero.final_weight(order_h[j]).dense()
+                relax(accept, tuple(map(add, map(add, d, fw_n), fw_h)), c, None, None)
+    if dense[accept] is None:
+        raise NoPathError("no path from the initial state to a final state")
+
+    # Rebuild the path with the weights the composed machine's arcs carry.
+    c = back[accept][0]
+    final_weight = times(nmt.final_weight(order_n[c // width]),
+                         hiero.final_weight(order_h[c % width]))
+    arcs: list[Arc] = []
+    while c != start:
+        src, a, h = back[c]
+        x = EPSILON if a is None else a.olabel
+        y = EPSILON if h is None else h.ilabel
+        w = edit_weight(model, x, y)
+        if a is not None:
+            w = times(a.weight, w)
+        if h is not None:
+            w = times(w, h.weight)
+        arcs.append(Arc(EPSILON if a is None else a.ilabel, EPSILON if h is None else h.olabel,
+                        w, c))
+        c = src
+    arcs.reverse()
+    return PathWitness(arcs=tuple(arcs), final_weight=final_weight,
+                       weight=FeatureWeight.from_features(enumerate(dense[accept])),
+                       cost=cost[accept])
 
 
 def _count_feature(w: FeatureWeight, fid: int, where: str) -> int:
@@ -299,17 +467,19 @@ def corpus_report(results: Sequence[CombinationResult], hiero_lattices: Sequence
     def pct(predicate) -> float:
         return 100.0 * sum(1 for r in results if predicate(r)) / total
 
+    # One unique n-best search per lattice at the largest n; the list for
+    # a smaller n is its prefix, and its first entry is the 1-best.
+    deepest = max(n_values, default=1)
     unchanged = 0
     hits = {n: 0 for n in n_values}
     for result, lattice in zip(results, hiero_lattices):
-        one_best = shortest_path(lattice, HIERO_ONLY)
-        words = tuple(lattice.osyms.word(l) for l in one_best.output_labels())
-        if words == result.t_hiero:
+        ranked = [tuple(lattice.osyms.word(l) for l in p.output_labels())
+                  for p in nbest(lattice, deepest, HIERO_ONLY, unique=True)]
+        rank = ranked.index(result.t_hiero) if result.t_hiero in ranked else deepest
+        if rank == 0:
             unchanged += 1
         for n in n_values:
-            candidates = nbest(lattice, n, HIERO_ONLY, unique=True)
-            strings = {tuple(lattice.osyms.word(l) for l in p.output_labels()) for p in candidates}
-            if result.t_hiero in strings:
+            if rank < n:
                 hits[n] += 1
 
     return CorpusReport(

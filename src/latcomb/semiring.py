@@ -29,24 +29,13 @@ UNK_EXT_COUNT = 4   # extra UNK tokens produced by run extension
 
 NUM_FEATURES = 5
 
-FEATURE_NAMES = ("nmt_score", "hiero_score", "edit_count", "sub_count", "unk_ext_count")
-
 # Entries with magnitude below this are dropped from the canonical form,
 # so equal weights always share one representation (the tie rule and the
 # text format both depend on that).
 CANONICAL_EPS = 1e-15
 
-# Scalar tropical algebra.
+# Scalar cost of the zero weight.
 TROPICAL_ZERO = math.inf
-TROPICAL_ONE = 0.0
-
-
-def tropical_plus(a: float, b: float) -> float:
-    return a if a <= b else b
-
-
-def tropical_times(a: float, b: float) -> float:
-    return a + b
 
 
 @dataclass(frozen=True, slots=True)
@@ -75,9 +64,6 @@ class ParamVector:
         if 0 <= feature_id < NUM_FEATURES:
             return self.as_tuple()[feature_id]
         raise ContractError(f"unknown feature id {feature_id}")
-
-    def is_nonnegative(self) -> bool:
-        return all(v >= 0.0 for v in self.as_tuple())
 
 
 @dataclass(frozen=True, slots=True)

@@ -148,6 +148,58 @@ def naive_compose(t1: Wfst, t2: Wfst) -> Wfst:
     return connect(out.freeze())
 
 
+def flower_combine(nmt: Wfst, hiero: Wfst, params):
+    """The paper's construction, kept as the reference for ``combine``.
+
+    Prunes and extends exactly as ``combine`` does, then composes the
+    extended NMT lattice with the modified edit flower over the labels
+    present and with the pruned hiero lattice, and takes the shortest
+    path of the composed machine.
+    """
+    from latcomb import (
+        CombinationResult,
+        build_modified_edit_fst,
+        build_unk_insertion_fst,
+        compose,
+        decompose_alignment,
+        prune_to_node_budget,
+        replace,
+        shortest_path,
+    )
+    from latcomb.pipeline import HIERO_ONLY
+
+    pruned = prune_to_node_budget(hiero, params.hiero_node_budget, HIERO_ONLY)
+    extended = replace(nmt, UNK, build_unk_insertion_fst(params.max_unk_run, nmt.isyms))
+    model = params.edit_model((nmt.all_labels() | pruned.all_labels()) - {EPSILON, UNK})
+    flower = build_modified_edit_fst(model, nmt.isyms)
+    path = shortest_path(compose(compose(extended, flower), pruned), params.as_param_vector())
+    syms = nmt.isyms
+    return CombinationResult(
+        t_comb=tuple(syms.word(l) for l in path.unk_filled_labels()),
+        t_nmt=tuple(syms.word(l) for l in path.input_labels()),
+        t_hiero=tuple(syms.word(l) for l in path.output_labels()),
+        total_cost=path.cost,
+        feature_vector=path.weight,
+        stats=decompose_alignment(path, model),
+        path=path,
+    )
+
+
+def assert_matches_flower_combine(result, reference, syms):
+    """``combine`` agrees bit for bit with the flower chain on cost and features.
+
+    The hiero hypothesis must be the same; the NMT hypothesis may differ
+    only in how long its UNK runs are, and only on exact ties can the
+    combined string differ, so that is checked through the substitution
+    property.
+    """
+    assert result.total_cost == reference.total_cost, (result, reference)
+    assert result.feature_vector == reference.feature_vector, (result, reference)
+    assert result.t_hiero == reference.t_hiero
+    assert collapse_unk_runs(result.t_nmt) == collapse_unk_runs(reference.t_nmt)
+    assert_substitution_property(result, syms)
+
+
 def classic_levenshtein(x, y) -> int:
     m, n = len(x), len(y)
     prev = list(range(n + 1))

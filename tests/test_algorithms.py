@@ -141,6 +141,23 @@ def test_nbest_membership_monotone(seed):
     assert member[-1]
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 100_000))
+def test_unique_nbest_lists_are_prefixes_of_longer_ones(seed):
+    # corpus_report runs one unique n-best search at its largest n and
+    # reads every smaller n off the prefix.
+    rng = random.Random(seed)
+    syms = SymbolTable()
+    lattice = random_dag_lattice(rng, syms, score_feature=1, max_paths=60, max_states=12)
+    params = ParamVector(0, 1, 0, 0, 0)
+    deepest = nbest(lattice, 30, params, unique=True)
+    for n in range(1, 31):
+        got = nbest(lattice, n, params, unique=True)
+        assert [p.output_labels() for p in got] == [p.output_labels() for p in deepest[:n]]
+        assert [p.cost for p in got] == [p.cost for p in deepest[:n]]
+    assert deepest[0].output_labels() == shortest_path(lattice, params).output_labels()
+
+
 def _layered_lattice(rng, syms, n_states):
     fst = Wfst(syms, syms)
     for _ in range(n_states):

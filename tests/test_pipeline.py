@@ -275,6 +275,33 @@ def test_corpus_report_membership_monotone():
     assert fractions[-1] == 100.0
 
 
+def test_corpus_report_equals_separate_searches_per_n():
+    # The report reads every n off one unique n-best list; that must give
+    # what a shortest path and one unique n-best search per n give.
+    from latcomb import nbest, shortest_path
+    from latcomb.pipeline import HIERO_ONLY
+
+    rng = random.Random(222000)
+    results, lattices = [], []
+    for _ in range(15):
+        syms, nmt, hiero, params, _ = random_combination_instance(rng, h_max_paths=40)
+        results.append(combine(nmt, hiero, params))
+        lattices.append(hiero)
+    n_values = (1, 2, 3, 5, 10, 40)
+    report = corpus_report(results, lattices, n_values=n_values)
+
+    def words(lattice, path):
+        return tuple(lattice.osyms.word(l) for l in path.output_labels())
+
+    unchanged = sum(words(h, shortest_path(h, HIERO_ONLY)) == r.t_hiero
+                    for r, h in zip(results, lattices))
+    assert report.pct_hiero_unchanged == 100.0 * unchanged / len(results)
+    for n, pct in report.nbest_membership:
+        hits = sum(r.t_hiero in {words(h, p) for p in nbest(h, n, HIERO_ONLY, unique=True)}
+                   for r, h in zip(results, lattices))
+        assert pct == 100.0 * hits / len(results)
+
+
 def test_corpus_report_requires_matching_lengths():
     with pytest.raises(ContractError):
         corpus_report([], [], n_values=(1,))
