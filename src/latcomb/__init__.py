@@ -16,7 +16,6 @@ from .algorithms import (
     nbest,
     prune_to_node_budget,
     replace,
-    scale_weights,
     shortest_path,
 )
 from .editfst import (

@@ -4,17 +4,22 @@ All functions take frozen machines and return frozen machines (or path
 witnesses); nothing here mutates its inputs, so sentence-level work can
 run concurrently over shared read-only transducers.
 
-Search order: paths compare by scalarized cost first, then by the dense
-feature-vector order of :func:`latcomb.semiring.plus`, so results are
-deterministic and consistent with the weight algebra.
+Search order: every search here (shortest path, n-best, pruning), like
+``plus`` and the alignment pass of :mod:`latcomb.pipeline`, extends
+paths with :func:`latcomb.semiring.dense_times` and compares them by
+:func:`latcomb.semiring.search_key`: scalarized cost first, then the
+dense feature vector.  Results are therefore deterministic and
+consistent with the weight algebra.
 """
 
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from itertools import count
+from typing import Callable, NamedTuple
 
 from .errors import ContractError, NoPathError
 from .fst import (
@@ -25,15 +30,19 @@ from .fst import (
     SymbolTable,
     Wfst,
     accessible_states,
+    coaccessible_states,
+    has_negative,
     topological_order,
 )
 from .semiring import (
-    NUM_FEATURES,
     ONE,
-    ZERO,
+    Dense,
     FeatureWeight,
+    Key,
     ParamVector,
+    dense_times,
     scalarize,
+    search_key,
     times,
 )
 
@@ -89,39 +98,11 @@ def connect(fst: Wfst) -> Wfst:
     is the canonical empty machine (no states, no initial).
     """
     _check_frozen(fst)
-    if fst.initial == NO_STATE:
+    coacc = coaccessible_states(fst)
+    if fst.initial not in coacc:
         return _empty_like(fst.isyms, fst.osyms)
-
-    n = fst.num_states
-    acc = [False] * n
-    stack = [fst.initial]
-    acc[fst.initial] = True
-    while stack:
-        s = stack.pop()
-        for arc in fst.arcs(s):
-            if not acc[arc.target]:
-                acc[arc.target] = True
-                stack.append(arc.target)
-
-    reverse: list[list[int]] = [[] for _ in range(n)]
-    for s in range(n):
-        for arc in fst.arcs(s):
-            reverse[arc.target].append(s)
-    coacc = [False] * n
-    stack = [s for s, _ in fst.finals()]
-    for s in stack:
-        coacc[s] = True
-    while stack:
-        s = stack.pop()
-        for src in reverse[s]:
-            if not coacc[src]:
-                coacc[src] = True
-                stack.append(src)
-
-    keep = [s for s in range(n) if acc[s] and coacc[s]]
-    if fst.initial == NO_STATE or not keep or not (acc[fst.initial] and coacc[fst.initial]):
-        return _empty_like(fst.isyms, fst.osyms)
-
+    acc = accessible_states(fst)
+    keep = [s for s in fst.states() if s in acc and s in coacc]
     remap = {old: new for new, old in enumerate(keep)}
     out = Wfst(fst.isyms, fst.osyms)
     for _ in keep:
@@ -279,11 +260,22 @@ def replace(root: Wfst, label: int, sub: Wfst) -> Wfst:
     return out.freeze()
 
 
-_Key = tuple[float, tuple[float, ...]]
+class _Search(NamedTuple):
+    """What every search over one machine reads, built once per call.
+
+    ``arcs`` holds, per state, the arcs that are not ZERO as (target,
+    dense weight, arc); ``signed`` is :func:`~latcomb.fst.has_negative`.
+    """
+
+    arcs: list[list[tuple[int, Dense, Arc]]]
+    key: Callable[[Dense], Key]
+    signed: bool
 
 
-def _weight_key(w: FeatureWeight, cost: float) -> _Key:
-    return (cost, w.dense())
+def _prepare(fst: Wfst, params: ParamVector) -> _Search:
+    arcs = [[(arc.target, arc.weight.dense(), arc) for arc in fst.arcs(s) if not arc.weight.infinite]
+            for s in fst.states()]
+    return _Search(arcs, search_key(params), has_negative(fst))
 
 
 def _check_searchable(fst: Wfst, params: ParamVector) -> list[int] | None:
@@ -299,120 +291,67 @@ def _check_searchable(fst: Wfst, params: ParamVector) -> list[int] | None:
     return None
 
 
-def _forward_distances(fst: Wfst, params: ParamVector, order: list[int] | None,
-                       ) -> tuple[list[FeatureWeight | None], list[float],
-                                  list[tuple[int, Arc] | None]]:
-    """Best weight from the initial state to every state, with backpointers.
+def _distances(fst: Wfst, search: _Search, order: list[int] | None, backward: bool = False,
+               ) -> tuple[list[Key | None], list[tuple[int, Arc] | None]]:
+    """Best key from the initial state to every state, with backpointers.
 
-    ``order`` is the machine's topological order, or None for a cyclic
-    machine (searched with Dijkstra).
+    With ``backward``, the best key from every state to acceptance (final
+    weight included) instead, searched on the reversed arcs, and each
+    backpointer holds the next state and arc.  ``order`` is the machine's
+    topological order, or None for a cyclic machine (searched with
+    Dijkstra).
     """
+    arcs, key, signed = search
     n = fst.num_states
-    dist: list[FeatureWeight | None] = [None] * n
-    cost: list[float] = [0.0] * n
+    keys: list[Key | None] = [None] * n
     back: list[tuple[int, Arc] | None] = [None] * n
-    if fst.initial == NO_STATE:
-        return dist, cost, back
-    dist[fst.initial] = ONE
-    cost[fst.initial] = 0.0
+    if backward:
+        adj: list[list[tuple[int, Dense, Arc]]] = [[] for _ in range(n)]
+        for s, row in enumerate(arcs):
+            for t, w, arc in row:
+                adj[t].append((s, w, arc))
+        sources = [(s, key(fw.dense())) for s, fw in fst.finals()]
+        if order is not None:
+            order = order[::-1]
+    else:
+        adj = arcs
+        sources = [] if fst.initial == NO_STATE else [(fst.initial, key(ONE.dense()))]
+    for s, k in sources:
+        keys[s] = k
 
     if order is not None:
         for s in order:
-            dw = dist[s]
-            if dw is None:
+            ks = keys[s]
+            if ks is None:
                 continue
-            for arc in fst.arcs(s):
-                cand = times(dw, arc.weight)
-                if cand.infinite:
-                    continue
-                cc = scalarize(cand, params)
-                t = arc.target
-                if dist[t] is None or (cc, cand.dense()) < (cost[t], dist[t].dense()):
-                    dist[t] = cand
-                    cost[t] = cc
+            v = ks[1]
+            for t, w, arc in adj[s]:
+                cand = key(dense_times(v, w, signed))
+                old = keys[t]
+                if old is None or cand < old:
+                    keys[t] = cand
                     back[t] = (s, arc)
     else:
         counter = count()
-        heap: list[tuple[float, tuple[float, ...], int, int]] = [(0.0, ONE.dense(), next(counter), fst.initial)]
-        settled = [False] * n
-        while heap:
-            cc, _, _, s = heapq.heappop(heap)
-            if settled[s]:
-                continue
-            settled[s] = True
-            dw = dist[s]
-            assert dw is not None
-            for arc in fst.arcs(s):
-                t = arc.target
-                if settled[t]:
-                    continue
-                cand = times(dw, arc.weight)
-                if cand.infinite:
-                    continue
-                cand_c = scalarize(cand, params)
-                if dist[t] is None or (cand_c, cand.dense()) < (cost[t], dist[t].dense()):
-                    dist[t] = cand
-                    cost[t] = cand_c
-                    back[t] = (s, arc)
-                    heapq.heappush(heap, (cand_c, cand.dense(), next(counter), t))
-    return dist, cost, back
-
-
-def _backward_distances(fst: Wfst, params: ParamVector, order: list[int] | None,
-                        ) -> tuple[list[FeatureWeight | None], list[float]]:
-    """Best weight from every state to acceptance (final weight included).
-
-    ``order`` is as for :func:`_forward_distances`.
-    """
-    n = fst.num_states
-    dist: list[FeatureWeight | None] = [None] * n
-    cost: list[float] = [0.0] * n
-    for s, fw in fst.finals():
-        dist[s] = fw
-        cost[s] = scalarize(fw, params)
-
-    if order is not None:
-        for s in reversed(order):
-            for arc in fst.arcs(s):
-                tw = dist[arc.target]
-                if tw is None:
-                    continue
-                cand = times(arc.weight, tw)
-                if cand.infinite:
-                    continue
-                cc = scalarize(cand, params)
-                if dist[s] is None or (cc, cand.dense()) < (cost[s], dist[s].dense()):
-                    dist[s] = cand
-                    cost[s] = cc
-    else:
-        reverse: list[list[tuple[int, Arc]]] = [[] for _ in range(n)]
-        for s in range(n):
-            for arc in fst.arcs(s):
-                reverse[arc.target].append((s, arc))
-        counter = count()
-        heap = [(cost[s], dist[s].dense(), next(counter), s)  # type: ignore[union-attr]
-                for s, _ in fst.finals()]
+        heap = [(k, next(counter), s) for s, k in sources]
         heapq.heapify(heap)
         settled = [False] * n
         while heap:
-            cc, _, _, s = heapq.heappop(heap)
+            ks, _, s = heapq.heappop(heap)
             if settled[s]:
                 continue
             settled[s] = True
-            dw = dist[s]
-            assert dw is not None
-            for src, arc in reverse[s]:
-                if settled[src]:
+            v = ks[1]
+            for t, w, arc in adj[s]:
+                if settled[t]:
                     continue
-                cand = times(arc.weight, dw)
-                if cand.infinite:
-                    continue
-                cand_c = scalarize(cand, params)
-                if dist[src] is None or (cand_c, cand.dense()) < (cost[src], dist[src].dense()):
-                    dist[src] = cand
-                    cost[src] = cand_c
-                    heapq.heappush(heap, (cand_c, cand.dense(), next(counter), src))
-    return dist, cost
+                cand = key(dense_times(v, w, signed))
+                old = keys[t]
+                if old is None or cand < old:
+                    keys[t] = cand
+                    back[t] = (s, arc)
+                    heapq.heappush(heap, (cand, next(counter), t))
+    return keys, back
 
 
 def shortest_path(fst: Wfst, params: ParamVector) -> PathWitness:
@@ -426,29 +365,25 @@ def shortest_path(fst: Wfst, params: ParamVector) -> PathWitness:
     if fst.initial == NO_STATE or fst.num_finals == 0:
         raise NoPathError("machine accepts nothing")
     order = _check_searchable(fst, params)
-    dist, _, back = _forward_distances(fst, params, order)
-    return _best_path(fst, params, dist, back)
+    search = _prepare(fst, params)
+    keys, back = _distances(fst, search, order)
+    return _best_path(fst, search, keys, back)
 
 
-def _best_path(fst: Wfst, params: ParamVector, dist: list[FeatureWeight | None],
+def _best_path(fst: Wfst, search: _Search, keys: list[Key | None],
                back: list[tuple[int, Arc] | None]) -> PathWitness:
-    """The best complete path given forward distances and backpointers."""
+    """The best complete path given forward keys and backpointers."""
     best_state = NO_STATE
-    best_w: FeatureWeight | None = None
-    best_key: _Key | None = None
+    best: Key | None = None
     for s, fw in fst.finals():
-        dw = dist[s]
-        if dw is None:
+        ks = keys[s]
+        if ks is None:
             continue
-        total = times(dw, fw)
-        if total.infinite:
-            continue
-        key = _weight_key(total, scalarize(total, params))
-        if best_key is None or key < best_key:
-            best_key = key
-            best_w = total
+        k = search.key(dense_times(ks[1], fw.dense(), search.signed))
+        if best is None or k < best:
+            best = k
             best_state = s
-    if best_w is None or best_key is None:
+    if best is None:
         raise NoPathError("no path from the initial state to a final state")
 
     arcs: list[Arc] = []
@@ -462,71 +397,65 @@ def _best_path(fst: Wfst, params: ParamVector, dist: list[FeatureWeight | None],
     arcs.reverse()
     final_w = fst.final_weight(best_state)
     assert final_w is not None
-    return PathWitness(arcs=tuple(arcs), final_weight=final_w, weight=best_w, cost=best_key[0])
+    return PathWitness(arcs=tuple(arcs), final_weight=final_w,
+                       weight=FeatureWeight.from_features(enumerate(best[1])), cost=best[0])
 
 
-def _nbest_raw(fst: Wfst, n: int, params: ParamVector,
-               beta: list[FeatureWeight | None]) -> list[PathWitness]:
+def _nbest_raw(fst: Wfst, n: int, search: _Search, beta: list[Key | None]) -> list[PathWitness]:
     """Up to n cheapest paths via best-first search with an exact heuristic.
 
-    ``beta`` holds the backward distances of :func:`_backward_distances`.
+    ``beta`` holds the backward keys of :func:`_distances`.
     """
     if fst.initial == NO_STATE or beta[fst.initial] is None:
         return []
+    arcs, key, signed = search
+    finals = {s: fw.dense() for s, fw in fst.finals()}
 
     # Nodes are (state, arc, parent-index); arcs recovered by walking parents.
     nodes: list[tuple[int, Arc | None, int]] = [(fst.initial, None, -1)]
     counter = count()
-    start_bound = beta[fst.initial]
-    assert start_bound is not None
-    heap: list[tuple[float, tuple[float, ...], int, int, FeatureWeight]] = [
-        (scalarize(start_bound, params), start_bound.dense(), next(counter), 0, ONE)
-    ]
+    # Entries are (key bound, tie counter, node, dense prefix weight).
+    heap: list[tuple[Key, int, int, Dense]] = [(beta[fst.initial], next(counter), 0, ONE.dense())]
     pops = [0] * fst.num_states
     results: list[PathWitness] = []
 
     while heap and len(results) < n:
-        _, _, _, node_idx, prefix = heapq.heappop(heap)
+        bound, _, node_idx, prefix = heapq.heappop(heap)
         state = nodes[node_idx][0]
         if state == NO_STATE:
             # Completed path: rebuild the arc sequence.
-            arcs: list[Arc] = []
+            path: list[Arc] = []
             idx = nodes[node_idx][2]
             while idx != -1:
                 s, arc, parent = nodes[idx]
                 if arc is not None:
-                    arcs.append(arc)
+                    path.append(arc)
                 idx = parent
-            arcs.reverse()
-            final_state = arcs[-1].target if arcs else fst.initial
-            fw = fst.final_weight(final_state)
+            path.reverse()
+            fw = fst.final_weight(path[-1].target if path else fst.initial)
             assert fw is not None
-            results.append(PathWitness(arcs=tuple(arcs), final_weight=fw, weight=prefix,
-                                       cost=scalarize(prefix, params)))
+            results.append(PathWitness(arcs=tuple(path), final_weight=fw,
+                                       weight=FeatureWeight.from_features(enumerate(prefix)),
+                                       cost=bound[0]))
             continue
         if pops[state] >= n:
             continue
         pops[state] += 1
 
-        fw = fst.final_weight(state)
-        if fw is not None:
-            total = times(prefix, fw)
-            if not total.infinite:
-                node = len(nodes)
-                nodes.append((NO_STATE, None, node_idx))
-                heapq.heappush(heap, (scalarize(total, params), total.dense(),
-                                      next(counter), node, total))
-        for arc in fst.arcs(state):
-            b = beta[arc.target]
+        fv = finals.get(state)
+        if fv is not None:
+            total = dense_times(prefix, fv, signed)
+            node = len(nodes)
+            nodes.append((NO_STATE, None, node_idx))
+            heapq.heappush(heap, (key(total), next(counter), node, total))
+        for t, w, arc in arcs[state]:
+            b = beta[t]
             if b is None:
                 continue
-            ext = times(prefix, arc.weight)
-            bound = times(ext, b)
-            if bound.infinite:
-                continue
+            ext = dense_times(prefix, w, signed)
             node = len(nodes)
-            nodes.append((arc.target, arc, node_idx))
-            heapq.heappush(heap, (scalarize(bound, params), bound.dense(), next(counter), node, ext))
+            nodes.append((t, arc, node_idx))
+            heapq.heappush(heap, (key(dense_times(ext, b[1], signed)), next(counter), node, ext))
     return results
 
 
@@ -545,16 +474,17 @@ def nbest(fst: Wfst, n: int, params: ParamVector, unique: bool = False) -> list[
     order = _check_searchable(fst, params)
     if unique and order is None:
         raise ContractError("unique n-best requires an acyclic machine")
-    beta, _ = _backward_distances(fst, params, order)
+    search = _prepare(fst, params)
+    beta, _ = _distances(fst, search, order, backward=True)
     if not unique:
-        paths = _nbest_raw(fst, n, params, beta)
+        paths = _nbest_raw(fst, n, search, beta)
         if not paths:
             raise NoPathError("no path from the initial state to a final state")
         return paths
 
     k = n
     while True:
-        raw = _nbest_raw(fst, k, params, beta)
+        raw = _nbest_raw(fst, k, search, beta)
         if not raw:
             raise NoPathError("no path from the initial state to a final state")
         seen: set[tuple[int, ...]] = set()
@@ -590,18 +520,20 @@ def prune_to_node_budget(fst: Wfst, budget: int, params: ParamVector) -> Wfst:
         raise NoPathError("machine accepts nothing")
     if fst.num_states <= budget:
         return fst
-    fdist, fcost, back = _forward_distances(fst, params, order)
-    best = _best_path(fst, params, fdist, back)
+    search = _prepare(fst, params)
+    fkeys, back = _distances(fst, search, order)
+    best = _best_path(fst, search, fkeys, back)
     sp_states = len(best.arcs) + 1
     if budget < sp_states:
         raise ContractError(f"budget {budget} is below the {sp_states} states on the shortest path")
 
-    bdist, bcost = _backward_distances(fst, params, order)
+    bkeys, _ = _distances(fst, search, order, backward=True)
     inf = float("inf")
     through = [inf] * fst.num_states
     for s in fst.states():
-        if fdist[s] is not None and bdist[s] is not None:
-            through[s] = fcost[s] + bcost[s]
+        fk, bk = fkeys[s], bkeys[s]
+        if fk is not None and bk is not None:
+            through[s] = fk[0] + bk[0]
     best_cost = best.cost
     slack = 1e-9 * max(1.0, abs(best_cost))
 
@@ -612,8 +544,7 @@ def prune_to_node_budget(fst: Wfst, budget: int, params: ParamVector) -> Wfst:
     while lo <= hi:
         mid = (lo + hi) // 2
         c = finite[mid]
-        cnt = sum(1 for t in through if t <= c + slack)
-        if cnt <= budget:
+        if bisect_right(finite, c + slack) <= budget:
             bound = c
             lo = mid + 1
         else:
@@ -638,47 +569,10 @@ def prune_to_node_budget(fst: Wfst, budget: int, params: ParamVector) -> Wfst:
     out.set_initial(remap[fst.initial])
     for old in keep:
         new = remap[old]
-        for arc in fst.arcs(old):
-            if arc.target not in remap:
-                continue
-            b = bdist[arc.target]
-            if b is None or fdist[old] is None:
-                continue
-            arc_through = fcost[old] + scalarize(arc.weight, params) + bcost[arc.target]
-            if arc_through <= bound + slack:
-                out.add_arc(new, Arc(arc.ilabel, arc.olabel, arc.weight, remap[arc.target]))
+        for t, w, arc in search.arcs[old]:
+            if t in remap and fkeys[old][0] + search.key(w)[0] + bkeys[t][0] <= bound + slack:
+                out.add_arc(new, Arc(arc.ilabel, arc.olabel, arc.weight, remap[t]))
         fw = fst.final_weight(old)
         if fw is not None:
             out.set_final(new, fw)
     return connect(out.freeze())
-
-
-def scale_weights(fst: Wfst, feature_id: int, factor: float) -> Wfst:
-    """Multiply one feature component by ``factor`` on every weight.
-
-    Exists for exporting to scalar-weight consumers; for search it is
-    preferable to leave counts raw and fold scaling into the parameter
-    vector (the two are equivalent at argmin level).
-    """
-    _check_frozen(fst)
-    if not (0 <= feature_id < NUM_FEATURES):
-        raise ContractError(f"unknown feature id {feature_id}")
-
-    def scaled(w: FeatureWeight) -> FeatureWeight:
-        if w.infinite:
-            return ZERO
-        return FeatureWeight.from_features(
-            (fid, v * factor if fid == feature_id else v) for fid, v in w.pairs
-        )
-
-    out = Wfst(fst.isyms, fst.osyms)
-    for _ in fst.states():
-        out.add_state()
-    if fst.initial != NO_STATE:
-        out.set_initial(fst.initial)
-    for s in fst.states():
-        for arc in fst.arcs(s):
-            out.add_arc(s, Arc(arc.ilabel, arc.olabel, scaled(arc.weight), arc.target))
-    for s, fw in fst.finals():
-        out.set_final(s, scaled(fw))
-    return out.freeze()

@@ -133,21 +133,26 @@ def _load_combination_inputs(args) -> tuple[SymbolTable, "pipeline.CombinationPa
     return table, params
 
 
+def _combine_corpus(nmt_dir: str, hiero_dir: str, table: SymbolTable,
+                    params: "pipeline.CombinationParams"):
+    """Yield (result, hiero lattice) for each paired sentence, in stem order."""
+    for stem, nmt_path, hiero_path in lattice_io.paired_corpus_files(nmt_dir, hiero_dir):
+        nmt = lattice_io.read_lattice(nmt_path, table, kind="nmt")
+        hiero = lattice_io.read_lattice(hiero_path, table, kind="hiero")
+        yield pipeline.combine(nmt, hiero, params, source_id=stem), hiero
+
+
 def _cmd_combine(args) -> int:
     table, params = _load_combination_inputs(args)
     if os.path.isdir(args.nmt_lattice):
         if not os.path.isdir(args.hiero_lattice):
             raise ContractError("--nmt-lattice is a directory, so --hiero-lattice must be one too")
-        pairs = lattice_io.paired_corpus_files(args.nmt_lattice, args.hiero_lattice)
         results = []
         hiero_lattices = []
-        for stem, nmt_path, hiero_path in pairs:
-            nmt = lattice_io.read_lattice(nmt_path, table, kind="nmt")
-            hiero = lattice_io.read_lattice(hiero_path, table, kind="hiero")
-            result = pipeline.combine(nmt, hiero, params, source_id=stem)
+        for result, hiero in _combine_corpus(args.nmt_lattice, args.hiero_lattice, table, params):
             results.append(result)
             hiero_lattices.append(hiero)
-            print(f"{stem}\t{' '.join(result.t_comb)}")
+            print(f"{result.source_id}\t{' '.join(result.t_comb)}")
         if args.report:
             report = pipeline.corpus_report(results, hiero_lattices, _parse_ns(args.nbest_ns))
             lattice_io.write_report_lines(report.to_key_value_lines(), args.report)
@@ -249,14 +254,8 @@ def _cmd_prune(args) -> int:
 
 def _cmd_stats(args) -> int:
     table, params = _load_combination_inputs(args)
-    pairs = lattice_io.paired_corpus_files(args.nmt_dir, args.hiero_dir)
-    results = []
-    hiero_lattices = []
-    for stem, nmt_path, hiero_path in pairs:
-        nmt = lattice_io.read_lattice(nmt_path, table, kind="nmt")
-        hiero = lattice_io.read_lattice(hiero_path, table, kind="hiero")
-        results.append(pipeline.combine(nmt, hiero, params, source_id=stem))
-        hiero_lattices.append(hiero)
+    # paired_corpus_files raises on an empty directory, so there is a pair.
+    results, hiero_lattices = zip(*_combine_corpus(args.nmt_dir, args.hiero_dir, table, params))
     report = pipeline.corpus_report(results, hiero_lattices, _parse_ns(args.nbest_ns))
     lines = report.to_tsv_lines()
     if args.output:

@@ -188,9 +188,6 @@ class Wfst:
                 labels.add(arc.olabel)
         return labels
 
-    def is_acceptor(self) -> bool:
-        return all(arc.ilabel == arc.olabel for arcs in self._arcs for arc in arcs)
-
     def __repr__(self) -> str:
         return (f"Wfst(states={self.num_states}, arcs={self.num_arcs}, "
                 f"finals={len(self._finals)}, initial={self.initial}, frozen={self._frozen})")
@@ -236,6 +233,17 @@ def count_paths(fst: Wfst) -> int | None:
             for arc in fst.arcs(s):
                 ways[arc.target] += ways[s]
     return sum(ways[s] for s, _ in fst.finals())
+
+
+def has_negative(fst: Wfst) -> bool:
+    """Whether an arc or final weight holds a negative value.
+
+    Only then can a sum of weights cancel to below CANONICAL_EPS, so only
+    then do searches on dense weights need the zeroing of
+    :func:`~latcomb.semiring.dense_times`.
+    """
+    return (any(v < 0.0 for s in fst.states() for arc in fst.arcs(s) for _, v in arc.weight.pairs)
+            or any(v < 0.0 for _, w in fst.finals() for _, v in w.pairs))
 
 
 def accessible_states(fst: Wfst) -> set[int]:

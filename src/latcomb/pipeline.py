@@ -21,23 +21,24 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field, replace as dc_replace
-from math import inf
-from operator import add
 from typing import FrozenSet, Iterable, Sequence
 
 from .algorithms import PathWitness, nbest, prune_to_node_budget, replace
 from .editfst import EditCostModel, build_unk_insertion_fst, edit_weight
 from .errors import ContractError, NoPathError
-from .fst import EPSILON, UNK, Arc, Wfst, count_paths, is_acyclic, topological_order
+from .fst import EPSILON, UNK, Arc, Wfst, count_paths, has_negative, is_acyclic, topological_order
 from .semiring import (
-    CANONICAL_EPS,
     EDIT_COUNT,
-    NUM_FEATURES,
+    ONE,
     SUB_COUNT,
     UNK_EXT_COUNT,
+    Dense,
     FeatureWeight,
+    Key,
     ParamVector,
+    dense_times,
     format_weight,
+    search_key,
     times,
 )
 
@@ -91,7 +92,7 @@ class CombinationParams:
 
 @dataclass(frozen=True)
 class EditStats:
-    """Per-sentence breakdown of the alignment the shortest path used."""
+    """Per-sentence edit counts of the winning alignment."""
 
     unk_extensions: int = 0
     type2_subs: int = 0
@@ -208,16 +209,6 @@ def combine(nmt_lattice: Wfst, hiero_lattice: Wfst, params: CombinationParams,
     )
 
 
-def _canonical(values: tuple[float, ...]) -> tuple[float, ...]:
-    """Zero the entries that :func:`~latcomb.semiring.times` would drop."""
-    return tuple(0.0 if -CANONICAL_EPS < v < CANONICAL_EPS else v for v in values)
-
-
-def _has_negative(fst: Wfst) -> bool:
-    return (any(v < 0.0 for s in fst.states() for arc in fst.arcs(s) for _, v in arc.weight.pairs)
-            or any(v < 0.0 for _, w in fst.finals() for _, v in w.pairs))
-
-
 def _best_alignment(nmt: Wfst, hiero: Wfst, model: EditCostModel,
                     params: ParamVector) -> PathWitness:
     """Cheapest typed-edit alignment of an NMT path with a hiero path.
@@ -230,8 +221,9 @@ def _best_alignment(nmt: Wfst, hiero: Wfst, model: EditCostModel,
     output label) on each arc and carries the same per-arc weights as
     the composition with the modified flower would.
 
-    Weights are accumulated as dense tuples, and the cost of a tuple is
-    its dot product with ``params`` in feature-id order, which is what
+    Weights are accumulated as dense tuples with
+    :func:`~latcomb.semiring.dense_times` and compared by
+    :func:`~latcomb.semiring.search_key`, whose cost is what
     :func:`~latcomb.semiring.scalarize` computes on the sparse form.
     When every feature of an aligned pair comes from one side (as for
     lattices that pass :func:`~latcomb.fst.validate` for their kind), the
@@ -272,51 +264,49 @@ def _best_alignment(nmt: Wfst, hiero: Wfst, model: EditCostModel,
                     for arc in hiero.arcs(s) if not arc.weight.infinite] for s in order_h]
     hiero_pairs = [[move for move in moves if move[1] != EPSILON] for moves in hiero_moves]
 
-    signed = _has_negative(nmt) or _has_negative(hiero)
-    p0, p1, p2, p3, p4 = params.as_tuple()
+    signed = has_negative(nmt) or has_negative(hiero)
+    key = search_key(params)
     size = len(order_n) * width
-    cost = [inf] * (size + 1)
-    dense: list[tuple[float, ...] | None] = [None] * (size + 1)
+    keys: list[Key | None] = [None] * (size + 1)
     back: list[tuple[int, Arc | None, Arc | None] | None] = [None] * (size + 1)
 
-    def relax(t: int, cand: tuple[float, ...], src: int, a: Arc | None, h: Arc | None) -> None:
-        if signed:
-            cand = _canonical(cand)
-        c0, c1, c2, c3, c4 = cand
-        cc = p0 * c0 + p1 * c1 + p2 * c2 + p3 * c3 + p4 * c4
-        old = cost[t]
-        if cc < old or (cc == old and cand < dense[t]):
-            cost[t] = cc
-            dense[t] = cand
+    def relax(t: int, cand: Dense, src: int, a: Arc | None, h: Arc | None) -> None:
+        k = key(cand)
+        old = keys[t]
+        if old is None or k < old:
+            keys[t] = k
             back[t] = (src, a, h)
 
+    # Three-term sums zero entries once, at the end (inner signed=False):
+    # with each feature coming from one side, that equals zeroing after
+    # each addition.
     start = pos_n[nmt.initial] * width + pos_h[hiero.initial]
-    cost[start] = 0.0
-    dense[start] = (0.0,) * NUM_FEATURES
+    keys[start] = key(ONE.dense())
     for i in range(pos_n[nmt.initial], len(order_n)):
         moves_n = nmt_moves[i]
         base = i * width
         for j in range(width):
             c = base + j
-            d = dense[c]
-            if d is None:
+            kc = keys[c]
+            if kc is None:
                 continue
+            d = kc[1]
             for a, x, t_base, w_a, w_del, row in moves_n:
-                dn = tuple(map(add, d, w_a))
                 if x == EPSILON:
-                    relax(t_base + j, dn, c, a, None)
+                    relax(t_base + j, dense_times(d, w_a, signed), c, a, None)
                     continue
-                relax(t_base + j, tuple(map(add, dn, w_del)), c, a, None)
+                dn = dense_times(d, w_a, False)
+                relax(t_base + j, dense_times(dn, w_del, signed), c, a, None)
                 for h, y, t_j, w_h, _ in hiero_pairs[j]:
                     e = row.get(y)
                     if e is None:
                         e = edit_dense(x, y)
-                    relax(t_base + t_j, tuple(map(add, map(add, dn, e), w_h)), c, a, h)
+                    relax(t_base + t_j, dense_times(dense_times(dn, e, False), w_h, signed), c, a, h)
             for h, y, t_j, w_h, w_ins in hiero_moves[j]:
                 if y != EPSILON:
-                    cand = tuple(map(add, map(add, d, w_ins), w_h))
+                    cand = dense_times(dense_times(d, w_ins, False), w_h, signed)
                 else:
-                    cand = tuple(map(add, d, w_h))
+                    cand = dense_times(d, w_h, signed)
                 relax(base + t_j, cand, c, None, h)
 
     # Acceptance is one more cell, relaxed from the final cells in order.
@@ -325,11 +315,12 @@ def _best_alignment(nmt: Wfst, hiero: Wfst, model: EditCostModel,
         fw_n = nmt.final_weight(order_n[i]).dense()
         for j in sorted(pos_h[s] for s, _ in hiero.finals()):
             c = i * width + j
-            d = dense[c]
-            if d is not None:
+            kc = keys[c]
+            if kc is not None:
                 fw_h = hiero.final_weight(order_h[j]).dense()
-                relax(accept, tuple(map(add, map(add, d, fw_n), fw_h)), c, None, None)
-    if dense[accept] is None:
+                relax(accept, dense_times(dense_times(kc[1], fw_n, False), fw_h, signed), c, None, None)
+    best = keys[accept]
+    if best is None:
         raise NoPathError("no path from the initial state to a final state")
 
     # Rebuild the path with the weights the composed machine's arcs carry.
@@ -351,8 +342,7 @@ def _best_alignment(nmt: Wfst, hiero: Wfst, model: EditCostModel,
         c = src
     arcs.reverse()
     return PathWitness(arcs=tuple(arcs), final_weight=final_weight,
-                       weight=FeatureWeight.from_features(enumerate(dense[accept])),
-                       cost=cost[accept])
+                       weight=FeatureWeight.from_features(enumerate(best[1])), cost=best[0])
 
 
 def _count_feature(w: FeatureWeight, fid: int, where: str) -> int:

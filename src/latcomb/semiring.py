@@ -10,13 +10,18 @@ rebuilding anything.
 
 The scalar view of a weight is an ordinary tropical cost: plus is min,
 times is addition, +inf is the absorbing zero and 0.0 the identity.
+
+Searches work on the dense form of weights, and their order is defined
+here once: :func:`dense_times` extends a path and :func:`search_key`
+orders paths by scalarized cost, then by the dense vector.  :func:`plus`
+selects by the same key.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .errors import ContractError
 
@@ -36,6 +41,11 @@ CANONICAL_EPS = 1e-15
 
 # Scalar cost of the zero weight.
 TROPICAL_ZERO = math.inf
+
+# A weight's value per feature id in ascending id order (see
+# FeatureWeight.dense), and the search order's key for it.
+Dense = tuple[float, ...]
+Key = tuple[float, Dense]
 
 
 @dataclass(frozen=True, slots=True)
@@ -165,26 +175,55 @@ def scalarize(w: FeatureWeight, params: ParamVector) -> float:
     return total
 
 
+def dense_times(u: Dense, v: Dense, signed: bool) -> Dense:
+    """:func:`times` on dense vectors: the componentwise sum.
+
+    With ``signed``, the entries :func:`times` would drop (magnitude
+    below CANONICAL_EPS) are zeroed.  Only a sum of opposite signs can
+    fall there, so a search over machines that hold no negative value
+    passes False and skips the check.
+    """
+    u0, u1, u2, u3, u4 = u
+    v0, v1, v2, v3, v4 = v
+    out = (u0 + v0, u1 + v1, u2 + v2, u3 + v3, u4 + v4)
+    if signed:
+        return tuple(0.0 if -CANONICAL_EPS < x < CANONICAL_EPS else x for x in out)
+    return out
+
+
+def search_key(params: ParamVector) -> Callable[[Dense], Key]:
+    """The search order under ``params``: ``key(v) == (cost, v)``.
+
+    The cost is the dot product with the parameters, summed from 0.0 in
+    feature-id order as :func:`scalarize` sums the sparse form, so the
+    two agree bit for bit.  Keys compare as tuples: by cost, then by the
+    dense vector lexicographically (the lexicographic semiring of Roark,
+    Sproat and Shafran, 2011).
+    """
+    p0, p1, p2, p3, p4 = params.as_tuple()
+
+    def key(v: Dense) -> Key:
+        v0, v1, v2, v3, v4 = v
+        return (0.0 + p0 * v0 + p1 * v1 + p2 * v2 + p3 * v3 + p4 * v4, v)
+
+    return key
+
+
 def plus(a: FeatureWeight, b: FeatureWeight, params: ParamVector) -> FeatureWeight:
     """Select the better of two weights under the parameter vector.
 
-    The operand with the smaller scalarization wins.  Exact ties are
-    broken by comparing the dense value vectors lexicographically in
-    ascending feature-id order (absent entries count as 0).  That order
-    is invariant under componentwise addition, which keeps ``times``
-    distributive over ``plus`` even on tied inputs.
+    The operand with the smaller :func:`search_key` wins, ``a`` on equal
+    keys: the smaller scalarization, with exact ties broken by the dense
+    value vectors in ascending feature-id order (absent entries count as
+    0).  That order is invariant under componentwise addition, which
+    keeps ``times`` distributive over ``plus`` even on tied inputs.
     """
     if a.infinite:
         return b
     if b.infinite:
         return a
-    ca = scalarize(a, params)
-    cb = scalarize(b, params)
-    if ca < cb:
-        return a
-    if cb < ca:
-        return b
-    return a if a.dense() <= b.dense() else b
+    key = search_key(params)
+    return a if key(a.dense()) <= key(b.dense()) else b
 
 
 def _format_number(v: float) -> str:

@@ -18,7 +18,6 @@ from latcomb import (
     nbest,
     prune_to_node_budget,
     replace,
-    scale_weights,
     shortest_path,
     weight,
 )
@@ -27,18 +26,21 @@ from latcomb.editfst import build_unk_insertion_fst
 from latcomb.oracle import enumerate_paths
 from latcomb.semiring import scalarize
 
-from helpers import acceptor_from_sentences, path_signature, random_dag_lattice
+from helpers import (acceptor_from_sentences, grid_params, grid_weight, path_signature,
+                     random_dag_lattice)
 
 UNIT = ParamVector(1.0, 1.0, 1.0, 1.0, 1.0)
 
 
-def two_arc_machine(syms, w1, w2):
-    a = syms.add("a")
+def two_arc_machine(syms, w1, w2, cyclic=False, second_label="a"):
+    a, b = syms.add("a"), syms.add(second_label)
     fst = Wfst(syms, syms)
     s0, s1 = fst.add_state(), fst.add_state()
     fst.set_initial(s0)
     fst.add_arc(s0, Arc(a, a, w1, s1))
-    fst.add_arc(s0, Arc(a, a, w2, s1))
+    fst.add_arc(s0, Arc(b, b, w2, s1))
+    if cyclic:
+        fst.add_arc(s1, Arc(a, a, weight({0: 1.0}), s1))
     fst.set_final(s1, ONE)
     return fst.freeze()
 
@@ -215,33 +217,6 @@ def test_prune_keeps_shortest_path(seed):
     assert after.output_labels() == before.output_labels()
 
 
-def test_scale_weights_identity_and_removal():
-    syms = SymbolTable()
-    lattice = acceptor_from_sentences(syms, ["a b"], score_feature=0, scores=[1.5])
-    same = scale_weights(lattice, 0, 1.0)
-    assert path_signature(same, UNIT) == path_signature(lattice, UNIT)
-    gone = scale_weights(lattice, 0, 0.0)
-    for p in enumerate_paths(gone, UNIT):
-        assert dict(p.features).get(0, 0.0) == 0.0
-    with pytest.raises(ContractError):
-        scale_weights(lattice, 9, 1.0)
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.integers(0, 100_000), st.integers(0, 4))
-def test_scale_weights_equals_param_scaling(seed, fid):
-    rng = random.Random(seed)
-    factor = rng.choice([0.25, 0.5, 2.0, 3.0])
-    syms = SymbolTable()
-    lattice = random_dag_lattice(rng, syms, score_feature=fid, max_paths=30)
-    scaled = scale_weights(lattice, fid, factor)
-    coeffs = list(UNIT.as_tuple())
-    coeffs[fid] *= factor
-    adjusted = ParamVector(*coeffs)
-    for before, after in zip(enumerate_paths(lattice, adjusted), enumerate_paths(scaled, UNIT)):
-        assert after.score == pytest.approx(before.score, abs=1e-9)
-
-
 def witness(arc_triples, syms):
     arcs = []
     total = ONE
@@ -339,19 +314,92 @@ def test_replace_rejects_epsilon_label():
         replace(root, EPSILON, build_unk_insertion_fst(1, syms))
 
 
-@settings(max_examples=40, deadline=None)
+def _signed_grid_machine(rng, syms):
+    """Acyclic machine with signed dyadic arc and final weights and some ZERO arcs.
+
+    A backbone of non-ZERO arcs keeps the last state reachable.
+    """
+    labels = [syms.add(w) for w in ("a", "b", "c")]
+    n = rng.randint(2, 9)
+    fst = Wfst(syms, syms)
+    for _ in range(n):
+        fst.add_state()
+    fst.set_initial(0)
+    for i in range(n - 1):
+        backbone = grid_weight(rng)
+        fst.add_arc(i, Arc(labels[0], labels[0], ONE if backbone.infinite else backbone, i + 1))
+        for _ in range(rng.randint(0, 2)):
+            label = rng.choice(labels)
+            fst.add_arc(i, Arc(label, label, grid_weight(rng), rng.randint(i + 1, n - 1)))
+    for s in range(n):
+        if s == n - 1 or rng.random() < 0.3:
+            fw = grid_weight(rng)
+            fst.set_final(s, ONE if fw.infinite else fw)
+    return fst.freeze()
+
+
+def _cancelling_chain(syms):
+    # 0.1 + 0.2 - 0.3 leaves 5.6e-17, which sparse times drops; a parallel
+    # arc gives the searches a second path.
+    a, b = syms.add("a"), syms.add("b")
+    fst = linear_chain([a, a, a, a], syms, [weight({0: v}) for v in (0.1, 0.2, -0.3, 0.001)])
+    out = Wfst(syms, syms)
+    for _ in fst.states():
+        out.add_state()
+    out.set_initial(fst.initial)
+    for s in fst.states():
+        for arc in fst.arcs(s):
+            out.add_arc(s, arc)
+    out.add_arc(0, Arc(b, b, weight({0: 0.1, 1: -0.25}), 2))
+    for s, w in fst.finals():
+        out.set_final(s, w)
+    return out.freeze()
+
+
+@settings(max_examples=60, deadline=None)
 @given(st.integers(0, 100_000))
 def test_path_witness_weight_consistency(seed):
-    # The stored total must equal the product of arc weights and final weight.
+    # The stored total must equal the product of arc weights and final
+    # weight, and the cost its scalarization, exactly: on machines with
+    # negative values, ZERO arcs and cancelling sums, for every search and
+    # for searches on pruned machines.
     from latcomb.semiring import times
 
     rng = random.Random(seed)
     syms = SymbolTable()
-    lattice = random_dag_lattice(rng, syms, score_feature=0, max_paths=40)
-    for path in nbest(lattice, 5, UNIT):
-        total = ONE
-        for arc in path.arcs:
-            total = times(total, arc.weight)
-        total = times(total, path.final_weight)
-        assert total == path.weight
-        assert path.cost == pytest.approx(scalarize(path.weight, UNIT), abs=1e-12)
+    params = grid_params(rng)
+    machines = [random_dag_lattice(rng, syms, score_feature=0, max_paths=40),
+                _signed_grid_machine(rng, syms), _cancelling_chain(syms)]
+    for machine in machines:
+        best = shortest_path(machine, params)
+        budget = rng.randint(len(best.arcs) + 1, machine.num_states)
+        pruned = prune_to_node_budget(machine, budget, params)
+        paths = [best, shortest_path(pruned, params)]
+        paths += nbest(machine, 5, params) + nbest(machine, 5, params, unique=True)
+        paths += nbest(pruned, 3, params)
+        for path in paths:
+            total = ONE
+            for arc in path.arcs:
+                total = times(total, arc.weight)
+            total = times(total, path.final_weight)
+            assert total == path.weight
+            assert path.cost == scalarize(path.weight, params)
+    # The chain's second path is exactly the 0.001 left after cancellation.
+    assert nbest(_cancelling_chain(syms), 2, UNIT)[1].weight == weight({0: 0.001})
+
+
+def test_shortest_path_tie_rule():
+    # Equal costs: the smaller dense vector wins, whatever the arc order,
+    # for topological relaxation and for Dijkstra (the loop makes the
+    # machine cyclic).  Equal keys: the first arc in arc order wins.
+    params = ParamVector(nmt=1.0, hiero=1.0, edit=2.0, sub=1.0, ins=1.0)
+    edit, sub = weight({2: 1.0}), weight({3: 2.0})
+    for cyclic in (False, True):
+        for w1, w2 in ((edit, sub), (sub, edit)):
+            syms = SymbolTable()
+            fst = two_arc_machine(syms, w1, w2, cyclic)
+            path = shortest_path(fst, params)
+            assert path.weight == sub and path.cost == 2.0
+        syms = SymbolTable()
+        fst = two_arc_machine(syms, edit, edit, cyclic, second_label="b")
+        assert shortest_path(fst, params).output_labels() == (syms.label("a"),)

@@ -17,6 +17,8 @@ from latcomb import (
     weight,
 )
 
+from latcomb.semiring import dense_times, search_key
+
 from helpers import grid_params, grid_weight
 
 UNIT = ParamVector(1.0, 1.0, 1.0, 1.0, 1.0)
@@ -127,6 +129,28 @@ def test_scalarization_homomorphism_grid(seed):
     a, b, _, p = weights_grid(seed)
     assert scalarize(times(a, b), p) == scalarize(a, p) + scalarize(b, p)
     assert scalarize(plus(a, b, p), p) == min(scalarize(a, p), scalarize(b, p))
+
+
+def _bits(key):
+    cost, vector = key
+    return cost.hex(), tuple(v.hex() for v in vector)
+
+
+@given(st.integers(0, 10_000))
+def test_dense_key_equals_sparse_grid(seed):
+    # The searches' dense (cost, vector) key of a dense product is the
+    # sparse product's scalarization and dense vector, bit for bit (also
+    # the sign of a zero cost under negative parameters).
+    a, b, _, p = weights_grid(seed)
+    if a.infinite or b.infinite:
+        return
+    product = times(a, b)
+    for params in (p, ParamVector(*(-x for x in p.as_tuple()))):
+        key = search_key(params)
+        expected = _bits((scalarize(product, params), product.dense()))
+        assert _bits(key(dense_times(a.dense(), b.dense(), True))) == expected
+        if not any(v < 0.0 for v in a.dense() + b.dense()):
+            assert _bits(key(dense_times(a.dense(), b.dense(), False))) == expected
 
 
 @st.composite
