@@ -19,7 +19,7 @@ from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from itertools import count
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import ContractError, NoPathError
 from .fst import (
@@ -31,6 +31,7 @@ from .fst import (
     Wfst,
     accessible_states,
     coaccessible_states,
+    dense_arcs,
     has_negative,
     topological_order,
 )
@@ -102,7 +103,13 @@ def connect(fst: Wfst) -> Wfst:
     if fst.initial not in coacc:
         return _empty_like(fst.isyms, fst.osyms)
     acc = accessible_states(fst)
-    keep = [s for s in fst.states() if s in acc and s in coacc]
+    return _submachine(fst, [s for s in fst.states() if s in acc and s in coacc], fst.arcs)
+
+
+def _submachine(fst: Wfst, keep: list[int], arcs: Callable[[int], Iterable[Arc]]) -> Wfst:
+    """The machine on the states ``keep`` (which holds the initial state),
+    renumbered in that order, with their final weights and, out of each
+    kept state ``s``, the arcs of ``arcs(s)`` whose target is kept."""
     remap = {old: new for new, old in enumerate(keep)}
     out = Wfst(fst.isyms, fst.osyms)
     for _ in keep:
@@ -110,7 +117,7 @@ def connect(fst: Wfst) -> Wfst:
     out.set_initial(remap[fst.initial])
     for old in keep:
         new = remap[old]
-        for arc in fst.arcs(old):
+        for arc in arcs(old):
             if arc.target in remap:
                 out.add_arc(new, Arc(arc.ilabel, arc.olabel, arc.weight, remap[arc.target]))
         w = fst.final_weight(old)
@@ -152,17 +159,18 @@ def compose(t1: Wfst, t2: Wfst) -> Wfst:
         eps_in.append(eps_arcs)
 
     out = Wfst(t1.isyms, t2.osyms)
-    start = (t1.initial, t2.initial, 0)
-    ids: dict[tuple[int, int, int], int] = {start: out.add_state()}
-    out.set_initial(0)
-    queue: deque[tuple[int, int, int]] = deque([start])
+    ids: dict[tuple[int, int, int], int] = {}
+    queue: deque[tuple[int, int, int]] = deque()
 
     def state_of(key: tuple[int, int, int]) -> int:
+        """The result state of ``key``; a new one is queued for expansion."""
         sid = ids.get(key)
         if sid is None:
-            sid = out.add_state()
-            ids[key] = sid
+            sid = ids[key] = out.add_state()
+            queue.append(key)
         return sid
+
+    out.set_initial(state_of((t1.initial, t2.initial, 0)))
 
     while queue:
         key = queue.popleft()
@@ -183,38 +191,22 @@ def compose(t1: Wfst, t2: Wfst) -> Wfst:
                 matches = index2.get(a1.olabel)
                 if matches:
                     for a2 in matches:
-                        nkey = (a1.target, a2.target, 0)
-                        known = nkey in ids
-                        dst = state_of(nkey)
-                        if not known:
-                            queue.append(nkey)
+                        dst = state_of((a1.target, a2.target, 0))
                         out.add_arc(src, Arc(a1.ilabel, a2.olabel, times(a1.weight, a2.weight), dst))
             else:
                 if flt != 2:
                     # t1 advances alone on its eps-output arc.
-                    nkey = (a1.target, s2, 1)
-                    known = nkey in ids
-                    dst = state_of(nkey)
-                    if not known:
-                        queue.append(nkey)
+                    dst = state_of((a1.target, s2, 1))
                     out.add_arc(src, Arc(a1.ilabel, EPSILON, a1.weight, dst))
                 if flt == 0:
                     # Both sides advance on paired eps arcs.
                     for a2 in eps2:
-                        nkey = (a1.target, a2.target, 0)
-                        known = nkey in ids
-                        dst = state_of(nkey)
-                        if not known:
-                            queue.append(nkey)
+                        dst = state_of((a1.target, a2.target, 0))
                         out.add_arc(src, Arc(a1.ilabel, a2.olabel, times(a1.weight, a2.weight), dst))
         if flt != 1:
             # t2 advances alone on its eps-input arcs.
             for a2 in eps2:
-                nkey = (s1, a2.target, 2)
-                known = nkey in ids
-                dst = state_of(nkey)
-                if not known:
-                    queue.append(nkey)
+                dst = state_of((s1, a2.target, 2))
                 out.add_arc(src, Arc(EPSILON, a2.olabel, a2.weight, dst))
 
     return connect(out.freeze())
@@ -260,61 +252,41 @@ def replace(root: Wfst, label: int, sub: Wfst) -> Wfst:
     return out.freeze()
 
 
-class _Search(NamedTuple):
-    """What every search over one machine reads, built once per call.
-
-    ``arcs`` holds, per state, the arcs that are not ZERO as (target,
-    dense weight, arc); ``signed`` is :func:`~latcomb.fst.has_negative`.
-    """
-
-    arcs: list[list[tuple[int, Dense, Arc]]]
-    key: Callable[[Dense], Key]
-    signed: bool
-
-
-def _prepare(fst: Wfst, params: ParamVector) -> _Search:
-    arcs = [[(arc.target, arc.weight.dense(), arc) for arc in fst.arcs(s) if not arc.weight.infinite]
-            for s in fst.states()]
-    return _Search(arcs, search_key(params), has_negative(fst))
-
-
-def _check_searchable(fst: Wfst, params: ParamVector) -> list[int] | None:
-    """The topological order when acyclic; otherwise None, after requiring
+def _check_searchable(fst: Wfst, params: ParamVector) -> None:
+    """Require an initial and a final state and, for a cyclic machine,
     nonnegative arc scalarizations."""
-    order = topological_order(fst)
-    if order is not None:
-        return order
-    for s in fst.states():
-        for arc in fst.arcs(s):
-            if scalarize(arc.weight, params) < 0.0:
-                raise ContractError("cyclic machine with a negative-cost arc: shortest path undefined")
-    return None
+    if fst.initial == NO_STATE or fst.num_finals == 0:
+        raise NoPathError("machine accepts nothing")
+    if topological_order(fst) is None and any(scalarize(arc.weight, params) < 0.0
+                                              for s in fst.states() for arc in fst.arcs(s)):
+        raise ContractError("cyclic machine with a negative-cost arc: shortest path undefined")
 
 
-def _distances(fst: Wfst, search: _Search, order: list[int] | None, backward: bool = False,
+def _distances(fst: Wfst, key: Callable[[Dense], Key], backward: bool = False,
                ) -> tuple[list[Key | None], list[tuple[int, Arc] | None]]:
     """Best key from the initial state to every state, with backpointers.
 
     With ``backward``, the best key from every state to acceptance (final
     weight included) instead, searched on the reversed arcs, and each
-    backpointer holds the next state and arc.  ``order`` is the machine's
-    topological order, or None for a cyclic machine (searched with
-    Dijkstra).
+    backpointer holds the next state and arc.  An acyclic machine is
+    searched in topological order, a cyclic one with Dijkstra.
     """
-    arcs, key, signed = search
+    order = topological_order(fst)
+    signed = has_negative(fst)
     n = fst.num_states
     keys: list[Key | None] = [None] * n
     back: list[tuple[int, Arc] | None] = [None] * n
     if backward:
-        adj: list[list[tuple[int, Dense, Arc]]] = [[] for _ in range(n)]
-        for s, row in enumerate(arcs):
+        rev: list[list[tuple[int, Dense, Arc]]] = [[] for _ in range(n)]
+        for s, row in enumerate(dense_arcs(fst)):
             for t, w, arc in row:
-                adj[t].append((s, w, arc))
+                rev[t].append((s, w, arc))
+        adj: Sequence[Sequence[tuple[int, Dense, Arc]]] = rev
         sources = [(s, key(fw.dense())) for s, fw in fst.finals()]
         if order is not None:
             order = order[::-1]
     else:
-        adj = arcs
+        adj = dense_arcs(fst)
         sources = [] if fst.initial == NO_STATE else [(fst.initial, key(ONE.dense()))]
     for s, k in sources:
         keys[s] = k
@@ -362,15 +334,13 @@ def shortest_path(fst: Wfst, params: ParamVector) -> PathWitness:
     :class:`NoPathError` when the machine accepts nothing.
     """
     _check_frozen(fst)
-    if fst.initial == NO_STATE or fst.num_finals == 0:
-        raise NoPathError("machine accepts nothing")
-    order = _check_searchable(fst, params)
-    search = _prepare(fst, params)
-    keys, back = _distances(fst, search, order)
-    return _best_path(fst, search, keys, back)
+    _check_searchable(fst, params)
+    key = search_key(params)
+    keys, back = _distances(fst, key)
+    return _best_path(fst, key, keys, back)
 
 
-def _best_path(fst: Wfst, search: _Search, keys: list[Key | None],
+def _best_path(fst: Wfst, key: Callable[[Dense], Key], keys: list[Key | None],
                back: list[tuple[int, Arc] | None]) -> PathWitness:
     """The best complete path given forward keys and backpointers."""
     best_state = NO_STATE
@@ -379,7 +349,7 @@ def _best_path(fst: Wfst, search: _Search, keys: list[Key | None],
         ks = keys[s]
         if ks is None:
             continue
-        k = search.key(dense_times(ks[1], fw.dense(), search.signed))
+        k = key(dense_times(ks[1], fw.dense(), has_negative(fst)))
         if best is None or k < best:
             best = k
             best_state = s
@@ -401,14 +371,16 @@ def _best_path(fst: Wfst, search: _Search, keys: list[Key | None],
                        weight=FeatureWeight.from_features(enumerate(best[1])), cost=best[0])
 
 
-def _nbest_raw(fst: Wfst, n: int, search: _Search, beta: list[Key | None]) -> list[PathWitness]:
+def _nbest_raw(fst: Wfst, n: int, key: Callable[[Dense], Key],
+               beta: list[Key | None]) -> list[PathWitness]:
     """Up to n cheapest paths via best-first search with an exact heuristic.
 
     ``beta`` holds the backward keys of :func:`_distances`.
     """
     if fst.initial == NO_STATE or beta[fst.initial] is None:
         return []
-    arcs, key, signed = search
+    arcs = dense_arcs(fst)
+    signed = has_negative(fst)
     finals = {s: fw.dense() for s, fw in fst.finals()}
 
     # Nodes are (state, arc, parent-index); arcs recovered by walking parents.
@@ -469,30 +441,28 @@ def nbest(fst: Wfst, n: int, params: ParamVector, unique: bool = False) -> list[
     _check_frozen(fst)
     if n < 1:
         raise ContractError(f"n must be positive, got {n}")
-    if fst.initial == NO_STATE or fst.num_finals == 0:
-        raise NoPathError("machine accepts nothing")
-    order = _check_searchable(fst, params)
-    if unique and order is None:
+    _check_searchable(fst, params)
+    if unique and topological_order(fst) is None:
         raise ContractError("unique n-best requires an acyclic machine")
-    search = _prepare(fst, params)
-    beta, _ = _distances(fst, search, order, backward=True)
+    key = search_key(params)
+    beta, _ = _distances(fst, key, backward=True)
     if not unique:
-        paths = _nbest_raw(fst, n, search, beta)
+        paths = _nbest_raw(fst, n, key, beta)
         if not paths:
             raise NoPathError("no path from the initial state to a final state")
         return paths
 
     k = n
     while True:
-        raw = _nbest_raw(fst, k, search, beta)
+        raw = _nbest_raw(fst, k, key, beta)
         if not raw:
             raise NoPathError("no path from the initial state to a final state")
         seen: set[tuple[int, ...]] = set()
         out: list[PathWitness] = []
         for p in raw:
-            key = p.output_labels()
-            if key not in seen:
-                seen.add(key)
+            labels = p.output_labels()
+            if labels not in seen:
+                seen.add(labels)
                 out.append(p)
             if len(out) == n:
                 return out
@@ -513,21 +483,20 @@ def prune_to_node_budget(fst: Wfst, budget: int, params: ParamVector) -> Wfst:
     _check_frozen(fst)
     if budget < 1:
         raise ContractError(f"budget must be positive, got {budget}")
-    order = topological_order(fst)
-    if order is None:
+    if topological_order(fst) is None:
         raise ContractError("pruning is defined for acyclic machines only")
     if fst.initial == NO_STATE or not any(fst.is_final(s) for s in accessible_states(fst)):
         raise NoPathError("machine accepts nothing")
     if fst.num_states <= budget:
         return fst
-    search = _prepare(fst, params)
-    fkeys, back = _distances(fst, search, order)
-    best = _best_path(fst, search, fkeys, back)
+    key = search_key(params)
+    fkeys, back = _distances(fst, key)
+    best = _best_path(fst, key, fkeys, back)
     sp_states = len(best.arcs) + 1
     if budget < sp_states:
         raise ContractError(f"budget {budget} is below the {sp_states} states on the shortest path")
 
-    bkeys, _ = _distances(fst, search, order, backward=True)
+    bkeys, _ = _distances(fst, key, backward=True)
     inf = float("inf")
     through = [inf] * fst.num_states
     for s in fst.states():
@@ -561,18 +530,12 @@ def prune_to_node_budget(fst: Wfst, budget: int, params: ParamVector) -> Wfst:
         out.set_final(prev, best.final_weight)
         return out.freeze()
 
-    keep = [s for s in fst.states() if through[s] <= bound + slack]
-    remap = {old: new for new, old in enumerate(keep)}
-    out = Wfst(fst.isyms, fst.osyms)
-    for _ in keep:
-        out.add_state()
-    out.set_initial(remap[fst.initial])
-    for old in keep:
-        new = remap[old]
-        for t, w, arc in search.arcs[old]:
-            if t in remap and fkeys[old][0] + search.key(w)[0] + bkeys[t][0] <= bound + slack:
-                out.add_arc(new, Arc(arc.ilabel, arc.olabel, arc.weight, remap[t]))
-        fw = fst.final_weight(old)
-        if fw is not None:
-            out.set_final(new, fw)
-    return connect(out.freeze())
+    limit = bound + slack
+
+    def cheap_arcs(s: int) -> Iterator[Arc]:
+        for t, w, arc in dense_arcs(fst)[s]:
+            if through[t] <= limit and fkeys[s][0] + key(w)[0] + bkeys[t][0] <= limit:
+                yield arc
+
+    keep = [s for s in fst.states() if through[s] <= limit]
+    return connect(_submachine(fst, keep, cheap_arcs))

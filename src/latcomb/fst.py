@@ -4,15 +4,23 @@ A :class:`Wfst` is mutable while it is being built and frozen before any
 algorithm touches it; frozen machines are safe to share.  States are
 dense integers, arcs live in per-state adjacency lists, and every arc
 weight is a :class:`~latcomb.semiring.FeatureWeight`.
+
+This module is the one place that derives facts from a machine's
+structure: :func:`topological_order`, :func:`has_negative` and
+:func:`dense_arcs`.  Each is computed at most once per frozen machine and
+kept on it; a mutable machine recomputes on every call.  Sharing a frozen
+machine across threads stays safe, because a race can only compute the
+same immutable value twice.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from functools import wraps
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .errors import ContractError
-from .semiring import HIERO_SCORE, NMT_SCORE, ONE, FeatureWeight
+from .semiring import HIERO_SCORE, NMT_SCORE, ONE, Dense, FeatureWeight
 
 # Labels 0 and 1 have fixed meanings in every symbol table.
 EPSILON = 0
@@ -101,10 +109,11 @@ class Wfst:
     def __init__(self, isyms: SymbolTable | None = None, osyms: SymbolTable | None = None) -> None:
         self.isyms = isyms if isyms is not None else SymbolTable()
         self.osyms = osyms if osyms is not None else self.isyms
-        self._arcs: list[list[Arc]] = []
+        self._arcs: list[Sequence[Arc]] = []
         self._finals: dict[int, FeatureWeight] = {}
         self.initial: int = NO_STATE
         self._frozen = False
+        self._derived: dict[Callable, object] = {}
 
     # -- construction -------------------------------------------------
 
@@ -141,6 +150,7 @@ class Wfst:
             self._finals[s] = w
 
     def freeze(self) -> "Wfst":
+        self._arcs = [tuple(arcs) for arcs in self._arcs]
         self._frozen = True
         return self
 
@@ -161,7 +171,7 @@ class Wfst:
     def states(self) -> range:
         return range(len(self._arcs))
 
-    def arcs(self, s: int) -> list[Arc]:
+    def arcs(self, s: int) -> Sequence[Arc]:
         self._check_state(s)
         return self._arcs[s]
 
@@ -193,7 +203,24 @@ class Wfst:
                 f"finals={len(self._finals)}, initial={self.initial}, frozen={self._frozen})")
 
 
-def topological_order(fst: Wfst) -> list[int] | None:
+T = TypeVar("T")
+
+
+def _derived(compute: Callable[[Wfst], T]) -> Callable[[Wfst], T]:
+    """Keep ``compute(fst)`` on a frozen machine after the first call; a
+    mutable machine recomputes on every call."""
+    @wraps(compute)
+    def derived(fst: Wfst) -> T:
+        if not fst.frozen:
+            return compute(fst)
+        if compute not in fst._derived:
+            fst._derived[compute] = compute(fst)
+        return fst._derived[compute]  # type: ignore[return-value]
+    return derived
+
+
+@_derived
+def topological_order(fst: Wfst) -> tuple[int, ...] | None:
     """States in topological order, or None when the machine has a cycle.
 
     Covers every state (also ones unreachable from the initial state).
@@ -212,7 +239,7 @@ def topological_order(fst: Wfst) -> list[int] | None:
             indegree[arc.target] -= 1
             if indegree[arc.target] == 0:
                 stack.append(arc.target)
-    return order if len(order) == n else None
+    return tuple(order) if len(order) == n else None
 
 
 def is_acyclic(fst: Wfst) -> bool:
@@ -235,6 +262,7 @@ def count_paths(fst: Wfst) -> int | None:
     return sum(ways[s] for s, _ in fst.finals())
 
 
+@_derived
 def has_negative(fst: Wfst) -> bool:
     """Whether an arc or final weight holds a negative value.
 
@@ -244,6 +272,14 @@ def has_negative(fst: Wfst) -> bool:
     """
     return (any(v < 0.0 for s in fst.states() for arc in fst.arcs(s) for _, v in arc.weight.pairs)
             or any(v < 0.0 for _, w in fst.finals() for _, v in w.pairs))
+
+
+@_derived
+def dense_arcs(fst: Wfst) -> tuple[tuple[tuple[int, Dense, Arc], ...], ...]:
+    """Per state, the arcs that are not ZERO as (target, dense weight, arc),
+    in arc order: what every search over the machine reads."""
+    return tuple(tuple((arc.target, arc.weight.dense(), arc) for arc in fst.arcs(s)
+                       if not arc.weight.infinite) for s in fst.states())
 
 
 def accessible_states(fst: Wfst) -> set[int]:
@@ -308,8 +344,7 @@ def validate(fst: Wfst, kind: str = "generic", nmt_vocab: Iterable[int] | None =
     if fst.num_finals == 0:
         errors.append("no final state")
 
-    acyclic = is_acyclic(fst)
-    if not acyclic:
+    if not is_acyclic(fst):
         msg = "machine contains a cycle"
         (errors if kind in ("nmt", "hiero") else warnings).append(msg)
 

@@ -181,10 +181,11 @@ def read_lattice(path: str, table: SymbolTable, kind: str = "generic") -> Wfst:
 
     if not saw_line:
         raise FormatError("empty lattice file (no initial state)", path)
-    report = validate(fst, kind)
+    # Frozen first, so that the order validation sorts is kept for later searches.
+    report = validate(fst.freeze(), kind)
     if not report.ok:
         raise FormatError("; ".join(report.errors), path)
-    return fst.freeze()
+    return fst
 
 
 def write_lattice(fst: Wfst, path: str) -> None:

@@ -26,7 +26,7 @@ from typing import FrozenSet, Iterable, Sequence
 from .algorithms import PathWitness, nbest, prune_to_node_budget, replace
 from .editfst import EditCostModel, build_unk_insertion_fst, edit_weight
 from .errors import ContractError, NoPathError
-from .fst import EPSILON, UNK, Arc, Wfst, count_paths, has_negative, is_acyclic, topological_order
+from .fst import EPSILON, UNK, Arc, Wfst, count_paths, dense_arcs, has_negative, topological_order
 from .semiring import (
     EDIT_COUNT,
     ONE,
@@ -145,7 +145,7 @@ def _check_lattice(lattice: Wfst, name: str, forbid_unk: bool) -> None:
         raise ContractError(f"{name} lattice must be frozen")
     if lattice.num_states == 0 or lattice.initial < 0 or lattice.num_finals == 0:
         raise ContractError(f"{name} lattice is empty")
-    if not is_acyclic(lattice):
+    if topological_order(lattice) is None:
         raise ContractError(f"{name} lattice must be acyclic")
     if forbid_unk:
         for s in lattice.states():
@@ -255,13 +255,13 @@ def _best_alignment(nmt: Wfst, hiero: Wfst, model: EditCostModel,
     # Moves per topological position: (arc, label matched, target, dense
     # arc weight, dense weight of deleting / inserting the label), and
     # for NMT moves the label's row of ``typed``.
-    nmt_moves = [[(arc, arc.olabel, pos_n[arc.target] * width, arc.weight.dense(),
+    nmt_moves = [[(arc, arc.olabel, pos_n[t] * width, w,
                    None if arc.olabel == EPSILON else edit_dense(arc.olabel, EPSILON),
                    typed.setdefault(arc.olabel, {}))
-                  for arc in nmt.arcs(s) if not arc.weight.infinite] for s in order_n]
-    hiero_moves = [[(arc, arc.ilabel, pos_h[arc.target], arc.weight.dense(),
+                  for t, w, arc in dense_arcs(nmt)[s]] for s in order_n]
+    hiero_moves = [[(arc, arc.ilabel, pos_h[t], w,
                      None if arc.ilabel == EPSILON else edit_dense(EPSILON, arc.ilabel))
-                    for arc in hiero.arcs(s) if not arc.weight.infinite] for s in order_h]
+                    for t, w, arc in dense_arcs(hiero)[s]] for s in order_h]
     hiero_pairs = [[move for move in moves if move[1] != EPSILON] for moves in hiero_moves]
 
     signed = has_negative(nmt) or has_negative(hiero)

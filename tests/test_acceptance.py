@@ -5,6 +5,7 @@ Run with ``pytest tests/test_acceptance.py -v -rP`` to see the lines.
 
 import random
 import time
+from pathlib import Path
 
 import pytest
 
@@ -232,7 +233,7 @@ def test_c08_worked_example_via_cli(worked_example_files, capsys):
         assert code == 0
         assert capsys.readouterr().out.strip() == "die regionale Politik"
         report = dict(line.split("=", 1)
-                      for line in open(files["report"]).read().splitlines())
+                      for line in Path(files["report"]).read_text().splitlines())
         assert abs(float(report["total_cost"]) - 3.0) <= 1e-9
     ok(8, "combine and oracle-combine both print 'die regionale Politik' at cost 3.0")
 

@@ -8,6 +8,7 @@ from latcomb import (
     ONE,
     UNK,
     Arc,
+    ZERO,
     ContractError,
     ParamVector,
     SymbolTable,
@@ -21,6 +22,7 @@ from latcomb import (
     weight,
 )
 from latcomb.editfst import EditCostModel, build_modified_edit_fst
+from latcomb.fst import dense_arcs, topological_order
 
 from helpers import acceptor_from_sentences, path_signature, random_dag_lattice
 
@@ -90,6 +92,8 @@ def test_frozen_machines_reject_mutation():
         fst.add_state()
     with pytest.raises(ContractError):
         fst.set_final(0, ONE)
+    with pytest.raises(AttributeError):
+        fst.arcs(0).append(Arc(2, 2, ONE, 0))
 
 
 def test_is_acyclic():
@@ -97,6 +101,18 @@ def test_is_acyclic():
     a = syms.add("a")
     chain = linear_chain([a, a, a], syms)
     assert is_acyclic(chain)
+    assert topological_order(chain) is topological_order(chain)
+
+    # Nothing is kept before freeze: the back arc added after a first sort counts.
+    growing = Wfst(syms, syms)
+    for _ in range(3):
+        growing.add_state()
+    growing.add_arc(0, Arc(a, a, ONE, 1))
+    growing.add_arc(1, Arc(a, a, ONE, 2))
+    assert topological_order(growing) == (0, 1, 2)
+    growing.add_arc(2, Arc(a, a, ONE, 0))
+    growing.freeze()
+    assert topological_order(growing) is None
 
     loop = Wfst(syms, syms)
     s = loop.add_state()
@@ -106,6 +122,19 @@ def test_is_acyclic():
     loop.freeze()
     assert not is_acyclic(loop)
     assert count_paths(loop) is None
+
+
+def test_dense_arcs_omit_zero_arcs():
+    syms = SymbolTable()
+    a = syms.add("a")
+    fst = Wfst(syms, syms)
+    s, t = fst.add_state(), fst.add_state()
+    fst.add_arc(s, Arc(a, a, ZERO, t))
+    live = Arc(a, a, weight({0: 1.5}), t)
+    fst.add_arc(s, live)
+    fst.freeze()
+    assert dense_arcs(fst) == (((t, (1.5, 0.0, 0.0, 0.0, 0.0), live),), ())
+    assert dense_arcs(fst) is dense_arcs(fst)
 
 
 def test_count_paths_diamond():

@@ -1,5 +1,7 @@
 import math
 import random
+import sys
+from dataclasses import replace as dc_replace
 
 import pytest
 
@@ -18,8 +20,10 @@ from latcomb import (
     decompose_alignment,
     weight,
 )
+from latcomb import fst as fst_module
 from latcomb.algorithms import PathWitness
 from latcomb.editfst import EditCostModel
+from latcomb.lattice_io import read_lattice, write_lattice
 from latcomb.pipeline import CombinationResult
 from latcomb.semiring import scalarize, times
 
@@ -68,6 +72,30 @@ def test_worked_example_lattice_construction():
     _, _, hiero, params = worked_example()
     paths = {p.tokens: p.score for p in enumerate_paths(hiero, params.as_param_vector())}
     assert paths == {("die", "regionale", "Politik"): 2.0, ("der", "Plan"): 1.0}
+
+
+def test_combine_sorts_no_machine_twice(tmp_path):
+    sort = fst_module.topological_order.__wrapped__.__code__
+    sorted_machines = []
+
+    def count_sorts(frame, event, arg):
+        if event == "call" and frame.f_code is sort:
+            sorted_machines.append(frame.f_locals["fst"])
+
+    syms, nmt, hiero, params = worked_example()
+    write_lattice(nmt, str(tmp_path / "nmt.fst"))
+    write_lattice(hiero, str(tmp_path / "hiero.fst"))
+    sys.setprofile(count_sorts)
+    try:
+        nmt = read_lattice(str(tmp_path / "nmt.fst"), syms, kind="nmt")
+        hiero = read_lattice(str(tmp_path / "hiero.fst"), syms, kind="hiero")
+        for budget in (100, 4):  # within budget, and pruned to a new machine
+            result = combine(nmt, hiero, dc_replace(params, hiero_node_budget=budget))
+            corpus_report([result], [hiero])
+    finally:
+        sys.setprofile(None)
+    assert any(m is nmt for m in sorted_machines) and any(m is hiero for m in sorted_machines)
+    assert len({id(m) for m in sorted_machines}) == len(sorted_machines)
 
 
 def test_identity_combination_is_exact_match():
