@@ -8,7 +8,7 @@ Search order: every search here (shortest path, n-best, pruning), like
 ``plus`` and the alignment pass of :mod:`latcomb.pipeline`, extends
 paths with :func:`latcomb.semiring.dense_times` and compares them by
 :func:`latcomb.semiring.search_key`: scalarized cost first, then the
-dense feature vector.  Results are therefore deterministic and
+feature vector.  Results are therefore deterministic and
 consistent with the weight algebra.
 """
 
@@ -42,7 +42,6 @@ from .semiring import (
     Key,
     ParamVector,
     dense_times,
-    scalarize,
     search_key,
     times,
 )
@@ -257,8 +256,9 @@ def _check_searchable(fst: Wfst, params: ParamVector) -> None:
     nonnegative arc scalarizations."""
     if fst.initial == NO_STATE or fst.num_finals == 0:
         raise NoPathError("machine accepts nothing")
-    if topological_order(fst) is None and any(scalarize(arc.weight, params) < 0.0
-                                              for s in fst.states() for arc in fst.arcs(s)):
+    key = search_key(params)
+    if topological_order(fst) is None and any(key(w)[0] < 0.0 for row in dense_arcs(fst)
+                                              for _, w, _ in row):
         raise ContractError("cyclic machine with a negative-cost arc: shortest path undefined")
 
 
@@ -282,12 +282,12 @@ def _distances(fst: Wfst, key: Callable[[Dense], Key], backward: bool = False,
             for t, w, arc in row:
                 rev[t].append((s, w, arc))
         adj: Sequence[Sequence[tuple[int, Dense, Arc]]] = rev
-        sources = [(s, key(fw.dense())) for s, fw in fst.finals()]
+        sources = [(s, key(fw.values)) for s, fw in fst.finals()]
         if order is not None:
             order = order[::-1]
     else:
         adj = dense_arcs(fst)
-        sources = [] if fst.initial == NO_STATE else [(fst.initial, key(ONE.dense()))]
+        sources = [] if fst.initial == NO_STATE else [(fst.initial, key(ONE.values))]
     for s, k in sources:
         keys[s] = k
 
@@ -349,7 +349,7 @@ def _best_path(fst: Wfst, key: Callable[[Dense], Key], keys: list[Key | None],
         ks = keys[s]
         if ks is None:
             continue
-        k = key(dense_times(ks[1], fw.dense(), has_negative(fst)))
+        k = key(dense_times(ks[1], fw.values, has_negative(fst)))
         if best is None or k < best:
             best = k
             best_state = s
@@ -368,7 +368,7 @@ def _best_path(fst: Wfst, key: Callable[[Dense], Key], keys: list[Key | None],
     final_w = fst.final_weight(best_state)
     assert final_w is not None
     return PathWitness(arcs=tuple(arcs), final_weight=final_w,
-                       weight=FeatureWeight.from_features(enumerate(best[1])), cost=best[0])
+                       weight=FeatureWeight(best[1]), cost=best[0])
 
 
 def _nbest_raw(fst: Wfst, n: int, key: Callable[[Dense], Key],
@@ -381,13 +381,13 @@ def _nbest_raw(fst: Wfst, n: int, key: Callable[[Dense], Key],
         return []
     arcs = dense_arcs(fst)
     signed = has_negative(fst)
-    finals = {s: fw.dense() for s, fw in fst.finals()}
+    finals = {s: fw.values for s, fw in fst.finals()}
 
     # Nodes are (state, arc, parent-index); arcs recovered by walking parents.
     nodes: list[tuple[int, Arc | None, int]] = [(fst.initial, None, -1)]
     counter = count()
-    # Entries are (key bound, tie counter, node, dense prefix weight).
-    heap: list[tuple[Key, int, int, Dense]] = [(beta[fst.initial], next(counter), 0, ONE.dense())]
+    # Entries are (key bound, tie counter, node, prefix weight values).
+    heap: list[tuple[Key, int, int, Dense]] = [(beta[fst.initial], next(counter), 0, ONE.values)]
     pops = [0] * fst.num_states
     results: list[PathWitness] = []
 
@@ -407,7 +407,7 @@ def _nbest_raw(fst: Wfst, n: int, key: Callable[[Dense], Key],
             fw = fst.final_weight(path[-1].target if path else fst.initial)
             assert fw is not None
             results.append(PathWitness(arcs=tuple(path), final_weight=fw,
-                                       weight=FeatureWeight.from_features(enumerate(prefix)),
+                                       weight=FeatureWeight(prefix),
                                        cost=bound[0]))
             continue
         if pops[state] >= n:

@@ -65,8 +65,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build-edit-fst", help="emit an edit-distance flower transducer")
     p.add_argument("--vocab", required=True, help="NMT vocabulary, one word per line")
     p.add_argument("--alphabet", help="additional alphabet words, one per line")
-    p.add_argument("--lambda-sub", type=float, default=1.0)
-    p.add_argument("--lambda-edit", type=float, default=2.0)
     p.add_argument("--standard", action="store_true",
                    help="uniform costs without UNK typing")
     p.add_argument("--output", required=True, help="lattice file to write")
@@ -204,8 +202,7 @@ def _cmd_build_edit_fst(args) -> int:
     if args.standard:
         flower = build_standard_edit_fst(alphabet, table)
     else:
-        model = EditCostModel(alphabet=frozenset(alphabet), nmt_vocab=vocab,
-                              sub_cost=args.lambda_sub, edit_cost=args.lambda_edit)
+        model = EditCostModel(alphabet=frozenset(alphabet), nmt_vocab=vocab)
         flower = build_modified_edit_fst(model, table)
     lattice_io.write_lattice(flower, args.output)
     if args.write_symtab:

@@ -19,7 +19,6 @@ flowers are the reference construction (``latcomb build-edit-fst``);
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import FrozenSet
 
@@ -27,41 +26,30 @@ from .errors import ContractError
 from .fst import EPSILON, UNK, Arc, SymbolTable, Wfst
 from .semiring import EDIT_COUNT, ONE, SUB_COUNT, UNK_EXT_COUNT, FeatureWeight
 
-_EDIT_ONE = FeatureWeight(pairs=((EDIT_COUNT, 1.0),))
-_SUB_ONE = FeatureWeight(pairs=((SUB_COUNT, 1.0),))
-_EXT_ONE = FeatureWeight(pairs=((UNK_EXT_COUNT, 1.0),))
+_EDIT_ONE = FeatureWeight.from_features({EDIT_COUNT: 1.0})
+_SUB_ONE = FeatureWeight.from_features({SUB_COUNT: 1.0})
+_EXT_ONE = FeatureWeight.from_features({UNK_EXT_COUNT: 1.0})
 
 
 @dataclass(frozen=True)
 class EditCostModel:
-    """Alphabet, NMT vocabulary, and cost multipliers for edit typing.
+    """Alphabet and NMT vocabulary for edit typing.
 
     ``alphabet`` is the set of word labels occurring in the two lattices
     (epsilon and UNK are stripped automatically); ``nmt_vocab`` decides
-    whether an UNK fill is free or pays ``sub_cost``.  Requires
-    ``edit_cost > sub_cost >= 0`` and ``ins_cost >= 0``.
+    whether an UNK fill is free or one ``sub_count``.  The costs of the
+    counts are not part of the model: they enter at search time through
+    the parameter vector.
     """
 
     alphabet: FrozenSet[int]
     nmt_vocab: FrozenSet[int] = field(default_factory=frozenset)
-    sub_cost: float = 1.0
-    edit_cost: float = 2.0
-    ins_cost: float = 0.0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "alphabet", frozenset(self.alphabet) - {EPSILON, UNK})
         object.__setattr__(self, "nmt_vocab", frozenset(self.nmt_vocab))
         if UNK in self.nmt_vocab or EPSILON in self.nmt_vocab:
             raise ContractError("the NMT vocabulary must not contain the UNK or epsilon labels")
-        if not (self.sub_cost >= 0.0 and self.edit_cost > self.sub_cost):
-            raise ContractError(
-                f"cost ordering violated: need edit_cost > sub_cost >= 0, "
-                f"got edit_cost={self.edit_cost}, sub_cost={self.sub_cost}")
-        if not (self.ins_cost >= 0.0 and math.isfinite(self.ins_cost)):
-            raise ContractError(f"ins_cost must be finite and nonnegative, got {self.ins_cost}")
-        for v in (self.sub_cost, self.edit_cost):
-            if not math.isfinite(v):
-                raise ContractError("edit cost multipliers must be finite")
 
     def in_vocab(self, label: int) -> bool:
         return label in self.nmt_vocab

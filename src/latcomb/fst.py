@@ -227,15 +227,15 @@ def topological_order(fst: Wfst) -> tuple[int, ...] | None:
     """
     n = fst.num_states
     indegree = [0] * n
-    for s in range(n):
-        for arc in fst.arcs(s):
+    for arcs in fst._arcs:
+        for arc in arcs:
             indegree[arc.target] += 1
     stack = [s for s in range(n - 1, -1, -1) if indegree[s] == 0]
     order: list[int] = []
     while stack:
         s = stack.pop()
         order.append(s)
-        for arc in fst.arcs(s):
+        for arc in fst._arcs[s]:
             indegree[arc.target] -= 1
             if indegree[arc.target] == 0:
                 stack.append(arc.target)
@@ -257,7 +257,7 @@ def count_paths(fst: Wfst) -> int | None:
     ways[fst.initial] = 1
     for s in order:
         if ways[s]:
-            for arc in fst.arcs(s):
+            for arc in fst._arcs[s]:
                 ways[arc.target] += ways[s]
     return sum(ways[s] for s, _ in fst.finals())
 
@@ -267,19 +267,19 @@ def has_negative(fst: Wfst) -> bool:
     """Whether an arc or final weight holds a negative value.
 
     Only then can a sum of weights cancel to below CANONICAL_EPS, so only
-    then do searches on dense weights need the zeroing of
+    then do searches need the zeroing of
     :func:`~latcomb.semiring.dense_times`.
     """
-    return (any(v < 0.0 for s in fst.states() for arc in fst.arcs(s) for _, v in arc.weight.pairs)
-            or any(v < 0.0 for _, w in fst.finals() for _, v in w.pairs))
+    return (any(v < 0.0 for arcs in fst._arcs for arc in arcs for v in arc.weight.values)
+            or any(v < 0.0 for _, w in fst.finals() for v in w.values))
 
 
 @_derived
 def dense_arcs(fst: Wfst) -> tuple[tuple[tuple[int, Dense, Arc], ...], ...]:
-    """Per state, the arcs that are not ZERO as (target, dense weight, arc),
+    """Per state, the arcs that are not ZERO as (target, weight values, arc),
     in arc order: what every search over the machine reads."""
-    return tuple(tuple((arc.target, arc.weight.dense(), arc) for arc in fst.arcs(s)
-                       if not arc.weight.infinite) for s in fst.states())
+    return tuple(tuple((arc.target, arc.weight.values, arc) for arc in arcs
+                       if not arc.weight.infinite) for arcs in fst._arcs)
 
 
 def accessible_states(fst: Wfst) -> set[int]:
@@ -289,7 +289,7 @@ def accessible_states(fst: Wfst) -> set[int]:
     stack = [fst.initial]
     while stack:
         s = stack.pop()
-        for arc in fst.arcs(s):
+        for arc in fst._arcs[s]:
             if arc.target not in seen:
                 seen.add(arc.target)
                 stack.append(arc.target)
@@ -298,8 +298,8 @@ def accessible_states(fst: Wfst) -> set[int]:
 
 def coaccessible_states(fst: Wfst) -> set[int]:
     reverse: list[list[int]] = [[] for _ in fst.states()]
-    for s in fst.states():
-        for arc in fst.arcs(s):
+    for s, arcs in enumerate(fst._arcs):
+        for arc in arcs:
             reverse[arc.target].append(s)
     seen = {s for s, _ in fst.finals()}
     stack = list(seen)
@@ -327,7 +327,7 @@ class ValidationReport:
         return [f"error: {e}" for e in self.errors] + [f"warning: {w}" for w in self.warnings]
 
 
-def validate(fst: Wfst, kind: str = "generic", nmt_vocab: Iterable[int] | None = None) -> ValidationReport:
+def validate(fst: Wfst, kind: str = "generic") -> ValidationReport:
     """Diagnose structural problems and, for lattices, contract violations.
 
     ``kind`` is one of ``nmt``, ``hiero``, ``generic``.  Lattice kinds must
@@ -360,30 +360,23 @@ def validate(fst: Wfst, kind: str = "generic", nmt_vocab: Iterable[int] | None =
 
     if kind in ("nmt", "hiero"):
         score_id = NMT_SCORE if kind == "nmt" else HIERO_SCORE
-        for s in fst.states():
-            for arc in fst.arcs(s):
+        for s, arcs in enumerate(fst._arcs):
+            for arc in arcs:
                 if arc.ilabel != arc.olabel:
                     errors.append(f"arc {s}->{arc.target} is not acceptor-form "
                                   f"(ilabel {arc.ilabel} != olabel {arc.olabel})")
                 if kind == "hiero" and UNK in (arc.ilabel, arc.olabel):
                     errors.append(f"arc {s}->{arc.target} carries the UNK label, "
                                   "which is not allowed in a hiero lattice")
-                bad = [fid for fid, _ in arc.weight.pairs if fid != score_id]
+                bad = [fid for fid, v in enumerate(arc.weight.values) if v and fid != score_id]
                 if bad:
                     errors.append(f"arc {s}->{arc.target} carries feature id(s) {bad}; "
                                   f"a {kind} lattice may only use feature {score_id}")
         for s, w in fst.finals():
-            bad = [fid for fid, _ in w.pairs if fid != score_id]
+            bad = [fid for fid, v in enumerate(w.values) if v and fid != score_id]
             if bad:
                 errors.append(f"final state {s} carries feature id(s) {bad}; "
                               f"a {kind} lattice may only use feature {score_id}")
-        if kind == "nmt" and nmt_vocab is not None:
-            allowed = set(nmt_vocab) | {EPSILON, UNK}
-            for s in fst.states():
-                for arc in fst.arcs(s):
-                    if arc.ilabel not in allowed:
-                        errors.append(f"arc {s}->{arc.target} label {arc.ilabel} is outside "
-                                      "the NMT vocabulary and is not UNK")
     return ValidationReport(errors=errors, warnings=warnings)
 
 

@@ -85,9 +85,7 @@ class CombinationParams:
         return dc_replace(self, nmt_vocab=frozenset(vocab))
 
     def edit_model(self, alphabet: Iterable[int] = ()) -> EditCostModel:
-        return EditCostModel(alphabet=frozenset(alphabet), nmt_vocab=self.nmt_vocab,
-                             sub_cost=self.lambda_sub, edit_cost=self.lambda_edit,
-                             ins_cost=self.lambda_ins)
+        return EditCostModel(alphabet=frozenset(alphabet), nmt_vocab=self.nmt_vocab)
 
 
 @dataclass(frozen=True)
@@ -221,10 +219,9 @@ def _best_alignment(nmt: Wfst, hiero: Wfst, model: EditCostModel,
     output label) on each arc and carries the same per-arc weights as
     the composition with the modified flower would.
 
-    Weights are accumulated as dense tuples with
+    Weight values are accumulated with
     :func:`~latcomb.semiring.dense_times` and compared by
-    :func:`~latcomb.semiring.search_key`, whose cost is what
-    :func:`~latcomb.semiring.scalarize` computes on the sparse form.
+    :func:`~latcomb.semiring.search_key`, the order every search uses.
     When every feature of an aligned pair comes from one side (as for
     lattices that pass :func:`~latcomb.fst.validate` for their kind), the
     cost and feature vector are bit-identical to the shortest path of the
@@ -242,18 +239,18 @@ def _best_alignment(nmt: Wfst, hiero: Wfst, model: EditCostModel,
         pos_h[s] = j
     width = len(order_h)
 
-    # Dense edit weights by NMT label, then hiero label, filled on demand.
+    # Edit weight values by NMT label, then hiero label, filled on demand.
     typed: dict[int, dict[int, tuple[float, ...]]] = {}
 
     def edit_dense(x: int, y: int) -> tuple[float, ...]:
         row = typed.setdefault(x, {})
         e = row.get(y)
         if e is None:
-            e = row[y] = edit_weight(model, x, y).dense()
+            e = row[y] = edit_weight(model, x, y).values
         return e
 
-    # Moves per topological position: (arc, label matched, target, dense
-    # arc weight, dense weight of deleting / inserting the label), and
+    # Moves per topological position: (arc, label matched, target, arc
+    # weight values, values of deleting / inserting the label), and
     # for NMT moves the label's row of ``typed``.
     nmt_moves = [[(arc, arc.olabel, pos_n[t] * width, w,
                    None if arc.olabel == EPSILON else edit_dense(arc.olabel, EPSILON),
@@ -281,7 +278,7 @@ def _best_alignment(nmt: Wfst, hiero: Wfst, model: EditCostModel,
     # with each feature coming from one side, that equals zeroing after
     # each addition.
     start = pos_n[nmt.initial] * width + pos_h[hiero.initial]
-    keys[start] = key(ONE.dense())
+    keys[start] = key(ONE.values)
     for i in range(pos_n[nmt.initial], len(order_n)):
         moves_n = nmt_moves[i]
         base = i * width
@@ -312,12 +309,12 @@ def _best_alignment(nmt: Wfst, hiero: Wfst, model: EditCostModel,
     # Acceptance is one more cell, relaxed from the final cells in order.
     accept = size
     for i in sorted(pos_n[s] for s, _ in nmt.finals()):
-        fw_n = nmt.final_weight(order_n[i]).dense()
+        fw_n = nmt.final_weight(order_n[i]).values
         for j in sorted(pos_h[s] for s, _ in hiero.finals()):
             c = i * width + j
             kc = keys[c]
             if kc is not None:
-                fw_h = hiero.final_weight(order_h[j]).dense()
+                fw_h = hiero.final_weight(order_h[j]).values
                 relax(accept, dense_times(dense_times(kc[1], fw_n, False), fw_h, signed), c, None, None)
     best = keys[accept]
     if best is None:
@@ -342,7 +339,7 @@ def _best_alignment(nmt: Wfst, hiero: Wfst, model: EditCostModel,
         c = src
     arcs.reverse()
     return PathWitness(arcs=tuple(arcs), final_weight=final_weight,
-                       weight=FeatureWeight.from_features(enumerate(best[1])), cost=best[0])
+                       weight=FeatureWeight(best[1]), cost=best[0])
 
 
 def _count_feature(w: FeatureWeight, fid: int, where: str) -> int:

@@ -1,20 +1,21 @@
 """Weight algebra for lattice combination.
 
-Arc weights are sparse feature vectors over a small fixed set of
-components: the two translation-model scores and three edit-operation
-counters.  Multiplying weights along a path adds the vectors
-componentwise; comparing alternatives takes the dot product with a
-parameter vector.  Keeping the components separate means the same
-machines can be searched under different parameter settings without
-rebuilding anything.
+Arc weights are feature vectors over a small fixed set of components:
+the two translation-model scores and three edit-operation counters,
+stored densely as one float per component.  Multiplying weights along a
+path adds the vectors componentwise; comparing alternatives takes the
+dot product with a parameter vector.  Keeping the components separate
+means the same machines can be searched under different parameter
+settings without rebuilding anything.
 
 The scalar view of a weight is an ordinary tropical cost: plus is min,
 times is addition, +inf is the absorbing zero and 0.0 the identity.
 
-Searches work on the dense form of weights, and their order is defined
-here once: :func:`dense_times` extends a path and :func:`search_key`
-orders paths by scalarized cost, then by the dense vector.  :func:`plus`
-selects by the same key.
+The algebra and the search order are defined here once:
+:func:`dense_times` extends a path and :func:`search_key` orders paths
+by scalarized cost, then by the vector.  :func:`times`,
+:func:`scalarize` and :func:`plus` are those two on weights, and the
+searches apply them to the stored vectors directly.
 """
 
 from __future__ import annotations
@@ -34,16 +35,16 @@ UNK_EXT_COUNT = 4   # extra UNK tokens produced by run extension
 
 NUM_FEATURES = 5
 
-# Entries with magnitude below this are dropped from the canonical form,
-# so equal weights always share one representation (the tie rule and the
-# text format both depend on that).
+# Entries with magnitude below this are stored as 0.0 in the canonical
+# form, so equal weights always share one representation (the tie rule
+# and the text format both depend on that).
 CANONICAL_EPS = 1e-15
 
 # Scalar cost of the zero weight.
 TROPICAL_ZERO = math.inf
 
 # A weight's value per feature id in ascending id order (see
-# FeatureWeight.dense), and the search order's key for it.
+# FeatureWeight.values), and the search order's key for it.
 Dense = tuple[float, ...]
 Key = tuple[float, Dense]
 
@@ -78,47 +79,45 @@ class ParamVector:
 
 @dataclass(frozen=True, slots=True)
 class FeatureWeight:
-    """Sparse feature vector weight.
+    """Feature vector weight.
 
-    ``pairs`` holds (feature id, value) entries sorted by id with no
-    near-zero values; ``infinite`` marks the absorbing zero element.
-    Use :func:`weight` / :meth:`FeatureWeight.from_features` to build
-    canonical instances rather than calling the constructor directly.
+    ``values`` holds one float per feature id in ascending id order, with
+    every entry of magnitude below CANONICAL_EPS stored as 0.0;
+    ``infinite`` marks the absorbing zero element (whose values are all
+    0.0).  Use :func:`weight` / :meth:`FeatureWeight.from_features` to
+    build canonical instances from outside input; the constructor takes
+    values that are canonical already.
     """
 
-    pairs: tuple[tuple[int, float], ...] = ()
+    values: Dense = (0.0,) * NUM_FEATURES
     infinite: bool = False
 
     @classmethod
     def from_features(cls, features: Mapping[int, float] | Iterable[tuple[int, float]]) -> "FeatureWeight":
         items = features.items() if isinstance(features, Mapping) else features
-        merged: dict[int, float] = {}
+        values = [0.0] * NUM_FEATURES
         for fid, value in items:
             if not isinstance(fid, int) or not (0 <= fid < NUM_FEATURES):
                 raise ContractError(f"feature id must be one of 0..{NUM_FEATURES - 1}, got {fid!r}")
             value = float(value)
             if not math.isfinite(value):
                 raise ContractError(f"feature values must be finite, got {value!r} for id {fid}")
-            merged[fid] = merged.get(fid, 0.0) + value
-        pairs = tuple((fid, v) for fid, v in sorted(merged.items()) if abs(v) >= CANONICAL_EPS)
-        return cls(pairs=pairs)
+            values[fid] += value
+        return cls(_canonical(values))
+
+    @property
+    def pairs(self) -> tuple[tuple[int, float], ...]:
+        """The nonzero entries as (feature id, value), sorted by id."""
+        return tuple((fid, v) for fid, v in enumerate(self.values) if v != 0.0)
 
     def get(self, feature_id: int, default: float = 0.0) -> float:
-        for fid, value in self.pairs:
-            if fid == feature_id:
-                return value
+        if 0 <= feature_id < NUM_FEATURES and self.values[feature_id] != 0.0:
+            return self.values[feature_id]
         return default
-
-    def dense(self) -> tuple[float, ...]:
-        """Value per feature id in ascending id order (absent entries are 0)."""
-        out = [0.0] * NUM_FEATURES
-        for fid, value in self.pairs:
-            out[fid] = value
-        return tuple(out)
 
     @property
     def is_one(self) -> bool:
-        return not self.infinite and not self.pairs
+        return not self.infinite and not any(self.values)
 
     def __str__(self) -> str:
         return format_weight(self)
@@ -137,68 +136,41 @@ def times(a: FeatureWeight, b: FeatureWeight) -> FeatureWeight:
     """Componentwise sum of two weights (path extension)."""
     if a.infinite or b.infinite:
         return ZERO
-    if not a.pairs:
-        return b
-    if not b.pairs:
-        return a
-    pa, pb = a.pairs, b.pairs
-    na, nb = len(pa), len(pb)
-    ia = ib = 0
-    out: list[tuple[int, float]] = []
-    while ia < na and ib < nb:
-        fa, va = pa[ia]
-        fb, vb = pb[ib]
-        if fa == fb:
-            v = va + vb
-            if abs(v) >= CANONICAL_EPS:
-                out.append((fa, v))
-            ia += 1
-            ib += 1
-        elif fa < fb:
-            out.append((fa, va))
-            ia += 1
-        else:
-            out.append((fb, vb))
-            ib += 1
-    out.extend(pa[ia:])
-    out.extend(pb[ib:])
-    return FeatureWeight(pairs=tuple(out))
+    return FeatureWeight(dense_times(a.values, b.values, True))
 
 
 def scalarize(w: FeatureWeight, params: ParamVector) -> float:
     """Dot product with the parameter vector; +inf for the zero element."""
     if w.infinite:
         return TROPICAL_ZERO
-    total = 0.0
-    for fid, value in w.pairs:
-        total += params.coefficient(fid) * value
-    return total
+    return search_key(params)(w.values)[0]
+
+
+def _canonical(values: Iterable[float]) -> Dense:
+    return tuple(0.0 if -CANONICAL_EPS < x < CANONICAL_EPS else x for x in values)
 
 
 def dense_times(u: Dense, v: Dense, signed: bool) -> Dense:
-    """:func:`times` on dense vectors: the componentwise sum.
+    """The componentwise sum of two canonical value vectors.
 
-    With ``signed``, the entries :func:`times` would drop (magnitude
-    below CANONICAL_EPS) are zeroed.  Only a sum of opposite signs can
-    fall there, so a search over machines that hold no negative value
-    passes False and skips the check.
+    With ``signed``, entries of magnitude below CANONICAL_EPS are zeroed,
+    which keeps the sum canonical.  Only a sum of opposite signs can fall
+    there, so a search over machines that hold no negative value passes
+    False and skips the check.
     """
     u0, u1, u2, u3, u4 = u
     v0, v1, v2, v3, v4 = v
     out = (u0 + v0, u1 + v1, u2 + v2, u3 + v3, u4 + v4)
-    if signed:
-        return tuple(0.0 if -CANONICAL_EPS < x < CANONICAL_EPS else x for x in out)
-    return out
+    return _canonical(out) if signed else out
 
 
 def search_key(params: ParamVector) -> Callable[[Dense], Key]:
     """The search order under ``params``: ``key(v) == (cost, v)``.
 
     The cost is the dot product with the parameters, summed from 0.0 in
-    feature-id order as :func:`scalarize` sums the sparse form, so the
-    two agree bit for bit.  Keys compare as tuples: by cost, then by the
-    dense vector lexicographically (the lexicographic semiring of Roark,
-    Sproat and Shafran, 2011).
+    feature-id order (:func:`scalarize` is this cost).  Keys compare as
+    tuples: by cost, then by the value vector lexicographically (the
+    lexicographic semiring of Roark, Sproat and Shafran, 2011).
     """
     p0, p1, p2, p3, p4 = params.as_tuple()
 
@@ -213,9 +185,8 @@ def plus(a: FeatureWeight, b: FeatureWeight, params: ParamVector) -> FeatureWeig
     """Select the better of two weights under the parameter vector.
 
     The operand with the smaller :func:`search_key` wins, ``a`` on equal
-    keys: the smaller scalarization, with exact ties broken by the dense
-    value vectors in ascending feature-id order (absent entries count as
-    0).  That order is invariant under componentwise addition, which
+    keys: the smaller scalarization, with exact ties broken by the value
+    vectors in ascending feature-id order.  That order is invariant under componentwise addition, which
     keeps ``times`` distributive over ``plus`` even on tied inputs.
     """
     if a.infinite:
@@ -223,7 +194,7 @@ def plus(a: FeatureWeight, b: FeatureWeight, params: ParamVector) -> FeatureWeig
     if b.infinite:
         return a
     key = search_key(params)
-    return a if key(a.dense()) <= key(b.dense()) else b
+    return a if key(a.values) <= key(b.values) else b
 
 
 def _format_number(v: float) -> str:

@@ -87,8 +87,7 @@ def test_c02_modified_flower_equals_typed_dp():
             x.append("UNK")
         sub_cost, edit_cost = settings[rng.randrange(5)]
         model = EditCostModel(alphabet=set(labels.values()),
-                              nmt_vocab={labels[w] for w in vocab_words},
-                              sub_cost=sub_cost, edit_cost=edit_cost)
+                              nmt_vocab={labels[w] for w in vocab_words})
         flower = build_modified_edit_fst(model, syms)
         to_label = lambda w: UNK if w == "UNK" else labels[w]
         machine = compose(compose(linear_chain([to_label(w) for w in x], syms), flower),
@@ -166,8 +165,7 @@ def test_c06_structural_invariants():
         nmt = random_dag_lattice(rng, syms, score_feature=0, max_paths=20, allow_unk=True)
         hiero = random_dag_lattice(rng, syms, score_feature=1, max_paths=40)
         alphabet = (nmt.all_labels() | hiero.all_labels()) - {0, UNK}
-        model = EditCostModel(alphabet=frozenset(alphabet), nmt_vocab=frozenset(),
-                              sub_cost=1.0, edit_cost=2.0)
+        model = EditCostModel(alphabet=frozenset(alphabet), nmt_vocab=frozenset())
         flower = build_modified_edit_fst(model, syms)
         assert is_acyclic(compose(compose(nmt, flower), hiero))
 

@@ -339,7 +339,7 @@ def _signed_grid_machine(rng, syms):
 
 
 def _cancelling_chain(syms):
-    # 0.1 + 0.2 - 0.3 leaves 5.6e-17, which sparse times drops; a parallel
+    # 0.1 + 0.2 - 0.3 leaves 5.6e-17, which times zeroes; a parallel
     # arc gives the searches a second path.
     a, b = syms.add("a"), syms.add("b")
     fst = linear_chain([a, a, a, a], syms, [weight({0: v}) for v in (0.1, 0.2, -0.3, 0.001)])

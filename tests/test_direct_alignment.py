@@ -179,8 +179,8 @@ def test_flower_reads_its_weights_from_edit_weight():
 
 
 def test_cancelling_scores_are_canonicalized_like_times():
-    # 0.1 + 0.2 - 0.3 leaves 5.6e-17, which the sparse weights drop as
-    # zero; the dense accumulation must drop it too, or the next score
+    # 0.1 + 0.2 - 0.3 leaves 5.6e-17, which times zeroes; the alignment
+    # pass's accumulation must zero it too, or the next score
     # (0.001) would be added to the remainder instead of to zero.
     syms = SymbolTable()
     a, b, c = (syms.add(w) for w in "abc")

@@ -62,7 +62,7 @@ def test_zero_distance_for_equal_strings():
 def test_modified_flower_cost_typing():
     syms = SymbolTable()
     a, b = syms.add("a"), syms.add("b")
-    model = EditCostModel(alphabet={a, b}, nmt_vocab={b}, sub_cost=1.0, edit_cost=2.0)
+    model = EditCostModel(alphabet={a, b}, nmt_vocab={b})
     flower = build_modified_edit_fst(model, syms)
     arcs = arcs_by_labels(flower)
     assert arcs[(UNK, a)] == ONE                       # OOV fill is free
@@ -76,14 +76,9 @@ def test_model_constraint_checks():
     syms = SymbolTable()
     a = syms.add("a")
     with pytest.raises(ContractError):
-        EditCostModel(alphabet={a}, nmt_vocab=frozenset(), sub_cost=2.0, edit_cost=2.0)
-    with pytest.raises(ContractError):
-        EditCostModel(alphabet={a}, nmt_vocab=frozenset(), sub_cost=-1.0, edit_cost=2.0)
-    with pytest.raises(ContractError):
-        EditCostModel(alphabet={a}, nmt_vocab={UNK}, sub_cost=1.0, edit_cost=2.0)
+        EditCostModel(alphabet={a}, nmt_vocab={UNK})
     # epsilon and UNK are stripped from the alphabet silently
-    model = EditCostModel(alphabet={a, UNK, EPSILON}, nmt_vocab=frozenset(),
-                          sub_cost=1.0, edit_cost=2.0)
+    model = EditCostModel(alphabet={a, UNK, EPSILON}, nmt_vocab=frozenset())
     assert model.alphabet == {a}
 
 
@@ -115,8 +110,7 @@ def test_free_unk_fill_gives_zero_distance():
     words = ["die", "regionale", "Politik"]
     labels = {w: syms.add(w) for w in words}
     model = EditCostModel(alphabet=set(labels.values()),
-                          nmt_vocab={labels["die"], labels["Politik"]},
-                          sub_cost=1.0, edit_cost=2.0)
+                          nmt_vocab={labels["die"], labels["Politik"]})
     path = _flower_distance(["die", "UNK", "Politik"], words, model, syms, UNIT)
     assert path.cost == 0.0
     assert path.weight == ONE
@@ -125,7 +119,7 @@ def test_free_unk_fill_gives_zero_distance():
 def test_in_vocab_fill_costs_one_sub():
     syms = SymbolTable()
     und = syms.add("und")
-    model = EditCostModel(alphabet={und}, nmt_vocab={und}, sub_cost=1.0, edit_cost=2.0)
+    model = EditCostModel(alphabet={und}, nmt_vocab={und})
     path = _flower_distance(["UNK"], ["und"], model, syms, UNIT)
     assert path.weight == weight({SUB_COUNT: 1.0})
 
@@ -141,8 +135,7 @@ def test_modified_flower_matches_dp_oracle():
         edit_cost = sub_cost + rng.randint(1, 8) / 4.0
         params = ParamVector(nmt=1.0, hiero=1.0, edit=edit_cost, sub=sub_cost, ins=1.0)
         model = EditCostModel(alphabet=set(labels.values()),
-                              nmt_vocab={labels[w] for w in vocab_words},
-                              sub_cost=sub_cost, edit_cost=edit_cost)
+                              nmt_vocab={labels[w] for w in vocab_words})
         x = [rng.choice(words + ["UNK"] * 2) for _ in range(rng.randint(0, 8))]
         y = [rng.choice(words) for _ in range(rng.randint(0, 8))]
         got = _flower_distance(x, y, model, syms, params).cost
@@ -155,8 +148,7 @@ def test_edit_cost_monotone_in_lambda_edit():
     syms = SymbolTable()
     words = ["p", "q", "r"]
     labels = {w: syms.add(w) for w in words}
-    model = EditCostModel(alphabet=set(labels.values()), nmt_vocab=frozenset(),
-                          sub_cost=0.5, edit_cost=1.0)
+    model = EditCostModel(alphabet=set(labels.values()), nmt_vocab=frozenset())
     x = ["p", "q", "UNK"]
     y = ["q", "r", "r"]
     costs = []
@@ -170,8 +162,7 @@ def test_type1_dominates_type2_at_equal_lattice_cost():
     # Both fills reachable at the same lattice cost: the OOV fill must win.
     syms = SymbolTable()
     oov, invocab = syms.add("selten"), syms.add("oft")
-    model = EditCostModel(alphabet={oov, invocab}, nmt_vocab={invocab},
-                          sub_cost=1.0, edit_cost=2.0)
+    model = EditCostModel(alphabet={oov, invocab}, nmt_vocab={invocab})
     flower = build_modified_edit_fst(model, syms)
     x = linear_chain([UNK], syms)
     from helpers import acceptor_from_sentences

@@ -244,8 +244,7 @@ def test_composition_through_flower_stays_acyclic(seed):
     nmt = random_dag_lattice(rng, syms, score_feature=0, max_paths=20, allow_unk=True)
     hiero = random_dag_lattice(rng, syms, score_feature=1, max_paths=40)
     alphabet = (nmt.all_labels() | hiero.all_labels()) - {EPSILON, UNK}
-    model = EditCostModel(alphabet=frozenset(alphabet), nmt_vocab=frozenset(), sub_cost=1.0,
-                          edit_cost=2.0)
+    model = EditCostModel(alphabet=frozenset(alphabet), nmt_vocab=frozenset())
     flower = build_modified_edit_fst(model, syms)
     combined = compose(compose(nmt, flower), hiero)
     assert is_acyclic(combined)

@@ -307,7 +307,6 @@ def test_cli_build_edit_fst_and_compose(tmp_path, capsys):
     flower_path = str(tmp_path / "flower.fst")
     symtab_path = str(tmp_path / "flower.sym")
     assert cli_main(["build-edit-fst", "--vocab", vocab, "--alphabet", alphabet,
-                     "--lambda-sub", "1", "--lambda-edit", "3",
                      "--output", flower_path, "--write-symtab", symtab_path]) == 0
     syms = read_symtab(symtab_path)
     flower = read_lattice(flower_path, syms, kind="generic")
@@ -377,6 +376,27 @@ def test_cli_output_is_byte_identical_across_processes(worked_files):
         assert report.exists(), "run with PYTHONHASHSEED=%s wrote no report" % seed
         runs.append((proc.stdout, report.read_text()))
     assert runs[0] == runs[1]
+
+
+def test_readme_scripts_run(tmp_path):
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parents[1]
+    env = {"PATH": "/usr/bin:/bin", "PYTHONPATH": str(root / "src")}
+    runs = [
+        ([str(root / "scripts" / "worked_example.py"), "--out-dir", str(tmp_path / "worked")],
+         "die regionale Politik"),
+        ([str(root / "scripts" / "synthetic_corpus_report.py"), "--sentences", "10",
+          "--seed", "1", "--check", "--out-dir", str(tmp_path / "corpus")], None),
+    ]
+    for args, expected in runs:
+        proc = subprocess.run([sys.executable] + args, capture_output=True, text=True,
+                              env=env, cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        if expected is not None:
+            assert expected in proc.stdout
 
 
 def test_corpus_mode_and_stats(tmp_path, capsys):

@@ -248,7 +248,7 @@ def _witness(arc_specs, syms):
 def test_decompose_hand_alignment():
     syms = SymbolTable()
     a, und = syms.add("a"), syms.add("und")
-    model = EditCostModel(alphabet={a, und}, nmt_vocab={und}, sub_cost=1.0, edit_cost=2.0)
+    model = EditCostModel(alphabet={a, und}, nmt_vocab={und})
     path = _witness([
         (a, a, ONE),                       # match
         (UNK, und, weight({3: 1.0})),      # in-vocabulary fill
@@ -262,7 +262,7 @@ def test_decompose_hand_alignment():
 def test_decompose_rejects_inconsistent_arc():
     syms = SymbolTable()
     a = syms.add("a")
-    model = EditCostModel(alphabet={a}, nmt_vocab=frozenset(), sub_cost=1.0, edit_cost=2.0)
+    model = EditCostModel(alphabet={a}, nmt_vocab=frozenset())
     bogus = _witness([(a, a, weight({3: 1.0}))], syms)  # match arc carrying a sub count
     with pytest.raises(ContractError):
         decompose_alignment(bogus, model)

@@ -17,7 +17,7 @@ from latcomb import (
     weight,
 )
 
-from latcomb.semiring import dense_times, search_key
+from latcomb.semiring import CANONICAL_EPS, NUM_FEATURES, dense_times, search_key
 
 from helpers import grid_params, grid_weight
 
@@ -136,21 +136,37 @@ def _bits(key):
     return cost.hex(), tuple(v.hex() for v in vector)
 
 
+def _sparse_product(a, b):
+    """Reference product on the (id, value) pairs: a dict merge that drops
+    entries of magnitude below CANONICAL_EPS."""
+    merged = dict(a.pairs)
+    for fid, v in b.pairs:
+        merged[fid] = merged.get(fid, 0.0) + v
+    return {fid: v for fid, v in merged.items() if abs(v) >= CANONICAL_EPS}
+
+
 @given(st.integers(0, 10_000))
 def test_dense_key_equals_sparse_grid(seed):
-    # The searches' dense (cost, vector) key of a dense product is the
-    # sparse product's scalarization and dense vector, bit for bit (also
-    # the sign of a zero cost under negative parameters).
+    # times, scalarize and the searches' (cost, vector) key of a dense
+    # product agree bit for bit with a sparse reference that sums only
+    # the nonzero entries (also the sign of a zero cost under negative
+    # parameters).
     a, b, _, p = weights_grid(seed)
     if a.infinite or b.infinite:
         return
-    product = times(a, b)
+    product = _sparse_product(a, b)
+    vector = tuple(product.get(fid, 0.0) for fid in range(NUM_FEATURES))
+    assert tuple(v.hex() for v in times(a, b).values) == tuple(v.hex() for v in vector)
     for params in (p, ParamVector(*(-x for x in p.as_tuple()))):
+        cost = 0.0
+        for fid in sorted(product):
+            cost += params.coefficient(fid) * product[fid]
+        expected = _bits((cost, vector))
+        assert _bits((scalarize(times(a, b), params), times(a, b).values)) == expected
         key = search_key(params)
-        expected = _bits((scalarize(product, params), product.dense()))
-        assert _bits(key(dense_times(a.dense(), b.dense(), True))) == expected
-        if not any(v < 0.0 for v in a.dense() + b.dense()):
-            assert _bits(key(dense_times(a.dense(), b.dense(), False))) == expected
+        assert _bits(key(dense_times(a.values, b.values, True))) == expected
+        if not any(v < 0.0 for v in a.values + b.values):
+            assert _bits(key(dense_times(a.values, b.values, False))) == expected
 
 
 @st.composite
@@ -177,3 +193,10 @@ def test_plus_commutative_bitwise(a, b):
 def test_canonical_drops_tiny_entries():
     assert weight({0: 1e-16}) == ONE
     assert weight({0: 1e-16}).pairs == ()
+    assert weight({0: -0.0}) == ONE
+    assert hash(weight({0: -0.0})) == hash(ONE)
+    assert ZERO.pairs == ()
+    # A signed cancellation stores a positive 0.0, as weight() does.
+    cancelled = times(weight({0: 0.5, 2: 1.0}), weight({2: -1.0}))
+    assert cancelled == weight({0: 0.5})
+    assert math.copysign(1.0, cancelled.values[2]) == 1.0
