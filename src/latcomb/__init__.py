@@ -19,7 +19,6 @@ from .algorithms import (
     shortest_path,
 )
 from .editfst import (
-    EditCostModel,
     build_modified_edit_fst,
     build_standard_edit_fst,
     build_unk_insertion_fst,
@@ -44,7 +43,6 @@ from .pipeline import (
     EditStats,
     combine,
     corpus_report,
-    decompose_alignment,
 )
 from .semiring import (
     EDIT_COUNT,

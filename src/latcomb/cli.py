@@ -10,11 +10,10 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace as dc_replace
 from typing import Sequence
 
 from . import algorithms, lattice_io, oracle, pipeline
-from .editfst import EditCostModel, build_modified_edit_fst, build_standard_edit_fst
+from .editfst import build_modified_edit_fst, build_standard_edit_fst
 from .errors import ContractError, LatcombError, NoPathError
 from .fst import SymbolTable, validate
 
@@ -127,7 +126,7 @@ def _parse_ns(text: str) -> list[int]:
 def _load_combination_inputs(args) -> tuple[SymbolTable, "pipeline.CombinationParams"]:
     table = lattice_io.read_symtab(args.symtab)
     vocab = lattice_io.read_vocab(args.vocab, table)
-    params = dc_replace(lattice_io.read_params(args.params), nmt_vocab=vocab)
+    params = lattice_io.read_params(args.params).with_vocab(vocab)
     return table, params
 
 
@@ -190,20 +189,14 @@ def _cmd_oracle_combine(args) -> int:
 
 def _cmd_build_edit_fst(args) -> int:
     table = SymbolTable()
-    vocab_words: list[str] = []
-    with open(args.vocab, "r", encoding="utf-8") as handle:
-        vocab_words = [w.strip() for w in handle if w.strip() and not w.startswith("#")]
-    alphabet_words = list(vocab_words)
+    vocab = lattice_io.read_vocab(args.vocab, table)
+    alphabet = set(vocab)
     if args.alphabet:
-        with open(args.alphabet, "r", encoding="utf-8") as handle:
-            alphabet_words += [w.strip() for w in handle if w.strip() and not w.startswith("#")]
-    alphabet = {table.add(w) for w in alphabet_words}
-    vocab = frozenset(table.add(w) for w in vocab_words)
+        alphabet.update(table.add(line) for _, line in lattice_io.data_lines(args.alphabet))
     if args.standard:
         flower = build_standard_edit_fst(alphabet, table)
     else:
-        model = EditCostModel(alphabet=frozenset(alphabet), nmt_vocab=vocab)
-        flower = build_modified_edit_fst(model, table)
+        flower = build_modified_edit_fst(alphabet, vocab, table)
     lattice_io.write_lattice(flower, args.output)
     if args.write_symtab:
         lattice_io.write_symtab(table, args.write_symtab)

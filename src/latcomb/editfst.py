@@ -12,15 +12,17 @@ lattice is cheap:
 
 Arcs carry raw counters, not costs; the lambda multipliers enter only at
 search time through the parameter vector, so one machine serves every
-parameter setting.  :func:`edit_weight` defines the typing once.  The
+parameter setting.  :func:`edit_weight` defines the typing once, and its
+only input besides the two labels is the NMT vocabulary.  Because each
+kind has its own counter, an alignment's weight counts its edits of each
+kind; ``pipeline.combine`` reads its edit statistics from there.  The
 flowers are the reference construction (``latcomb build-edit-fst``);
 ``pipeline.combine`` aligns the two lattices directly without them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import FrozenSet
+from typing import AbstractSet
 
 from .errors import ContractError
 from .fst import EPSILON, UNK, Arc, SymbolTable, Wfst
@@ -31,51 +33,28 @@ _SUB_ONE = FeatureWeight.from_features({SUB_COUNT: 1.0})
 _EXT_ONE = FeatureWeight.from_features({UNK_EXT_COUNT: 1.0})
 
 
-@dataclass(frozen=True)
-class EditCostModel:
-    """Alphabet and NMT vocabulary for edit typing.
-
-    ``alphabet`` is the set of word labels occurring in the two lattices
-    (epsilon and UNK are stripped automatically); ``nmt_vocab`` decides
-    whether an UNK fill is free or one ``sub_count``.  The costs of the
-    counts are not part of the model: they enter at search time through
-    the parameter vector.
-    """
-
-    alphabet: FrozenSet[int]
-    nmt_vocab: FrozenSet[int] = field(default_factory=frozenset)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "alphabet", frozenset(self.alphabet) - {EPSILON, UNK})
-        object.__setattr__(self, "nmt_vocab", frozenset(self.nmt_vocab))
-        if UNK in self.nmt_vocab or EPSILON in self.nmt_vocab:
-            raise ContractError("the NMT vocabulary must not contain the UNK or epsilon labels")
-
-    def in_vocab(self, label: int) -> bool:
-        return label in self.nmt_vocab
-
-
-def edit_weight(model: EditCostModel, nmt_label: int, hiero_label: int) -> FeatureWeight:
+def edit_weight(nmt_vocab: AbstractSet[int], nmt_label: int, hiero_label: int) -> FeatureWeight:
     """Count weight of aligning one NMT label with one hiero label.
 
     Either side may be EPSILON: ``(a, EPSILON)`` deletes ``a``,
     ``(EPSILON, b)`` inserts ``b``, and ``(EPSILON, EPSILON)`` (one side
     advancing on an epsilon arc) is free.  A match is free; UNK against a
-    word is a free or in-vocabulary fill; everything else, deleting UNK
-    included, is one ``edit_count``.  This is the single definition of
-    edit typing: the modified flower and the direct alignment search in
-    the pipeline both read their weights from here.
+    word is a free fill, or one ``sub_count`` when ``nmt_vocab`` holds the
+    word; everything else, deleting UNK included, is one ``edit_count``.
+    This is the single definition of edit typing: the modified flower and
+    the direct alignment search in the pipeline both read their weights
+    from here.
     """
     if hiero_label == UNK:
         raise ContractError("UNK is never aligned to the hiero side")
     if nmt_label == hiero_label:
         return ONE
     if nmt_label == UNK and hiero_label != EPSILON:
-        return _SUB_ONE if model.in_vocab(hiero_label) else ONE
+        return _SUB_ONE if hiero_label in nmt_vocab else ONE
     return _EDIT_ONE
 
 
-def build_standard_edit_fst(alphabet: FrozenSet[int] | set[int], symbols: SymbolTable) -> Wfst:
+def build_standard_edit_fst(alphabet: AbstractSet[int], symbols: SymbolTable) -> Wfst:
     """Single-state flower computing plain edit distance over ``alphabet``.
 
     Identity arcs are free; every substitution, deletion, and insertion
@@ -99,14 +78,15 @@ def build_standard_edit_fst(alphabet: FrozenSet[int] | set[int], symbols: Symbol
     return fst.freeze()
 
 
-def build_modified_edit_fst(model: EditCostModel, symbols: SymbolTable) -> Wfst:
+def build_modified_edit_fst(alphabet: AbstractSet[int], nmt_vocab: AbstractSet[int],
+                            symbols: SymbolTable) -> Wfst:
     """Single-state flower with typed costs for UNK-aware matching.
 
-    Input side ranges over the alphabet plus UNK; the output side never
-    carries UNK, so UNK placeholders can only be resolved (or deleted),
-    never produced.
+    Input side ranges over ``alphabet`` (epsilon and UNK are dropped from
+    it) plus UNK; the output side never carries UNK, so UNK placeholders
+    can only be resolved (or deleted), never produced.
     """
-    letters = sorted(model.alphabet)
+    letters = sorted(set(alphabet) - {EPSILON, UNK})
     if not letters:
         raise ContractError("edit transducer needs a nonempty alphabet")
     fst = Wfst(symbols, symbols)
@@ -114,14 +94,14 @@ def build_modified_edit_fst(model: EditCostModel, symbols: SymbolTable) -> Wfst:
     fst.set_initial(q)
     fst.set_final(q, ONE)
     for a in letters:
-        fst.add_arc(q, Arc(a, a, edit_weight(model, a, a), q))
-        fst.add_arc(q, Arc(a, EPSILON, edit_weight(model, a, EPSILON), q))
-        fst.add_arc(q, Arc(EPSILON, a, edit_weight(model, EPSILON, a), q))
-        fst.add_arc(q, Arc(UNK, a, edit_weight(model, UNK, a), q))
+        fst.add_arc(q, Arc(a, a, edit_weight(nmt_vocab, a, a), q))
+        fst.add_arc(q, Arc(a, EPSILON, edit_weight(nmt_vocab, a, EPSILON), q))
+        fst.add_arc(q, Arc(EPSILON, a, edit_weight(nmt_vocab, EPSILON, a), q))
+        fst.add_arc(q, Arc(UNK, a, edit_weight(nmt_vocab, UNK, a), q))
         for b in letters:
             if a != b:
-                fst.add_arc(q, Arc(a, b, edit_weight(model, a, b), q))
-    fst.add_arc(q, Arc(UNK, EPSILON, edit_weight(model, UNK, EPSILON), q))
+                fst.add_arc(q, Arc(a, b, edit_weight(nmt_vocab, a, b), q))
+    fst.add_arc(q, Arc(UNK, EPSILON, edit_weight(nmt_vocab, UNK, EPSILON), q))
     return fst.freeze()
 
 

@@ -312,6 +312,41 @@ def coaccessible_states(fst: Wfst) -> set[int]:
     return seen
 
 
+def lattice_violations(fst: Wfst, kind: str) -> Iterator[str]:
+    """The per-arc rule for an ``nmt`` or ``hiero`` lattice, one message per
+    violation in arc order, then final-state order.
+
+    Every arc is acceptor-form, arc and final weights carry no feature
+    but the kind's own score, and a hiero arc never carries UNK.
+    """
+    score_id = NMT_SCORE if kind == "nmt" else HIERO_SCORE
+
+    def foreign(w: FeatureWeight) -> list[int]:
+        # Fast path: every entry but the score is 0.0.
+        v = w.values
+        if v.count(0.0) + (v[score_id] != 0.0) == len(v):
+            return []
+        return [fid for fid, x in enumerate(v) if x and fid != score_id]
+
+    for s, arcs in enumerate(fst._arcs):
+        for arc in arcs:
+            if arc.ilabel != arc.olabel:
+                yield (f"arc {s}->{arc.target} is not acceptor-form "
+                       f"(ilabel {arc.ilabel} != olabel {arc.olabel})")
+            if kind == "hiero" and UNK in (arc.ilabel, arc.olabel):
+                yield (f"arc {s}->{arc.target} carries the UNK label, "
+                       "which is not allowed in a hiero lattice")
+            bad = foreign(arc.weight)
+            if bad:
+                yield (f"arc {s}->{arc.target} carries feature id(s) {bad}; "
+                       f"a {kind} lattice may only use feature {score_id}")
+    for s, w in fst.finals():
+        bad = foreign(w)
+        if bad:
+            yield (f"final state {s} carries feature id(s) {bad}; "
+                   f"a {kind} lattice may only use feature {score_id}")
+
+
 @dataclass
 class ValidationReport:
     """Structural diagnostics; errors are contract violations, warnings are not."""
@@ -331,8 +366,7 @@ def validate(fst: Wfst, kind: str = "generic") -> ValidationReport:
     """Diagnose structural problems and, for lattices, contract violations.
 
     ``kind`` is one of ``nmt``, ``hiero``, ``generic``.  Lattice kinds must
-    be acyclic acceptors carrying only their own score feature; ``hiero``
-    additionally must not mention the UNK label.
+    be acyclic and follow :func:`lattice_violations`' rule.
     """
     if kind not in LATTICE_KINDS:
         raise ContractError(f"kind must be one of {LATTICE_KINDS}, got {kind!r}")
@@ -359,24 +393,7 @@ def validate(fst: Wfst, kind: str = "generic") -> ValidationReport:
             warnings.append(f"{len(dead)} reachable state(s) cannot reach a final state: {dead[:5]}")
 
     if kind in ("nmt", "hiero"):
-        score_id = NMT_SCORE if kind == "nmt" else HIERO_SCORE
-        for s, arcs in enumerate(fst._arcs):
-            for arc in arcs:
-                if arc.ilabel != arc.olabel:
-                    errors.append(f"arc {s}->{arc.target} is not acceptor-form "
-                                  f"(ilabel {arc.ilabel} != olabel {arc.olabel})")
-                if kind == "hiero" and UNK in (arc.ilabel, arc.olabel):
-                    errors.append(f"arc {s}->{arc.target} carries the UNK label, "
-                                  "which is not allowed in a hiero lattice")
-                bad = [fid for fid, v in enumerate(arc.weight.values) if v and fid != score_id]
-                if bad:
-                    errors.append(f"arc {s}->{arc.target} carries feature id(s) {bad}; "
-                                  f"a {kind} lattice may only use feature {score_id}")
-        for s, w in fst.finals():
-            bad = [fid for fid, v in enumerate(w.values) if v and fid != score_id]
-            if bad:
-                errors.append(f"final state {s} carries feature id(s) {bad}; "
-                              f"a {kind} lattice may only use feature {score_id}")
+        errors.extend(lattice_violations(fst, kind))
     return ValidationReport(errors=errors, warnings=warnings)
 
 

@@ -17,13 +17,14 @@ from __future__ import annotations
 import os
 from typing import Iterable, Iterator
 
-from .errors import FormatError
+from .errors import ContractError, FormatError
 from .fst import EPSILON_SYMBOL, NO_STATE, UNK_SYMBOL, Arc, SymbolTable, Wfst, validate
 from .pipeline import CombinationParams
 from .semiring import ONE, format_weight, parse_weight
 
 
-def _data_lines(path: str) -> Iterator[tuple[int, str]]:
+def data_lines(path: str) -> Iterator[tuple[int, str]]:
+    """(line number, stripped line) for each line that is neither blank nor a comment."""
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, start=1):
             line = raw.strip()
@@ -34,7 +35,7 @@ def _data_lines(path: str) -> Iterator[tuple[int, str]]:
 def read_symtab(path: str) -> SymbolTable:
     """Load a ``word<TAB>id`` table; epsilon and UNK ids are fixed."""
     table = SymbolTable()
-    for lineno, line in _data_lines(path):
+    for lineno, line in data_lines(path):
         parts = line.split("\t")
         if len(parts) != 2:
             raise FormatError(f"expected 'word<TAB>id', got {line!r}", path, lineno)
@@ -64,7 +65,7 @@ def read_vocab(path: str, table: SymbolTable) -> frozenset[int]:
     """
     seen: set[str] = set()
     labels: set[int] = set()
-    for lineno, line in _data_lines(path):
+    for lineno, line in data_lines(path):
         if line in seen:
             raise FormatError(f"duplicate vocabulary word {line!r}", path, lineno)
         if line in (UNK_SYMBOL, EPSILON_SYMBOL):
@@ -81,13 +82,13 @@ _PARAM_INT_KEYS = ("max_unk_run", "hiero_node_budget")
 def read_params(path: str) -> CombinationParams:
     """Load ``key=value`` combination parameters.
 
-    All five lambda keys are required and must be nonnegative;
-    ``max_unk_run`` and ``hiero_node_budget`` are optional.  The ordering
-    constraint lambda_edit > lambda_sub is validated here so a bad file
-    fails at load time, not mid-run.
+    All five lambda keys are required; ``max_unk_run`` and
+    ``hiero_node_budget`` are optional integers.  The values must satisfy
+    :class:`CombinationParams`' own checks, so a bad file fails at load
+    time, not mid-run.
     """
     values: dict[str, float] = {}
-    for lineno, line in _data_lines(path):
+    for lineno, line in data_lines(path):
         key, sep, value_text = line.partition("=")
         key = key.strip()
         if not sep:
@@ -104,23 +105,15 @@ def read_params(path: str) -> CombinationParams:
     for key in _PARAM_FLOAT_KEYS:
         if key not in values:
             raise FormatError(f"missing required parameter {key!r}", path)
-        if values[key] < 0.0:
-            raise FormatError(f"parameter {key!r} must be nonnegative, got {values[key]}", path)
-    if not values["lambda_edit"] > values["lambda_sub"]:
-        raise FormatError("parameter ordering violated: lambda_edit must be strictly "
-                          "greater than lambda_sub", path)
     for key in _PARAM_INT_KEYS:
-        if key in values and values[key] != int(values[key]):
-            raise FormatError(f"parameter {key!r} must be an integer, got {values[key]}", path)
-    return CombinationParams(
-        lambda_nmt=values["lambda_nmt"],
-        lambda_hiero=values["lambda_hiero"],
-        lambda_sub=values["lambda_sub"],
-        lambda_edit=values["lambda_edit"],
-        lambda_ins=values["lambda_ins"],
-        max_unk_run=int(values.get("max_unk_run", 3)),
-        hiero_node_budget=int(values.get("hiero_node_budget", 100_000)),
-    )
+        if key in values:
+            if not values[key].is_integer():
+                raise FormatError(f"parameter {key!r} must be an integer, got {values[key]}", path)
+            values[key] = int(values[key])
+    try:
+        return CombinationParams(**values)
+    except ContractError as exc:
+        raise FormatError(str(exc), path) from None
 
 
 def read_lattice(path: str, table: SymbolTable, kind: str = "generic") -> Wfst:
@@ -141,7 +134,7 @@ def read_lattice(path: str, table: SymbolTable, kind: str = "generic") -> Wfst:
         return sid
 
     saw_line = False
-    for lineno, line in _data_lines(path):
+    for lineno, line in data_lines(path):
         fields = line.split()
         try:
             ids = [int(f) for f in fields[: min(len(fields), 4)]]

@@ -4,7 +4,8 @@ The steps: prune the hiero lattice to a node budget, splice the UNK run
 expander over the NMT lattice's UNK arcs, find the cheapest typed-edit
 alignment of an NMT path with a hiero path, and read the combined
 translation off that alignment (NMT words, with each UNK replaced by its
-aligned hiero words).  The selected pair of hypotheses minimizes typed
+aligned hiero words).  The edit statistics are the count features of the
+alignment's weight.  The selected pair of hypotheses minimizes typed
 edit distance plus the scaled model scores over all pairs the two
 lattices offer.
 
@@ -24,9 +25,10 @@ from dataclasses import dataclass, field, replace as dc_replace
 from typing import FrozenSet, Iterable, Sequence
 
 from .algorithms import PathWitness, nbest, prune_to_node_budget, replace
-from .editfst import EditCostModel, build_unk_insertion_fst, edit_weight
+from .editfst import build_unk_insertion_fst, edit_weight
 from .errors import ContractError, NoPathError
-from .fst import EPSILON, UNK, Arc, Wfst, count_paths, dense_arcs, has_negative, topological_order
+from .fst import (EPSILON, UNK, Arc, Wfst, count_paths, dense_arcs, has_negative,
+                  lattice_violations, topological_order)
 from .semiring import (
     EDIT_COUNT,
     ONE,
@@ -63,6 +65,7 @@ class CombinationParams:
     nmt_vocab: FrozenSet[int] = field(default_factory=frozenset)
 
     def __post_init__(self) -> None:
+        self.as_param_vector()  # rejects a lambda that is not finite
         if not (self.lambda_sub >= 0.0 and self.lambda_edit > self.lambda_sub):
             raise ContractError(
                 f"need lambda_edit > lambda_sub >= 0, got "
@@ -76,6 +79,8 @@ class CombinationParams:
         if self.hiero_node_budget < 1:
             raise ContractError(f"hiero_node_budget must be at least 1, got {self.hiero_node_budget}")
         object.__setattr__(self, "nmt_vocab", frozenset(self.nmt_vocab))
+        if UNK in self.nmt_vocab or EPSILON in self.nmt_vocab:
+            raise ContractError("the NMT vocabulary must not contain the UNK or epsilon labels")
 
     def as_param_vector(self) -> ParamVector:
         return ParamVector(nmt=self.lambda_nmt, hiero=self.lambda_hiero,
@@ -84,13 +89,16 @@ class CombinationParams:
     def with_vocab(self, vocab: Iterable[int]) -> "CombinationParams":
         return dc_replace(self, nmt_vocab=frozenset(vocab))
 
-    def edit_model(self, alphabet: Iterable[int] = ()) -> EditCostModel:
-        return EditCostModel(alphabet=frozenset(alphabet), nmt_vocab=self.nmt_vocab)
-
 
 @dataclass(frozen=True)
 class EditStats:
-    """Per-sentence edit counts of the winning alignment."""
+    """Per-sentence edit counts of the winning alignment.
+
+    Each count is one feature of the alignment's weight:
+    ``unk_extensions`` is UNK_EXT_COUNT, ``type2_subs`` (in-vocabulary UNK
+    fills) is SUB_COUNT and ``type3_edits`` (all other edits) is
+    EDIT_COUNT.  Free out-of-vocabulary fills are not counted.
+    """
 
     unk_extensions: int = 0
     type2_subs: int = 0
@@ -138,23 +146,27 @@ def _fmt(v: float) -> str:
     return f"{v:.10g}"
 
 
-def _check_lattice(lattice: Wfst, name: str, forbid_unk: bool) -> None:
+def _check_lattice(lattice: Wfst, kind: str) -> None:
+    name = "NMT" if kind == "nmt" else kind
     if not lattice.frozen:
         raise ContractError(f"{name} lattice must be frozen")
     if lattice.num_states == 0 or lattice.initial < 0 or lattice.num_finals == 0:
         raise ContractError(f"{name} lattice is empty")
     if topological_order(lattice) is None:
         raise ContractError(f"{name} lattice must be acyclic")
-    if forbid_unk:
-        for s in lattice.states():
-            for arc in lattice.arcs(s):
-                if UNK in (arc.ilabel, arc.olabel):
-                    raise ContractError(f"{name} lattice must not contain the UNK label")
+    problem = next(lattice_violations(lattice, kind), None)
+    if problem is not None:
+        raise ContractError(f"{name} lattice: {problem}")
 
 
 def combine(nmt_lattice: Wfst, hiero_lattice: Wfst, params: CombinationParams,
             source_id: str = "") -> CombinationResult:
     """Run the full combination for one sentence pair.
+
+    Both lattices must be frozen, nonempty and acyclic, share a symbol
+    table, and follow the rule of :func:`~latcomb.fst.lattice_violations`
+    for their kind; anything else raises :class:`ContractError` before
+    the search.
 
     Reading lattice scores as negative log-likelihoods gives the
     probabilistic view: exp(-total_cost) is the edit-similarity factor
@@ -176,8 +188,8 @@ def combine(nmt_lattice: Wfst, hiero_lattice: Wfst, params: CombinationParams,
     ``die``; the deletion of the UNK is found first, so ``t_comb`` is
     ``die``.
     """
-    _check_lattice(nmt_lattice, "NMT", forbid_unk=False)
-    _check_lattice(hiero_lattice, "hiero", forbid_unk=True)
+    _check_lattice(nmt_lattice, "nmt")
+    _check_lattice(hiero_lattice, "hiero")
     if not nmt_lattice.isyms.same_mapping(hiero_lattice.isyms):
         raise ContractError("the two lattices must share a symbol table")
 
@@ -190,9 +202,9 @@ def combine(nmt_lattice: Wfst, hiero_lattice: Wfst, params: CombinationParams,
     run_fst = build_unk_insertion_fst(params.max_unk_run, nmt_lattice.isyms)
     extended_nmt = replace(nmt_lattice, UNK, run_fst)
 
-    model = params.edit_model()
-    path = _best_alignment(extended_nmt, pruned_hiero, model, params.as_param_vector())
-    stats = decompose_alignment(path, model)
+    path = _best_alignment(extended_nmt, pruned_hiero, params.nmt_vocab,
+                           params.as_param_vector())
+    counts = path.weight.values
 
     syms = nmt_lattice.isyms
     return CombinationResult(
@@ -201,13 +213,15 @@ def combine(nmt_lattice: Wfst, hiero_lattice: Wfst, params: CombinationParams,
         t_hiero=tuple(syms.word(l) for l in path.output_labels()),
         total_cost=path.cost,
         feature_vector=path.weight,
-        stats=stats,
+        stats=EditStats(unk_extensions=int(counts[UNK_EXT_COUNT]),
+                        type2_subs=int(counts[SUB_COUNT]),
+                        type3_edits=int(counts[EDIT_COUNT])),
         source_id=source_id,
         path=path,
     )
 
 
-def _best_alignment(nmt: Wfst, hiero: Wfst, model: EditCostModel,
+def _best_alignment(nmt: Wfst, hiero: Wfst, nmt_vocab: FrozenSet[int],
                     params: ParamVector) -> PathWitness:
     """Cheapest typed-edit alignment of an NMT path with a hiero path.
 
@@ -222,11 +236,12 @@ def _best_alignment(nmt: Wfst, hiero: Wfst, model: EditCostModel,
     Weight values are accumulated with
     :func:`~latcomb.semiring.dense_times` and compared by
     :func:`~latcomb.semiring.search_key`, the order every search uses.
-    When every feature of an aligned pair comes from one side (as for
-    lattices that pass :func:`~latcomb.fst.validate` for their kind), the
-    cost and feature vector are bit-identical to the shortest path of the
-    composed machine.  Raises :class:`NoPathError` when either machine
-    accepts nothing.
+    Every feature of an aligned pair comes from one side, because
+    ``combine`` holds both lattices to the rule of
+    :func:`~latcomb.fst.lattice_violations`; so the cost and feature
+    vector are bit-identical to the shortest path of the composed
+    machine.  Raises :class:`NoPathError` when either machine accepts
+    nothing.
     """
     order_n = topological_order(nmt)
     order_h = topological_order(hiero)
@@ -246,7 +261,7 @@ def _best_alignment(nmt: Wfst, hiero: Wfst, model: EditCostModel,
         row = typed.setdefault(x, {})
         e = row.get(y)
         if e is None:
-            e = row[y] = edit_weight(model, x, y).values
+            e = row[y] = edit_weight(nmt_vocab, x, y).values
         return e
 
     # Moves per topological position: (arc, label matched, target, arc
@@ -329,7 +344,7 @@ def _best_alignment(nmt: Wfst, hiero: Wfst, model: EditCostModel,
         src, a, h = back[c]
         x = EPSILON if a is None else a.olabel
         y = EPSILON if h is None else h.ilabel
-        w = edit_weight(model, x, y)
+        w = edit_weight(nmt_vocab, x, y)
         if a is not None:
             w = times(a.weight, w)
         if h is not None:
@@ -340,54 +355,6 @@ def _best_alignment(nmt: Wfst, hiero: Wfst, model: EditCostModel,
     arcs.reverse()
     return PathWitness(arcs=tuple(arcs), final_weight=final_weight,
                        weight=FeatureWeight(best[1]), cost=best[0])
-
-
-def _count_feature(w: FeatureWeight, fid: int, where: str) -> int:
-    v = w.get(fid)
-    n = round(v)
-    if abs(v - n) > 1e-9 or n < 0:
-        raise ContractError(f"{where}: feature {fid} holds {v!r}, expected a small count")
-    return n
-
-
-def decompose_alignment(path: PathWitness, model: EditCostModel) -> EditStats:
-    """Classify each arc of a combined-machine path and tally the edits.
-
-    Every arc must be a match, a free UNK fill, an in-vocabulary UNK fill,
-    some other edit, or splice plumbing, and its count features must agree
-    with that classification; anything else means the path was not
-    produced with this model and raises.
-    """
-    ext = type2 = type3 = 0
-    for arc in path.arcs:
-        il, ol = arc.ilabel, arc.olabel
-        f_edit = _count_feature(arc.weight, EDIT_COUNT, f"arc {il}:{ol}")
-        f_sub = _count_feature(arc.weight, SUB_COUNT, f"arc {il}:{ol}")
-        f_ext = _count_feature(arc.weight, UNK_EXT_COUNT, f"arc {il}:{ol}")
-        if ol == UNK:
-            raise ContractError("arc emits UNK on the output tape; not produced by this model")
-        if il == UNK:
-            if f_ext > 1:
-                raise ContractError("arc carries more than one run-extension count")
-            expected = (1, 0) if ol == EPSILON else ((0, 1) if model.in_vocab(ol) else (0, 0))
-        else:
-            if f_ext != 0:
-                raise ContractError("run-extension count on a non-UNK arc")
-            if il == ol:  # epsilon:epsilon splice plumbing or a plain match
-                expected = (0, 0)
-            else:
-                expected = (1, 0)
-        if (f_edit, f_sub) != expected:
-            raise ContractError(
-                f"arc {il}:{ol} carries counts edit={f_edit}, sub={f_sub}; "
-                f"expected edit={expected[0]}, sub={expected[1]} under this model")
-        ext += f_ext
-        type2 += f_sub
-        type3 += f_edit
-    for fid in (EDIT_COUNT, SUB_COUNT, UNK_EXT_COUNT):
-        if _count_feature(path.final_weight, fid, "final weight") != 0:
-            raise ContractError("final weight carries edit counts; not produced by this model")
-    return EditStats(unk_extensions=ext, type2_subs=type2, type3_edits=type3)
 
 
 @dataclass(frozen=True)

@@ -198,6 +198,8 @@ def plus(a: FeatureWeight, b: FeatureWeight, params: ParamVector) -> FeatureWeig
 
 
 def _format_number(v: float) -> str:
+    if not math.isfinite(v):
+        raise ContractError(f"feature value {v!r} is not finite and has no text form")
     if v == int(v) and abs(v) < 1e16:
         return str(int(v))
     return repr(v)

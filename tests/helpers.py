@@ -158,21 +158,23 @@ def flower_combine(nmt: Wfst, hiero: Wfst, params):
     """
     from latcomb import (
         CombinationResult,
+        EditStats,
         build_modified_edit_fst,
         build_unk_insertion_fst,
         compose,
-        decompose_alignment,
         prune_to_node_budget,
         replace,
         shortest_path,
     )
     from latcomb.pipeline import HIERO_ONLY
+    from latcomb.semiring import EDIT_COUNT, SUB_COUNT, UNK_EXT_COUNT
 
     pruned = prune_to_node_budget(hiero, params.hiero_node_budget, HIERO_ONLY)
     extended = replace(nmt, UNK, build_unk_insertion_fst(params.max_unk_run, nmt.isyms))
-    model = params.edit_model((nmt.all_labels() | pruned.all_labels()) - {EPSILON, UNK})
-    flower = build_modified_edit_fst(model, nmt.isyms)
+    flower = build_modified_edit_fst(nmt.all_labels() | pruned.all_labels(), params.nmt_vocab,
+                                     nmt.isyms)
     path = shortest_path(compose(compose(extended, flower), pruned), params.as_param_vector())
+    counts = path.weight.values
     syms = nmt.isyms
     return CombinationResult(
         t_comb=tuple(syms.word(l) for l in path.unk_filled_labels()),
@@ -180,7 +182,8 @@ def flower_combine(nmt: Wfst, hiero: Wfst, params):
         t_hiero=tuple(syms.word(l) for l in path.output_labels()),
         total_cost=path.cost,
         feature_vector=path.weight,
-        stats=decompose_alignment(path, model),
+        stats=EditStats(unk_extensions=int(counts[UNK_EXT_COUNT]),
+                        type2_subs=int(counts[SUB_COUNT]), type3_edits=int(counts[EDIT_COUNT])),
         path=path,
     )
 

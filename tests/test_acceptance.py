@@ -28,7 +28,7 @@ from latcomb import (
     ZERO,
 )
 from latcomb.cli import cli_main
-from latcomb.editfst import EditCostModel, build_modified_edit_fst, build_standard_edit_fst
+from latcomb.editfst import build_modified_edit_fst, build_standard_edit_fst
 from latcomb.lattice_io import read_lattice, write_lattice, write_symtab
 from latcomb.oracle import dp_edit_distance
 
@@ -86,9 +86,8 @@ def test_c02_modified_flower_equals_typed_dp():
         if "UNK" not in x:
             x.append("UNK")
         sub_cost, edit_cost = settings[rng.randrange(5)]
-        model = EditCostModel(alphabet=set(labels.values()),
-                              nmt_vocab={labels[w] for w in vocab_words})
-        flower = build_modified_edit_fst(model, syms)
+        flower = build_modified_edit_fst(set(labels.values()),
+                                         {labels[w] for w in vocab_words}, syms)
         to_label = lambda w: UNK if w == "UNK" else labels[w]
         machine = compose(compose(linear_chain([to_label(w) for w in x], syms), flower),
                           linear_chain([to_label(w) for w in y], syms))
@@ -165,8 +164,7 @@ def test_c06_structural_invariants():
         nmt = random_dag_lattice(rng, syms, score_feature=0, max_paths=20, allow_unk=True)
         hiero = random_dag_lattice(rng, syms, score_feature=1, max_paths=40)
         alphabet = (nmt.all_labels() | hiero.all_labels()) - {0, UNK}
-        model = EditCostModel(alphabet=frozenset(alphabet), nmt_vocab=frozenset())
-        flower = build_modified_edit_fst(model, syms)
+        flower = build_modified_edit_fst(alphabet, frozenset(), syms)
         assert is_acyclic(compose(compose(nmt, flower), hiero))
 
     for _ in range(200):

@@ -25,7 +25,7 @@ from latcomb import (
     weight,
 )
 from latcomb import algorithms, editfst, pipeline
-from latcomb.editfst import EditCostModel, build_modified_edit_fst, edit_weight
+from latcomb.editfst import build_modified_edit_fst, edit_weight
 
 from helpers import (
     acceptor_from_sentences,
@@ -169,10 +169,9 @@ def test_combine_aligns_lattices_without_words():
 def test_flower_reads_its_weights_from_edit_weight():
     syms = SymbolTable()
     a, b = syms.add("a"), syms.add("b")
-    model = EditCostModel(alphabet={a, b}, nmt_vocab={b})
-    flower = build_modified_edit_fst(model, syms)
+    flower = build_modified_edit_fst({a, b}, {b}, syms)
     for arc in flower.arcs(flower.initial):
-        assert arc.weight == edit_weight(model, arc.ilabel, arc.olabel)
+        assert arc.weight == edit_weight({b}, arc.ilabel, arc.olabel)
     # per word a match, a deletion, an insertion and an UNK fill; two
     # substitutions; the deletion of UNK
     assert flower.num_arcs == 4 * 2 + 2 + 1

@@ -14,7 +14,6 @@ from latcomb import (
     shortest_path,
 )
 from latcomb.editfst import (
-    EditCostModel,
     build_modified_edit_fst,
     build_standard_edit_fst,
     build_unk_insertion_fst,
@@ -62,24 +61,17 @@ def test_zero_distance_for_equal_strings():
 def test_modified_flower_cost_typing():
     syms = SymbolTable()
     a, b = syms.add("a"), syms.add("b")
-    model = EditCostModel(alphabet={a, b}, nmt_vocab={b})
-    flower = build_modified_edit_fst(model, syms)
+    flower = build_modified_edit_fst({a, b}, {b}, syms)
     arcs = arcs_by_labels(flower)
     assert arcs[(UNK, a)] == ONE                       # OOV fill is free
     assert arcs[(UNK, b)] == weight({SUB_COUNT: 1.0})  # in-vocabulary fill
     assert arcs[(a, b)] == weight({EDIT_COUNT: 1.0})
     assert arcs[(UNK, EPSILON)] == weight({EDIT_COUNT: 1.0})
     assert not any(ol == UNK for _, ol in arcs)  # UNK never emitted
-
-
-def test_model_constraint_checks():
-    syms = SymbolTable()
-    a = syms.add("a")
-    with pytest.raises(ContractError):
-        EditCostModel(alphabet={a}, nmt_vocab={UNK})
     # epsilon and UNK are stripped from the alphabet silently
-    model = EditCostModel(alphabet={a, UNK, EPSILON}, nmt_vocab=frozenset())
-    assert model.alphabet == {a}
+    stripped = build_modified_edit_fst({a, b, UNK, EPSILON}, {b}, syms)
+    assert arcs_by_labels(stripped) == arcs
+    assert stripped.num_arcs == flower.num_arcs
 
 
 def test_unk_insertion_structure():
@@ -97,8 +89,8 @@ def test_unk_insertion_structure():
         build_unk_insertion_fst(0, syms)
 
 
-def _flower_distance(x_words, y_words, model, syms, params):
-    flower = build_modified_edit_fst(model, syms)
+def _flower_distance(x_words, y_words, alphabet, vocab, syms, params):
+    flower = build_modified_edit_fst(alphabet, vocab, syms)
     to_label = lambda w: UNK if w == "UNK" else syms.add(w)
     x = linear_chain([to_label(w) for w in x_words], syms)
     y = linear_chain([to_label(w) for w in y_words], syms)
@@ -109,9 +101,8 @@ def test_free_unk_fill_gives_zero_distance():
     syms = SymbolTable()
     words = ["die", "regionale", "Politik"]
     labels = {w: syms.add(w) for w in words}
-    model = EditCostModel(alphabet=set(labels.values()),
-                          nmt_vocab={labels["die"], labels["Politik"]})
-    path = _flower_distance(["die", "UNK", "Politik"], words, model, syms, UNIT)
+    path = _flower_distance(["die", "UNK", "Politik"], words, set(labels.values()),
+                            {labels["die"], labels["Politik"]}, syms, UNIT)
     assert path.cost == 0.0
     assert path.weight == ONE
 
@@ -119,8 +110,7 @@ def test_free_unk_fill_gives_zero_distance():
 def test_in_vocab_fill_costs_one_sub():
     syms = SymbolTable()
     und = syms.add("und")
-    model = EditCostModel(alphabet={und}, nmt_vocab={und})
-    path = _flower_distance(["UNK"], ["und"], model, syms, UNIT)
+    path = _flower_distance(["UNK"], ["und"], {und}, {und}, syms, UNIT)
     assert path.weight == weight({SUB_COUNT: 1.0})
 
 
@@ -134,11 +124,10 @@ def test_modified_flower_matches_dp_oracle():
         sub_cost = rng.randint(0, 8) / 4.0
         edit_cost = sub_cost + rng.randint(1, 8) / 4.0
         params = ParamVector(nmt=1.0, hiero=1.0, edit=edit_cost, sub=sub_cost, ins=1.0)
-        model = EditCostModel(alphabet=set(labels.values()),
-                              nmt_vocab={labels[w] for w in vocab_words})
+        vocab = {labels[w] for w in vocab_words}
         x = [rng.choice(words + ["UNK"] * 2) for _ in range(rng.randint(0, 8))]
         y = [rng.choice(words) for _ in range(rng.randint(0, 8))]
-        got = _flower_distance(x, y, model, syms, params).cost
+        got = _flower_distance(x, y, set(labels.values()), vocab, syms, params).cost
         expected = dp_edit_distance(x, y, vocab_words, sub_cost, edit_cost, max_unk_run=1)
         expected_cost = edit_cost * expected.get(2, 0.0) + sub_cost * expected.get(3, 0.0)
         assert got == pytest.approx(expected_cost, abs=1e-9), (x, y, vocab_words)
@@ -148,13 +137,13 @@ def test_edit_cost_monotone_in_lambda_edit():
     syms = SymbolTable()
     words = ["p", "q", "r"]
     labels = {w: syms.add(w) for w in words}
-    model = EditCostModel(alphabet=set(labels.values()), nmt_vocab=frozenset())
     x = ["p", "q", "UNK"]
     y = ["q", "r", "r"]
     costs = []
     for lam in (1.0, 2.0, 4.0, 8.0):
         params = ParamVector(nmt=1.0, hiero=1.0, edit=lam, sub=0.5, ins=1.0)
-        costs.append(_flower_distance(x, y, model, syms, params).cost)
+        costs.append(_flower_distance(x, y, set(labels.values()), frozenset(), syms,
+                                      params).cost)
     assert costs == sorted(costs)
 
 
@@ -162,8 +151,7 @@ def test_type1_dominates_type2_at_equal_lattice_cost():
     # Both fills reachable at the same lattice cost: the OOV fill must win.
     syms = SymbolTable()
     oov, invocab = syms.add("selten"), syms.add("oft")
-    model = EditCostModel(alphabet={oov, invocab}, nmt_vocab={invocab})
-    flower = build_modified_edit_fst(model, syms)
+    flower = build_modified_edit_fst({oov, invocab}, {invocab}, syms)
     x = linear_chain([UNK], syms)
     from helpers import acceptor_from_sentences
 

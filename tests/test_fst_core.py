@@ -21,7 +21,7 @@ from latcomb import (
     validate,
     weight,
 )
-from latcomb.editfst import EditCostModel, build_modified_edit_fst
+from latcomb.editfst import build_modified_edit_fst
 from latcomb.fst import dense_arcs, topological_order
 
 from helpers import acceptor_from_sentences, path_signature, random_dag_lattice
@@ -244,7 +244,6 @@ def test_composition_through_flower_stays_acyclic(seed):
     nmt = random_dag_lattice(rng, syms, score_feature=0, max_paths=20, allow_unk=True)
     hiero = random_dag_lattice(rng, syms, score_feature=1, max_paths=40)
     alphabet = (nmt.all_labels() | hiero.all_labels()) - {EPSILON, UNK}
-    model = EditCostModel(alphabet=frozenset(alphabet), nmt_vocab=frozenset())
-    flower = build_modified_edit_fst(model, syms)
+    flower = build_modified_edit_fst(alphabet, frozenset(), syms)
     combined = compose(compose(nmt, flower), hiero)
     assert is_acyclic(combined)

@@ -100,6 +100,13 @@ def test_params_ordering_constraint(tmp_path):
     assert "lambda_edit" in str(err.value)
 
 
+def test_params_negative_lambda(tmp_path):
+    text = PARAMS_TEXT.replace("lambda_nmt=1.0", "lambda_nmt=-1.0")
+    with pytest.raises(FormatError) as err:
+        read_params(write(tmp_path / "p.cfg", text))
+    assert "nonnegative" in str(err.value)
+
+
 def test_params_unknown_key(tmp_path):
     with pytest.raises(FormatError):
         read_params(write(tmp_path / "p.cfg", PARAMS_TEXT + "mystery=1\n"))
@@ -324,6 +331,25 @@ def test_cli_build_edit_fst_and_compose(tmp_path, capsys):
     composed = read_lattice(out_path, syms, kind="generic")
     assert composed.num_states >= 2
     capsys.readouterr()
+
+
+def test_cli_build_edit_fst_rejects_reserved_vocabulary_words(tmp_path, capsys):
+    for reserved in ("UNK", "<eps>"):
+        vocab = write(tmp_path / "v.txt", f"oft\n{reserved}\n")
+        assert cli_main(["build-edit-fst", "--vocab", vocab,
+                         "--output", str(tmp_path / "flower.fst")]) == 2
+        assert "reserved" in capsys.readouterr().err
+
+
+def test_cli_compose_overflow_exits_with_contract_error(tmp_path, capsys):
+    syms = SymbolTable()
+    a = syms.add("a")
+    symtab = str(tmp_path / "s.sym")
+    write_symtab(syms, symtab)
+    big = write(tmp_path / "big.fst", f"0 1 {a} {a} 0:1e308\n1\n")
+    assert cli_main(["compose", big, big, "--symtab", symtab,
+                     "--output", str(tmp_path / "out.fst")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_cli_standard_edit_fst(tmp_path, capsys):

@@ -6,26 +6,24 @@ from dataclasses import replace as dc_replace
 import pytest
 
 from latcomb import (
+    EPSILON,
     ONE,
     UNK,
     Arc,
     CombinationParams,
     ContractError,
     EditStats,
-    ParamVector,
     SymbolTable,
     Wfst,
     combine,
     corpus_report,
-    decompose_alignment,
+    linear_chain,
     weight,
 )
 from latcomb import fst as fst_module
-from latcomb.algorithms import PathWitness
-from latcomb.editfst import EditCostModel
 from latcomb.lattice_io import read_lattice, write_lattice
 from latcomb.pipeline import CombinationResult
-from latcomb.semiring import scalarize, times
+from latcomb.semiring import EDIT_COUNT, HIERO_SCORE, SUB_COUNT
 
 from helpers import (
     acceptor_from_sentences,
@@ -138,6 +136,25 @@ def test_combine_rejects_empty_and_unk_in_hiero():
     with pytest.raises(ContractError):
         combine(nmt, empty, params)
 
+    # Each lattice may carry only its own score, on acceptor arcs; the
+    # check runs before the search.
+    a, b = syms.label("a"), syms.add("b")
+    hiero = acceptor_from_sentences(syms, ["a"], score_feature=1, scores=[1.0])
+    non_acceptor = Wfst(syms, syms)
+    s0, s1 = non_acceptor.add_state(), non_acceptor.add_state()
+    non_acceptor.set_initial(s0)
+    non_acceptor.add_arc(s0, Arc(a, b, ONE, s1))
+    non_acceptor.set_final(s1, ONE)
+    bad_pairs = [
+        (linear_chain([a], syms, weights=[weight({EDIT_COUNT: 1.0})]), hiero),
+        (nmt, linear_chain([a], syms, final_weight=weight({SUB_COUNT: 1.0}))),
+        (linear_chain([a], syms, weights=[weight({HIERO_SCORE: 1.0})]), hiero),
+        (non_acceptor.freeze(), hiero),
+    ]
+    for bad_nmt, bad_hiero in bad_pairs:
+        with pytest.raises(ContractError):
+            combine(bad_nmt, bad_hiero, params)
+
 
 def test_combine_warns_on_large_nmt_lattice():
     syms = SymbolTable()
@@ -160,6 +177,12 @@ def test_params_validation():
         CombinationParams(max_unk_run=0)
     with pytest.raises(ContractError):
         CombinationParams(hiero_node_budget=0)
+    for reserved in (UNK, EPSILON):
+        with pytest.raises(ContractError):
+            CombinationParams(nmt_vocab={2, reserved})
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ContractError):
+            CombinationParams(lambda_nmt=bad)
 
 
 def test_combine_matches_oracle_on_random_instances():
@@ -233,42 +256,6 @@ def test_lambda_rescaling_keeps_selection():
             assert other.t_nmt == base.t_nmt
             assert other.t_hiero == base.t_hiero
             assert other.total_cost == pytest.approx(base.total_cost * factor, rel=1e-9)
-
-
-def _witness(arc_specs, syms):
-    arcs = []
-    total = ONE
-    for il, ol, w in arc_specs:
-        arcs.append(Arc(il, ol, w, 0))
-        total = times(total, w)
-    return PathWitness(arcs=tuple(arcs), final_weight=ONE, weight=total,
-                       cost=scalarize(total, ParamVector()))
-
-
-def test_decompose_hand_alignment():
-    syms = SymbolTable()
-    a, und = syms.add("a"), syms.add("und")
-    model = EditCostModel(alphabet={a, und}, nmt_vocab={und})
-    path = _witness([
-        (a, a, ONE),                       # match
-        (UNK, und, weight({3: 1.0})),      # in-vocabulary fill
-        (a, 0, weight({2: 1.0})),          # deletion
-    ], syms)
-    stats = decompose_alignment(path, model)
-    assert stats == EditStats(unk_extensions=0, type2_subs=1, type3_edits=1)
-    assert not stats.exact_match
-
-
-def test_decompose_rejects_inconsistent_arc():
-    syms = SymbolTable()
-    a = syms.add("a")
-    model = EditCostModel(alphabet={a}, nmt_vocab=frozenset())
-    bogus = _witness([(a, a, weight({3: 1.0}))], syms)  # match arc carrying a sub count
-    with pytest.raises(ContractError):
-        decompose_alignment(bogus, model)
-    unk_out = _witness([(a, UNK, ONE)], syms)
-    with pytest.raises(ContractError):
-        decompose_alignment(unk_out, model)
 
 
 def test_corpus_report_single_sentence():

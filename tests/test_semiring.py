@@ -94,6 +94,16 @@ def test_text_round_trip():
     assert format_weight(ZERO) == "INF"
 
 
+def test_overflowed_weight_has_no_text_form():
+    # A sum of finite entries can overflow; writing it fails as a contract
+    # violation rather than with OverflowError.
+    big = weight({0: 1e308})
+    overflowed = times(big, big)
+    assert overflowed.values[0] == math.inf
+    with pytest.raises(ContractError, match="not finite"):
+        format_weight(overflowed)
+
+
 def test_parse_weight_rejects_garbage():
     for bad in ("0", "0:1,0:2", "x:1", "0:abc", "0:1,,"):
         with pytest.raises(ValueError):
