@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from itertools import count
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .errors import ContractError, NoPathError
+from .errors import ContractError, NoPathError, check_count
 from .fst import (
     EPSILON,
     NO_STATE,
@@ -439,8 +439,7 @@ def nbest(fst: Wfst, n: int, params: ParamVector, unique: bool = False) -> list[
     (otherwise there is no bound on how many raw paths must be drawn).
     """
     _check_frozen(fst)
-    if n < 1:
-        raise ContractError(f"n must be positive, got {n}")
+    check_count("n", n)
     _check_searchable(fst, params)
     if unique and topological_order(fst) is None:
         raise ContractError("unique n-best requires an acyclic machine")
@@ -481,8 +480,7 @@ def prune_to_node_budget(fst: Wfst, budget: int, params: ParamVector) -> Wfst:
     optimal-cost plateau is over budget, only the shortest path is kept.
     """
     _check_frozen(fst)
-    if budget < 1:
-        raise ContractError(f"budget must be positive, got {budget}")
+    check_count("budget", budget)
     if topological_order(fst) is None:
         raise ContractError("pruning is defined for acyclic machines only")
     if fst.initial == NO_STATE or not any(fst.is_final(s) for s in accessible_states(fst)):

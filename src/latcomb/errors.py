@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types, and the count check, shared across the package."""
 
 
 class LatcombError(Exception):
@@ -23,3 +23,9 @@ class FormatError(ContractError):
 
 class NoPathError(LatcombError):
     """The machine accepts nothing: no initial-to-final path exists."""
+
+
+def check_count(name: str, value: object) -> None:
+    """Reject ``value`` unless it is an int (not a bool) of at least 1."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ContractError(f"{name} must be a positive integer, got {value!r}")

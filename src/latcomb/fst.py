@@ -6,11 +6,11 @@ dense integers, arcs live in per-state adjacency lists, and every arc
 weight is a :class:`~latcomb.semiring.FeatureWeight`.
 
 This module is the one place that derives facts from a machine's
-structure: :func:`topological_order`, :func:`has_negative` and
-:func:`dense_arcs`.  Each is computed at most once per frozen machine and
-kept on it; a mutable machine recomputes on every call.  Sharing a frozen
-machine across threads stays safe, because a race can only compute the
-same immutable value twice.
+structure: :func:`topological_order`, :func:`has_negative`,
+:func:`dense_arcs` and, per lattice kind, :func:`contract_errors`.  Each
+is computed at most once per frozen machine and kept on it; a mutable
+machine recomputes on every call.  Sharing a frozen machine across
+threads is safe: a race only computes the same immutable value twice.
 """
 
 from __future__ import annotations
@@ -113,7 +113,7 @@ class Wfst:
         self._finals: dict[int, FeatureWeight] = {}
         self.initial: int = NO_STATE
         self._frozen = False
-        self._derived: dict[Callable, object] = {}
+        self._derived: dict[tuple, object] = {}
 
     # -- construction -------------------------------------------------
 
@@ -206,16 +206,17 @@ class Wfst:
 T = TypeVar("T")
 
 
-def _derived(compute: Callable[[Wfst], T]) -> Callable[[Wfst], T]:
-    """Keep ``compute(fst)`` on a frozen machine after the first call; a
-    mutable machine recomputes on every call."""
+def _derived(compute: Callable[..., T]) -> Callable[..., T]:
+    """Keep ``compute(fst, *args)`` on a frozen machine, keyed on
+    ``(compute, *args)``; a mutable machine recomputes on every call."""
     @wraps(compute)
-    def derived(fst: Wfst) -> T:
+    def derived(fst: Wfst, *args) -> T:
         if not fst.frozen:
-            return compute(fst)
-        if compute not in fst._derived:
-            fst._derived[compute] = compute(fst)
-        return fst._derived[compute]  # type: ignore[return-value]
+            return compute(fst, *args)
+        key = (compute, *args)
+        if key not in fst._derived:
+            fst._derived[key] = compute(fst, *args)
+        return fst._derived[key]  # type: ignore[return-value]
     return derived
 
 
@@ -312,13 +313,27 @@ def coaccessible_states(fst: Wfst) -> set[int]:
     return seen
 
 
-def lattice_violations(fst: Wfst, kind: str) -> Iterator[str]:
-    """The per-arc rule for an ``nmt`` or ``hiero`` lattice, one message per
-    violation in arc order, then final-state order.
+@_derived
+def contract_errors(fst: Wfst, kind: str) -> tuple[str, ...]:
+    """Every way ``fst`` breaks the contract of ``kind``, in a fixed order.
 
-    Every arc is acceptor-form, arc and final weights carry no feature
-    but the kind's own score, and a hiero arc never carries UNK.
+    Any machine needs an initial and a final state.  An ``nmt`` or
+    ``hiero`` lattice must also be acyclic, every arc acceptor-form, arc
+    and final weights may carry no feature but the kind's own score, and
+    a hiero arc never carries UNK; one message per violation, in arc
+    order, then final-state order.
     """
+    if kind not in LATTICE_KINDS:
+        raise ContractError(f"kind must be one of {LATTICE_KINDS}, got {kind!r}")
+    errors: list[str] = []
+    if fst.initial == NO_STATE:
+        errors.append("no initial state")
+    if fst.num_finals == 0:
+        errors.append("no final state")
+    if kind == "generic":
+        return tuple(errors)
+    if not is_acyclic(fst):
+        errors.append("machine contains a cycle")
     score_id = NMT_SCORE if kind == "nmt" else HIERO_SCORE
 
     def foreign(w: FeatureWeight) -> list[int]:
@@ -331,20 +346,21 @@ def lattice_violations(fst: Wfst, kind: str) -> Iterator[str]:
     for s, arcs in enumerate(fst._arcs):
         for arc in arcs:
             if arc.ilabel != arc.olabel:
-                yield (f"arc {s}->{arc.target} is not acceptor-form "
-                       f"(ilabel {arc.ilabel} != olabel {arc.olabel})")
+                errors.append(f"arc {s}->{arc.target} is not acceptor-form "
+                              f"(ilabel {arc.ilabel} != olabel {arc.olabel})")
             if kind == "hiero" and UNK in (arc.ilabel, arc.olabel):
-                yield (f"arc {s}->{arc.target} carries the UNK label, "
-                       "which is not allowed in a hiero lattice")
+                errors.append(f"arc {s}->{arc.target} carries the UNK label, "
+                              "which is not allowed in a hiero lattice")
             bad = foreign(arc.weight)
             if bad:
-                yield (f"arc {s}->{arc.target} carries feature id(s) {bad}; "
-                       f"a {kind} lattice may only use feature {score_id}")
+                errors.append(f"arc {s}->{arc.target} carries feature id(s) {bad}; "
+                              f"a {kind} lattice may only use feature {score_id}")
     for s, w in fst.finals():
         bad = foreign(w)
         if bad:
-            yield (f"final state {s} carries feature id(s) {bad}; "
-                   f"a {kind} lattice may only use feature {score_id}")
+            errors.append(f"final state {s} carries feature id(s) {bad}; "
+                          f"a {kind} lattice may only use feature {score_id}")
+    return tuple(errors)
 
 
 @dataclass
@@ -365,23 +381,14 @@ class ValidationReport:
 def validate(fst: Wfst, kind: str = "generic") -> ValidationReport:
     """Diagnose structural problems and, for lattices, contract violations.
 
-    ``kind`` is one of ``nmt``, ``hiero``, ``generic``.  Lattice kinds must
-    be acyclic and follow :func:`lattice_violations`' rule.
+    ``kind`` is one of ``nmt``, ``hiero``, ``generic``.  The errors are
+    :func:`contract_errors`; the warnings are a cycle in a generic
+    machine, unreachable states and dead states.
     """
-    if kind not in LATTICE_KINDS:
-        raise ContractError(f"kind must be one of {LATTICE_KINDS}, got {kind!r}")
-    errors: list[str] = []
+    errors = list(contract_errors(fst, kind))
     warnings: list[str] = []
-
-    if fst.initial == NO_STATE:
-        errors.append("no initial state")
-    if fst.num_finals == 0:
-        errors.append("no final state")
-
-    if not is_acyclic(fst):
-        msg = "machine contains a cycle"
-        (errors if kind in ("nmt", "hiero") else warnings).append(msg)
-
+    if kind == "generic" and not is_acyclic(fst):
+        warnings.append("machine contains a cycle")
     if fst.initial != NO_STATE:
         acc = accessible_states(fst)
         coacc = coaccessible_states(fst)
@@ -391,9 +398,6 @@ def validate(fst: Wfst, kind: str = "generic") -> ValidationReport:
             warnings.append(f"{len(unreachable)} state(s) unreachable from the initial state: {unreachable[:5]}")
         if dead:
             warnings.append(f"{len(dead)} reachable state(s) cannot reach a final state: {dead[:5]}")
-
-    if kind in ("nmt", "hiero"):
-        errors.extend(lattice_violations(fst, kind))
     return ValidationReport(errors=errors, warnings=warnings)
 
 

@@ -18,7 +18,7 @@ import os
 from typing import Iterable, Iterator
 
 from .errors import ContractError, FormatError
-from .fst import EPSILON_SYMBOL, NO_STATE, UNK_SYMBOL, Arc, SymbolTable, Wfst, validate
+from .fst import EPSILON_SYMBOL, NO_STATE, UNK_SYMBOL, Arc, SymbolTable, Wfst, contract_errors
 from .pipeline import CombinationParams
 from .semiring import ONE, format_weight, parse_weight
 
@@ -106,9 +106,7 @@ def read_params(path: str) -> CombinationParams:
         if key not in values:
             raise FormatError(f"missing required parameter {key!r}", path)
     for key in _PARAM_INT_KEYS:
-        if key in values:
-            if not values[key].is_integer():
-                raise FormatError(f"parameter {key!r} must be an integer, got {values[key]}", path)
+        if key in values and values[key].is_integer():
             values[key] = int(values[key])
     try:
         return CombinationParams(**values)
@@ -119,9 +117,9 @@ def read_params(path: str) -> CombinationParams:
 def read_lattice(path: str, table: SymbolTable, kind: str = "generic") -> Wfst:
     """Parse a lattice file into a frozen machine.
 
-    ``kind`` selects the contract: ``nmt`` and ``hiero`` must be acyclic
-    acceptors with their single score feature, and ``hiero`` must not
-    mention UNK; ``generic`` machines are only structurally checked.
+    ``kind`` selects the contract, :func:`~latcomb.fst.contract_errors`,
+    which the machine keeps, so ``combine`` does not check it again; a
+    violation raises :class:`FormatError` with every message.
     """
     fst = Wfst(table, table)
     state_of: dict[int, int] = {}
@@ -137,7 +135,8 @@ def read_lattice(path: str, table: SymbolTable, kind: str = "generic") -> Wfst:
     for lineno, line in data_lines(path):
         fields = line.split()
         try:
-            ids = [int(f) for f in fields[: min(len(fields), 4)]]
+            # A final line's second field is its weight, not a state.
+            ids = [int(f) for f in fields[: 1 if len(fields) == 2 else 4]]
         except ValueError:
             raise FormatError(f"non-integer field in {line!r}", path, lineno) from None
         if len(fields) in (1, 2):
@@ -174,10 +173,10 @@ def read_lattice(path: str, table: SymbolTable, kind: str = "generic") -> Wfst:
 
     if not saw_line:
         raise FormatError("empty lattice file (no initial state)", path)
-    # Frozen first, so that the order validation sorts is kept for later searches.
-    report = validate(fst.freeze(), kind)
-    if not report.ok:
-        raise FormatError("; ".join(report.errors), path)
+    # Frozen first, so that the contract and the order it sorts are kept.
+    errors = contract_errors(fst.freeze(), kind)
+    if errors:
+        raise FormatError("; ".join(errors), path)
     return fst
 
 

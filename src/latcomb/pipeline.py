@@ -26,9 +26,9 @@ from typing import FrozenSet, Iterable, Sequence
 
 from .algorithms import PathWitness, nbest, prune_to_node_budget, replace
 from .editfst import build_unk_insertion_fst, edit_weight
-from .errors import ContractError, NoPathError
-from .fst import (EPSILON, UNK, Arc, Wfst, count_paths, dense_arcs, has_negative,
-                  lattice_violations, topological_order)
+from .errors import ContractError, NoPathError, check_count
+from .fst import (EPSILON, UNK, Arc, Wfst, contract_errors, count_paths, dense_arcs,
+                  has_negative, topological_order)
 from .semiring import (
     EDIT_COUNT,
     ONE,
@@ -74,10 +74,8 @@ class CombinationParams:
             raise ContractError(f"lambda_ins must be nonnegative, got {self.lambda_ins}")
         if self.lambda_nmt < 0.0 or self.lambda_hiero < 0.0:
             raise ContractError("lambda_nmt and lambda_hiero must be nonnegative")
-        if self.max_unk_run < 1:
-            raise ContractError(f"max_unk_run must be at least 1, got {self.max_unk_run}")
-        if self.hiero_node_budget < 1:
-            raise ContractError(f"hiero_node_budget must be at least 1, got {self.hiero_node_budget}")
+        check_count("max_unk_run", self.max_unk_run)
+        check_count("hiero_node_budget", self.hiero_node_budget)
         object.__setattr__(self, "nmt_vocab", frozenset(self.nmt_vocab))
         if UNK in self.nmt_vocab or EPSILON in self.nmt_vocab:
             raise ContractError("the NMT vocabulary must not contain the UNK or epsilon labels")
@@ -150,23 +148,19 @@ def _check_lattice(lattice: Wfst, kind: str) -> None:
     name = "NMT" if kind == "nmt" else kind
     if not lattice.frozen:
         raise ContractError(f"{name} lattice must be frozen")
-    if lattice.num_states == 0 or lattice.initial < 0 or lattice.num_finals == 0:
-        raise ContractError(f"{name} lattice is empty")
-    if topological_order(lattice) is None:
-        raise ContractError(f"{name} lattice must be acyclic")
-    problem = next(lattice_violations(lattice, kind), None)
-    if problem is not None:
-        raise ContractError(f"{name} lattice: {problem}")
+    errors = contract_errors(lattice, kind)
+    if errors:
+        raise ContractError(f"{name} lattice: {errors[0]}")
 
 
 def combine(nmt_lattice: Wfst, hiero_lattice: Wfst, params: CombinationParams,
             source_id: str = "") -> CombinationResult:
     """Run the full combination for one sentence pair.
 
-    Both lattices must be frozen, nonempty and acyclic, share a symbol
-    table, and follow the rule of :func:`~latcomb.fst.lattice_violations`
-    for their kind; anything else raises :class:`ContractError` before
-    the search.
+    Both lattices must be frozen, share a symbol table and hold to
+    :func:`~latcomb.fst.contract_errors` for their kind, which a frozen
+    machine keeps (a lattice ``read_lattice`` checked is not walked
+    again); anything else raises :class:`ContractError` before the search.
 
     Reading lattice scores as negative log-likelihoods gives the
     probabilistic view: exp(-total_cost) is the edit-similarity factor
@@ -237,11 +231,10 @@ def _best_alignment(nmt: Wfst, hiero: Wfst, nmt_vocab: FrozenSet[int],
     :func:`~latcomb.semiring.dense_times` and compared by
     :func:`~latcomb.semiring.search_key`, the order every search uses.
     Every feature of an aligned pair comes from one side, because
-    ``combine`` holds both lattices to the rule of
-    :func:`~latcomb.fst.lattice_violations`; so the cost and feature
-    vector are bit-identical to the shortest path of the composed
-    machine.  Raises :class:`NoPathError` when either machine accepts
-    nothing.
+    ``combine``'s contract check admits no foreign feature; so the cost
+    and feature vector are bit-identical to the shortest path of the
+    composed machine.  Raises :class:`NoPathError` when either machine
+    accepts nothing.
     """
     order_n = topological_order(nmt)
     order_h = topological_order(hiero)
@@ -413,6 +406,8 @@ def corpus_report(results: Sequence[CombinationResult], hiero_lattices: Sequence
         raise ContractError("corpus report needs at least one result")
     if len(results) != len(hiero_lattices):
         raise ContractError("need exactly one hiero lattice per result")
+    if len(set(n_values)) != len(n_values):
+        raise ContractError(f"each n may appear only once, got {list(n_values)}")
     total = len(results)
 
     def avg(getter) -> float:

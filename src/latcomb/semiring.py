@@ -93,10 +93,9 @@ class FeatureWeight:
     infinite: bool = False
 
     @classmethod
-    def from_features(cls, features: Mapping[int, float] | Iterable[tuple[int, float]]) -> "FeatureWeight":
-        items = features.items() if isinstance(features, Mapping) else features
+    def from_features(cls, features: Mapping[int, float]) -> "FeatureWeight":
         values = [0.0] * NUM_FEATURES
-        for fid, value in items:
+        for fid, value in features.items():
             if not isinstance(fid, int) or not (0 <= fid < NUM_FEATURES):
                 raise ContractError(f"feature id must be one of 0..{NUM_FEATURES - 1}, got {fid!r}")
             value = float(value)
@@ -127,7 +126,7 @@ ZERO = FeatureWeight(infinite=True)
 ONE = FeatureWeight()
 
 
-def weight(features: Mapping[int, float] | Iterable[tuple[int, float]]) -> FeatureWeight:
+def weight(features: Mapping[int, float]) -> FeatureWeight:
     """Shorthand for :meth:`FeatureWeight.from_features`."""
     return FeatureWeight.from_features(features)
 
@@ -219,8 +218,7 @@ def parse_weight(text: str) -> FeatureWeight:
         return ONE
     if text == "INF":
         return ZERO
-    seen: set[int] = set()
-    pairs: list[tuple[int, float]] = []
+    entries: dict[int, float] = {}
     for chunk in text.split(","):
         fid_text, sep, value_text = chunk.partition(":")
         if not sep:
@@ -230,11 +228,10 @@ def parse_weight(text: str) -> FeatureWeight:
             value = float(value_text)
         except ValueError:
             raise ValueError(f"malformed weight entry {chunk!r}") from None
-        if fid in seen:
+        if fid in entries:
             raise ValueError(f"duplicate feature id {fid} in weight")
-        seen.add(fid)
-        pairs.append((fid, value))
+        entries[fid] = value
     try:
-        return FeatureWeight.from_features(pairs)
+        return FeatureWeight.from_features(entries)
     except ContractError as exc:
         raise ValueError(str(exc)) from None

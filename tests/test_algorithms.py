@@ -203,6 +203,26 @@ def test_prune_rejects_cyclic():
         prune_to_node_budget(fst, 10, UNIT)
 
 
+def test_prune_rejects_non_integer_budget():
+    # A nan budget used to fail every comparison and keep only the 1-best.
+    syms = SymbolTable()
+    lattice = acceptor_from_sentences(syms, ["a b", "c d", "e f"], score_feature=1,
+                                      scores=[1.0, 2.0, 3.0])
+    for bad in (float("nan"), 2.5, 100.0, True):
+        with pytest.raises(ContractError):
+            prune_to_node_budget(lattice, bad, UNIT)
+
+
+def test_nbest_rejects_non_integer_n():
+    # n=2.5 used to return three paths.
+    syms = SymbolTable()
+    lattice = acceptor_from_sentences(syms, ["a", "b", "c"], score_feature=1,
+                                      scores=[1.0, 2.0, 3.0])
+    for bad in (2.5, 2.0, float("nan"), True):
+        with pytest.raises(ContractError):
+            nbest(lattice, bad, UNIT)
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 100_000))
 def test_prune_keeps_shortest_path(seed):

@@ -107,6 +107,18 @@ def test_params_negative_lambda(tmp_path):
     assert "nonnegative" in str(err.value)
 
 
+def test_params_integer_keys(tmp_path):
+    text = PARAMS_TEXT.replace("max_unk_run=3", "max_unk_run=3.0")
+    assert type(read_params(write(tmp_path / "p.cfg", text)).max_unk_run) is int
+    for key, bad in (("max_unk_run", "2.5"), ("max_unk_run", "inf"),
+                     ("hiero_node_budget", "nan"), ("hiero_node_budget", "0")):
+        text = "".join(line for line in PARAMS_TEXT.splitlines(keepends=True)
+                       if not line.startswith(key)) + f"{key}={bad}\n"
+        with pytest.raises(FormatError) as err:
+            read_params(write(tmp_path / "p.cfg", text))
+        assert key in str(err.value)
+
+
 def test_params_unknown_key(tmp_path):
     with pytest.raises(FormatError):
         read_params(write(tmp_path / "p.cfg", PARAMS_TEXT + "mystery=1\n"))
@@ -124,10 +136,11 @@ def symtab_file(tmp_path, syms):
 def test_lattice_chain_round_trip(tmp_path):
     syms = SymbolTable()
     a, b, c = syms.add("a"), syms.add("b"), syms.add("c")
-    text = f"0 1 {a} {a} 0:1.5\n1 2 {b} {b}\n2 3 {c} {c}\n3\n"
+    text = f"0 1 {a} {a} 0:1.5\n1 2 {b} {b}\n2 3 {c} {c}\n3 0:0.5\n"
     path = write(tmp_path / "chain.fst", text)
     fst = read_lattice(path, syms, kind="nmt")
     assert fst.num_states == 4
+    assert fst.final_weight(3) == weight({0: 0.5})
     assert fst.frozen
     out = tmp_path / "chain2.fst"
     write_lattice(fst, str(out))
@@ -425,6 +438,21 @@ def test_readme_scripts_run(tmp_path):
             assert expected in proc.stdout
 
 
+def test_readme_library_use_runs(worked_files, monkeypatch, capsys):
+    # README's "Library use" snippet, run where the worked example's files
+    # carry the names it uses.
+    import os
+    from pathlib import Path
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library use\n", 1)[1]
+    snippet = section.split("```python\n", 1)[1].split("```", 1)[0]
+    os.replace(worked_files["symtab"], worked_files["tmp"] / "words.sym")
+    monkeypatch.chdir(worked_files["tmp"])
+    exec(compile(snippet, "README.md", "exec"), {})
+    assert capsys.readouterr().out.startswith("die regionale Politik 3.0 EditStats(")
+
+
 def test_corpus_mode_and_stats(tmp_path, capsys):
     syms = SymbolTable()
     sentences = [
@@ -457,6 +485,10 @@ def test_corpus_mode_and_stats(tmp_path, capsys):
     report = dict(line.split("=", 1) for line in report_path.read_text().splitlines())
     assert report["num_sentences"] == "2"
     assert float(report["pct_exact_match"]) == 100.0
+    assert cli_main(["combine", "--nmt-lattice", str(nmt_dir), "--hiero-lattice", str(hiero_dir),
+                     "--vocab", vocab, "--params", params, "--symtab", symtab,
+                     "--report", str(report_path), "--nbest-ns", "10,1,10"]) == 2
+    assert "error:" in capsys.readouterr().err
 
     assert cli_main(["stats", "--nmt-dir", str(nmt_dir), "--hiero-dir", str(hiero_dir),
                      "--vocab", vocab, "--params", params, "--symtab", symtab,

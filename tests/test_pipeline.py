@@ -1,9 +1,12 @@
 import math
+import os
 import random
 import sys
+import tempfile
 from dataclasses import replace as dc_replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from latcomb import (
     EPSILON,
@@ -13,6 +16,8 @@ from latcomb import (
     CombinationParams,
     ContractError,
     EditStats,
+    FormatError,
+    NoPathError,
     SymbolTable,
     Wfst,
     combine,
@@ -21,9 +26,10 @@ from latcomb import (
     weight,
 )
 from latcomb import fst as fst_module
+from latcomb.fst import LATTICE_KINDS, contract_errors
 from latcomb.lattice_io import read_lattice, write_lattice
 from latcomb.pipeline import CombinationResult
-from latcomb.semiring import EDIT_COUNT, HIERO_SCORE, SUB_COUNT
+from latcomb.semiring import EDIT_COUNT, HIERO_SCORE, NMT_SCORE, SUB_COUNT
 
 from helpers import (
     acceptor_from_sentences,
@@ -73,17 +79,24 @@ def test_worked_example_lattice_construction():
 
 
 def test_combine_sorts_no_machine_twice(tmp_path):
+    # The order and the contract are both kept per frozen machine: the
+    # reader walks each lattice's contract once, combine and the report
+    # not again.
     sort = fst_module.topological_order.__wrapped__.__code__
+    walk = fst_module.contract_errors.__wrapped__.__code__
     sorted_machines = []
+    walked_machines = []
 
-    def count_sorts(frame, event, arg):
+    def count_calls(frame, event, arg):
         if event == "call" and frame.f_code is sort:
             sorted_machines.append(frame.f_locals["fst"])
+        elif event == "call" and frame.f_code is walk:
+            walked_machines.append(frame.f_locals["fst"])
 
     syms, nmt, hiero, params = worked_example()
     write_lattice(nmt, str(tmp_path / "nmt.fst"))
     write_lattice(hiero, str(tmp_path / "hiero.fst"))
-    sys.setprofile(count_sorts)
+    sys.setprofile(count_calls)
     try:
         nmt = read_lattice(str(tmp_path / "nmt.fst"), syms, kind="nmt")
         hiero = read_lattice(str(tmp_path / "hiero.fst"), syms, kind="hiero")
@@ -94,6 +107,7 @@ def test_combine_sorts_no_machine_twice(tmp_path):
         sys.setprofile(None)
     assert any(m is nmt for m in sorted_machines) and any(m is hiero for m in sorted_machines)
     assert len({id(m) for m in sorted_machines}) == len(sorted_machines)
+    assert [id(m) for m in walked_machines] == [id(nmt), id(hiero)]
 
 
 def test_identity_combination_is_exact_match():
@@ -131,10 +145,14 @@ def test_combine_rejects_empty_and_unk_in_hiero():
     params = CombinationParams()
     with pytest.raises(ContractError):
         combine(nmt, bad_hiero, params)
-    with pytest.raises(ContractError):
+    with pytest.raises(ContractError, match="^NMT lattice: no initial state$"):
         combine(empty, nmt, params)
-    with pytest.raises(ContractError):
+    with pytest.raises(ContractError, match="^hiero lattice: no initial state$"):
         combine(nmt, empty, params)
+    no_final = Wfst(syms, syms)
+    no_final.set_initial(no_final.add_state())
+    with pytest.raises(ContractError, match="^hiero lattice: no final state$"):
+        combine(nmt, no_final.freeze(), params)
 
     # Each lattice may carry only its own score, on acceptor arcs; the
     # check runs before the search.
@@ -154,6 +172,65 @@ def test_combine_rejects_empty_and_unk_in_hiero():
     for bad_nmt, bad_hiero in bad_pairs:
         with pytest.raises(ContractError):
             combine(bad_nmt, bad_hiero, params)
+
+
+def _contract_test_machine(rng, syms, score_feature):
+    """A small machine that may break the lattice contract: non-acceptor
+    arcs, UNK labels, foreign features, cycles, unreachable finals."""
+    words = [syms.add(w) for w in ("a", "b", "c")]
+    m = Wfst(syms, syms)
+    n = rng.randint(2, 4)
+    for _ in range(n):
+        m.add_state()
+    m.set_initial(0)
+
+    def features():
+        out = {score_feature: rng.uniform(0.0, 2.0)}
+        if rng.random() < 0.04:
+            out[rng.randrange(5)] = 1.0
+        return weight(out)
+
+    for k in range(rng.randint(1, 5)):
+        src = 0 if k == 0 else rng.randrange(n - 1)  # write_lattice needs an initial arc
+        dst = rng.randrange(n) if rng.random() < 0.05 else rng.randint(src + 1, n - 1)
+        il = rng.choice([EPSILON, UNK] + words) if rng.random() < 0.2 else rng.choice(words)
+        ol = il if rng.random() < 0.95 else rng.choice(words)
+        m.add_arc(src, Arc(il, ol, features(), dst))
+    for s in rng.sample(range(n), rng.randint(0, n)):
+        m.set_final(s, features() if rng.random() < 0.5 else ONE)
+    return m.freeze()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 100_000))
+def test_reader_and_combine_enforce_contract_errors(seed):
+    rng = random.Random(seed)
+    syms = SymbolTable()
+    nmt = _contract_test_machine(rng, syms, NMT_SCORE)
+    hiero = _contract_test_machine(rng, syms, HIERO_SCORE)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "m.fst")
+        for machine in (nmt, hiero):
+            write_lattice(machine, path)
+            for kind in LATTICE_KINDS:
+                try:
+                    read_lattice(path, syms, kind=kind)
+                except FormatError:
+                    assert contract_errors(machine, kind)
+                else:
+                    assert not contract_errors(machine, kind)
+
+    nmt_errors, hiero_errors = contract_errors(nmt, "nmt"), contract_errors(hiero, "hiero")
+    expected = (f"NMT lattice: {nmt_errors[0]}" if nmt_errors else
+                f"hiero lattice: {hiero_errors[0]}" if hiero_errors else None)
+    try:
+        combine(nmt, hiero, CombinationParams())
+        raised = None
+    except NoPathError:
+        raised = None
+    except ContractError as exc:
+        raised = str(exc)
+    assert raised == expected
 
 
 def test_combine_warns_on_large_nmt_lattice():
@@ -183,6 +260,15 @@ def test_params_validation():
     for bad in (math.nan, math.inf):
         with pytest.raises(ContractError):
             CombinationParams(lambda_nmt=bad)
+
+
+def test_params_counts_must_be_integers():
+    # max_unk_run=2.5 used to pass and make combine raise TypeError;
+    # hiero_node_budget=nan passed and pruned to the hiero 1-best.
+    for name in ("max_unk_run", "hiero_node_budget"):
+        for bad in (2.5, 3.0, math.inf, math.nan, True, "3"):
+            with pytest.raises(ContractError):
+                CombinationParams(**{name: bad})
 
 
 def test_combine_matches_oracle_on_random_instances():
@@ -318,8 +404,20 @@ def test_corpus_report_equals_separate_searches_per_n():
 
 
 def test_corpus_report_requires_matching_lengths():
+    _, nmt, hiero, params = worked_example()
+    result = combine(nmt, hiero, params)
+    for results, lattices in (([], []), ([result], []), ([result, result], [hiero]),
+                              ([result], [hiero, hiero])):
+        with pytest.raises(ContractError):
+            corpus_report(results, lattices, n_values=(1,))
+
+
+def test_corpus_report_rejects_repeated_n():
+    # A repeated n used to add its hits once per repeat: 200% for (10, 1, 10).
+    _, nmt, hiero, params = worked_example()
+    result = combine(nmt, hiero, params)
     with pytest.raises(ContractError):
-        corpus_report([], [], n_values=(1,))
+        corpus_report([result], [hiero], n_values=(10, 1, 10))
 
 
 def test_hiero_node_budget_restricts_candidates():
