@@ -120,6 +120,8 @@ def _parse_ns(text: str) -> list[int]:
         raise ContractError(f"--nbest-ns must be comma-separated integers, got {text!r}") from None
     if not values or any(v < 1 for v in values):
         raise ContractError("--nbest-ns values must be positive")
+    if len(set(values)) != len(values):
+        raise ContractError(f"each n may appear only once, got {values}")
     return values
 
 
@@ -144,6 +146,7 @@ def _cmd_combine(args) -> int:
     if os.path.isdir(args.nmt_lattice):
         if not os.path.isdir(args.hiero_lattice):
             raise ContractError("--nmt-lattice is a directory, so --hiero-lattice must be one too")
+        n_values = _parse_ns(args.nbest_ns) if args.report else ()
         results = []
         hiero_lattices = []
         for result, hiero in _combine_corpus(args.nmt_lattice, args.hiero_lattice, table, params):
@@ -151,7 +154,7 @@ def _cmd_combine(args) -> int:
             hiero_lattices.append(hiero)
             print(f"{result.source_id}\t{' '.join(result.t_comb)}")
         if args.report:
-            report = pipeline.corpus_report(results, hiero_lattices, _parse_ns(args.nbest_ns))
+            report = pipeline.corpus_report(results, hiero_lattices, n_values)
             lattice_io.write_report_lines(report.to_key_value_lines(), args.report)
         return 0
 
@@ -243,10 +246,11 @@ def _cmd_prune(args) -> int:
 
 
 def _cmd_stats(args) -> int:
+    n_values = _parse_ns(args.nbest_ns)
     table, params = _load_combination_inputs(args)
     # paired_corpus_files raises on an empty directory, so there is a pair.
     results, hiero_lattices = zip(*_combine_corpus(args.nmt_dir, args.hiero_dir, table, params))
-    report = pipeline.corpus_report(results, hiero_lattices, _parse_ns(args.nbest_ns))
+    report = pipeline.corpus_report(results, hiero_lattices, n_values)
     lines = report.to_tsv_lines()
     if args.output:
         lattice_io.write_report_lines(lines, args.output)

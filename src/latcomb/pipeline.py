@@ -20,6 +20,9 @@ the alphabet size.  Per-sentence combinations are independent.
 
 from __future__ import annotations
 
+import functools
+import math
+import sys
 import warnings
 from dataclasses import dataclass, field, replace as dc_replace
 from typing import FrozenSet, Iterable, Sequence
@@ -30,6 +33,7 @@ from .errors import ContractError, NoPathError, check_count
 from .fst import (EPSILON, UNK, Arc, Wfst, contract_errors, count_paths, dense_arcs,
                   has_negative, topological_order)
 from .semiring import (
+    CANONICAL_EPS,
     EDIT_COUNT,
     ONE,
     SUB_COUNT,
@@ -180,7 +184,12 @@ def combine(nmt_lattice: Wfst, hiero_lattice: Wfst, params: CombinationParams,
     key wins.  For example, NMT ``UNK die`` against hiero ``die`` (``die``
     out of vocabulary) ties deleting the UNK with filling it and deleting
     ``die``; the deletion of the UNK is found first, so ``t_comb`` is
-    ``die``.
+    ``die``.  The pass skips moves whose float cost estimate exceeds the
+    target cell's cost by more than a rounding slack; that leaves the rule
+    unchanged, because such a move's exact key is strictly larger than
+    the cell's current key, so it could not have taken the cell, and the
+    moves that are not skipped are tried in the same order with the same
+    strict comparison.
     """
     _check_lattice(nmt_lattice, "nmt")
     _check_lattice(hiero_lattice, "hiero")
@@ -235,6 +244,28 @@ def _best_alignment(nmt: Wfst, hiero: Wfst, nmt_vocab: FrozenSet[int],
     and feature vector are bit-identical to the shortest path of the
     composed machine.  Raises :class:`NoPathError` when either machine
     accepts nothing.
+
+    Most moves lose, so each is first screened by a float estimate: the
+    source cell's cost plus the costs of the arc and edit weights the
+    move adds, which are kept with the move.  Only a move whose estimate
+    is at most the target cell's cost plus ``slack`` builds its value
+    vector and exact key; the exact strict ``<`` on keys then decides,
+    so the screen changes no result.
+
+    Why a skipped move cannot win: let ``mass`` be sum_k |p_k| times the
+    total magnitude of feature k over everything one path can add up
+    (every arc and final weight of both machines, plus one edit count per
+    move).  Every vector the pass holds is a sum along one path, so every
+    term the estimate and the exact cost add has magnitude at most
+    ``mass``.  Over the reals the two are the same sum; in floats each
+    takes a dozen or so roundings of relative size 2**-53, and the exact
+    vector may also zero entries below CANONICAL_EPS.  Their gap is
+    therefore far below ``slack = 1e-9 * mass + CANONICAL_EPS * sum_k
+    |p_k|`` (plus the smallest normal float, against underflow), however
+    much large positive and negative scores cancel.  So a skipped move's
+    exact cost exceeds the target's cost, and its key is not smaller.  A
+    NaN estimate is never skipped, and when ``mass`` nears the float
+    range the slack is infinite.
     """
     order_n = topological_order(nmt)
     order_h = topological_order(hiero)
@@ -246,41 +277,48 @@ def _best_alignment(nmt: Wfst, hiero: Wfst, nmt_vocab: FrozenSet[int],
     for j, s in enumerate(order_h):
         pos_h[s] = j
     width = len(order_h)
+    key = search_key(params)
 
-    # Edit weight values by NMT label, then hiero label, filled on demand.
-    typed: dict[int, dict[int, tuple[float, ...]]] = {}
+    def cost(v: Dense) -> float:
+        return key(v)[0]
 
-    def edit_dense(x: int, y: int) -> tuple[float, ...]:
-        row = typed.setdefault(x, {})
-        e = row.get(y)
-        if e is None:
-            e = row[y] = edit_weight(nmt_vocab, x, y).values
-        return e
+    # Edit weights as (values, cost).  Edit typing yields a few distinct
+    # weights, so each one's cost is computed once, by its values; the
+    # pairs are kept by NMT label, then hiero label, filled on demand.
+    scored = functools.cache(lambda v: (v, cost(v)))
+    typed: dict[int, dict[int, tuple[Dense, float]]] = {}
 
     # Moves per topological position: (arc, label matched, target, arc
-    # weight values, values of deleting / inserting the label), and
-    # for NMT moves the label's row of ``typed``.
-    nmt_moves = [[(arc, arc.olabel, pos_n[t] * width, w,
-                   None if arc.olabel == EPSILON else edit_dense(arc.olabel, EPSILON),
+    # values, arc cost, values and cost of deleting / inserting the label),
+    # and for NMT moves the label's row of ``typed``.  An epsilon arc
+    # advances alone: its edit weight is ONE.
+    nmt_moves = [[(arc, arc.olabel, pos_n[t] * width, w, cost(w),
+                   *scored(edit_weight(nmt_vocab, arc.olabel, EPSILON).values),
                    typed.setdefault(arc.olabel, {}))
                   for t, w, arc in dense_arcs(nmt)[s]] for s in order_n]
-    hiero_moves = [[(arc, arc.ilabel, pos_h[t], w,
-                     None if arc.ilabel == EPSILON else edit_dense(EPSILON, arc.ilabel))
+    hiero_moves = [[(arc, arc.ilabel, pos_h[t], w, cost(w),
+                     *scored(edit_weight(nmt_vocab, EPSILON, arc.ilabel).values))
                     for t, w, arc in dense_arcs(hiero)[s]] for s in order_h]
     hiero_pairs = [[move for move in moves if move[1] != EPSILON] for moves in hiero_moves]
 
-    signed = has_negative(nmt) or has_negative(hiero)
-    key = search_key(params)
-    size = len(order_n) * width
-    keys: list[Key | None] = [None] * (size + 1)
-    back: list[tuple[int, Arc | None, Arc | None] | None] = [None] * (size + 1)
+    # The screen's slack, from the weights' magnitudes (see the docstring).
+    absp = [abs(p) for p in params.as_tuple()]
+    totals = [sum(map(abs, column)) for column in zip(
+        *[w for m in (nmt, hiero) for row in dense_arcs(m) for _, w, _ in row],
+        *[fw.values for m in (nmt, hiero) for _, fw in m.finals()])]
+    totals[EDIT_COUNT] += nmt.num_states + hiero.num_states
+    totals[SUB_COUNT] += nmt.num_states + hiero.num_states
+    mass = sum(p * v for p, v in zip(absp, totals))
+    slack = math.inf
+    if mass < 1e300:
+        slack = 1e-9 * mass + CANONICAL_EPS * sum(absp) + sys.float_info.min
 
-    def relax(t: int, cand: Dense, src: int, a: Arc | None, h: Arc | None) -> None:
-        k = key(cand)
-        old = keys[t]
-        if old is None or k < old:
-            keys[t] = k
-            back[t] = (src, a, h)
+    signed = has_negative(nmt) or has_negative(hiero)
+    size = len(order_n) * width
+    keys: list[Key | None] = [None] * size
+    # A cell's cost plus slack; a move whose estimate exceeds it cannot win.
+    bound = [math.inf] * size
+    back: list[tuple[int, Arc | None, Arc | None] | None] = [None] * size
 
     # Three-term sums zero entries once, at the end (inner signed=False):
     # with each feature coming from one side, that equals zeroing after
@@ -295,27 +333,44 @@ def _best_alignment(nmt: Wfst, hiero: Wfst, nmt_vocab: FrozenSet[int],
             kc = keys[c]
             if kc is None:
                 continue
-            d = kc[1]
-            for a, x, t_base, w_a, w_del, row in moves_n:
+            cost_c, d = kc
+            for a, x, t_base, w_a, s_a, w_del, s_del, row in moves_n:
+                est_a = cost_c + s_a
+                t = t_base + j
+                dn = None
+                if not est_a + s_del > bound[t]:
+                    dn = dense_times(d, w_a, False)
+                    k = key(dense_times(dn, w_del, signed))
+                    old = keys[t]
+                    if old is None or k < old:
+                        keys[t], bound[t], back[t] = k, k[0] + slack, (c, a, None)
                 if x == EPSILON:
-                    relax(t_base + j, dense_times(d, w_a, signed), c, a, None)
                     continue
-                dn = dense_times(d, w_a, False)
-                relax(t_base + j, dense_times(dn, w_del, signed), c, a, None)
-                for h, y, t_j, w_h, _ in hiero_pairs[j]:
+                for h, y, t_j, w_h, s_h, _, _ in hiero_pairs[j]:
                     e = row.get(y)
                     if e is None:
-                        e = edit_dense(x, y)
-                    relax(t_base + t_j, dense_times(dense_times(dn, e, False), w_h, signed), c, a, h)
-            for h, y, t_j, w_h, w_ins in hiero_moves[j]:
-                if y != EPSILON:
-                    cand = dense_times(dense_times(d, w_ins, False), w_h, signed)
-                else:
-                    cand = dense_times(d, w_h, signed)
-                relax(base + t_j, cand, c, None, h)
+                        e = row[y] = scored(edit_weight(nmt_vocab, x, y).values)
+                    t = t_base + t_j
+                    if est_a + e[1] + s_h > bound[t]:
+                        continue
+                    if dn is None:
+                        dn = dense_times(d, w_a, False)
+                    k = key(dense_times(dense_times(dn, e[0], False), w_h, signed))
+                    old = keys[t]
+                    if old is None or k < old:
+                        keys[t], bound[t], back[t] = k, k[0] + slack, (c, a, h)
+            for h, y, t_j, w_h, s_h, w_ins, s_ins in hiero_moves[j]:
+                t = base + t_j
+                if cost_c + s_ins + s_h > bound[t]:
+                    continue
+                k = key(dense_times(dense_times(d, w_ins, False), w_h, signed))
+                old = keys[t]
+                if old is None or k < old:
+                    keys[t], bound[t], back[t] = k, k[0] + slack, (c, None, h)
 
-    # Acceptance is one more cell, relaxed from the final cells in order.
-    accept = size
+    # Acceptance: the final cells in visiting order, first smallest key wins.
+    best: Key | None = None
+    accepted = start
     for i in sorted(pos_n[s] for s, _ in nmt.finals()):
         fw_n = nmt.final_weight(order_n[i]).values
         for j in sorted(pos_h[s] for s, _ in hiero.finals()):
@@ -323,13 +378,14 @@ def _best_alignment(nmt: Wfst, hiero: Wfst, nmt_vocab: FrozenSet[int],
             kc = keys[c]
             if kc is not None:
                 fw_h = hiero.final_weight(order_h[j]).values
-                relax(accept, dense_times(dense_times(kc[1], fw_n, False), fw_h, signed), c, None, None)
-    best = keys[accept]
+                k = key(dense_times(dense_times(kc[1], fw_n, False), fw_h, signed))
+                if best is None or k < best:
+                    best, accepted = k, c
     if best is None:
         raise NoPathError("no path from the initial state to a final state")
 
     # Rebuild the path with the weights the composed machine's arcs carry.
-    c = back[accept][0]
+    c = accepted
     final_weight = times(nmt.final_weight(order_n[c // width]),
                          hiero.final_weight(order_h[c % width]))
     arcs: list[Arc] = []

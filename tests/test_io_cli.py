@@ -453,7 +453,8 @@ def test_readme_library_use_runs(worked_files, monkeypatch, capsys):
     assert capsys.readouterr().out.startswith("die regionale Politik 3.0 EditStats(")
 
 
-def test_corpus_mode_and_stats(tmp_path, capsys):
+def write_corpus(tmp_path):
+    """Two sentence pairs as lattice directories; returns the CLI's file arguments."""
     syms = SymbolTable()
     sentences = [
         ("die UNK Politik", ["die regionale Politik"]),
@@ -472,7 +473,11 @@ def test_corpus_mode_and_stats(tmp_path, capsys):
     symtab = symtab_file(tmp_path, syms)
     vocab = write(tmp_path / "vocab.txt", "die\nPolitik\nder\nplan\n")
     params = write(tmp_path / "params.cfg", PARAMS_TEXT)
+    return nmt_dir, hiero_dir, vocab, params, symtab
 
+
+def test_corpus_mode_and_stats(tmp_path, capsys):
+    nmt_dir, hiero_dir, vocab, params, symtab = write_corpus(tmp_path)
     pairs = paired_corpus_files(str(nmt_dir), str(hiero_dir))
     assert [stem for stem, _, _ in pairs] == ["0000", "0001"]
 
@@ -498,3 +503,26 @@ def test_corpus_mode_and_stats(tmp_path, capsys):
     rows = {line.split("\t")[0]: line.split("\t")[1:] for line in tsv[1:]}
     assert rows["unk_extensions"] == ["0", "0"]
     assert rows["hiero_in_1best"][1] == "100"
+
+
+@pytest.mark.parametrize("ns, message", [
+    ("10,1,10", "each n may appear only once, got [10, 1, 10]"),
+    ("1,x", "--nbest-ns must be comma-separated integers, got '1,x'"),
+    ("0,5", "--nbest-ns values must be positive"),
+])
+def test_bad_nbest_ns_is_rejected_before_any_sentence(tmp_path, capsys, monkeypatch, ns, message):
+    from latcomb import pipeline
+
+    nmt_dir, hiero_dir, vocab, params, symtab = write_corpus(tmp_path)
+    calls = []
+    monkeypatch.setattr(pipeline, "combine", lambda *args, **kwargs: calls.append(args))
+    common = ["--vocab", vocab, "--params", params, "--symtab", symtab, "--nbest-ns", ns]
+    assert cli_main(["combine", "--nmt-lattice", str(nmt_dir), "--hiero-lattice", str(hiero_dir),
+                     "--report", str(tmp_path / "report.txt"), *common]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {message}\n"
+    assert cli_main(["stats", "--nmt-dir", str(nmt_dir), "--hiero-dir", str(hiero_dir),
+                     *common]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {message}\n"
+    assert calls == [] and not (tmp_path / "report.txt").exists()
