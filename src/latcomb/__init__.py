@@ -15,14 +15,13 @@ from .algorithms import (
     connect,
     nbest,
     prune_to_node_budget,
-    replace,
     shortest_path,
 )
 from .editfst import (
     build_modified_edit_fst,
     build_standard_edit_fst,
-    build_unk_insertion_fst,
     edit_weight,
+    expand_unk_runs,
 )
 from .errors import ContractError, FormatError, LatcombError, NoPathError
 from .fst import (

@@ -1,4 +1,4 @@
-"""Generic WFST algorithms: composition, splicing, search, pruning.
+"""Generic WFST algorithms: composition, search, pruning.
 
 All functions take frozen machines and return frozen machines (or path
 witnesses); nothing here mutates its inputs, so sentence-level work can
@@ -209,46 +209,6 @@ def compose(t1: Wfst, t2: Wfst) -> Wfst:
                 out.add_arc(src, Arc(EPSILON, a2.olabel, a2.weight, dst))
 
     return connect(out.freeze())
-
-
-def replace(root: Wfst, label: int, sub: Wfst) -> Wfst:
-    """Splice a copy of ``sub`` over every root arc labeled ``label``:``label``.
-
-    The replaced arc's weight moves onto the entry of the spliced copy;
-    entry and exit are epsilon arcs, which downstream composition filters
-    handle.  Arcs with other labels are kept as they are.
-    """
-    _check_frozen(root, sub)
-    if label == EPSILON:
-        raise ContractError("cannot replace the epsilon label")
-    if sub.initial == NO_STATE:
-        raise ContractError("substituted machine needs an initial state")
-    if sub.num_finals == 0:
-        raise ContractError("substituted machine needs at least one final state")
-
-    out = Wfst(root.isyms, root.osyms)
-    for _ in root.states():
-        out.add_state()
-    out.set_initial(root.initial)
-    for s, w in root.finals():
-        out.set_final(s, w)
-
-    for s in root.states():
-        for arc in root.arcs(s):
-            if arc.ilabel == label and arc.olabel == label:
-                offset = out.num_states
-                for _ in sub.states():
-                    out.add_state()
-                out.add_arc(s, Arc(EPSILON, EPSILON, arc.weight, offset + sub.initial))
-                for q in sub.states():
-                    for sarc in sub.arcs(q):
-                        out.add_arc(offset + q, Arc(sarc.ilabel, sarc.olabel, sarc.weight,
-                                                    offset + sarc.target))
-                for q, fw in sub.finals():
-                    out.add_arc(offset + q, Arc(EPSILON, EPSILON, fw, arc.target))
-            else:
-                out.add_arc(s, arc)
-    return out.freeze()
 
 
 def _check_searchable(fst: Wfst, params: ParamVector) -> None:

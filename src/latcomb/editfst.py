@@ -1,4 +1,4 @@
-"""Edit typing, the edit-distance flower automata and the UNK run expander.
+"""Edit typing, the edit-distance flower automata and the UNK run expansion.
 
 The standard flower charges one edit count for every substitution,
 insertion, and deletion.  The modified flower distinguishes three kinds
@@ -18,13 +18,18 @@ kind has its own counter, an alignment's weight counts its edits of each
 kind; ``pipeline.combine`` reads its edit statistics from there.  The
 flowers are the reference construction (``latcomb build-edit-fst``);
 ``pipeline.combine`` aligns the two lattices directly without them.
+
+:func:`expand_unk_runs` lets one NMT UNK stand for a run of up to
+``max_unk_run`` tokens, with one UNK path per run length next to each
+UNK arc and no epsilon arc, so the direct alignment and the flower
+chain both read a run as ordinary arcs.
 """
 
 from __future__ import annotations
 
 from typing import AbstractSet
 
-from .errors import ContractError
+from .errors import ContractError, check_count
 from .fst import EPSILON, UNK, Arc, SymbolTable, Wfst
 from .semiring import EDIT_COUNT, ONE, SUB_COUNT, UNK_EXT_COUNT, FeatureWeight
 
@@ -105,21 +110,35 @@ def build_modified_edit_fst(alphabet: AbstractSet[int], nmt_vocab: AbstractSet[i
     return fst.freeze()
 
 
-def build_unk_insertion_fst(max_run: int, symbols: SymbolTable) -> Wfst:
-    """Chain accepting 1..``max_run`` UNK tokens.
+def expand_unk_runs(nmt: Wfst, max_run: int) -> Wfst:
+    """Copy of ``nmt`` in which every UNK arc also stands for a run of
+    up to ``max_run`` UNK tokens.
 
-    The first UNK is free; each further UNK carries one ``unk_ext_count``.
-    Splicing this over the UNK arcs of an NMT lattice lets a single
-    placeholder stand for a short run of them.
+    Next to each UNK arc s -> t of weight w come ``max_run - 1`` new
+    states r1..r(m-1), numbered after the lattice's own, with the arcs
+    s -> r1 (weight w) right after the UNK arc, then out of each r(k) the
+    arc to r(k+1) and the arc to t, each carrying one ``unk_ext_count``.
+    So a run of k tokens is exactly one path s -> t of weight w plus
+    k - 1 extensions, and no epsilon arc is added.
     """
-    if max_run < 1:
-        raise ContractError(f"max_run must be at least 1, got {max_run}")
-    fst = Wfst(symbols, symbols)
-    states = [fst.add_state() for _ in range(max_run + 1)]
-    fst.set_initial(states[0])
-    fst.add_arc(states[0], Arc(UNK, UNK, ONE, states[1]))
-    for i in range(1, max_run):
-        fst.add_arc(states[i], Arc(UNK, UNK, _EXT_ONE, states[i + 1]))
-    for i in range(1, max_run + 1):
-        fst.set_final(states[i], ONE)
-    return fst.freeze()
+    check_count("max_run", max_run)
+    out = Wfst(nmt.isyms, nmt.osyms)
+    for _ in nmt.states():
+        out.add_state()
+    out.set_initial(nmt.initial)
+    for s, w in nmt.finals():
+        out.set_final(s, w)
+    for s in nmt.states():
+        for arc in nmt.arcs(s):
+            out.add_arc(s, arc)
+            if arc.ilabel != UNK or arc.olabel != UNK or max_run == 1:
+                continue
+            run = out.add_state()
+            out.add_arc(s, Arc(UNK, UNK, arc.weight, run))
+            for _ in range(max_run - 2):
+                nxt = out.add_state()
+                out.add_arc(run, Arc(UNK, UNK, _EXT_ONE, nxt))
+                out.add_arc(run, Arc(UNK, UNK, _EXT_ONE, arc.target))
+                run = nxt
+            out.add_arc(run, Arc(UNK, UNK, _EXT_ONE, arc.target))
+    return out.freeze()

@@ -139,7 +139,7 @@ def _plain_typed_dp(x: Sequence[str], y: Sequence[str], vocab: Collection[str],
 def _expansions(x: Sequence[str], max_unk_run: int, unk_token: str):
     """Every run-length expansion of x's UNK tokens, with its extra-copy count.
 
-    Mirrors splicing the run expander over the UNK arcs: each UNK becomes
+    Mirrors :func:`latcomb.editfst.expand_unk_runs`: each UNK becomes
     1..max_unk_run copies, each extra copy costing one extension.
     """
     unk_positions = [i for i, tok in enumerate(x) if tok == unk_token]

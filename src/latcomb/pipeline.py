@@ -1,13 +1,13 @@
 """End-to-end combination of an NMT lattice with a hiero lattice.
 
-The steps: prune the hiero lattice to a node budget, splice the UNK run
-expander over the NMT lattice's UNK arcs, find the cheapest typed-edit
-alignment of an NMT path with a hiero path, and read the combined
-translation off that alignment (NMT words, with each UNK replaced by its
-aligned hiero words).  The edit statistics are the count features of the
-alignment's weight.  The selected pair of hypotheses minimizes typed
-edit distance plus the scaled model scores over all pairs the two
-lattices offer.
+The steps: prune the hiero lattice to a node budget, expand each UNK
+arc of the NMT lattice into the runs it may stand for, find the
+cheapest typed-edit alignment of an NMT path with a hiero path, and
+read the combined translation off that alignment (NMT words, with
+each UNK replaced by its aligned hiero words).  The edit statistics
+are the count features of the alignment's weight.  The selected pair
+of hypotheses minimizes typed edit distance plus the scaled model
+scores over all pairs the two lattices offer.
 
 The alignment is one shortest-distance pass over pairs of lattice
 states (Mohri, "Edit-Distance of Weighted Automata", 2003).  It finds
@@ -27,8 +27,8 @@ import warnings
 from dataclasses import dataclass, field, replace as dc_replace
 from typing import FrozenSet, Iterable, Sequence
 
-from .algorithms import PathWitness, nbest, prune_to_node_budget, replace
-from .editfst import build_unk_insertion_fst, edit_weight
+from .algorithms import PathWitness, nbest, prune_to_node_budget
+from .editfst import edit_weight, expand_unk_runs
 from .errors import ContractError, NoPathError, check_count
 from .fst import (EPSILON, UNK, Arc, Wfst, contract_errors, count_paths, dense_arcs,
                   has_negative, topological_order)
@@ -181,7 +181,13 @@ def combine(nmt_lattice: Wfst, hiero_lattice: Wfst, params: CombinationParams,
     arc order (an epsilon arc advances alone; any other arc is
     inserted); a cell takes a new value only on a strictly smaller key,
     and among final cells the first in visiting order with the smallest
-    key wins.  For example, NMT ``UNK die`` against hiero ``die`` (``die``
+    key wins.  The extended NMT machine is
+    :func:`~latcomb.editfst.expand_unk_runs` of the lattice: the
+    lattice's states keep their ids, each UNK arc is followed, in its
+    state's arc order, by the first arc of its run chain, and the run
+    states are numbered after the lattice's states; the topological
+    positions are those of :func:`~latcomb.fst.topological_order` on that
+    machine.  For example, NMT ``UNK die`` against hiero ``die`` (``die``
     out of vocabulary) ties deleting the UNK with filling it and deleting
     ``die``; the deletion of the UNK is found first, so ``t_comb`` is
     ``die``.  The pass skips moves whose float cost estimate exceeds the
@@ -202,8 +208,7 @@ def combine(nmt_lattice: Wfst, hiero_lattice: Wfst, params: CombinationParams,
                       f"for small sets (<= {NMT_PATHS_SOFT_LIMIT})", stacklevel=2)
 
     pruned_hiero = prune_to_node_budget(hiero_lattice, params.hiero_node_budget, HIERO_ONLY)
-    run_fst = build_unk_insertion_fst(params.max_unk_run, nmt_lattice.isyms)
-    extended_nmt = replace(nmt_lattice, UNK, run_fst)
+    extended_nmt = expand_unk_runs(nmt_lattice, params.max_unk_run)
 
     path = _best_alignment(extended_nmt, pruned_hiero, params.nmt_vocab,
                            params.as_param_vector())

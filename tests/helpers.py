@@ -160,17 +160,16 @@ def flower_combine(nmt: Wfst, hiero: Wfst, params):
         CombinationResult,
         EditStats,
         build_modified_edit_fst,
-        build_unk_insertion_fst,
         compose,
+        expand_unk_runs,
         prune_to_node_budget,
-        replace,
         shortest_path,
     )
     from latcomb.pipeline import HIERO_ONLY
     from latcomb.semiring import EDIT_COUNT, SUB_COUNT, UNK_EXT_COUNT
 
     pruned = prune_to_node_budget(hiero, params.hiero_node_budget, HIERO_ONLY)
-    extended = replace(nmt, UNK, build_unk_insertion_fst(params.max_unk_run, nmt.isyms))
+    extended = expand_unk_runs(nmt, params.max_unk_run)
     flower = build_modified_edit_fst(nmt.all_labels() | pruned.all_labels(), params.nmt_vocab,
                                      nmt.isyms)
     path = shortest_path(compose(compose(extended, flower), pruned), params.as_param_vector())

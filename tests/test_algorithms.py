@@ -7,6 +7,7 @@ from latcomb import (
     EPSILON,
     ONE,
     UNK,
+    ZERO,
     Arc,
     ContractError,
     NoPathError,
@@ -17,17 +18,16 @@ from latcomb import (
     linear_chain,
     nbest,
     prune_to_node_budget,
-    replace,
     shortest_path,
     weight,
 )
 from latcomb.algorithms import PathWitness
-from latcomb.editfst import build_unk_insertion_fst
+from latcomb.editfst import expand_unk_runs
 from latcomb.oracle import enumerate_paths
 from latcomb.semiring import scalarize
 
-from helpers import (acceptor_from_sentences, grid_params, grid_weight, path_signature,
-                     random_dag_lattice)
+from helpers import (acceptor_from_sentences, dyadic, grid_params, grid_weight,
+                     path_signature, random_dag_lattice)
 
 UNIT = ParamVector(1.0, 1.0, 1.0, 1.0, 1.0)
 
@@ -286,52 +286,136 @@ def test_projection_unk_deleted_contributes_nothing():
     assert [syms.word(l) for l in path.unk_filled_labels()] == ["a", "b"]
 
 
+# UNK run expansion: every UNK arc replaced by the runs it stands for.
+
+
 def test_replace_without_matches_is_isomorphic():
     syms = SymbolTable()
     root = acceptor_from_sentences(syms, ["der plan steht"], score_feature=0, scores=[1.0])
-    sub = build_unk_insertion_fst(3, syms)
-    out = replace(root, UNK, sub)
+    out = expand_unk_runs(root, 3)
     assert path_signature(out, UNIT) == path_signature(root, UNIT)
 
 
 def test_replace_expands_unk_runs():
     syms = SymbolTable()
-    root = acceptor_from_sentences(syms, ["x UNK y"], score_feature=0, scores=[1.0])
-    sub = build_unk_insertion_fst(3, syms)
-    out = replace(root, UNK, sub)
-    paths = enumerate_paths(out, UNIT)
-    by_tokens = {p.tokens: dict(p.features) for p in paths}
-    assert set(by_tokens) == {
-        ("x", "UNK", "y"),
-        ("x", "UNK", "UNK", "y"),
-        ("x", "UNK", "UNK", "UNK", "y"),
-    }
-    assert by_tokens[("x", "UNK", "y")].get(4, 0.0) == 0.0
-    assert by_tokens[("x", "UNK", "UNK", "y")][4] == 1.0
-    assert by_tokens[("x", "UNK", "UNK", "UNK", "y")][4] == 2.0
-    # The replaced arc's lattice score survives on every alternative.
-    assert all(f.get(0) == 1.0 for f in by_tokens.values())
+    x, y = syms.add("x"), syms.add("y")
+    root = linear_chain([x, UNK, y], syms, [weight({0: 1.0}), weight({0: 0.75}), ONE])
+    out = expand_unk_runs(root, 3)
+    for ext in (0.0, 1.0, 2.0):
+        paths = enumerate_paths(out, ParamVector(1.0, 1.0, 1.0, 1.0, ext))
+        by_tokens = {p.tokens: p for p in paths}
+        assert set(by_tokens) == {
+            ("x", "UNK", "y"),
+            ("x", "UNK", "UNK", "y"),
+            ("x", "UNK", "UNK", "UNK", "y"),
+        }
+        for k in (1, 2, 3):
+            p = by_tokens[("x",) + ("UNK",) * k + ("y",)]
+            # The UNK arc's score is on every run; each extra copy adds one extension.
+            assert p.feature(0) == 1.75
+            assert p.feature(4) == k - 1
+            assert p.score == 1.75 + (k - 1) * ext
 
 
 def test_replace_max_run_one_is_identity():
     syms = SymbolTable()
     root = acceptor_from_sentences(syms, ["x UNK y", "x y"], score_feature=0, scores=[1.0, 2.0])
-    out = replace(root, UNK, build_unk_insertion_fst(1, syms))
+    out = expand_unk_runs(root, 1)
     assert path_signature(out, UNIT) == path_signature(root, UNIT)
 
 
 def test_replace_path_count_grows_exponentially_with_unks():
     syms = SymbolTable()
     root = acceptor_from_sentences(syms, ["UNK a UNK"])
-    out = replace(root, UNK, build_unk_insertion_fst(3, syms))
+    out = expand_unk_runs(root, 3)
     assert count_paths(out) == 9  # 3 run lengths per UNK arc
 
 
-def test_replace_rejects_epsilon_label():
+@pytest.mark.parametrize("max_run", [0, 2.5, True])
+def test_expand_unk_runs_rejects_bad_max_run(max_run):
     syms = SymbolTable()
-    root = acceptor_from_sentences(syms, ["a"])
-    with pytest.raises(ContractError):
-        replace(root, EPSILON, build_unk_insertion_fst(1, syms))
+    root = acceptor_from_sentences(syms, ["UNK a"])
+    with pytest.raises(ContractError, match="max_run"):
+        expand_unk_runs(root, max_run)
+
+
+def _unk_rich_lattice(rng, syms):
+    """Random acyclic NMT lattice with several UNK arcs, parallel UNK arcs,
+    UNK arcs out of the initial state and into a final state, epsilon arcs,
+    ZERO arcs and signed scores."""
+    words = [syms.add(w) for w in ("a", "b")]
+    n = rng.randint(2, 5)
+    fst = Wfst(syms, syms)
+    for _ in range(n):
+        fst.add_state()
+    fst.set_initial(0)
+    fst.set_final(n - 1, weight({0: dyadic(rng, -1.0, 1.0)}))
+    if n > 2 and rng.random() < 0.5:
+        fst.set_final(rng.randint(1, n - 2), ONE)
+    for s in range(n - 1):
+        for _ in range(rng.randint(1, 3)):
+            t = rng.randint(s + 1, n - 1)
+            label = rng.choice([UNK, UNK, EPSILON, *words])
+            w = ZERO if rng.random() < 0.1 else weight({0: dyadic(rng, -2.0, 2.0)})
+            fst.add_arc(s, Arc(label, label, w, t))
+            if label == UNK and rng.random() < 0.3:
+                fst.add_arc(s, Arc(UNK, UNK, weight({0: dyadic(rng, -2.0, 2.0)}), t))
+    fst.add_arc(0, Arc(UNK, UNK, weight({0: dyadic(rng, -2.0, 2.0)}), rng.randint(1, n - 1)))
+    fst.add_arc(rng.randint(0, n - 2), Arc(UNK, UNK, ONE, n - 1))
+    return fst.freeze()
+
+
+def test_expand_unk_runs_matches_oracle_run_enumeration():
+    # The oracle's own run enumeration, per path of the unexpanded lattice,
+    # gives exactly the paths of the expanded one (as a multiset).
+    from collections import Counter
+
+    from latcomb.oracle import _expansions
+
+    rng = random.Random(121212)
+    for _ in range(250):
+        syms = SymbolTable()
+        nmt = _unk_rich_lattice(rng, syms)
+        m = rng.choice([1, 2, 3, 4])
+        expected = Counter()
+        for p in enumerate_paths(nmt, UNIT):
+            for tokens, ext in _expansions(p.tokens, m, "UNK"):
+                features = dict(p.features)
+                if ext:
+                    features[4] = features.get(4, 0.0) + ext
+                expected[tokens, tuple(sorted(features.items()))] += 1
+        got = Counter((p.tokens, p.features)
+                      for p in enumerate_paths(expand_unk_runs(nmt, m), UNIT))
+        assert got == expected
+
+
+def test_expand_unk_runs_structure():
+    # With u UNK arcs: n + (m-1)u states and arcs + 2(m-1)u arcs, no new
+    # epsilon arc, and each UNK arc followed by the first arc of its run.
+    def epsilon_arcs(fst):
+        return sum(EPSILON in (a.ilabel, a.olabel) for s in fst.states() for a in fst.arcs(s))
+
+    rng = random.Random(343434)
+    for _ in range(50):
+        syms = SymbolTable()
+        nmt = _unk_rich_lattice(rng, syms)
+        m = rng.choice([1, 2, 3, 4])
+        u = sum(arc.ilabel == UNK for s in nmt.states() for arc in nmt.arcs(s))
+        out = expand_unk_runs(nmt, m)
+        assert out.frozen
+        assert out.num_states == nmt.num_states + (m - 1) * u
+        assert out.num_arcs == nmt.num_arcs + 2 * (m - 1) * u
+        assert out.initial == nmt.initial and list(out.finals()) == list(nmt.finals())
+        assert epsilon_arcs(out) == epsilon_arcs(nmt)
+        for s in nmt.states():
+            arcs = list(out.arcs(s))
+            for arc in nmt.arcs(s):
+                assert arcs.pop(0) == arc
+                if arc.ilabel == UNK and m > 1:
+                    first = arcs.pop(0)
+                    assert (first.ilabel, first.olabel, first.weight) == (UNK, UNK, arc.weight)
+                    assert first.target >= nmt.num_states
+            assert arcs == []
 
 
 def _signed_grid_machine(rng, syms):

@@ -160,18 +160,19 @@ def test_tie_rule_prefers_the_first_alignment_found():
     # deleting the UNK and matching "die" ties exactly with filling the
     # UNK with "die" and deleting the NMT "die".  Cells are visited in
     # (NMT, hiero) order, so the deletion of the UNK reaches the final
-    # cell first and keeps it.
+    # cell first and keeps it, also when the UNK may stand for a run.
     syms = SymbolTable()
     nmt = acceptor_from_sentences(syms, ["UNK die"], score_feature=0, scores=[1.0])
     hiero = acceptor_from_sentences(syms, ["die"], score_feature=1, scores=[1.0])
-    params = CombinationParams(lambda_sub=1.0, lambda_edit=2.0, max_unk_run=1)
-    result = combine(nmt, hiero, params)
-    assert result.t_comb == ("die",)
-    assert result.t_nmt == ("UNK", "die")
-    assert result.stats == EditStats(unk_extensions=0, type2_subs=0, type3_edits=1)
-    reference = flower_combine(nmt, hiero, params)
-    assert (result.total_cost, result.feature_vector) == \
-        (reference.total_cost, reference.feature_vector)
+    for max_unk_run in (1, 2, 3):
+        params = CombinationParams(lambda_sub=1.0, lambda_edit=2.0, max_unk_run=max_unk_run)
+        result = combine(nmt, hiero, params)
+        assert result.t_comb == ("die",)
+        assert result.t_nmt == ("UNK", "die")
+        assert result.stats == EditStats(unk_extensions=0, type2_subs=0, type3_edits=1)
+        reference = flower_combine(nmt, hiero, params)
+        assert (result.total_cost, result.feature_vector) == \
+            (reference.total_cost, reference.feature_vector)
 
 
 def test_combine_builds_no_flower_and_no_composition(monkeypatch):

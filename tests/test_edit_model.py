@@ -13,11 +13,7 @@ from latcomb import (
     linear_chain,
     shortest_path,
 )
-from latcomb.editfst import (
-    build_modified_edit_fst,
-    build_standard_edit_fst,
-    build_unk_insertion_fst,
-)
+from latcomb.editfst import build_modified_edit_fst, build_standard_edit_fst
 from latcomb.oracle import dp_edit_distance
 from latcomb.semiring import EDIT_COUNT, SUB_COUNT, weight
 
@@ -72,21 +68,6 @@ def test_modified_flower_cost_typing():
     stripped = build_modified_edit_fst({a, b, UNK, EPSILON}, {b}, syms)
     assert arcs_by_labels(stripped) == arcs
     assert stripped.num_arcs == flower.num_arcs
-
-
-def test_unk_insertion_structure():
-    syms = SymbolTable()
-    u = build_unk_insertion_fst(3, syms)
-    from latcomb.oracle import enumerate_paths
-
-    paths = enumerate_paths(u, UNIT)
-    by_len = {len(p.tokens): dict(p.features) for p in paths}
-    assert set(by_len) == {1, 2, 3}
-    assert by_len[1].get(4, 0.0) == 0.0
-    assert by_len[2][4] == 1.0
-    assert by_len[3][4] == 2.0
-    with pytest.raises(ContractError):
-        build_unk_insertion_fst(0, syms)
 
 
 def _flower_distance(x_words, y_words, alphabet, vocab, syms, params):

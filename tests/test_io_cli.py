@@ -417,6 +417,23 @@ def test_cli_output_is_byte_identical_across_processes(worked_files):
     assert runs[0] == runs[1]
 
 
+def test_cli_runs_as_a_module(worked_files):
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parents[1]
+    env = {"PATH": "/usr/bin:/bin", "PYTHONPATH": str(root / "src")}
+    cmd = [sys.executable, "-m", "latcomb.cli", "validate", "--symtab", worked_files["symtab"],
+           "--kind", "hiero"]
+    ok = subprocess.run(cmd + [worked_files["hiero"]], capture_output=True, text=True, env=env)
+    assert (ok.returncode, ok.stdout.strip()) == (0, "ok"), ok.stderr
+    missing = str(worked_files["tmp"] / "missing.fst")
+    bad = subprocess.run(cmd + [missing], capture_output=True, text=True, env=env)
+    assert bad.returncode == 2
+    assert bad.stderr.startswith("error:")
+
+
 def test_readme_scripts_run(tmp_path):
     import subprocess
     import sys

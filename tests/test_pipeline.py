@@ -110,6 +110,23 @@ def test_combine_sorts_no_machine_twice(tmp_path):
     assert [id(m) for m in walked_machines] == [id(nmt), id(hiero)]
 
 
+def test_combine_freezes_one_machine_within_budget(monkeypatch):
+    # Within budget the hiero lattice is used as read; the only machine
+    # combine builds is the NMT lattice with its UNK runs expanded.
+    syms, nmt, hiero, params = worked_example()
+    frozen = []
+    freeze = Wfst.freeze
+
+    def counting_freeze(fst):
+        frozen.append(fst)
+        return freeze(fst)
+
+    monkeypatch.setattr(Wfst, "freeze", counting_freeze)
+    result = combine(nmt, hiero, params)
+    assert result.t_comb == ("die", "regionale", "Politik")
+    assert len(frozen) == 1
+
+
 def test_identity_combination_is_exact_match():
     syms = SymbolTable()
     sentence = "der plan steht"
