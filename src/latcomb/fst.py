@@ -20,7 +20,7 @@ from functools import wraps
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .errors import ContractError
-from .semiring import HIERO_SCORE, NMT_SCORE, ONE, Dense, FeatureWeight
+from .semiring import HIERO_SCORE, NMT_SCORE, NUM_FEATURES, ONE, Dense, FeatureWeight
 
 # Labels 0 and 1 have fixed meanings in every symbol table.
 EPSILON = 0
@@ -148,6 +148,18 @@ class Wfst:
             self._finals.pop(s, None)
         else:
             self._finals[s] = w
+
+    @classmethod
+    def frozen_from(cls, syms: SymbolTable, arcs: list[list[Arc]],
+                    finals: dict[int, FeatureWeight], initial: int) -> "Wfst":
+        """The frozen machine with ``arcs[s]`` leaving each state ``s``.
+
+        Checks nothing, unlike :meth:`add_arc`: every arc target, final
+        state and ``initial`` must index ``arcs``, and no final weight be ZERO.
+        """
+        fst = cls(syms, syms)
+        fst._arcs, fst._finals, fst.initial = arcs, finals, initial
+        return fst.freeze()
 
     def freeze(self) -> "Wfst":
         self._arcs = [tuple(arcs) for arcs in self._arcs]
@@ -337,11 +349,7 @@ def contract_errors(fst: Wfst, kind: str) -> tuple[str, ...]:
     score_id = NMT_SCORE if kind == "nmt" else HIERO_SCORE
 
     def foreign(w: FeatureWeight) -> list[int]:
-        # Fast path: every entry but the score is 0.0.
-        v = w.values
-        if v.count(0.0) + (v[score_id] != 0.0) == len(v):
-            return []
-        return [fid for fid, x in enumerate(v) if x and fid != score_id]
+        return [fid for fid, x in enumerate(w.values) if x and fid != score_id]
 
     for s, arcs in enumerate(fst._arcs):
         for arc in arcs:
@@ -351,6 +359,9 @@ def contract_errors(fst: Wfst, kind: str) -> tuple[str, ...]:
             if kind == "hiero" and UNK in (arc.ilabel, arc.olabel):
                 errors.append(f"arc {s}->{arc.target} carries the UNK label, "
                               "which is not allowed in a hiero lattice")
+            v = arc.weight.values
+            if v.count(0.0) + (v[score_id] != 0.0) == NUM_FEATURES:
+                continue  # every entry but the score is 0.0
             bad = foreign(arc.weight)
             if bad:
                 errors.append(f"arc {s}->{arc.target} carries feature id(s) {bad}; "

@@ -7,7 +7,9 @@ empty for one) and may be omitted when it is one.  The first state
 mentioned in the file is the initial state.  Labels are integers,
 resolved against a symbol table file of ``word<TAB>id`` lines.
 
-Blank lines and lines starting with ``#`` are ignored everywhere.
+Blank lines and lines starting with ``#`` are ignored everywhere, but
+counted: an error's line number counts every line of the file, and a line
+ends at LF, CR LF or a lone CR (universal newlines) and nowhere else.
 Output ordering is deterministic: the initial state first (renumbered to
 0), remaining states ascending, arcs sorted by (ilabel, olabel, target).
 """
@@ -15,12 +17,13 @@ Output ordering is deterministic: the initial state first (renumbered to
 from __future__ import annotations
 
 import os
+from collections import defaultdict
 from typing import Iterable, Iterator
 
 from .errors import ContractError, FormatError
 from .fst import EPSILON_SYMBOL, NO_STATE, UNK_SYMBOL, Arc, SymbolTable, Wfst, contract_errors
 from .pipeline import CombinationParams
-from .semiring import ONE, format_weight, parse_weight
+from .semiring import ONE, FeatureWeight, format_weight, parse_weight
 
 
 def data_lines(path: str) -> Iterator[tuple[int, str]]:
@@ -121,60 +124,50 @@ def read_lattice(path: str, table: SymbolTable, kind: str = "generic") -> Wfst:
     which the machine keeps, so ``combine`` does not check it again; a
     violation raises :class:`FormatError` with every message.
     """
-    fst = Wfst(table, table)
+    with open(path, "r", encoding="utf-8") as handle:
+        text = handle.read()
+    # File state ids are numbered by first mention, so the initial state is 0.
     state_of: dict[int, int] = {}
-
-    def intern(file_id: int) -> int:
-        sid = state_of.get(file_id)
-        if sid is None:
-            sid = fst.add_state()
-            state_of[file_id] = sid
-        return sid
-
-    saw_line = False
-    for lineno, line in data_lines(path):
+    arcs_of: defaultdict[int, list[Arc]] = defaultdict(list)
+    finals: dict[int, FeatureWeight] = {}
+    has_label = table.has_label
+    # Not splitlines(), which also splits at other characters (see above).
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        line = line.strip()
+        if not line or line[0] == "#":
+            continue
         fields = line.split()
+        n = len(fields)
         try:
             # A final line's second field is its weight, not a state.
-            ids = [int(f) for f in fields[: 1 if len(fields) == 2 else 4]]
+            ids = list(map(int, fields[: 1 if n == 2 else 4]))
         except ValueError:
             raise FormatError(f"non-integer field in {line!r}", path, lineno) from None
-        if len(fields) in (1, 2):
-            state = intern(ids[0])
-            weight = ONE
-            if len(fields) == 2:
-                try:
-                    weight = parse_weight(fields[1])
-                except ValueError as exc:
-                    raise FormatError(str(exc), path, lineno) from None
-            if weight.infinite:
-                raise FormatError("a final weight of INF means 'not final'; drop the line instead",
-                                  path, lineno)
-            fst.set_final(state, weight)
-        elif len(fields) in (4, 5):
-            src = intern(ids[0])
-            dst = intern(ids[1])
-            ilabel, olabel = ids[2], ids[3]
-            for label in (ilabel, olabel):
-                if not table.has_label(label):
-                    raise FormatError(f"label {label} is not in the symbol table", path, lineno)
-            weight = ONE
-            if len(fields) == 5:
-                try:
-                    weight = parse_weight(fields[4])
-                except ValueError as exc:
-                    raise FormatError(str(exc), path, lineno) from None
-            fst.add_arc(src, Arc(ilabel, olabel, weight, dst))
+        if n not in (1, 2, 4, 5):
+            raise FormatError(f"expected 1, 2, 4, or 5 fields, got {n}", path, lineno)
+        if n > 2 and not (has_label(ids[2]) and has_label(ids[3])):
+            label = ids[3] if has_label(ids[2]) else ids[2]
+            raise FormatError(f"label {label} is not in the symbol table", path, lineno)
+        weight = ONE
+        if n == 2 or n == 5:
+            try:
+                weight = parse_weight(fields[-1])
+            except ValueError as exc:
+                raise FormatError(str(exc), path, lineno) from None
+        src = state_of.setdefault(ids[0], len(state_of))
+        if n > 2:
+            dst = state_of.setdefault(ids[1], len(state_of))
+            arcs_of[src].append(Arc(ids[2], ids[3], weight, dst))
+        elif weight.infinite:
+            raise FormatError("a final weight of INF means 'not final'; drop the line instead",
+                              path, lineno)
         else:
-            raise FormatError(f"expected 1, 2, 4, or 5 fields, got {len(fields)}", path, lineno)
-        if not saw_line:
-            fst.set_initial(state_of[ids[0]])
-            saw_line = True
-
-    if not saw_line:
+            finals[src] = weight
+    if not state_of:
         raise FormatError("empty lattice file (no initial state)", path)
     # Frozen first, so that the contract and the order it sorts are kept.
-    errors = contract_errors(fst.freeze(), kind)
+    fst = Wfst.frozen_from(table, [arcs_of[s] for s in range(len(state_of))], finals, 0)
+    errors = contract_errors(fst, kind)
     if errors:
         raise FormatError("; ".join(errors), path)
     return fst

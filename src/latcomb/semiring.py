@@ -218,6 +218,19 @@ def parse_weight(text: str) -> FeatureWeight:
         return ONE
     if text == "INF":
         return ZERO
+    if "," not in text:
+        # Fast path for one well-formed entry; anything else, errors
+        # included, takes the general path below.  Zeroing below
+        # CANONICAL_EPS also turns -0.0 into 0.0, as the sum there does.
+        fid_text, _, value_text = text.partition(":")
+        try:
+            fid, value = int(fid_text), float(value_text)
+        except ValueError:
+            fid, value = -1, 0.0
+        if 0 <= fid < NUM_FEATURES and math.isfinite(value):
+            values = [0.0] * NUM_FEATURES
+            values[fid] = 0.0 if -CANONICAL_EPS < value < CANONICAL_EPS else value
+            return FeatureWeight(tuple(values))
     entries: dict[int, float] = {}
     for chunk in text.split(","):
         fid_text, sep, value_text = chunk.partition(":")

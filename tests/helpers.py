@@ -109,6 +109,33 @@ def branching_lattice(rng: random.Random, syms: SymbolTable, score_feature: int,
     return fst.freeze()
 
 
+def contract_test_machine(rng, syms, score_feature):
+    """A small machine that may break the lattice contract: non-acceptor
+    arcs, UNK labels, foreign features, cycles, unreachable finals."""
+    words = [syms.add(w) for w in ("a", "b", "c")]
+    m = Wfst(syms, syms)
+    n = rng.randint(2, 4)
+    for _ in range(n):
+        m.add_state()
+    m.set_initial(0)
+
+    def features():
+        out = {score_feature: rng.uniform(0.0, 2.0)}
+        if rng.random() < 0.04:
+            out[rng.randrange(5)] = 1.0
+        return weight(out)
+
+    for k in range(rng.randint(1, 5)):
+        src = 0 if k == 0 else rng.randrange(n - 1)  # write_lattice needs an initial arc
+        dst = rng.randrange(n) if rng.random() < 0.05 else rng.randint(src + 1, n - 1)
+        il = rng.choice([EPSILON, UNK] + words) if rng.random() < 0.2 else rng.choice(words)
+        ol = il if rng.random() < 0.95 else rng.choice(words)
+        m.add_arc(src, Arc(il, ol, features(), dst))
+    for s in rng.sample(range(n), rng.randint(0, n)):
+        m.set_final(s, features() if rng.random() < 0.5 else ONE)
+    return m.freeze()
+
+
 def naive_compose(t1: Wfst, t2: Wfst) -> Wfst:
     """Composition without the epsilon filter: every interleaving survives."""
     from latcomb.semiring import times
@@ -254,8 +281,11 @@ def random_combination_instance(rng: random.Random, n_max_paths: int = 8,
     from latcomb import CombinationParams
 
     syms = SymbolTable()
-    vocab_words = set(rng.sample(WORD_POOL, rng.randint(0, 6)))
-    vocab_labels = frozenset(syms.add(w) for w in vocab_words)
+    # Registered in sample order, so one seed numbers the words alike in
+    # every process, whatever its hash seed.
+    vocab_sample = rng.sample(WORD_POOL, rng.randint(0, 6))
+    vocab_labels = frozenset(syms.add(w) for w in vocab_sample)
+    vocab_words = set(vocab_sample)
     if sized and rng.random() < 0.5:
         nmt = branching_lattice(rng, syms, 0, target_paths=rng.randint(1, n_max_paths),
                                 allow_unk=True)

@@ -2,8 +2,20 @@ import random
 
 import pytest
 
-from latcomb import FormatError, ParamVector, SymbolTable, UNK, weight
+from latcomb import (
+    EPSILON,
+    ONE,
+    UNK,
+    ZERO,
+    Arc,
+    FormatError,
+    ParamVector,
+    SymbolTable,
+    Wfst,
+    weight,
+)
 from latcomb.cli import cli_main
+from latcomb.fst import LATTICE_KINDS, contract_errors, has_negative, topological_order
 from latcomb.lattice_io import (
     paired_corpus_files,
     read_lattice,
@@ -13,8 +25,15 @@ from latcomb.lattice_io import (
     write_lattice,
     write_symtab,
 )
+from latcomb.semiring import HIERO_SCORE, NMT_SCORE
 
-from helpers import acceptor_from_sentences, path_signature, random_dag_lattice
+from helpers import (
+    acceptor_from_sentences,
+    contract_test_machine,
+    grid_weight,
+    path_signature,
+    random_dag_lattice,
+)
 
 UNIT = ParamVector(1.0, 1.0, 1.0, 1.0, 1.0)
 
@@ -191,6 +210,64 @@ def test_lattice_empty_file(tmp_path):
         read_lattice(path, syms)
 
 
+# Every reader error as (kind, the offending line or None for a whole-file
+# error, the file's other lines, the message).  Labels 2 and 3 are known.
+READER_ERRORS = {
+    "non-integer": ("generic", "0 x 2 2", [], "non-integer field in '0 x 2 2'"),
+    "three-fields": ("generic", "0 1 2", [], "expected 1, 2, 4, or 5 fields, got 3"),
+    "three-fields-non-integer": ("generic", "0 1 x", [], "non-integer field in '0 1 x'"),
+    "six-fields": ("generic", "0 1 2 2 0:1 x", [], "expected 1, 2, 4, or 5 fields, got 6"),
+    "unknown-ilabel": ("generic", "0 1 99 2", [], "label 99 is not in the symbol table"),
+    "unknown-olabel": ("generic", "0 1 2 98", [], "label 98 is not in the symbol table"),
+    "unknown-both-labels": ("generic", "0 1 99 98", [], "label 99 is not in the symbol table"),
+    "unknown-label-bad-weight": ("generic", "0 1 2 98 0:x", [],
+                                 "label 98 is not in the symbol table"),
+    "weight-no-colon": ("generic", "0 1 2 2 1.5", [], "malformed weight entry '1.5'"),
+    "weight-bad-number": ("generic", "0 1 2 2 0:1x", [], "malformed weight entry '0:1x'"),
+    "weight-duplicate-id": ("generic", "0 1 2 2 0:1,0:2", [], "duplicate feature id 0 in weight"),
+    "weight-id-7": ("generic", "0 1 2 2 7:1", [], "feature id must be one of 0..4, got 7"),
+    "weight-nan": ("generic", "0 1 2 2 0:nan", [],
+                   "feature values must be finite, got nan for id 0"),
+    "weight-inf": ("generic", "0 1 2 2 0:inf", [],
+                   "feature values must be finite, got inf for id 0"),
+    "final-weight-bad-number": ("generic", "1 1:x", [], "malformed weight entry '1:x'"),
+    "final-inf": ("generic", "1 INF", [],
+                  "a final weight of INF means 'not final'; drop the line instead"),
+    "comment-only": ("generic", None, ["# nothing"], "empty lattice file (no initial state)"),
+    "joined-contract-errors": ("nmt", None, ["0 1 2 3 0:1"],
+                               "no final state; arc 0->1 is not acceptor-form "
+                               "(ilabel 2 != olabel 3)"),
+}
+
+# Lines before the error that the reader skips, then ones it accepts; the
+# comment holds characters that str.splitlines() would break a line at.
+SKIPPED = ["", "# comment", "   ", "# \x0b\x0c\x1c\x85\u2028 one line", "\t"]
+NOISE = SKIPPED + ["\t0 1 2 2 0:1  ", ""]
+
+
+@pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+@pytest.mark.parametrize("noisy", [False, True], ids=["bare", "noisy"])
+@pytest.mark.parametrize("case", sorted(READER_ERRORS))
+def test_reader_error_messages_and_line_numbers(tmp_path, case, noisy, ending):
+    kind, bad_line, other_lines, message = READER_ERRORS[case]
+    syms = SymbolTable()
+    syms.add_pair("a", 2)
+    syms.add_pair("b", 3)
+    before = (NOISE if bad_line is not None else SKIPPED) if noisy else []
+    lines = before + other_lines
+    if bad_line is not None:
+        lines = lines + [f"  {bad_line}\t" if noisy else bad_line, "1"]
+    path = tmp_path / "bad.fst"
+    path.write_bytes(ending.join(lines + [""]).encode("utf-8"))
+    with pytest.raises(FormatError) as err:
+        read_lattice(str(path), syms, kind=kind)
+    if bad_line is None:
+        assert (str(err.value), err.value.line) == (f"{path}: {message}", None)
+    else:
+        lineno = len(before) + 1
+        assert (str(err.value), err.value.line) == (f"{path}:{lineno}: {message}", lineno)
+
+
 def test_write_requires_initial(tmp_path):
     from latcomb import Wfst
 
@@ -217,6 +294,103 @@ def test_round_trip_random_lattices(tmp_path):
         path3 = tmp_path / f"r{i}c.fst"
         write_lattice(reloaded, str(path3))
         assert path3.read_text() == path2.read_text()
+
+
+def _read_through_public_api(path, syms):
+    """The reader's slow reference: states and arcs added one by one
+    through the checked builder API, every weight built by weight()."""
+    fst = Wfst(syms, syms)
+    state_of = {}
+
+    def state(field):
+        if int(field) not in state_of:
+            state_of[int(field)] = fst.add_state()
+        return state_of[int(field)]
+
+    def slow_weight(text):
+        if text == "INF":
+            return ZERO
+        return weight({int(k): float(v) for k, v in (e.split(":") for e in text.split(","))})
+
+    with open(path, encoding="utf-8") as handle:
+        for line in handle:
+            fields = line.split()
+            src = state(fields[0])
+            if len(fields) >= 4:
+                w = slow_weight(fields[4]) if len(fields) == 5 else ONE
+                fst.add_arc(src, Arc(int(fields[2]), int(fields[3]), w, state(fields[1])))
+            else:
+                fst.set_final(src, slow_weight(fields[1]) if len(fields) == 2 else ONE)
+    fst.set_initial(0)
+    return fst.freeze()
+
+
+def _random_weight(rng):
+    if rng.random() < 0.5:
+        return grid_weight(rng)  # several entries, negatives, ZERO
+    value = rng.choice([rng.uniform(-2.0, 2.0), 1e-16, -1e-16, 1e-15, -0.0, 1e300, 0.1])
+    return weight({rng.randrange(5): value})
+
+
+def _random_machine(rng, syms):
+    """Any small machine: cycles, epsilon and UNK labels, ZERO arcs."""
+    words = [syms.add(w) for w in ("a", "b", "c")]
+    m = Wfst(syms, syms)
+    n = rng.randint(1, 5)
+    for _ in range(n):
+        m.add_state()
+    m.set_initial(rng.randrange(n))
+    labels = words + [EPSILON, UNK]
+    for k in range(rng.randint(1, 8)):
+        src = m.initial if k == 0 else rng.randrange(n)  # write_lattice needs an initial arc
+        m.add_arc(src, Arc(rng.choice(labels), rng.choice(labels), _random_weight(rng),
+                           rng.randrange(n)))
+    for s in rng.sample(range(n), rng.randint(0, n)):
+        m.set_final(s, _random_weight(rng))
+    return m.freeze()
+
+
+def _structure(fst):
+    def bits(w):
+        return w.infinite, tuple(v.hex() for v in w.values)
+
+    return (fst.initial, [(s, bits(w)) for s, w in fst.finals()],
+            [[(a.ilabel, a.olabel, a.target, bits(a.weight)) for a in fst.arcs(s)]
+             for s in fst.states()])
+
+
+def test_reader_matches_a_machine_built_through_the_public_api(tmp_path):
+    rng = random.Random(1313)
+    path = str(tmp_path / "m.fst")
+    for i in range(300):
+        syms = SymbolTable()
+        if i % 2:
+            machine = contract_test_machine(rng, syms, rng.choice([NMT_SCORE, HIERO_SCORE]))
+        else:
+            machine = _random_machine(rng, syms)
+        write_lattice(machine, path)
+        reference = _read_through_public_api(path, syms)
+        weights = ([a.weight for s in reference.states() for a in reference.arcs(s)]
+                   + [w for _, w in reference.finals()])
+        for kind in LATTICE_KINDS:
+            expected = contract_errors(reference, kind)
+            if kind != "generic":  # one error per weight with a feature not the kind's own
+                score = NMT_SCORE if kind == "nmt" else HIERO_SCORE
+                foreign = sum(any(v and fid != score for fid, v in enumerate(w.values))
+                              for w in weights)
+                assert foreign == sum("carries feature id" in e for e in expected)
+            try:
+                read = read_lattice(path, syms, kind=kind)
+            except FormatError as exc:
+                assert str(exc) == f"{path}: {'; '.join(expected)}"
+                assert expected
+                continue
+            assert not expected
+            assert read.frozen
+            assert _structure(read) == _structure(reference)
+            assert topological_order(read) == topological_order(reference)
+            assert has_negative(read) == has_negative(reference)
+            assert contract_errors(read, kind) == expected
 
 
 # -- CLI ---------------------------------------------------------------

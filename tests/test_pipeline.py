@@ -34,6 +34,7 @@ from latcomb.semiring import EDIT_COUNT, HIERO_SCORE, NMT_SCORE, SUB_COUNT
 from helpers import (
     acceptor_from_sentences,
     assert_combination_matches_oracle,
+    contract_test_machine,
     random_combination_instance,
     run_combine_and_oracle,
 )
@@ -191,40 +192,13 @@ def test_combine_rejects_empty_and_unk_in_hiero():
             combine(bad_nmt, bad_hiero, params)
 
 
-def _contract_test_machine(rng, syms, score_feature):
-    """A small machine that may break the lattice contract: non-acceptor
-    arcs, UNK labels, foreign features, cycles, unreachable finals."""
-    words = [syms.add(w) for w in ("a", "b", "c")]
-    m = Wfst(syms, syms)
-    n = rng.randint(2, 4)
-    for _ in range(n):
-        m.add_state()
-    m.set_initial(0)
-
-    def features():
-        out = {score_feature: rng.uniform(0.0, 2.0)}
-        if rng.random() < 0.04:
-            out[rng.randrange(5)] = 1.0
-        return weight(out)
-
-    for k in range(rng.randint(1, 5)):
-        src = 0 if k == 0 else rng.randrange(n - 1)  # write_lattice needs an initial arc
-        dst = rng.randrange(n) if rng.random() < 0.05 else rng.randint(src + 1, n - 1)
-        il = rng.choice([EPSILON, UNK] + words) if rng.random() < 0.2 else rng.choice(words)
-        ol = il if rng.random() < 0.95 else rng.choice(words)
-        m.add_arc(src, Arc(il, ol, features(), dst))
-    for s in rng.sample(range(n), rng.randint(0, n)):
-        m.set_final(s, features() if rng.random() < 0.5 else ONE)
-    return m.freeze()
-
-
 @settings(max_examples=80, deadline=None)
 @given(st.integers(0, 100_000))
 def test_reader_and_combine_enforce_contract_errors(seed):
     rng = random.Random(seed)
     syms = SymbolTable()
-    nmt = _contract_test_machine(rng, syms, NMT_SCORE)
-    hiero = _contract_test_machine(rng, syms, HIERO_SCORE)
+    nmt = contract_test_machine(rng, syms, NMT_SCORE)
+    hiero = contract_test_machine(rng, syms, HIERO_SCORE)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "m.fst")
         for machine in (nmt, hiero):
@@ -454,3 +428,24 @@ def test_hiero_node_budget_restricts_candidates():
     pruned = combine(nmt, hiero, tight)
     assert pruned.t_hiero == ("y",)  # only the hiero-cheap path survived pruning
     assert pruned.stats.type3_edits == 1
+
+
+def test_random_instances_number_symbols_alike_in_every_process():
+    # A failing random instance must reproduce with the same label ids in
+    # another process, whatever its hash seed.
+    import subprocess
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parents[1]
+    code = ("import random; from helpers import random_combination_instance; "
+            "print([random_combination_instance(random.Random(seed))[0].items() "
+            "for seed in range(20)])")
+    tables = []
+    for hash_seed in ("0", "1"):
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={"PYTHONHASHSEED": hash_seed, "PATH": "/usr/bin:/bin",
+                                   "PYTHONPATH": os.pathsep.join([str(root / "src"),
+                                                                  str(root / "tests")])})
+        assert proc.returncode == 0, proc.stderr
+        tables.append(proc.stdout)
+    assert tables[0] == tables[1]

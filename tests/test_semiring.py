@@ -110,6 +110,32 @@ def test_parse_weight_rejects_garbage():
             parse_weight(bad)
 
 
+def test_single_entry_weight_matches_the_general_path():
+    # One-entry texts take parse_weight's fast path; it must build the
+    # weight weight() builds, down to the sign bit, and keep its errors.
+    for text in ("1:-0", "1:1e-16", "1:-1e-16", "0:1e308", "1:1_0", " 1 : 2 ", "4:-3.25",
+                 "0:1e-15", "2:-1e-15"):
+        fid, value = text.split(":")
+        got, want = parse_weight(text).values, weight({int(fid): float(value)}).values
+        assert [v.hex() for v in got] == [v.hex() for v in want], text
+    for text, message in (("1.5", "malformed weight entry '1.5'"),
+                          ("x:1", "malformed weight entry 'x:1'"),
+                          ("1:x", "malformed weight entry '1:x'"),
+                          ("1:", "malformed weight entry '1:'"),
+                          (":1", "malformed weight entry ':1'"),
+                          ("1:1:1", "malformed weight entry '1:1:1'"),
+                          ("0x1:2", "malformed weight entry '0x1:2'"),
+                          ("7:1", "feature id must be one of 0..4, got 7"),
+                          ("-1:1", "feature id must be one of 0..4, got -1"),
+                          ("0:nan", "feature values must be finite, got nan for id 0"),
+                          ("0:inf", "feature values must be finite, got inf for id 0"),
+                          ("0:-inf", "feature values must be finite, got -inf for id 0"),
+                          ("0:1e309", "feature values must be finite, got inf for id 0")):
+        with pytest.raises(ValueError) as err:
+            parse_weight(text)
+        assert str(err.value) == message, text
+
+
 # Law suite on a dyadic grid: every dot product and componentwise sum is
 # exact in double precision, so the laws can be asserted as equalities and
 # scalar ties (where the tie rule matters) actually occur.
