@@ -2,7 +2,10 @@
 
 All functions take frozen machines and return frozen machines (or path
 witnesses); nothing here mutates its inputs, so sentence-level work can
-run concurrently over shared read-only transducers.
+run concurrently over shared read-only transducers.  ``_prune_mask``
+says what pruning keeps, on the input's own state ids; ``combine`` reads
+the hiero lattice through it, and only :func:`prune_to_node_budget`
+builds the pruned machine.
 
 Search order: every search here (shortest path, n-best, pruning), like
 ``plus`` and the alignment pass of :mod:`latcomb.pipeline`, extends
@@ -19,7 +22,7 @@ from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from itertools import count
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import ContractError, NoPathError, check_count
 from .fst import (
@@ -102,27 +105,20 @@ def connect(fst: Wfst) -> Wfst:
     if fst.initial not in coacc:
         return _empty_like(fst.isyms, fst.osyms)
     acc = accessible_states(fst)
-    return _submachine(fst, [s for s in fst.states() if s in acc and s in coacc], fst.arcs)
+    return _submachine(fst, [s for s in fst.states() if s in acc and s in coacc], fst.arcs,
+                       fst.finals())
 
 
-def _submachine(fst: Wfst, keep: list[int], arcs: Callable[[int], Iterable[Arc]]) -> Wfst:
+def _submachine(fst: Wfst, keep: Sequence[int], arcs: Callable[[int], Iterable[Arc]],
+                finals: Iterable[tuple[int, FeatureWeight]]) -> Wfst:
     """The machine on the states ``keep`` (which holds the initial state),
-    renumbered in that order, with their final weights and, out of each
-    kept state ``s``, the arcs of ``arcs(s)`` whose target is kept."""
+    renumbered in that order: of the arcs ``arcs(s)`` out of each kept
+    ``s`` and of ``finals``, those whose states are kept."""
     remap = {old: new for new, old in enumerate(keep)}
-    out = Wfst(fst.isyms, fst.osyms)
-    for _ in keep:
-        out.add_state()
-    out.set_initial(remap[fst.initial])
-    for old in keep:
-        new = remap[old]
-        for arc in arcs(old):
-            if arc.target in remap:
-                out.add_arc(new, Arc(arc.ilabel, arc.olabel, arc.weight, remap[arc.target]))
-        w = fst.final_weight(old)
-        if w is not None:
-            out.set_final(new, w)
-    return out.freeze()
+    rows = [[Arc(a.ilabel, a.olabel, a.weight, remap[a.target]) for a in arcs(s)
+             if a.target in remap] for s in keep]
+    return Wfst.frozen_from(fst.isyms, rows, {remap[s]: w for s, w in finals if s in remap},
+                            remap[fst.initial], fst.osyms)
 
 
 def compose(t1: Wfst, t2: Wfst) -> Wfst:
@@ -430,6 +426,10 @@ def nbest(fst: Wfst, n: int, params: ParamVector, unique: bool = False) -> list[
         k *= 2
 
 
+# What pruning keeps of a machine, on its own state ids: see _prune_mask.
+Mask = tuple[Sequence[int], Sequence[Sequence[tuple[int, Dense, Arc]]], dict[int, FeatureWeight]]
+
+
 def prune_to_node_budget(fst: Wfst, budget: int, params: ParamVector) -> Wfst:
     """Threshold-prune an acyclic machine down to at most ``budget`` states.
 
@@ -439,6 +439,22 @@ def prune_to_node_budget(fst: Wfst, budget: int, params: ParamVector) -> Wfst:
     shortest path always survives with its cost intact; when even the
     optimal-cost plateau is over budget, only the shortest path is kept.
     """
+    keep, arcs, finals = _prune_mask(fst, budget, params)
+    if fst.num_states <= budget:
+        return fst
+    return connect(_submachine(fst, keep, lambda s: (arc for _, _, arc in arcs[s]),
+                               finals.items()))
+
+
+def _prune_mask(fst: Wfst, budget: int, params: ParamVector) -> Mask:
+    """What :func:`prune_to_node_budget` keeps of ``fst``, on its state ids.
+
+    Returns the kept states, in the order the pruned machine numbers
+    them; per state, its kept ``dense_arcs`` entries (none for a dropped
+    state); and the kept final weights.  Within budget that is all of
+    ``fst``, its own ``dense_arcs`` included.  Kept states need not all
+    be connected through the kept arcs; the public function trims them.
+    """
     _check_frozen(fst)
     check_count("budget", budget)
     if topological_order(fst) is None:
@@ -446,7 +462,7 @@ def prune_to_node_budget(fst: Wfst, budget: int, params: ParamVector) -> Wfst:
     if fst.initial == NO_STATE or not any(fst.is_final(s) for s in accessible_states(fst)):
         raise NoPathError("machine accepts nothing")
     if fst.num_states <= budget:
-        return fst
+        return fst.states(), dense_arcs(fst), dict(fst.finals())
     key = search_key(params)
     fkeys, back = _distances(fst, key)
     best = _best_path(fst, key, fkeys, back)
@@ -456,44 +472,26 @@ def prune_to_node_budget(fst: Wfst, budget: int, params: ParamVector) -> Wfst:
 
     bkeys, _ = _distances(fst, key, backward=True)
     inf = float("inf")
-    through = [inf] * fst.num_states
-    for s in fst.states():
-        fk, bk = fkeys[s], bkeys[s]
-        if fk is not None and bk is not None:
-            through[s] = fk[0] + bk[0]
+    through = [inf if fk is None or bk is None else fk[0] + bk[0]
+               for fk, bk in zip(fkeys, bkeys)]
     best_cost = best.cost
     slack = 1e-9 * max(1.0, abs(best_cost))
 
     finite = sorted(c for c in through if c < inf)
     # Largest threshold whose state count fits the budget.
-    bound = None
-    lo, hi = 0, len(finite) - 1
-    while lo <= hi:
-        mid = (lo + hi) // 2
-        c = finite[mid]
-        if bisect_right(finite, c + slack) <= budget:
-            bound = c
-            lo = mid + 1
-        else:
-            hi = mid - 1
+    bound = max((c for c in finite if bisect_right(finite, c + slack) <= budget), default=None)
     if bound is None or bound < best_cost - slack:
-        # Even the optimal plateau is over budget: keep just the best path.
-        out = Wfst(fst.isyms, fst.osyms)
-        prev = out.add_state()
-        out.set_initial(prev)
-        for arc in best.arcs:
-            nxt = out.add_state()
-            out.add_arc(prev, Arc(arc.ilabel, arc.olabel, arc.weight, nxt))
-            prev = nxt
-        out.set_final(prev, best.final_weight)
-        return out.freeze()
+        # Even the optimal plateau is over budget: keep just the best
+        # path, its states in path order.
+        keep = [fst.initial, *(arc.target for arc in best.arcs)]
+        arcs: list[Sequence[tuple[int, Dense, Arc]]] = [()] * fst.num_states
+        for s, arc in zip(keep, best.arcs):
+            arcs[s] = ((arc.target, arc.weight.values, arc),)
+        return keep, arcs, {keep[-1]: best.final_weight}
 
     limit = bound + slack
-
-    def cheap_arcs(s: int) -> Iterator[Arc]:
-        for t, w, arc in dense_arcs(fst)[s]:
-            if through[t] <= limit and fkeys[s][0] + key(w)[0] + bkeys[t][0] <= limit:
-                yield arc
-
+    arcs = [tuple(e for e in row if through[e[0]] <= limit
+                  and fkeys[s][0] + key(e[1])[0] + bkeys[e[0]][0] <= limit)
+            if through[s] <= limit else () for s, row in enumerate(dense_arcs(fst))]
     keep = [s for s in fst.states() if through[s] <= limit]
-    return connect(_submachine(fst, keep, cheap_arcs))
+    return keep, arcs, {s: w for s, w in fst.finals() if through[s] <= limit}

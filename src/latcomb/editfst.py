@@ -30,7 +30,7 @@ from __future__ import annotations
 from typing import AbstractSet
 
 from .errors import ContractError, check_count
-from .fst import EPSILON, UNK, Arc, SymbolTable, Wfst
+from .fst import EPSILON, NO_STATE, UNK, Arc, SymbolTable, Wfst
 from .semiring import EDIT_COUNT, ONE, SUB_COUNT, UNK_EXT_COUNT, FeatureWeight
 
 _EDIT_ONE = FeatureWeight.from_features({EDIT_COUNT: 1.0})
@@ -122,23 +122,16 @@ def expand_unk_runs(nmt: Wfst, max_run: int) -> Wfst:
     k - 1 extensions, and no epsilon arc is added.
     """
     check_count("max_run", max_run)
-    out = Wfst(nmt.isyms, nmt.osyms)
-    for _ in nmt.states():
-        out.add_state()
-    out.set_initial(nmt.initial)
-    for s, w in nmt.finals():
-        out.set_final(s, w)
+    if nmt.initial == NO_STATE:
+        raise ContractError("cannot expand the UNK runs of a machine with no initial state")
+    rows: list[list[Arc]] = [[] for _ in nmt.states()]  # run states get appended
     for s in nmt.states():
         for arc in nmt.arcs(s):
-            out.add_arc(s, arc)
+            rows[s].append(arc)
             if arc.ilabel != UNK or arc.olabel != UNK or max_run == 1:
                 continue
-            run = out.add_state()
-            out.add_arc(s, Arc(UNK, UNK, arc.weight, run))
-            for _ in range(max_run - 2):
-                nxt = out.add_state()
-                out.add_arc(run, Arc(UNK, UNK, _EXT_ONE, nxt))
-                out.add_arc(run, Arc(UNK, UNK, _EXT_ONE, arc.target))
-                run = nxt
-            out.add_arc(run, Arc(UNK, UNK, _EXT_ONE, arc.target))
-    return out.freeze()
+            rows[s].append(Arc(UNK, UNK, arc.weight, len(rows)))
+            for nxt in range(len(rows) + 1, len(rows) + max_run - 1):
+                rows.append([Arc(UNK, UNK, _EXT_ONE, nxt), Arc(UNK, UNK, _EXT_ONE, arc.target)])
+            rows.append([Arc(UNK, UNK, _EXT_ONE, arc.target)])
+    return Wfst.frozen_from(nmt.isyms, rows, dict(nmt.finals()), nmt.initial, nmt.osyms)

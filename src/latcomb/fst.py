@@ -151,13 +151,15 @@ class Wfst:
 
     @classmethod
     def frozen_from(cls, syms: SymbolTable, arcs: list[list[Arc]],
-                    finals: dict[int, FeatureWeight], initial: int) -> "Wfst":
-        """The frozen machine with ``arcs[s]`` leaving each state ``s``.
+                    finals: dict[int, FeatureWeight], initial: int,
+                    osyms: SymbolTable | None = None) -> "Wfst":
+        """The frozen machine with ``arcs[s]`` leaving each state ``s``
+        (output symbols ``osyms``, by default ``syms``).
 
         Checks nothing, unlike :meth:`add_arc`: every arc target, final
         state and ``initial`` must index ``arcs``, and no final weight be ZERO.
         """
-        fst = cls(syms, syms)
+        fst = cls(syms, osyms)
         fst._arcs, fst._finals, fst.initial = arcs, finals, initial
         return fst.freeze()
 

@@ -1,13 +1,13 @@
 """End-to-end combination of an NMT lattice with a hiero lattice.
 
-The steps: prune the hiero lattice to a node budget, expand each UNK
-arc of the NMT lattice into the runs it may stand for, find the
-cheapest typed-edit alignment of an NMT path with a hiero path, and
-read the combined translation off that alignment (NMT words, with
-each UNK replaced by its aligned hiero words).  The edit statistics
-are the count features of the alignment's weight.  The selected pair
-of hypotheses minimizes typed edit distance plus the scaled model
-scores over all pairs the two lattices offer.
+The steps: prune the hiero lattice to a node budget (a mask over the
+lattice, not a new machine), expand each UNK arc of the NMT lattice into
+the runs it may stand for, find the cheapest typed-edit alignment of an
+NMT path with a hiero path, and read the combined translation off that
+alignment (NMT words, with each UNK replaced by its aligned hiero
+words).  The edit statistics are the count features of the alignment's
+weight.  The selected pair of hypotheses minimizes typed edit distance
+plus the scaled model scores over all pairs the two lattices offer.
 
 The alignment is one shortest-distance pass over pairs of lattice
 states (Mohri, "Edit-Distance of Weighted Automata", 2003).  It finds
@@ -27,7 +27,7 @@ import warnings
 from dataclasses import dataclass, field, replace as dc_replace
 from typing import FrozenSet, Iterable, Sequence
 
-from .algorithms import PathWitness, nbest, prune_to_node_budget
+from .algorithms import Mask, PathWitness, _prune_mask, nbest
 from .editfst import edit_weight, expand_unk_runs
 from .errors import ContractError, NoPathError, check_count
 from .fst import (EPSILON, UNK, Arc, Wfst, contract_errors, count_paths, dense_arcs,
@@ -171,31 +171,36 @@ def combine(nmt_lattice: Wfst, hiero_lattice: Wfst, params: CombinationParams,
     times the lambda-weighted likelihoods of the selected pair.  That is
     an identity on the returned cost, not a separate runtime semiring.
 
+    The hiero side is the lattice as read, seen through what
+    :func:`~latcomb.algorithms.prune_to_node_budget` keeps of it: kept
+    states, arcs and final weights on the lattice's own state ids.  No
+    pruned machine is built.
+
     Tie rule.  Alignments compare on (cost, feature vector in id order).
     Among exactly tied alignments the first one found wins: cells (NMT
-    state, hiero state) are visited in lexicographic order of their
-    (NMT, hiero) topological positions; from each cell, each outgoing
-    arc of the extended NMT state is tried in arc order (an epsilon arc
-    advances alone; any other arc is deleted, then paired with each
-    non-epsilon hiero arc in arc order), then each outgoing hiero arc in
-    arc order (an epsilon arc advances alone; any other arc is
-    inserted); a cell takes a new value only on a strictly smaller key,
-    and among final cells the first in visiting order with the smallest
-    key wins.  The extended NMT machine is
-    :func:`~latcomb.editfst.expand_unk_runs` of the lattice: the
-    lattice's states keep their ids, each UNK arc is followed, in its
-    state's arc order, by the first arc of its run chain, and the run
-    states are numbered after the lattice's states; the topological
+    state, hiero state) are visited in lexicographic order of their (NMT,
+    hiero) topological positions; from each cell, each outgoing arc of the
+    extended NMT state is tried in arc order (an epsilon arc advances
+    alone; any other arc is deleted, then paired with each non-epsilon
+    kept hiero arc in arc order), then each kept hiero arc in arc order
+    (an epsilon arc advances alone; any other arc is inserted); a cell
+    takes a new value only on a strictly smaller key, and among final
+    cells the first in visiting order with the smallest key wins.  The
+    extended NMT machine is :func:`~latcomb.editfst.expand_unk_runs` of
+    the lattice: the lattice's states keep their ids, each UNK arc is
+    followed, in its state's arc order, by the first arc of its run chain,
+    and the run states are numbered after the lattice's states.  The NMT
     positions are those of :func:`~latcomb.fst.topological_order` on that
-    machine.  For example, NMT ``UNK die`` against hiero ``die`` (``die``
-    out of vocabulary) ties deleting the UNK with filling it and deleting
-    ``die``; the deletion of the UNK is found first, so ``t_comb`` is
-    ``die``.  The pass skips moves whose float cost estimate exceeds the
-    target cell's cost by more than a rounding slack; that leaves the rule
-    unchanged, because such a move's exact key is strictly larger than
-    the cell's current key, so it could not have taken the cell, and the
-    moves that are not skipped are tried in the same order with the same
-    strict comparison.
+    machine, the hiero positions those of the kept states in
+    ``topological_order`` of the hiero lattice as read.  For example, NMT
+    ``UNK die`` against hiero ``die`` (``die`` out of vocabulary) ties
+    deleting the UNK with filling it and deleting ``die``; the deletion of
+    the UNK is found first, so ``t_comb`` is ``die``.  The pass skips
+    moves whose float cost estimate exceeds the target cell's cost by more
+    than a rounding slack; that leaves the rule unchanged, because such a
+    move's exact key is strictly larger than the cell's current key, so it
+    could not have taken the cell, and the moves that are not skipped are
+    tried in the same order with the same strict comparison.
     """
     _check_lattice(nmt_lattice, "nmt")
     _check_lattice(hiero_lattice, "hiero")
@@ -207,10 +212,10 @@ def combine(nmt_lattice: Wfst, hiero_lattice: Wfst, params: CombinationParams,
         warnings.warn(f"NMT lattice holds {n_paths} hypotheses; the combination is tuned "
                       f"for small sets (<= {NMT_PATHS_SOFT_LIMIT})", stacklevel=2)
 
-    pruned_hiero = prune_to_node_budget(hiero_lattice, params.hiero_node_budget, HIERO_ONLY)
+    mask = _prune_mask(hiero_lattice, params.hiero_node_budget, HIERO_ONLY)
     extended_nmt = expand_unk_runs(nmt_lattice, params.max_unk_run)
 
-    path = _best_alignment(extended_nmt, pruned_hiero, params.nmt_vocab,
+    path = _best_alignment(extended_nmt, hiero_lattice, mask, params.nmt_vocab,
                            params.as_param_vector())
     counts = path.weight.values
 
@@ -229,17 +234,19 @@ def combine(nmt_lattice: Wfst, hiero_lattice: Wfst, params: CombinationParams,
     )
 
 
-def _best_alignment(nmt: Wfst, hiero: Wfst, nmt_vocab: FrozenSet[int],
+def _best_alignment(nmt: Wfst, hiero: Wfst, mask: Mask, nmt_vocab: FrozenSet[int],
                     params: ParamVector) -> PathWitness:
     """Cheapest typed-edit alignment of an NMT path with a hiero path.
 
     A forward shortest-distance pass over the cells (NMT state, hiero
     state) of two acyclic machines that have initial states (``combine``
-    checks both), in the order and with the moves that
-    :func:`combine` documents.  NMT output labels are matched against
-    hiero input labels; the returned path writes (NMT input label, hiero
-    output label) on each arc and carries the same per-arc weights as
-    the composition with the modified flower would.
+    checks both), in the order and with the moves that :func:`combine`
+    documents; the hiero machine is read through ``mask``, what
+    :func:`~latcomb.algorithms._prune_mask` keeps of it.  NMT output
+    labels are matched against hiero input labels; the returned path
+    writes (NMT input label, hiero output label) on each arc and carries
+    the same per-arc weights as the composition with the modified flower
+    would.
 
     Weight values are accumulated with
     :func:`~latcomb.semiring.dense_times` and compared by
@@ -259,28 +266,26 @@ def _best_alignment(nmt: Wfst, hiero: Wfst, nmt_vocab: FrozenSet[int],
 
     Why a skipped move cannot win: let ``mass`` be sum_k |p_k| times the
     total magnitude of feature k over everything one path can add up
-    (every arc and final weight of both machines, plus one edit count per
-    move).  Every vector the pass holds is a sum along one path, so every
-    term the estimate and the exact cost add has magnitude at most
-    ``mass``.  Over the reals the two are the same sum; in floats each
-    takes a dozen or so roundings of relative size 2**-53, and the exact
-    vector may also zero entries below CANONICAL_EPS.  Their gap is
+    (every arc and final weight the pass reads of both machines, plus one
+    edit count per move).  Every vector the pass holds is a sum along one
+    path, so every term the estimate and the exact cost add has magnitude
+    at most ``mass``.  Over the reals the two are the same sum; in floats
+    each takes a dozen or so roundings of relative size 2**-53, and the
+    exact vector may also zero entries below CANONICAL_EPS.  Their gap is
     therefore far below ``slack = 1e-9 * mass + CANONICAL_EPS * sum_k
     |p_k|`` (plus the smallest normal float, against underflow), however
     much large positive and negative scores cancel.  So a skipped move's
     exact cost exceeds the target's cost, and its key is not smaller.  A
-    NaN estimate is never skipped, and when ``mass`` nears the float
-    range the slack is infinite.
+    NaN estimate is never skipped, and when ``mass`` nears the float range
+    the slack is infinite.
     """
+    keep, hiero_arcs, hiero_finals = mask
+    kept = set(keep)
     order_n = topological_order(nmt)
-    order_h = topological_order(hiero)
-    assert order_n is not None and order_h is not None
-    pos_n = [0] * nmt.num_states
-    for i, s in enumerate(order_n):
-        pos_n[s] = i
-    pos_h = [0] * hiero.num_states
-    for j, s in enumerate(order_h):
-        pos_h[s] = j
+    order_h = [s for s in topological_order(hiero) if s in kept]
+    assert order_n is not None
+    pos_n = {s: i for i, s in enumerate(order_n)}
+    pos_h = {s: j for j, s in enumerate(order_h)}
     width = len(order_h)
     key = search_key(params)
 
@@ -303,16 +308,16 @@ def _best_alignment(nmt: Wfst, hiero: Wfst, nmt_vocab: FrozenSet[int],
                   for t, w, arc in dense_arcs(nmt)[s]] for s in order_n]
     hiero_moves = [[(arc, arc.ilabel, pos_h[t], w, cost(w),
                      *scored(edit_weight(nmt_vocab, EPSILON, arc.ilabel).values))
-                    for t, w, arc in dense_arcs(hiero)[s]] for s in order_h]
+                    for t, w, arc in hiero_arcs[s]] for s in order_h]
     hiero_pairs = [[move for move in moves if move[1] != EPSILON] for moves in hiero_moves]
 
     # The screen's slack, from the weights' magnitudes (see the docstring).
     absp = [abs(p) for p in params.as_tuple()]
     totals = [sum(map(abs, column)) for column in zip(
-        *[w for m in (nmt, hiero) for row in dense_arcs(m) for _, w, _ in row],
-        *[fw.values for m in (nmt, hiero) for _, fw in m.finals()])]
-    totals[EDIT_COUNT] += nmt.num_states + hiero.num_states
-    totals[SUB_COUNT] += nmt.num_states + hiero.num_states
+        *[w for rows in (dense_arcs(nmt), hiero_arcs) for row in rows for _, w, _ in row],
+        *[fw.values for _, fw in nmt.finals()], *[fw.values for fw in hiero_finals.values()])]
+    totals[EDIT_COUNT] += nmt.num_states + width
+    totals[SUB_COUNT] += nmt.num_states + width
     mass = sum(p * v for p, v in zip(absp, totals))
     slack = math.inf
     if mass < 1e300:
@@ -378,11 +383,11 @@ def _best_alignment(nmt: Wfst, hiero: Wfst, nmt_vocab: FrozenSet[int],
     accepted = start
     for i in sorted(pos_n[s] for s, _ in nmt.finals()):
         fw_n = nmt.final_weight(order_n[i]).values
-        for j in sorted(pos_h[s] for s, _ in hiero.finals()):
+        for j in sorted(pos_h[s] for s in hiero_finals):
             c = i * width + j
             kc = keys[c]
             if kc is not None:
-                fw_h = hiero.final_weight(order_h[j]).values
+                fw_h = hiero_finals[order_h[j]].values
                 k = key(dense_times(dense_times(kc[1], fw_n, False), fw_h, signed))
                 if best is None or k < best:
                     best, accepted = k, c
@@ -392,7 +397,7 @@ def _best_alignment(nmt: Wfst, hiero: Wfst, nmt_vocab: FrozenSet[int],
     # Rebuild the path with the weights the composed machine's arcs carry.
     c = accepted
     final_weight = times(nmt.final_weight(order_n[c // width]),
-                         hiero.final_weight(order_h[c % width]))
+                         hiero_finals[order_h[c % width]])
     arcs: list[Arc] = []
     while c != start:
         src, a, h = back[c]

@@ -190,6 +190,29 @@ def test_prune_rejects_budget_below_shortest_path():
         prune_to_node_budget(chain, 4, UNIT)
 
 
+def test_prune_fallback_numbers_the_best_path_in_path_order():
+    # Two tied paths 0 -c-> 3 -d-> 1 and 0 -a-> 2 -b-> 1 make an optimal
+    # plateau of 4 states, over the budget of 3, so only the best path is
+    # kept; it visits the ids 0, 2, 1 and comes out numbered 0, 1, 2.
+    syms = SymbolTable()
+    a, b, c, d = (syms.add(word) for word in "abcd")
+    fst = Wfst(syms, syms)
+    for _ in range(4):
+        fst.add_state()
+    fst.set_initial(0)
+    for src, label, dst in ((0, c, 3), (0, a, 2), (3, d, 1), (2, b, 1)):
+        fst.add_arc(src, Arc(label, label, ONE, dst))
+    fst.set_final(1, ONE)
+    fst.freeze()
+    assert [arc.target for arc in shortest_path(fst, UNIT).arcs] == [2, 1]
+    pruned = prune_to_node_budget(fst, 3, UNIT)
+    assert pruned.num_states == 3 and pruned.initial == 0
+    assert list(pruned.arcs(0)) == [Arc(a, a, ONE, 1)]
+    assert list(pruned.arcs(1)) == [Arc(b, b, ONE, 2)]
+    assert list(pruned.arcs(2)) == []
+    assert list(pruned.finals()) == [(2, ONE)]
+
+
 def test_prune_rejects_cyclic():
     syms = SymbolTable()
     a = syms.add("a")
@@ -337,6 +360,15 @@ def test_expand_unk_runs_rejects_bad_max_run(max_run):
     root = acceptor_from_sentences(syms, ["UNK a"])
     with pytest.raises(ContractError, match="max_run"):
         expand_unk_runs(root, max_run)
+
+
+def test_expand_unk_runs_rejects_a_machine_without_initial_state():
+    syms = SymbolTable()
+    nmt = Wfst(syms, syms)
+    nmt.add_state()
+    nmt.set_final(0, ONE)
+    with pytest.raises(ContractError, match="no initial state"):
+        expand_unk_runs(nmt.freeze(), 3)
 
 
 def _unk_rich_lattice(rng, syms):

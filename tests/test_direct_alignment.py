@@ -8,6 +8,7 @@ same optimum, bit for bit.
 
 import math
 import random
+from dataclasses import replace as dc_replace
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -24,11 +25,12 @@ from latcomb import (
     Wfst,
     combine,
     linear_chain,
+    shortest_path,
     weight,
 )
 from latcomb import algorithms, editfst, pipeline
 from latcomb.editfst import build_modified_edit_fst, edit_weight
-from latcomb.fst import has_negative
+from latcomb.fst import has_negative, topological_order
 from latcomb.semiring import search_key
 
 from helpers import (
@@ -62,6 +64,25 @@ FAMILIES = (0.1, 0.2, 0.3)
 # A score every path adds once and takes back once: sums reach ~1e9 and
 # cancel to small totals.
 BIG = (1e9 + 0.1, -(1e9 + 0.3), 1e9 - 0.2)
+
+
+def test_combine_equals_flower_chain_on_pruned_stream():
+    # Budgets between the hiero shortest path's state count and one state
+    # short of the lattice: combine reads the lattice through what pruning
+    # keeps, the flower chain composes the machine prune_to_node_budget builds.
+    rng = random.Random(1414)
+    pruned = 0
+    while pruned < 300:
+        syms, nmt, hiero, params, _ = random_combination_instance(
+            rng, n_max_paths=20, h_max_paths=200, max_states=12, sized=True)
+        sp_states = len(shortest_path(hiero, pipeline.HIERO_ONLY).arcs) + 1
+        if sp_states > hiero.num_states - 1:
+            continue
+        params = dc_replace(params,
+                            hiero_node_budget=rng.randint(sp_states, hiero.num_states - 1))
+        assert_matches_flower_combine(combine(nmt, hiero, params),
+                                      flower_combine(nmt, hiero, params), syms)
+        pruned += 1
 
 
 def build_lattice(pick, syms, score_feature, labels, inexact=False):
@@ -170,6 +191,37 @@ def test_tie_rule_prefers_the_first_alignment_found():
         assert result.t_comb == ("die",)
         assert result.t_nmt == ("UNK", "die")
         assert result.stats == EditStats(unk_extensions=0, type2_subs=0, type3_edits=1)
+        reference = flower_combine(nmt, hiero, params)
+        assert (result.total_cost, result.feature_vector) == \
+            (reference.total_cost, reference.feature_vector)
+
+
+def test_tie_rule_orders_hiero_states_as_the_read_lattice_does():
+    # NMT "UNK w" against hiero "x w" and "y w", x and y out of
+    # vocabulary and both paths of score 1.5: the two fills tie exactly.
+    # The budget of 4 drops state 3 (0 -z-> 3 -v-> 1), whose arc into
+    # state 1 puts 1 ("x") before 2 ("y") in the read lattice's
+    # topological order; a renumbered copy without state 3 would order
+    # them the other way round.  Hiero positions are those of the read
+    # lattice, so the fill with "x" reaches the final cell first and keeps it.
+    syms = SymbolTable()
+    x, y, z, v, w = (syms.add(word) for word in ("x", "y", "z", "v", "w"))
+    hiero = Wfst(syms, syms)
+    for _ in range(5):
+        hiero.add_state()
+    hiero.set_initial(0)
+    for src, label, score, dst in ((0, x, 1.0, 1), (0, y, 1.0, 2), (0, z, 4.0, 3),
+                                   (3, v, 0.0, 1), (1, w, 0.5, 4), (2, w, 0.5, 4)):
+        hiero.add_arc(src, Arc(label, label, weight({1: score}), dst))
+    hiero.set_final(4, ONE)
+    hiero.freeze()
+    nmt = acceptor_from_sentences(syms, ["UNK w"], score_feature=0, scores=[1.0])
+    assert [s for s in topological_order(hiero) if s != 3] == [0, 1, 2, 4]
+    for budget in (4, 5):
+        params = CombinationParams(hiero_node_budget=budget, nmt_vocab=frozenset({w}))
+        result = combine(nmt, hiero, params)
+        assert result.t_comb == result.t_hiero == ("x", "w")
+        assert result.total_cost == 2.5
         reference = flower_combine(nmt, hiero, params)
         assert (result.total_cost, result.feature_vector) == \
             (reference.total_cost, reference.feature_vector)

@@ -101,19 +101,23 @@ def test_combine_sorts_no_machine_twice(tmp_path):
     try:
         nmt = read_lattice(str(tmp_path / "nmt.fst"), syms, kind="nmt")
         hiero = read_lattice(str(tmp_path / "hiero.fst"), syms, kind="hiero")
-        for budget in (100, 4):  # within budget, and pruned to a new machine
+        for budget in (100, 4):  # within budget, and pruned
             result = combine(nmt, hiero, dc_replace(params, hiero_node_budget=budget))
             corpus_report([result], [hiero])
     finally:
         sys.setprofile(None)
     assert any(m is nmt for m in sorted_machines) and any(m is hiero for m in sorted_machines)
     assert len({id(m) for m in sorted_machines}) == len(sorted_machines)
+    # The read lattices and one expanded NMT lattice per combine: no
+    # pruned copy is built, so none is sorted.
+    assert len(sorted_machines) == 4
     assert [id(m) for m in walked_machines] == [id(nmt), id(hiero)]
 
 
 def test_combine_freezes_one_machine_within_budget(monkeypatch):
-    # Within budget the hiero lattice is used as read; the only machine
-    # combine builds is the NMT lattice with its UNK runs expanded.
+    # Within budget and over it (budget 4 keeps "der Plan") the hiero
+    # lattice is read as it is, through what pruning keeps; the only
+    # machine combine builds is the NMT lattice with its UNK runs expanded.
     syms, nmt, hiero, params = worked_example()
     frozen = []
     freeze = Wfst.freeze
@@ -123,9 +127,11 @@ def test_combine_freezes_one_machine_within_budget(monkeypatch):
         return freeze(fst)
 
     monkeypatch.setattr(Wfst, "freeze", counting_freeze)
-    result = combine(nmt, hiero, params)
-    assert result.t_comb == ("die", "regionale", "Politik")
-    assert len(frozen) == 1
+    for budget, t_comb in ((100, ("die", "regionale", "Politik")), (4, ("die", "der", "Politik"))):
+        frozen.clear()
+        result = combine(nmt, hiero, dc_replace(params, hiero_node_budget=budget))
+        assert result.t_comb == t_comb
+        assert len(frozen) == 1
 
 
 def test_identity_combination_is_exact_match():
