@@ -8,7 +8,8 @@ weight is a :class:`~latcomb.semiring.FeatureWeight`.
 This module is the one place that derives facts from a machine's
 structure: :func:`topological_order`, :func:`has_negative`,
 :func:`dense_arcs` and, per lattice kind, :func:`contract_errors`.  Each
-is computed at most once per frozen machine and kept on it; a mutable
+is computed at most once per frozen machine and kept on it (a builder
+that learns one while building records it instead); a mutable
 machine recomputes on every call.  Sharing a frozen machine across
 threads is safe: a race only computes the same immutable value twice.
 """
@@ -232,6 +233,13 @@ def _derived(compute: Callable[..., T]) -> Callable[..., T]:
             fst._derived[key] = compute(fst, *args)
         return fst._derived[key]  # type: ignore[return-value]
     return derived
+
+
+def _keep(fst: Wfst, fact: Callable[..., T], value: T, *args) -> None:
+    """Record on the frozen ``fst`` that ``fact(fst, *args)`` is ``value``,
+    a fact its builder learned while building it, so no call walks the
+    machine for it."""
+    fst._derived[(fact.__wrapped__, *args)] = value  # type: ignore[attr-defined]
 
 
 @_derived

@@ -21,7 +21,8 @@ from collections import defaultdict
 from typing import Iterable, Iterator
 
 from .errors import ContractError, FormatError
-from .fst import EPSILON_SYMBOL, NO_STATE, UNK_SYMBOL, Arc, SymbolTable, Wfst, contract_errors
+from .fst import (EPSILON_SYMBOL, NO_STATE, UNK_SYMBOL, Arc, SymbolTable, Wfst, _keep,
+                  contract_errors, has_negative)
 from .pipeline import CombinationParams
 from .semiring import ONE, FeatureWeight, format_weight, parse_weight
 
@@ -122,7 +123,8 @@ def read_lattice(path: str, table: SymbolTable, kind: str = "generic") -> Wfst:
 
     ``kind`` selects the contract, :func:`~latcomb.fst.contract_errors`,
     which the machine keeps, so ``combine`` does not check it again; a
-    violation raises :class:`FormatError` with every message.
+    violation raises :class:`FormatError` with every message.  The machine
+    also keeps :func:`~latcomb.fst.has_negative`, learned while parsing.
     """
     with open(path, "r", encoding="utf-8") as handle:
         text = handle.read()
@@ -130,6 +132,7 @@ def read_lattice(path: str, table: SymbolTable, kind: str = "generic") -> Wfst:
     state_of: dict[int, int] = {}
     arcs_of: defaultdict[int, list[Arc]] = defaultdict(list)
     finals: dict[int, FeatureWeight] = {}
+    negative = False
     has_label = table.has_label
     # Not splitlines(), which also splits at other characters (see above).
     for lineno, line in enumerate(text.split("\n"), start=1):
@@ -154,6 +157,9 @@ def read_lattice(path: str, table: SymbolTable, kind: str = "generic") -> Wfst:
                 weight = parse_weight(fields[-1])
             except ValueError as exc:
                 raise FormatError(str(exc), path, lineno) from None
+            # From the canonical values: -0.0 and -1e-16 read as 0.0.
+            if not negative and "-" in fields[-1]:
+                negative = min(weight.values) < 0.0
         src = state_of.setdefault(ids[0], len(state_of))
         if n > 2:
             dst = state_of.setdefault(ids[1], len(state_of))
@@ -167,6 +173,7 @@ def read_lattice(path: str, table: SymbolTable, kind: str = "generic") -> Wfst:
         raise FormatError("empty lattice file (no initial state)", path)
     # Frozen first, so that the contract and the order it sorts are kept.
     fst = Wfst.frozen_from(table, [arcs_of[s] for s in range(len(state_of))], finals, 0)
+    _keep(fst, has_negative, negative)
     errors = contract_errors(fst, kind)
     if errors:
         raise FormatError("; ".join(errors), path)

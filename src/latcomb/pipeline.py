@@ -54,6 +54,12 @@ NMT_PATHS_SOFT_LIMIT = 20
 
 HIERO_ONLY = ParamVector(nmt=0.0, hiero=1.0, edit=0.0, sub=0.0, ins=0.0)
 
+# The alignment pass's view of a kept hiero arc: (cost, index among its
+# state's kept arcs, target position, arc, label); and of the move that
+# set a cell: (source cell, NMT arc, hiero arc, edit values, hiero arc index).
+_Entry = tuple[float, int, int, Arc, int]
+_Move = tuple[int, Arc | None, Arc | None, Dense, int]
+
 
 @dataclass(frozen=True)
 class CombinationParams:
@@ -195,12 +201,15 @@ def combine(nmt_lattice: Wfst, hiero_lattice: Wfst, params: CombinationParams,
     ``topological_order`` of the hiero lattice as read.  For example, NMT
     ``UNK die`` against hiero ``die`` (``die`` out of vocabulary) ties
     deleting the UNK with filling it and deleting ``die``; the deletion of
-    the UNK is found first, so ``t_comb`` is ``die``.  The pass skips
-    moves whose float cost estimate exceeds the target cell's cost by more
-    than a rounding slack; that leaves the rule unchanged, because such a
-    move's exact key is strictly larger than the cell's current key, so it
-    could not have taken the cell, and the moves that are not skipped are
-    tried in the same order with the same strict comparison.
+    the UNK is found first, so ``t_comb`` is ``die``.  The pass decides
+    most moves on float cost estimates and does not try the hiero arcs
+    that cannot win (see ``_best_alignment``); that leaves the rule
+    unchanged, because such a move's exact key is strictly larger than
+    the cell's current key, so it could not have taken the cell.  The
+    hiero arcs of one group (from one cell and NMT arc, or the insertions
+    from one cell, to one target cell) are tried in cost order, and an
+    exactly equal key goes to the lower arc index, so each group leaves
+    its target as trying its arcs in arc order would.
     """
     _check_lattice(nmt_lattice, "nmt")
     _check_lattice(hiero_lattice, "hiero")
@@ -257,27 +266,49 @@ def _best_alignment(nmt: Wfst, hiero: Wfst, mask: Mask, nmt_vocab: FrozenSet[int
     composed machine.  Raises :class:`NoPathError` when either machine
     accepts nothing.
 
-    Most moves lose, so each is first screened by a float estimate: the
-    source cell's cost plus the costs of the arc and edit weights the
-    move adds, which are kept with the move.  Only a move whose estimate
-    is at most the target cell's cost plus ``slack`` builds its value
-    vector and exact key; the exact strict ``<`` on keys then decides,
-    so the screen changes no result.
+    Cells are scalar first.  A cell holds a float estimate of its cost
+    and the move that set it: the source cell's estimate plus the costs
+    of the arc and edit weights the move adds.  Its value vector and
+    exact key are built, and kept, only when a move's estimate comes
+    within ``2 * slack`` of the cell's (a near tie, settled by the exact
+    strict ``<`` on keys), at acceptance and for the path.  An estimate
+    more than ``2 * slack`` above the cell's loses, one more than that
+    below it wins, and both are decided on floats alone.
 
-    Why a skipped move cannot win: let ``mass`` be sum_k |p_k| times the
-    total magnitude of feature k over everything one path can add up
-    (every arc and final weight the pass reads of both machines, plus one
-    edit count per move).  Every vector the pass holds is a sum along one
-    path, so every term the estimate and the exact cost add has magnitude
-    at most ``mass``.  Over the reals the two are the same sum; in floats
-    each takes a dozen or so roundings of relative size 2**-53, and the
-    exact vector may also zero entries below CANONICAL_EPS.  Their gap is
-    therefore far below ``slack = 1e-9 * mass + CANONICAL_EPS * sum_k
-    |p_k|`` (plus the smallest normal float, against underflow), however
-    much large positive and negative scores cancel.  So a skipped move's
-    exact cost exceeds the target's cost, and its key is not smaller.  A
-    NaN estimate is never skipped, and when ``mass`` nears the float range
-    the slack is infinite.
+    Why that is exact: let ``mass`` be sum_k |p_k| times the total
+    magnitude of feature k over everything one path can add up (every
+    arc and final weight the pass reads of both machines, plus one edit
+    count per move).  Every term an estimate or an exact cost adds has
+    magnitude at most ``mass``.  Over the reals the two are the same sum;
+    in floats each takes a few roundings of relative size 2**-53 per
+    move, and the exact vector may also zero, once per move, entries
+    below CANONICAL_EPS.  A path makes fewer than ``steps`` moves, so
+    their gap is far below ``slack = (1e-9 + 1e-15 * steps) * mass +
+    CANONICAL_EPS * steps * sum_k |p_k|`` (plus the smallest normal
+    float, against underflow), however much large positive and negative
+    scores cancel.  A NaN estimate is never decided on floats, and when
+    ``mass`` nears the float range the slack is infinite, so every move
+    is settled exactly.
+
+    Most moves lose, so from each cell and NMT arc the pass tries only
+    the hiero arcs that can win.  It groups each kept hiero state's word
+    arcs by target and sorts each group of two or more by (arc cost, arc
+    index).  A label that is not UNK tries a group's arcs with its own
+    label (free matches) first, then the others in cost order, each at
+    one and the same edit cost (:func:`~latcomb.editfst.edit_weight`
+    types every other word alike), and stops at the first that loses on
+    floats; UNK tries the group in cost order, each word at its typed
+    edit cost, and stops once the estimate without the edit cost loses.
+    Insertions, at one and the same edit cost for every word, try each
+    group in cost order and stop at the first that loses.  An arc alone
+    on its target, and an epsilon arc, is just tried.  Both cuts are
+    exact.  Float addition is monotone and edit costs are nonnegative, so
+    every arc after the stop loses too.  A group (the moves from one cell
+    and NMT arc, or the insertions from one cell, to one target) changes
+    its target only through its first minimum by (key, arc index), and
+    the cell keeps the arc index of the move that set it: an exactly
+    equal key from the same group goes to the lower index.  So the group
+    leaves the cell as trying its arcs in arc order would.
     """
     keep, hiero_arcs, hiero_finals = mask
     kept = set(keep)
@@ -293,90 +324,204 @@ def _best_alignment(nmt: Wfst, hiero: Wfst, mask: Mask, nmt_vocab: FrozenSet[int
         return key(v)[0]
 
     # Edit weights as (values, cost).  Edit typing yields a few distinct
-    # weights, so each one's cost is computed once, by its values; the
-    # pairs are kept by NMT label, then hiero label, filled on demand.
+    # weights, so each one's cost is computed once, by its values.
     scored = functools.cache(lambda v: (v, cost(v)))
-    typed: dict[int, dict[int, tuple[Dense, float]]] = {}
 
-    # Moves per topological position: (arc, label matched, target, arc
-    # values, arc cost, values and cost of deleting / inserting the label),
-    # and for NMT moves the label's row of ``typed``.  An epsilon arc
-    # advances alone: its edit weight is ONE.
-    nmt_moves = [[(arc, arc.olabel, pos_n[t] * width, w, cost(w),
-                   *scored(edit_weight(nmt_vocab, arc.olabel, EPSILON).values),
-                   typed.setdefault(arc.olabel, {}))
-                  for t, w, arc in dense_arcs(nmt)[s]] for s in order_n]
-    hiero_moves = [[(arc, arc.ilabel, pos_h[t], w, cost(w),
-                     *scored(edit_weight(nmt_vocab, EPSILON, arc.ilabel).values))
-                    for t, w, arc in hiero_arcs[s]] for s in order_h]
-    hiero_pairs = [[move for move in moves if move[1] != EPSILON] for moves in hiero_moves]
+    # Per hiero position, its arcs as (cost, index, target, arc, label):
+    # the word arcs alone on their target; the other word arcs grouped by
+    # target, each group sorted by (cost, index), and the same arcs by
+    # label; the epsilon arcs.
+    hiero_moves: list[tuple[list[_Entry], list[tuple[int, list[_Entry]]],
+                            dict[int, list[_Entry]], list[_Entry]]] = []
+    words: list[int] = []  # two distinct hiero words, if there are two
+    for s in order_h:
+        targets: dict[int, list[_Entry]] = {}
+        skips: list[_Entry] = []
+        for rank, (t, w, h) in enumerate(hiero_arcs[s]):
+            y = h.ilabel
+            entry = (key(w)[0], rank, pos_h[t], h, y)
+            if y == EPSILON:
+                skips.append(entry)
+                continue
+            targets.setdefault(entry[2], []).append(entry)
+            if len(words) < 2 and y not in words:
+                words.append(y)
+        singles: list[_Entry] = []
+        groups: list[tuple[int, list[_Entry]]] = []
+        labels: dict[int, list[_Entry]] = {}
+        for t_j, group in targets.items():
+            if len(group) == 1:
+                singles.append(group[0])
+                continue
+            group.sort()
+            groups.append((t_j, group))
+            for entry in group:
+                labels.setdefault(entry[4], []).append(entry)
+        hiero_moves.append((singles, groups, labels, skips))
 
-    # The screen's slack, from the weights' magnitudes (see the docstring).
+    # Edit typing charges alike for inserting any word, and for pairing a
+    # label that is not UNK with any word but itself; so those weights are
+    # typed once, with the first hiero words.
+    w_skip, s_skip = scored(edit_weight(nmt_vocab, EPSILON, EPSILON).values)
+    w_ins, s_ins = scored(edit_weight(nmt_vocab, EPSILON, words[0]).values) if words \
+        else (None, 0.0)
+
+    # Per NMT label: the values and cost of deleting it; the weights of
+    # pairing it with the words typed one by one (filled on demand for
+    # UNK); the weight of pairing it with every other word (None for UNK)
+    # and a floor under their costs; and the free match.
+    arcs_n = dense_arcs(nmt)
+    pairings: dict[int, tuple] = {}
+    for x in {arc.olabel for row in arcs_n for _, _, arc in row}:
+        deleting = scored(edit_weight(nmt_vocab, x, EPSILON).values)
+        if x == UNK:  # the hiero side has no UNK to match
+            pairings[x] = (*deleting, {}, None, 0.0, ONE.values, 0.0)
+            continue
+        match = scored(edit_weight(nmt_vocab, x, x).values)
+        other = [y for y in words if y != x]
+        sub = scored(edit_weight(nmt_vocab, x, other[0]).values) if other else None
+        pairings[x] = (*deleting, {x: match}, sub, 0.0 if sub is None else sub[1], *match)
+
+    # Moves per NMT position: (arc, label matched, target base, arc cost,
+    # then the label's pairings).  An epsilon arc advances alone: its
+    # edit weight is ONE.
+    nmt_moves = [[(arc, arc.olabel, pos_n[t] * width, key(w)[0], *pairings[arc.olabel])
+                  for t, w, arc in arcs_n[s]] for s in order_n]
+
+    # The slack, from the weights' magnitudes (see the docstring).
     absp = [abs(p) for p in params.as_tuple()]
     totals = [sum(map(abs, column)) for column in zip(
-        *[w for rows in (dense_arcs(nmt), hiero_arcs) for row in rows for _, w, _ in row],
+        *[w for rows in (arcs_n, hiero_arcs) for row in rows for _, w, _ in row],
         *[fw.values for _, fw in nmt.finals()], *[fw.values for fw in hiero_finals.values()])]
     totals[EDIT_COUNT] += nmt.num_states + width
     totals[SUB_COUNT] += nmt.num_states + width
     mass = sum(p * v for p, v in zip(absp, totals))
+    steps = len(order_n) + width
     slack = math.inf
     if mass < 1e300:
-        slack = 1e-9 * mass + CANONICAL_EPS * sum(absp) + sys.float_info.min
+        slack = ((1e-9 + 1e-15 * steps) * mass + CANONICAL_EPS * steps * sum(absp)
+                 + sys.float_info.min)
+    twice = 2.0 * slack
 
     signed = has_negative(nmt) or has_negative(hiero)
     size = len(order_n) * width
-    keys: list[Key | None] = [None] * size
-    # A cell's cost plus slack; a move whose estimate exceeds it cannot win.
-    bound = [math.inf] * size
-    back: list[tuple[int, Arc | None, Arc | None] | None] = [None] * size
+    # Per cell: the estimate; the estimate plus 2 * slack, above which a
+    # move loses; the move that set it, as (source cell, NMT arc, hiero
+    # arc, edit values, hiero arc index); and its value vector once built.
+    est = [math.inf] * size
+    high = [math.inf] * size
+    back: list[_Move | None] = [None] * size
+    vec: list[Dense | None] = [None] * size
 
-    # Three-term sums zero entries once, at the end (inner signed=False):
-    # with each feature coming from one side, that equals zeroing after
-    # each addition.
+    def step(d: Dense, move: _Move) -> Dense:
+        # Three-term sums zero entries once, at the end (inner signed=False):
+        # with each feature coming from one side, that equals zeroing after
+        # each addition.
+        _, a, h, e, _ = move
+        if a is None:
+            return dense_times(dense_times(d, e, False), h.weight.values, signed)
+        d = dense_times(d, a.weight.values, False)
+        if h is None:
+            return dense_times(d, e, signed)
+        return dense_times(dense_times(d, e, False), h.weight.values, signed)
+
+    def exact(c: int) -> Dense:
+        chain = []
+        while vec[c] is None:
+            chain.append(c)
+            c = back[c][0]
+        d = vec[c]
+        for c in reversed(chain):
+            d = vec[c] = step(d, back[c])
+        return d
+
+    def relax(t: int, e: float, move: _Move) -> None:
+        # The caller has checked that e is not above high[t].  An unset
+        # cell's estimate is inf, so with a finite slack any finite e wins.
+        if e < est[t] - twice:
+            est[t], high[t], back[t], vec[t] = e, e + twice, move, None
+            return
+        v = step(exact(move[0]), move)
+        old = back[t]
+        if old is not None:
+            v_old = exact(t)
+            if v == v_old:  # equal keys: a lower arc index of the same group takes the cell
+                if not (old[0] == move[0] and old[1] is move[1] and move[4] < old[4]):
+                    return
+            elif not key(v) < key(v_old):
+                return
+        e = cost(v)
+        est[t], high[t], back[t], vec[t] = e, e + twice, move, v
+
     start = pos_n[nmt.initial] * width + pos_h[hiero.initial]
-    keys[start] = key(ONE.values)
+    est[start], vec[start] = cost(ONE.values), ONE.values
+    back[start] = (start, None, None, ONE.values, 0)  # reached; never followed
     for i in range(pos_n[nmt.initial], len(order_n)):
         moves_n = nmt_moves[i]
         base = i * width
         for j in range(width):
             c = base + j
-            kc = keys[c]
-            if kc is None:
+            if back[c] is None:
                 continue
-            cost_c, d = kc
-            for a, x, t_base, w_a, s_a, w_del, s_del, row in moves_n:
-                est_a = cost_c + s_a
+            est_c = est[c]
+            singles, groups, labels, skips = hiero_moves[j]
+            for a, x, t_base, s_a, w_del, s_del, typed, sub, s_sub, w_m, s_m in moves_n:
+                est_a = est_c + s_a
                 t = t_base + j
-                dn = None
-                if not est_a + s_del > bound[t]:
-                    dn = dense_times(d, w_a, False)
-                    k = key(dense_times(dn, w_del, signed))
-                    old = keys[t]
-                    if old is None or k < old:
-                        keys[t], bound[t], back[t] = k, k[0] + slack, (c, a, None)
+                e = est_a + s_del
+                if not e > high[t]:
+                    relax(t, e, (c, a, None, w_del, 0))
                 if x == EPSILON:
                     continue
-                for h, y, t_j, w_h, s_h, _, _ in hiero_pairs[j]:
-                    e = row.get(y)
-                    if e is None:
-                        e = row[y] = scored(edit_weight(nmt_vocab, x, y).values)
+                for s_h, rank, t_j, h, y in singles:
+                    w_e = typed.get(y, sub)
+                    if w_e is None:
+                        w_e = typed[y] = scored(edit_weight(nmt_vocab, x, y).values)
                     t = t_base + t_j
-                    if est_a + e[1] + s_h > bound[t]:
-                        continue
-                    if dn is None:
-                        dn = dense_times(d, w_a, False)
-                    k = key(dense_times(dense_times(dn, e[0], False), w_h, signed))
-                    old = keys[t]
-                    if old is None or k < old:
-                        keys[t], bound[t], back[t] = k, k[0] + slack, (c, a, h)
-            for h, y, t_j, w_h, s_h, w_ins, s_ins in hiero_moves[j]:
-                t = base + t_j
-                if cost_c + s_ins + s_h > bound[t]:
+                    e = est_a + w_e[1] + s_h
+                    if not e > high[t]:
+                        relax(t, e, (c, a, h, w_e[0], rank))
+                if not groups:
                     continue
-                k = key(dense_times(dense_times(d, w_ins, False), w_h, signed))
-                old = keys[t]
-                if old is None or k < old:
-                    keys[t], bound[t], back[t] = k, k[0] + slack, (c, None, h)
+                # A group: the free matches, then the other words in cost order.
+                for s_h, rank, t_j, h, _ in labels.get(x, ()):
+                    t = t_base + t_j
+                    e = est_a + s_m + s_h
+                    if not e > high[t]:
+                        relax(t, e, (c, a, h, w_m, rank))
+                floor = est_a + s_sub
+                for t_j, group in groups:
+                    t = t_base + t_j
+                    for s_h, rank, _, h, y in group:
+                        if floor + s_h > high[t]:
+                            break
+                        if y == x:
+                            continue
+                        w_e = typed.get(y, sub)
+                        if w_e is None:
+                            w_e = typed[y] = scored(edit_weight(nmt_vocab, x, y).values)
+                        e = est_a + w_e[1] + s_h
+                        if not e > high[t]:
+                            relax(t, e, (c, a, h, w_e[0], rank))
+            # Insertions, each word at the same edit cost, then epsilon arcs.
+            est_i = est_c + s_ins
+            for s_h, rank, t_j, h, _ in singles:
+                t = base + t_j
+                e = est_i + s_h
+                if not e > high[t]:
+                    relax(t, e, (c, None, h, w_ins, rank))
+            for t_j, group in groups:
+                t = base + t_j
+                for s_h, rank, _, h, _ in group:
+                    e = est_i + s_h
+                    if e > high[t]:
+                        break
+                    relax(t, e, (c, None, h, w_ins, rank))
+            for s_h, rank, t_j, h, _ in skips:
+                t = base + t_j
+                e = est_c + s_skip + s_h
+                if not e > high[t]:
+                    relax(t, e, (c, None, h, w_skip, rank))
 
     # Acceptance: the final cells in visiting order, first smallest key wins.
     best: Key | None = None
@@ -385,10 +530,9 @@ def _best_alignment(nmt: Wfst, hiero: Wfst, mask: Mask, nmt_vocab: FrozenSet[int
         fw_n = nmt.final_weight(order_n[i]).values
         for j in sorted(pos_h[s] for s in hiero_finals):
             c = i * width + j
-            kc = keys[c]
-            if kc is not None:
+            if back[c] is not None:
                 fw_h = hiero_finals[order_h[j]].values
-                k = key(dense_times(dense_times(kc[1], fw_n, False), fw_h, signed))
+                k = key(dense_times(dense_times(exact(c), fw_n, False), fw_h, signed))
                 if best is None or k < best:
                     best, accepted = k, c
     if best is None:
@@ -400,7 +544,7 @@ def _best_alignment(nmt: Wfst, hiero: Wfst, mask: Mask, nmt_vocab: FrozenSet[int
                          hiero_finals[order_h[c % width]])
     arcs: list[Arc] = []
     while c != start:
-        src, a, h = back[c]
+        src, a, h, _, _ = back[c]
         x = EPSILON if a is None else a.olabel
         y = EPSILON if h is None else h.ilabel
         w = edit_weight(nmt_vocab, x, y)

@@ -229,6 +229,76 @@ def assert_matches_flower_combine(result, reference, syms):
     assert_substitution_property(result, syms)
 
 
+def tie_rule_alignment(nmt: Wfst, hiero: Wfst, params):
+    """The winning path of ``combine``'s tie rule, spelled out plainly.
+
+    No pruning (``hiero`` must be within budget), no screen, no groups:
+    every move's exact key, built with ``times``, in the order ``combine``
+    documents, and a cell taken only on a strictly smaller key.  Returns
+    the path as (input label, output label, weight values) per arc, then
+    the cost and value vector, as ``combine``'s ``path`` writes them.
+    """
+    from latcomb import edit_weight, expand_unk_runs, times
+    from latcomb.fst import topological_order
+    from latcomb.semiring import search_key
+
+    assert hiero.num_states <= params.hiero_node_budget
+    ext = expand_unk_runs(nmt, params.max_unk_run)
+    key = search_key(params.as_param_vector())
+    vocab = params.nmt_vocab
+    cells = [(s, q) for s in topological_order(ext) for q in topological_order(hiero)]
+    value = {(ext.initial, hiero.initial): ONE}
+    back = {}
+
+    def relax(target, w, move):
+        if target not in value or key(w.values) < key(value[target].values):
+            value[target], back[target] = w, move
+
+    for s, q in cells:
+        d = value.get((s, q))
+        if d is None:
+            continue
+        for a in ext.arcs(s):
+            if a.weight.infinite:
+                continue
+            x = a.olabel
+            relax((a.target, q), times(times(d, a.weight), edit_weight(vocab, x, EPSILON)),
+                  (s, q, a, None))
+            if x == EPSILON:
+                continue
+            for h in hiero.arcs(q):
+                if h.ilabel != EPSILON and not h.weight.infinite:
+                    w = times(times(times(d, a.weight), edit_weight(vocab, x, h.ilabel)), h.weight)
+                    relax((a.target, h.target), w, (s, q, a, h))
+        for h in hiero.arcs(q):
+            if not h.weight.infinite:
+                w = times(times(d, edit_weight(vocab, EPSILON, h.ilabel)), h.weight)
+                relax((s, h.target), w, (s, q, None, h))
+
+    best = None
+    for cell in cells:
+        fw_n, fw_h = ext.final_weight(cell[0]), hiero.final_weight(cell[1])
+        if cell in value and fw_n is not None and fw_h is not None:
+            k = key(times(times(value[cell], fw_n), fw_h).values)
+            if best is None or k < best[0]:
+                best = (k, cell)
+    assert best is not None
+    path = []
+    cell = best[1]
+    while cell in back:
+        s, q, a, h = back[cell]
+        x, y = EPSILON if a is None else a.olabel, EPSILON if h is None else h.ilabel
+        w = edit_weight(vocab, x, y)
+        if a is not None:
+            w = times(a.weight, w)
+        if h is not None:
+            w = times(w, h.weight)
+        path.append((EPSILON if a is None else a.ilabel, EPSILON if h is None else h.olabel,
+                     w.values))
+        cell = (s, q)
+    return path[::-1], best[0][0], best[0][1]
+
+
 def classic_levenshtein(x, y) -> int:
     m, n = len(x), len(y)
     prev = list(range(n + 1))

@@ -23,6 +23,7 @@ from latcomb import (
 )
 from latcomb.algorithms import PathWitness
 from latcomb.editfst import expand_unk_runs
+from latcomb.fst import has_negative
 from latcomb.oracle import enumerate_paths
 from latcomb.semiring import scalarize
 
@@ -352,6 +353,16 @@ def test_replace_path_count_grows_exponentially_with_unks():
     root = acceptor_from_sentences(syms, ["UNK a UNK"])
     out = expand_unk_runs(root, 3)
     assert count_paths(out) == 9  # 3 run lengths per UNK arc
+
+
+def test_expand_unk_runs_keeps_the_sign_of_its_lattice():
+    syms = SymbolTable()
+    x = syms.add("x")
+    for unk_score, x_score in ((0.75, 1.0), (-0.75, 1.0), (0.75, -1.0), (-1e-16, 1.0)):
+        root = linear_chain([x, UNK], syms, [weight({0: x_score}), weight({0: unk_score})])
+        out = expand_unk_runs(root, 3)
+        assert (has_negative.__wrapped__,) in out._derived  # kept, not walked for
+        assert has_negative(out) == has_negative.__wrapped__(out) == has_negative(root)
 
 
 @pytest.mark.parametrize("max_run", [0, 2.5, True])

@@ -38,6 +38,7 @@ from helpers import (
     assert_matches_flower_combine,
     flower_combine,
     random_combination_instance,
+    tie_rule_alignment,
 )
 
 WORDS = ["haus", "fluss", "stadt", "die", "und"]
@@ -354,12 +355,8 @@ def test_a_winning_move_whose_estimate_exceeds_the_target_cost(first, second, la
     assert (result.total_cost, result.feature_vector.values) == winner
 
 
-def test_screen_skips_most_dense_tuples(monkeypatch):
-    # A 4-word NMT chain against a hiero sausage of 3 slots x 20 words.
-    # Every cell is reached, and from cell (i, j) the pass tries, per NMT
-    # arc, one deletion and one pair per hiero arc, then one insertion
-    # per hiero arc: 4 * (4 + 2 * 60) + 60 = 556 candidate moves.  Without
-    # the screen each one builds at least one dense tuple.
+def sausage_instance():
+    """A 4-word NMT chain against a hiero sausage of 3 slots x 20 words."""
     rng = random.Random(20)
     syms = SymbolTable()
     words = [syms.add(f"w{k}") for k in range(60)]
@@ -375,12 +372,159 @@ def test_screen_skips_most_dense_tuples(monkeypatch):
     chain = [rng.choice(words[:20]), rng.choice(words[20:40]), rng.choice(words[40:]),
              rng.choice(words)]
     nmt = linear_chain(chain, syms, [weight({0: rng.uniform(0.0, 2.0)}) for _ in chain])
-    params = CombinationParams()
+    return syms, nmt, hiero, CombinationParams()
 
+
+def dense_tuples_built(monkeypatch, nmt, hiero, params):
+    """``combine``'s result and the number of value vectors its pass built."""
     built = []
     real = pipeline.dense_times
     monkeypatch.setattr(pipeline, "dense_times", lambda *args: built.append(1) or real(*args))
     result = combine(nmt, hiero, params)
     monkeypatch.undo()
+    return result, len(built)
+
+
+def test_screen_skips_most_dense_tuples(monkeypatch):
+    # Every cell is reached, and from cell (i, j) the pass could try, per
+    # NMT arc, one deletion and one pair per hiero arc, then one insertion
+    # per hiero arc: 4 * (4 + 2 * 60) + 60 = 556 candidate moves.  Without
+    # the screen each one builds at least one dense tuple.
+    syms, nmt, hiero, params = sausage_instance()
+    result, built = dense_tuples_built(monkeypatch, nmt, hiero, params)
     assert_matches_flower_combine(result, flower_combine(nmt, hiero, params), syms)
-    assert len(built) < 556 // 2
+    assert built < 556 // 2
+
+
+def test_cells_build_value_vectors_only_for_near_ties(monkeypatch):
+    # On the same instance, a pass that builds a value vector for every
+    # move it does not skip builds 187; scalar-first cells build them only
+    # for near ties, at acceptance and along the winning path.
+    syms, nmt, hiero, params = sausage_instance()
+    result, built = dense_tuples_built(monkeypatch, nmt, hiero, params)
+    assert_matches_flower_combine(result, flower_combine(nmt, hiero, params), syms)
+    assert built < 40
+
+
+def test_infinite_slack_settles_every_move_exactly():
+    # Scores of 1e300 and -1e300 put the weights' mass near the float
+    # range, so the slack is infinite and no move is decided on floats:
+    # every one, the first into an unset cell included, takes the exact
+    # comparison.  The two hiero slots offer a (0.5) or c (0.25), then b
+    # (0.5) or c (0.1); substituting c for a is the cheapest alignment.
+    syms = SymbolTable()
+    a, b, c = (syms.add(w) for w in "abc")
+    nmt = linear_chain([a, b], syms, [weight({0: 1e300}), weight({0: -1e300})])
+    hiero = Wfst(syms, syms)
+    for _ in range(3):
+        hiero.add_state()
+    hiero.set_initial(0)
+    hiero.set_final(2, ONE)
+    for src, label, score in ((0, a, 0.5), (0, c, 0.25), (1, b, 0.5), (1, c, 0.1)):
+        hiero.add_arc(src, Arc(label, label, weight({1: score}), src + 1))
+    result = combine(nmt, hiero.freeze(), CombinationParams())
+    assert result.t_hiero == ("c", "b") and result.t_comb == ("a", "b")
+    assert result.total_cost == 2.75
+    assert result.feature_vector.values == (0.0, 0.75, 1.0, 0.0, 0.0)
+
+
+def test_a_nan_estimate_takes_the_exact_comparison():
+    # With both lambdas 2, the arc costs overflow to +inf and -inf, so the
+    # match's estimate is inf + -inf = NaN.  A NaN estimate is never
+    # decided on floats: it sets the unset cell through the exact
+    # comparison, and the alignment keeps the match.
+    syms = SymbolTable()
+    a = syms.add("a")
+    nmt = linear_chain([a], syms, [weight({0: 1e308})])
+    hiero = linear_chain([a], syms, [weight({1: -1e308})])
+    result = combine(nmt, hiero, CombinationParams(lambda_nmt=2.0, lambda_hiero=2.0))
+    assert result.t_comb == result.t_hiero == ("a",)
+    assert math.isnan(result.total_cost)
+    assert result.feature_vector.values == (1e308, -1e308, 0.0, 0.0, 0.0)
+    assert result.stats.exact_match
+
+
+def test_rounding_tie_in_a_group_goes_to_the_lower_arc_index():
+    # After 1e8, the scores 0.3 + 2e-9 (arc b) and 0.3 (arc c) round to
+    # the same sum, so substituting either for z gives exactly equal keys,
+    # although c is the cheaper arc and is tried first.  The arcs share a
+    # target, and within a group an equal key goes to the lower arc index,
+    # as trying the arcs in arc order would: b wins.
+    syms = SymbolTable()
+    a, b, c, z = (syms.add(w) for w in "abcz")
+    hiero = Wfst(syms, syms)
+    for _ in range(3):
+        hiero.add_state()
+    hiero.set_initial(0)
+    hiero.set_final(2, ONE)
+    hiero.add_arc(0, Arc(a, a, weight({1: 1e8}), 1))
+    hiero.add_arc(1, Arc(b, b, weight({1: 0.3 + 2e-9}), 2))
+    hiero.add_arc(1, Arc(c, c, weight({1: 0.3}), 2))
+    hiero = hiero.freeze()
+    assert 1e8 + (0.3 + 2e-9) == 1e8 + 0.3 and 0.3 + 2e-9 > 0.3
+    nmt = linear_chain([a, z], syms)
+    result = combine(nmt, hiero, CombinationParams())
+    assert result.t_hiero == ("a", "b")
+    assert (result.total_cost, result.feature_vector.values) == \
+        (1e8 + 0.3 + 2.0, (0.0, 1e8 + 0.3, 1.0, 0.0, 0.0))
+
+
+def wide_instance(rng):
+    """A hiero sausage of 2-3 slots with 5-25 parallel arcs each (a few
+    of them epsilon, labels drawn with repeats) against a small NMT
+    lattice with UNK arcs and a vocabulary/OOV mix.  Half the instances
+    score on {0, 0.5, 1}, so arcs of one group tie exactly; some set
+    lambda_hiero to 0, so that every arc of a group ties on cost."""
+    syms = SymbolTable()
+    pool = [syms.add(f"w{k}") for k in range(24)]
+    ties = rng.random() < 0.5
+
+    def score():
+        return rng.choice((0.0, 0.5, 1.0)) if ties else rng.uniform(0.0, 2.0)
+
+    def sausage(slot_sizes, labels, feature):
+        fst = Wfst(syms, syms)
+        for _ in range(len(slot_sizes) + 1):
+            fst.add_state()
+        fst.set_initial(0)
+        fst.set_final(len(slot_sizes), ONE)
+        for slot, n in enumerate(slot_sizes):
+            for _ in range(n):
+                label = labels()
+                fst.add_arc(slot, Arc(label, label, weight({feature: score()}), slot + 1))
+        return fst.freeze()
+
+    hiero = sausage([rng.randint(5, 25) for _ in range(rng.randint(2, 3))],
+                    lambda: EPSILON if rng.random() < 0.05 else rng.choice(pool), 1)
+    nmt = sausage([rng.randint(1, 2) for _ in range(rng.randint(2, 4))],
+                  lambda: UNK if rng.random() < 0.35 else rng.choice(pool), 0)
+    sub = rng.choice((0.0, 0.5, 1.0))
+    params = CombinationParams(
+        lambda_nmt=rng.choice((0.5, 1.0)),
+        lambda_hiero=0.0 if rng.random() < 0.2 else rng.choice((0.5, 1.0, 2.0)),
+        lambda_sub=sub, lambda_edit=sub + rng.choice((0.5, 1.0, 2.0)),
+        lambda_ins=rng.choice((0.0, 0.5)), max_unk_run=rng.randint(1, 3),
+        nmt_vocab=frozenset(rng.sample(pool, 12)))
+    return syms, nmt, hiero, params
+
+
+def test_combine_equals_flower_chain_on_wide_group_stream():
+    # The flower chain breaks exact ties its own way, so on tied instances
+    # only its cost and feature vector are the reference; the whole winning
+    # path must be the one the tie rule, spelled out plainly, picks.
+    rng = random.Random(1515)
+    tied = flat = unks = 0
+    for _ in range(150):
+        syms, nmt, hiero, params = wide_instance(rng)
+        result = combine(nmt, hiero, params)
+        reference = flower_combine(nmt, hiero, params)
+        assert (result.total_cost, result.feature_vector) == \
+            (reference.total_cost, reference.feature_vector)
+        path, cost, values = tie_rule_alignment(nmt, hiero, params)
+        assert [(a.ilabel, a.olabel, a.weight.values) for a in result.path.arcs] == path
+        assert (result.total_cost, result.feature_vector.values) == (cost, values)
+        scores = [arc.weight.values[1] for s in hiero.states() for arc in hiero.arcs(s)]
+        tied += len(set(scores)) < len(scores)
+        flat += params.lambda_hiero == 0.0
+        unks += UNK in nmt.all_labels()
+    assert tied > 50 and flat > 15 and unks > 75  # the stream covers all three

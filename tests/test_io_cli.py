@@ -362,13 +362,22 @@ def _structure(fst):
 def test_reader_matches_a_machine_built_through_the_public_api(tmp_path):
     rng = random.Random(1313)
     path = str(tmp_path / "m.fst")
-    for i in range(300):
+    # Written by hand, since write_lattice writes canonical values: a
+    # negative final weight, and scores of -1e-16 and -0.0, which read as 0.0.
+    signed = [("1:0.5", "1:-0.25"), ("1:-1e-16", "1:0.5"), ("1:-1e-16", "1:-0.0"),
+              ("1:-0.5", "1:1e-16")]
+    for i in range(300 + len(signed)):
         syms = SymbolTable()
-        if i % 2:
-            machine = contract_test_machine(rng, syms, rng.choice([NMT_SCORE, HIERO_SCORE]))
+        if i >= 300:
+            a = syms.add("a")
+            with open(path, "w", encoding="utf-8") as handle:
+                arc, final = signed[i - 300]
+                handle.write(f"0 1 {a} {a} {arc}\n1 {final}\n")
+        elif i % 2:
+            write_lattice(contract_test_machine(rng, syms, rng.choice([NMT_SCORE, HIERO_SCORE])),
+                          path)
         else:
-            machine = _random_machine(rng, syms)
-        write_lattice(machine, path)
+            write_lattice(_random_machine(rng, syms), path)
         reference = _read_through_public_api(path, syms)
         weights = ([a.weight for s in reference.states() for a in reference.arcs(s)]
                    + [w for _, w in reference.finals()])
@@ -389,7 +398,10 @@ def test_reader_matches_a_machine_built_through_the_public_api(tmp_path):
             assert read.frozen
             assert _structure(read) == _structure(reference)
             assert topological_order(read) == topological_order(reference)
+            assert (has_negative.__wrapped__,) in read._derived  # kept while reading
             assert has_negative(read) == has_negative(reference)
+            if i >= 300:
+                assert has_negative(read) == (i in (300, 303))
             assert contract_errors(read, kind) == expected
 
 
