@@ -32,7 +32,6 @@ from .fst import (
     Wfst,
     count_paths,
     is_acyclic,
-    linear_chain,
     validate,
 )
 from .pipeline import (

@@ -30,9 +30,10 @@ from .fst import (
     NO_STATE,
     UNK,
     Arc,
-    SymbolTable,
+    Row,
     Wfst,
     accessible_states,
+    arc_of,
     coaccessible_states,
     dense_arcs,
     has_negative,
@@ -52,22 +53,28 @@ from .semiring import (
 
 @dataclass(frozen=True)
 class PathWitness:
-    """One complete path: its arcs, final weight, and total weight.
+    """One complete path: its arcs as rows, final weight, and total weight.
 
+    ``rows`` holds each arc as a machine stores it (:data:`~latcomb.fst.Row`);
+    :attr:`arcs` builds the :class:`~latcomb.fst.Arc` objects on demand.
     ``weight`` is the product of all arc weights and the final weight;
     ``cost`` is its scalarization under the parameters the search ran with.
     """
 
-    arcs: tuple[Arc, ...]
+    rows: tuple[Row, ...]
     final_weight: FeatureWeight
     weight: FeatureWeight
     cost: float
 
+    @property
+    def arcs(self) -> tuple[Arc, ...]:
+        return tuple(map(arc_of, self.rows))
+
     def input_labels(self) -> tuple[int, ...]:
-        return tuple(a.ilabel for a in self.arcs if a.ilabel != EPSILON)
+        return tuple(r[1] for r in self.rows if r[1] != EPSILON)
 
     def output_labels(self) -> tuple[int, ...]:
-        return tuple(a.olabel for a in self.arcs if a.olabel != EPSILON)
+        return tuple(r[2] for r in self.rows if r[2] != EPSILON)
 
     def unk_filled_labels(self) -> tuple[int, ...]:
         """Input labels with every UNK replaced by the aligned output label.
@@ -76,22 +83,14 @@ class PathWitness:
         that is epsilon); all other arcs contribute their input label.  This
         yields the combined translation of the pipeline.
         """
-        out = []
-        for a in self.arcs:
-            label = a.olabel if a.ilabel == UNK else a.ilabel
-            if label != EPSILON:
-                out.append(label)
-        return tuple(out)
+        return tuple(label for _, ilabel, olabel, _ in self.rows
+                     if (label := olabel if ilabel == UNK else ilabel) != EPSILON)
 
 
 def _check_frozen(*machines: Wfst) -> None:
     for m in machines:
         if not m.frozen:
             raise ContractError("algorithm inputs must be frozen machines")
-
-
-def _empty_like(isyms: SymbolTable, osyms: SymbolTable) -> Wfst:
-    return Wfst(isyms, osyms).freeze()
 
 
 def connect(fst: Wfst) -> Wfst:
@@ -103,20 +102,19 @@ def connect(fst: Wfst) -> Wfst:
     _check_frozen(fst)
     coacc = coaccessible_states(fst)
     if fst.initial not in coacc:
-        return _empty_like(fst.isyms, fst.osyms)
+        return Wfst(fst.isyms, fst.osyms).freeze()
     acc = accessible_states(fst)
-    return _submachine(fst, [s for s in fst.states() if s in acc and s in coacc], fst.arcs,
+    return _submachine(fst, [s for s in fst.states() if s in acc and s in coacc], fst.rows,
                        fst.finals())
 
 
-def _submachine(fst: Wfst, keep: Sequence[int], arcs: Callable[[int], Iterable[Arc]],
+def _submachine(fst: Wfst, keep: Sequence[int], rows_of: Callable[[int], Iterable[Row]],
                 finals: Iterable[tuple[int, FeatureWeight]]) -> Wfst:
     """The machine on the states ``keep`` (which holds the initial state),
-    renumbered in that order: of the arcs ``arcs(s)`` out of each kept
+    renumbered in that order: of the rows ``rows_of(s)`` out of each kept
     ``s`` and of ``finals``, those whose states are kept."""
     remap = {old: new for new, old in enumerate(keep)}
-    rows = [[Arc(a.ilabel, a.olabel, a.weight, remap[a.target]) for a in arcs(s)
-             if a.target in remap] for s in keep]
+    rows = [[(remap[t], il, ol, v) for t, il, ol, v in rows_of(s) if t in remap] for s in keep]
     return Wfst.frozen_from(fst.isyms, rows, {remap[s]: w for s, w in finals if s in remap},
                             remap[fst.initial], fst.osyms)
 
@@ -137,23 +135,18 @@ def compose(t1: Wfst, t2: Wfst) -> Wfst:
     if not t1.osyms.same_mapping(t2.isyms):
         raise ContractError("composition requires t1's output alphabet to equal t2's input alphabet")
     if t1.initial == NO_STATE or t2.initial == NO_STATE:
-        return _empty_like(t1.isyms, t2.osyms)
+        return Wfst(t1.isyms, t2.osyms).freeze()
 
-    # t2 arcs indexed by input label, plus its eps-input arcs, per state.
-    by_ilabel: list[dict[int, list[Arc]]] = []
-    eps_in: list[list[Arc]] = []
+    # t2's rows per state, indexed by input label (EPSILON: its eps-input rows).
+    by_ilabel: list[dict[int, list[Row]]] = []
     for s in t2.states():
-        index: dict[int, list[Arc]] = {}
-        eps_arcs: list[Arc] = []
-        for arc in t2.arcs(s):
-            if arc.ilabel == EPSILON:
-                eps_arcs.append(arc)
-            else:
-                index.setdefault(arc.ilabel, []).append(arc)
+        index: dict[int, list[Row]] = {}
+        for row in t2.rows(s):
+            index.setdefault(row[1], []).append(row)
         by_ilabel.append(index)
-        eps_in.append(eps_arcs)
 
-    out = Wfst(t1.isyms, t2.osyms)
+    rows: list[list[Row]] = []
+    finals: dict[int, FeatureWeight] = {}
     ids: dict[tuple[int, int, int], int] = {}
     queue: deque[tuple[int, int, int]] = deque()
 
@@ -161,50 +154,46 @@ def compose(t1: Wfst, t2: Wfst) -> Wfst:
         """The result state of ``key``; a new one is queued for expansion."""
         sid = ids.get(key)
         if sid is None:
-            sid = ids[key] = out.add_state()
+            sid = ids[key] = len(rows)
+            rows.append([])
             queue.append(key)
         return sid
 
-    out.set_initial(state_of((t1.initial, t2.initial, 0)))
+    def mul(u: Dense | None, v: Dense | None) -> Dense | None:
+        return None if u is None or v is None else dense_times(u, v, True)
 
+    initial = state_of((t1.initial, t2.initial, 0))
     while queue:
         key = queue.popleft()
         s1, s2, flt = key
-        src = ids[key]
+        out = rows[ids[key]]
 
         f1 = t1.final_weight(s1)
         if f1 is not None:
             f2 = t2.final_weight(s2)
             if f2 is not None:
-                out.set_final(src, times(f1, f2))
+                finals[ids[key]] = times(f1, f2)
 
-        arcs1 = t1.arcs(s1)
         index2 = by_ilabel[s2]
-        eps2 = eps_in[s2]
-        for a1 in arcs1:
-            if a1.olabel != EPSILON:
-                matches = index2.get(a1.olabel)
-                if matches:
-                    for a2 in matches:
-                        dst = state_of((a1.target, a2.target, 0))
-                        out.add_arc(src, Arc(a1.ilabel, a2.olabel, times(a1.weight, a2.weight), dst))
+        eps2 = index2.get(EPSILON, ())
+        for t1_, x, y, v1 in t1.rows(s1):
+            if y != EPSILON:
+                for t2_, _, z, v2 in index2.get(y, ()):
+                    out.append((state_of((t1_, t2_, 0)), x, z, mul(v1, v2)))
             else:
                 if flt != 2:
                     # t1 advances alone on its eps-output arc.
-                    dst = state_of((a1.target, s2, 1))
-                    out.add_arc(src, Arc(a1.ilabel, EPSILON, a1.weight, dst))
+                    out.append((state_of((t1_, s2, 1)), x, EPSILON, v1))
                 if flt == 0:
                     # Both sides advance on paired eps arcs.
-                    for a2 in eps2:
-                        dst = state_of((a1.target, a2.target, 0))
-                        out.add_arc(src, Arc(a1.ilabel, a2.olabel, times(a1.weight, a2.weight), dst))
+                    for t2_, _, z, v2 in eps2:
+                        out.append((state_of((t1_, t2_, 0)), x, z, mul(v1, v2)))
         if flt != 1:
             # t2 advances alone on its eps-input arcs.
-            for a2 in eps2:
-                dst = state_of((s1, a2.target, 2))
-                out.add_arc(src, Arc(EPSILON, a2.olabel, a2.weight, dst))
+            for t2_, _, z, v2 in eps2:
+                out.append((state_of((s1, t2_, 2)), EPSILON, z, v2))
 
-    return connect(out.freeze())
+    return connect(Wfst.frozen_from(t1.isyms, rows, finals, initial, t2.osyms))
 
 
 def _check_searchable(fst: Wfst, params: ParamVector) -> None:
@@ -213,31 +202,33 @@ def _check_searchable(fst: Wfst, params: ParamVector) -> None:
     if fst.initial == NO_STATE or fst.num_finals == 0:
         raise NoPathError("machine accepts nothing")
     key = search_key(params)
-    if topological_order(fst) is None and any(key(w)[0] < 0.0 for row in dense_arcs(fst)
-                                              for _, w, _ in row):
+    if topological_order(fst) is None and any(key(r[3])[0] < 0.0 for rows in dense_arcs(fst)
+                                              for r in rows):
         raise ContractError("cyclic machine with a negative-cost arc: shortest path undefined")
 
 
 def _distances(fst: Wfst, key: Callable[[Dense], Key], backward: bool = False,
-               ) -> tuple[list[Key | None], list[tuple[int, Arc] | None]]:
-    """Best key from the initial state to every state, with backpointers.
+               ) -> tuple[list[Key | None], list[tuple[int, Row] | None]]:
+    """Best key from the initial state to every state, with backpointers
+    (the previous state and the row of the arc taken).
 
     With ``backward``, the best key from every state to acceptance (final
     weight included) instead, searched on the reversed arcs, and each
-    backpointer holds the next state and arc.  An acyclic machine is
-    searched in topological order, a cyclic one with Dijkstra.
+    backpointer holds the next state and the arc's row reversed (its
+    source first).  An acyclic machine is searched in topological order,
+    a cyclic one with Dijkstra.
     """
     order = topological_order(fst)
     signed = has_negative(fst)
     n = fst.num_states
     keys: list[Key | None] = [None] * n
-    back: list[tuple[int, Arc] | None] = [None] * n
+    back: list[tuple[int, Row] | None] = [None] * n
     if backward:
-        rev: list[list[tuple[int, Dense, Arc]]] = [[] for _ in range(n)]
-        for s, row in enumerate(dense_arcs(fst)):
-            for t, w, arc in row:
-                rev[t].append((s, w, arc))
-        adj: Sequence[Sequence[tuple[int, Dense, Arc]]] = rev
+        rev: list[list[Row]] = [[] for _ in range(n)]
+        for s, rows in enumerate(dense_arcs(fst)):
+            for t, il, ol, w in rows:
+                rev[t].append((s, il, ol, w))
+        adj: Sequence[Sequence[Row]] = rev
         sources = [(s, key(fw.values)) for s, fw in fst.finals()]
         if order is not None:
             order = order[::-1]
@@ -253,12 +244,13 @@ def _distances(fst: Wfst, key: Callable[[Dense], Key], backward: bool = False,
             if ks is None:
                 continue
             v = ks[1]
-            for t, w, arc in adj[s]:
-                cand = key(dense_times(v, w, signed))
+            for row in adj[s]:
+                t = row[0]
+                cand = key(dense_times(v, row[3], signed))
                 old = keys[t]
                 if old is None or cand < old:
                     keys[t] = cand
-                    back[t] = (s, arc)
+                    back[t] = (s, row)
     else:
         counter = count()
         heap = [(k, next(counter), s) for s, k in sources]
@@ -270,14 +262,15 @@ def _distances(fst: Wfst, key: Callable[[Dense], Key], backward: bool = False,
                 continue
             settled[s] = True
             v = ks[1]
-            for t, w, arc in adj[s]:
+            for row in adj[s]:
+                t = row[0]
                 if settled[t]:
                     continue
-                cand = key(dense_times(v, w, signed))
+                cand = key(dense_times(v, row[3], signed))
                 old = keys[t]
                 if old is None or cand < old:
                     keys[t] = cand
-                    back[t] = (s, arc)
+                    back[t] = (s, row)
                     heapq.heappush(heap, (cand, next(counter), t))
     return keys, back
 
@@ -297,7 +290,7 @@ def shortest_path(fst: Wfst, params: ParamVector) -> PathWitness:
 
 
 def _best_path(fst: Wfst, key: Callable[[Dense], Key], keys: list[Key | None],
-               back: list[tuple[int, Arc] | None]) -> PathWitness:
+               back: list[tuple[int, Row] | None]) -> PathWitness:
     """The best complete path given forward keys and backpointers."""
     best_state = NO_STATE
     best: Key | None = None
@@ -312,18 +305,17 @@ def _best_path(fst: Wfst, key: Callable[[Dense], Key], keys: list[Key | None],
     if best is None:
         raise NoPathError("no path from the initial state to a final state")
 
-    arcs: list[Arc] = []
+    rows: list[Row] = []
     s = best_state
     while s != fst.initial:
         entry = back[s]
         assert entry is not None
-        src, arc = entry
-        arcs.append(arc)
-        s = src
-    arcs.reverse()
+        s, row = entry
+        rows.append(row)
+    rows.reverse()
     final_w = fst.final_weight(best_state)
     assert final_w is not None
-    return PathWitness(arcs=tuple(arcs), final_weight=final_w,
+    return PathWitness(rows=tuple(rows), final_weight=final_w,
                        weight=FeatureWeight(best[1]), cost=best[0])
 
 
@@ -339,8 +331,8 @@ def _nbest_raw(fst: Wfst, n: int, key: Callable[[Dense], Key],
     signed = has_negative(fst)
     finals = {s: fw.values for s, fw in fst.finals()}
 
-    # Nodes are (state, arc, parent-index); arcs recovered by walking parents.
-    nodes: list[tuple[int, Arc | None, int]] = [(fst.initial, None, -1)]
+    # Nodes are (state, row, parent-index); rows recovered by walking parents.
+    nodes: list[tuple[int, Row | None, int]] = [(fst.initial, None, -1)]
     counter = count()
     # Entries are (key bound, tie counter, node, prefix weight values).
     heap: list[tuple[Key, int, int, Dense]] = [(beta[fst.initial], next(counter), 0, ONE.values)]
@@ -351,18 +343,17 @@ def _nbest_raw(fst: Wfst, n: int, key: Callable[[Dense], Key],
         bound, _, node_idx, prefix = heapq.heappop(heap)
         state = nodes[node_idx][0]
         if state == NO_STATE:
-            # Completed path: rebuild the arc sequence.
-            path: list[Arc] = []
+            # Completed path: rebuild the row sequence.
+            path: list[Row] = []
             idx = nodes[node_idx][2]
             while idx != -1:
-                s, arc, parent = nodes[idx]
-                if arc is not None:
-                    path.append(arc)
-                idx = parent
+                _, row, idx = nodes[idx]
+                if row is not None:
+                    path.append(row)
             path.reverse()
-            fw = fst.final_weight(path[-1].target if path else fst.initial)
+            fw = fst.final_weight(path[-1][0] if path else fst.initial)
             assert fw is not None
-            results.append(PathWitness(arcs=tuple(path), final_weight=fw,
+            results.append(PathWitness(rows=tuple(path), final_weight=fw,
                                        weight=FeatureWeight(prefix),
                                        cost=bound[0]))
             continue
@@ -376,13 +367,13 @@ def _nbest_raw(fst: Wfst, n: int, key: Callable[[Dense], Key],
             node = len(nodes)
             nodes.append((NO_STATE, None, node_idx))
             heapq.heappush(heap, (key(total), next(counter), node, total))
-        for t, w, arc in arcs[state]:
-            b = beta[t]
+        for row in arcs[state]:
+            b = beta[row[0]]
             if b is None:
                 continue
-            ext = dense_times(prefix, w, signed)
+            ext = dense_times(prefix, row[3], signed)
             node = len(nodes)
-            nodes.append((t, arc, node_idx))
+            nodes.append((row[0], row, node_idx))
             heapq.heappush(heap, (key(dense_times(ext, b[1], signed)), next(counter), node, ext))
     return results
 
@@ -427,7 +418,7 @@ def nbest(fst: Wfst, n: int, params: ParamVector, unique: bool = False) -> list[
 
 
 # What pruning keeps of a machine, on its own state ids: see _prune_mask.
-Mask = tuple[Sequence[int], Sequence[Sequence[tuple[int, Dense, Arc]]], dict[int, FeatureWeight]]
+Mask = tuple[Sequence[int], Sequence[Sequence[Row]], dict[int, FeatureWeight]]
 
 
 def prune_to_node_budget(fst: Wfst, budget: int, params: ParamVector) -> Wfst:
@@ -442,15 +433,14 @@ def prune_to_node_budget(fst: Wfst, budget: int, params: ParamVector) -> Wfst:
     keep, arcs, finals = _prune_mask(fst, budget, params)
     if fst.num_states <= budget:
         return fst
-    return connect(_submachine(fst, keep, lambda s: (arc for _, _, arc in arcs[s]),
-                               finals.items()))
+    return connect(_submachine(fst, keep, arcs.__getitem__, finals.items()))
 
 
 def _prune_mask(fst: Wfst, budget: int, params: ParamVector) -> Mask:
     """What :func:`prune_to_node_budget` keeps of ``fst``, on its state ids.
 
     Returns the kept states, in the order the pruned machine numbers
-    them; per state, its kept ``dense_arcs`` entries (none for a dropped
+    them; per state, its kept ``dense_arcs`` rows (none for a dropped
     state); and the kept final weights.  Within budget that is all of
     ``fst``, its own ``dense_arcs`` included.  Kept states need not all
     be connected through the kept arcs; the public function trims them.
@@ -483,15 +473,15 @@ def _prune_mask(fst: Wfst, budget: int, params: ParamVector) -> Mask:
     if bound is None or bound < best_cost - slack:
         # Even the optimal plateau is over budget: keep just the best
         # path, its states in path order.
-        keep = [fst.initial, *(arc.target for arc in best.arcs)]
-        arcs: list[Sequence[tuple[int, Dense, Arc]]] = [()] * fst.num_states
-        for s, arc in zip(keep, best.arcs):
-            arcs[s] = ((arc.target, arc.weight.values, arc),)
+        keep = [fst.initial, *(row[0] for row in best.rows)]
+        arcs: list[Sequence[Row]] = [()] * fst.num_states
+        for s, row in zip(keep, best.rows):
+            arcs[s] = (row,)
         return keep, arcs, {keep[-1]: best.final_weight}
 
     limit = bound + slack
-    arcs = [tuple(e for e in row if through[e[0]] <= limit
-                  and fkeys[s][0] + key(e[1])[0] + bkeys[e[0]][0] <= limit)
-            if through[s] <= limit else () for s, row in enumerate(dense_arcs(fst))]
+    arcs = [tuple(r for r in rows if through[r[0]] <= limit
+                  and fkeys[s][0] + key(r[3])[0] + bkeys[r[0]][0] <= limit)
+            if through[s] <= limit else () for s, rows in enumerate(dense_arcs(fst))]
     keep = [s for s in fst.states() if through[s] <= limit]
     return keep, arcs, {s: w for s, w in fst.finals() if through[s] <= limit}

@@ -30,7 +30,7 @@ from __future__ import annotations
 from typing import AbstractSet
 
 from .errors import ContractError, check_count
-from .fst import EPSILON, NO_STATE, UNK, Arc, SymbolTable, Wfst, _keep, has_negative
+from .fst import EPSILON, NO_STATE, UNK, Row, SymbolTable, Wfst, _keep, has_negative
 from .semiring import EDIT_COUNT, ONE, SUB_COUNT, UNK_EXT_COUNT, FeatureWeight
 
 _EDIT_ONE = FeatureWeight.from_features({EDIT_COUNT: 1.0})
@@ -69,18 +69,12 @@ def build_standard_edit_fst(alphabet: AbstractSet[int], symbols: SymbolTable) ->
     letters = sorted(set(alphabet) - {EPSILON})
     if not letters:
         raise ContractError("edit transducer needs a nonempty alphabet")
-    fst = Wfst(symbols, symbols)
-    q = fst.add_state()
-    fst.set_initial(q)
-    fst.set_final(q, ONE)
+    one, edit = ONE.values, _EDIT_ONE.values
+    rows: list[Row] = []
     for a in letters:
-        fst.add_arc(q, Arc(a, a, ONE, q))
-        fst.add_arc(q, Arc(a, EPSILON, _EDIT_ONE, q))
-        fst.add_arc(q, Arc(EPSILON, a, _EDIT_ONE, q))
-        for b in letters:
-            if a != b:
-                fst.add_arc(q, Arc(a, b, _EDIT_ONE, q))
-    return fst.freeze()
+        rows += [(0, a, a, one), (0, a, EPSILON, edit), (0, EPSILON, a, edit)]
+        rows += [(0, a, b, edit) for b in letters if a != b]
+    return Wfst.frozen_from(symbols, [rows], {0: ONE}, 0)
 
 
 def build_modified_edit_fst(alphabet: AbstractSet[int], nmt_vocab: AbstractSet[int],
@@ -94,20 +88,16 @@ def build_modified_edit_fst(alphabet: AbstractSet[int], nmt_vocab: AbstractSet[i
     letters = sorted(set(alphabet) - {EPSILON, UNK})
     if not letters:
         raise ContractError("edit transducer needs a nonempty alphabet")
-    fst = Wfst(symbols, symbols)
-    q = fst.add_state()
-    fst.set_initial(q)
-    fst.set_final(q, ONE)
+
+    def row(a: int, b: int) -> Row:
+        return (0, a, b, edit_weight(nmt_vocab, a, b).values)
+
+    rows: list[Row] = []
     for a in letters:
-        fst.add_arc(q, Arc(a, a, edit_weight(nmt_vocab, a, a), q))
-        fst.add_arc(q, Arc(a, EPSILON, edit_weight(nmt_vocab, a, EPSILON), q))
-        fst.add_arc(q, Arc(EPSILON, a, edit_weight(nmt_vocab, EPSILON, a), q))
-        fst.add_arc(q, Arc(UNK, a, edit_weight(nmt_vocab, UNK, a), q))
-        for b in letters:
-            if a != b:
-                fst.add_arc(q, Arc(a, b, edit_weight(nmt_vocab, a, b), q))
-    fst.add_arc(q, Arc(UNK, EPSILON, edit_weight(nmt_vocab, UNK, EPSILON), q))
-    return fst.freeze()
+        rows += [row(a, a), row(a, EPSILON), row(EPSILON, a), row(UNK, a)]
+        rows += [row(a, b) for b in letters if a != b]
+    rows.append(row(UNK, EPSILON))
+    return Wfst.frozen_from(symbols, [rows], {0: ONE}, 0)
 
 
 def expand_unk_runs(nmt: Wfst, max_run: int) -> Wfst:
@@ -126,16 +116,18 @@ def expand_unk_runs(nmt: Wfst, max_run: int) -> Wfst:
     check_count("max_run", max_run)
     if nmt.initial == NO_STATE:
         raise ContractError("cannot expand the UNK runs of a machine with no initial state")
-    rows: list[list[Arc]] = [[] for _ in nmt.states()]  # run states get appended
+    ext = _EXT_ONE.values
+    rows: list[list[Row]] = [[] for _ in nmt.states()]  # run states get appended
     for s in nmt.states():
-        for arc in nmt.arcs(s):
-            rows[s].append(arc)
-            if arc.ilabel != UNK or arc.olabel != UNK or max_run == 1:
+        for row in nmt.rows(s):
+            rows[s].append(row)
+            target, ilabel, olabel, values = row
+            if ilabel != UNK or olabel != UNK or max_run == 1:
                 continue
-            rows[s].append(Arc(UNK, UNK, arc.weight, len(rows)))
+            rows[s].append((len(rows), UNK, UNK, values))
             for nxt in range(len(rows) + 1, len(rows) + max_run - 1):
-                rows.append([Arc(UNK, UNK, _EXT_ONE, nxt), Arc(UNK, UNK, _EXT_ONE, arc.target)])
-            rows.append([Arc(UNK, UNK, _EXT_ONE, arc.target)])
+                rows.append([(nxt, UNK, UNK, ext), (target, UNK, UNK, ext)])
+            rows.append([(target, UNK, UNK, ext)])
     extended = Wfst.frozen_from(nmt.isyms, rows, dict(nmt.finals()), nmt.initial, nmt.osyms)
     _keep(extended, has_negative, has_negative(nmt))
     return extended

@@ -2,8 +2,14 @@
 
 A :class:`Wfst` is mutable while it is being built and frozen before any
 algorithm touches it; frozen machines are safe to share.  States are
-dense integers, arcs live in per-state adjacency lists, and every arc
-weight is a :class:`~latcomb.semiring.FeatureWeight`.
+dense integers; each state's arcs are plain rows :data:`Row`, ``(target,
+ilabel, olabel, values)`` with the weight's canonical values (None for
+ZERO), a tuple of tuples once frozen, as in OpenFst's ``ConstFst``.
+Readers and searches work on rows.  :class:`Arc` and
+:class:`~latcomb.semiring.FeatureWeight` objects are made on demand,
+only by the accessors :meth:`Wfst.arcs` and
+:attr:`~latcomb.algorithms.PathWitness.arcs`; :meth:`Wfst.add_arc`, the
+checked builder, takes an :class:`Arc` and stores its row.
 
 This module is the one place that derives facts from a machine's
 structure: :func:`topological_order`, :func:`has_negative`,
@@ -18,10 +24,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import wraps
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import Callable, Iterator, Sequence, TypeVar
 
 from .errors import ContractError
-from .semiring import HIERO_SCORE, NMT_SCORE, NUM_FEATURES, ONE, Dense, FeatureWeight
+from .semiring import HIERO_SCORE, NMT_SCORE, ONE, ZERO, Dense, FeatureWeight
 
 # Labels 0 and 1 have fixed meanings in every symbol table.
 EPSILON = 0
@@ -47,9 +53,6 @@ class SymbolTable:
 
     def __contains__(self, word: str) -> bool:
         return word in self._word_to_label
-
-    def has_label(self, label: int) -> bool:
-        return label in self._label_to_word
 
     def add(self, word: str) -> int:
         """Register a word, returning its (possibly existing) label."""
@@ -104,13 +107,24 @@ class Arc:
     target: int
 
 
+# How a machine stores an arc: (target, ilabel, olabel, values), values
+# None for ZERO.
+Row = tuple[int, int, int, Dense | None]
+
+
+def arc_of(row: Row) -> Arc:
+    """The :class:`Arc` a row stores."""
+    target, ilabel, olabel, values = row
+    return Arc(ilabel, olabel, ZERO if values is None else FeatureWeight(values), target)
+
+
 class Wfst:
     """Weighted transducer with one initial state and weighted final states."""
 
     def __init__(self, isyms: SymbolTable | None = None, osyms: SymbolTable | None = None) -> None:
         self.isyms = isyms if isyms is not None else SymbolTable()
         self.osyms = osyms if osyms is not None else self.isyms
-        self._arcs: list[Sequence[Arc]] = []
+        self._arcs: Sequence[Sequence[Row]] = []
         self._finals: dict[int, FeatureWeight] = {}
         self.initial: int = NO_STATE
         self._frozen = False
@@ -135,7 +149,9 @@ class Wfst:
         self._check_mutable()
         self._check_state(src)
         self._check_state(arc.target)
-        self._arcs[src].append(arc)
+        w = arc.weight
+        self._arcs[src].append((arc.target, arc.ilabel, arc.olabel,
+                                None if w.infinite else w.values))
 
     def set_initial(self, s: int) -> None:
         self._check_mutable()
@@ -151,21 +167,22 @@ class Wfst:
             self._finals[s] = w
 
     @classmethod
-    def frozen_from(cls, syms: SymbolTable, arcs: list[list[Arc]],
+    def frozen_from(cls, syms: SymbolTable, rows: Sequence[Sequence[Row]],
                     finals: dict[int, FeatureWeight], initial: int,
                     osyms: SymbolTable | None = None) -> "Wfst":
-        """The frozen machine with ``arcs[s]`` leaving each state ``s``
-        (output symbols ``osyms``, by default ``syms``).
+        """The frozen machine with the arc rows ``rows[s]`` leaving each
+        state ``s`` (output symbols ``osyms``, by default ``syms``).
 
-        Checks nothing, unlike :meth:`add_arc`: every arc target, final
-        state and ``initial`` must index ``arcs``, and no final weight be ZERO.
+        Checks nothing, unlike :meth:`add_arc`: every row's target, final
+        state and ``initial`` must index ``rows``, every row's values be
+        canonical (or None), and no final weight be ZERO.
         """
         fst = cls(syms, osyms)
-        fst._arcs, fst._finals, fst.initial = arcs, finals, initial
+        fst._arcs, fst._finals, fst.initial = rows, finals, initial
         return fst.freeze()
 
     def freeze(self) -> "Wfst":
-        self._arcs = [tuple(arcs) for arcs in self._arcs]
+        self._arcs = tuple(map(tuple, self._arcs))
         self._frozen = True
         return self
 
@@ -186,8 +203,13 @@ class Wfst:
     def states(self) -> range:
         return range(len(self._arcs))
 
-    def arcs(self, s: int) -> Sequence[Arc]:
+    def arcs(self, s: int) -> tuple[Arc, ...]:
+        """The arcs leaving ``s``, built from its rows on each call."""
         self._check_state(s)
+        return tuple(map(arc_of, self._arcs[s]))
+
+    def rows(self, s: int) -> Sequence[Row]:
+        """The arcs leaving ``s`` as stored (see :data:`Row`); nothing is built."""
         return self._arcs[s]
 
     def is_final(self, s: int) -> bool:
@@ -203,15 +225,6 @@ class Wfst:
     @property
     def num_finals(self) -> int:
         return len(self._finals)
-
-    def all_labels(self) -> set[int]:
-        """Every input and output label occurring on an arc."""
-        labels: set[int] = set()
-        for arcs in self._arcs:
-            for arc in arcs:
-                labels.add(arc.ilabel)
-                labels.add(arc.olabel)
-        return labels
 
     def __repr__(self) -> str:
         return (f"Wfst(states={self.num_states}, arcs={self.num_arcs}, "
@@ -250,18 +263,19 @@ def topological_order(fst: Wfst) -> tuple[int, ...] | None:
     """
     n = fst.num_states
     indegree = [0] * n
-    for arcs in fst._arcs:
-        for arc in arcs:
-            indegree[arc.target] += 1
+    for rows in fst._arcs:
+        for row in rows:
+            indegree[row[0]] += 1
     stack = [s for s in range(n - 1, -1, -1) if indegree[s] == 0]
     order: list[int] = []
     while stack:
         s = stack.pop()
         order.append(s)
-        for arc in fst._arcs[s]:
-            indegree[arc.target] -= 1
-            if indegree[arc.target] == 0:
-                stack.append(arc.target)
+        for row in fst._arcs[s]:
+            t = row[0]
+            indegree[t] -= 1
+            if indegree[t] == 0:
+                stack.append(t)
     return tuple(order) if len(order) == n else None
 
 
@@ -280,8 +294,8 @@ def count_paths(fst: Wfst) -> int | None:
     ways[fst.initial] = 1
     for s in order:
         if ways[s]:
-            for arc in fst._arcs[s]:
-                ways[arc.target] += ways[s]
+            for row in fst._arcs[s]:
+                ways[row[0]] += ways[s]
     return sum(ways[s] for s, _ in fst.finals())
 
 
@@ -293,16 +307,18 @@ def has_negative(fst: Wfst) -> bool:
     then do searches need the zeroing of
     :func:`~latcomb.semiring.dense_times`.
     """
-    return (any(v < 0.0 for arcs in fst._arcs for arc in arcs for v in arc.weight.values)
+    return (any(row[3] is not None and min(row[3]) < 0.0 for rows in fst._arcs for row in rows)
             or any(v < 0.0 for _, w in fst.finals() for v in w.values))
 
 
 @_derived
-def dense_arcs(fst: Wfst) -> tuple[tuple[tuple[int, Dense, Arc], ...], ...]:
-    """Per state, the arcs that are not ZERO as (target, weight values, arc),
-    in arc order: what every search over the machine reads."""
-    return tuple(tuple((arc.target, arc.weight.values, arc) for arc in arcs
-                       if not arc.weight.infinite) for arcs in fst._arcs)
+def dense_arcs(fst: Wfst) -> Sequence[Sequence[Row]]:
+    """Per state, the rows of the arcs that are not ZERO, in arc order:
+    what every search over the machine reads.  A machine without a ZERO
+    arc is its own rows, with nothing copied."""
+    if all(row[3] is not None for rows in fst._arcs for row in rows):
+        return fst._arcs
+    return tuple(tuple(row for row in rows if row[3] is not None) for rows in fst._arcs)
 
 
 def accessible_states(fst: Wfst) -> set[int]:
@@ -312,18 +328,18 @@ def accessible_states(fst: Wfst) -> set[int]:
     stack = [fst.initial]
     while stack:
         s = stack.pop()
-        for arc in fst._arcs[s]:
-            if arc.target not in seen:
-                seen.add(arc.target)
-                stack.append(arc.target)
+        for row in fst._arcs[s]:
+            if row[0] not in seen:
+                seen.add(row[0])
+                stack.append(row[0])
     return seen
 
 
 def coaccessible_states(fst: Wfst) -> set[int]:
     reverse: list[list[int]] = [[] for _ in fst.states()]
-    for s, arcs in enumerate(fst._arcs):
-        for arc in arcs:
-            reverse[arc.target].append(s)
+    for s, rows in enumerate(fst._arcs):
+        for row in rows:
+            reverse[row[0]].append(s)
     seen = {s for s, _ in fst.finals()}
     stack = list(seen)
     while stack:
@@ -358,26 +374,23 @@ def contract_errors(fst: Wfst, kind: str) -> tuple[str, ...]:
         errors.append("machine contains a cycle")
     score_id = NMT_SCORE if kind == "nmt" else HIERO_SCORE
 
-    def foreign(w: FeatureWeight) -> list[int]:
-        return [fid for fid, x in enumerate(w.values) if x and fid != score_id]
+    def foreign(v: Dense | None) -> list[int]:
+        return [] if v is None else [fid for fid, x in enumerate(v) if x and fid != score_id]
 
-    for s, arcs in enumerate(fst._arcs):
-        for arc in arcs:
-            if arc.ilabel != arc.olabel:
-                errors.append(f"arc {s}->{arc.target} is not acceptor-form "
-                              f"(ilabel {arc.ilabel} != olabel {arc.olabel})")
-            if kind == "hiero" and UNK in (arc.ilabel, arc.olabel):
-                errors.append(f"arc {s}->{arc.target} carries the UNK label, "
+    for s, rows in enumerate(fst._arcs):
+        for t, ilabel, olabel, v in rows:
+            if ilabel != olabel:
+                errors.append(f"arc {s}->{t} is not acceptor-form "
+                              f"(ilabel {ilabel} != olabel {olabel})")
+            if kind == "hiero" and UNK in (ilabel, olabel):
+                errors.append(f"arc {s}->{t} carries the UNK label, "
                               "which is not allowed in a hiero lattice")
-            v = arc.weight.values
-            if v.count(0.0) + (v[score_id] != 0.0) == NUM_FEATURES:
-                continue  # every entry but the score is 0.0
-            bad = foreign(arc.weight)
+            bad = foreign(v)
             if bad:
-                errors.append(f"arc {s}->{arc.target} carries feature id(s) {bad}; "
+                errors.append(f"arc {s}->{t} carries feature id(s) {bad}; "
                               f"a {kind} lattice may only use feature {score_id}")
     for s, w in fst.finals():
-        bad = foreign(w)
+        bad = foreign(w.values)
         if bad:
             errors.append(f"final state {s} carries feature id(s) {bad}; "
                           f"a {kind} lattice may only use feature {score_id}")
@@ -420,22 +433,3 @@ def validate(fst: Wfst, kind: str = "generic") -> ValidationReport:
         if dead:
             warnings.append(f"{len(dead)} reachable state(s) cannot reach a final state: {dead[:5]}")
     return ValidationReport(errors=errors, warnings=warnings)
-
-
-def linear_chain(labels: Iterable[int], syms: SymbolTable,
-                 weights: Iterable[FeatureWeight] | None = None,
-                 final_weight: FeatureWeight = ONE) -> Wfst:
-    """Single-path acceptor for a label sequence; handy for tests and oracles."""
-    labels = list(labels)
-    weight_list = list(weights) if weights is not None else [ONE] * len(labels)
-    if len(weight_list) != len(labels):
-        raise ContractError("need exactly one weight per label")
-    fst = Wfst(syms, syms)
-    prev = fst.add_state()
-    fst.set_initial(prev)
-    for label, w in zip(labels, weight_list):
-        nxt = fst.add_state()
-        fst.add_arc(prev, Arc(label, label, w, nxt))
-        prev = nxt
-    fst.set_final(prev, final_weight)
-    return fst.freeze()

@@ -21,10 +21,11 @@ from collections import defaultdict
 from typing import Iterable, Iterator
 
 from .errors import ContractError, FormatError
-from .fst import (EPSILON_SYMBOL, NO_STATE, UNK_SYMBOL, Arc, SymbolTable, Wfst, _keep,
-                  contract_errors, has_negative)
+from .fst import (EPSILON_SYMBOL, LATTICE_KINDS, NO_STATE, UNK, UNK_SYMBOL, Row, SymbolTable,
+                  Wfst, _keep, contract_errors, dense_arcs, has_negative, topological_order)
 from .pipeline import CombinationParams
-from .semiring import ONE, FeatureWeight, format_weight, parse_weight
+from .semiring import (CANONICAL_EPS, HIERO_SCORE, NMT_SCORE, NUM_FEATURES, ONE, Dense,
+                       FeatureWeight, format_weight, parse_values)
 
 
 def data_lines(path: str) -> Iterator[tuple[int, str]]:
@@ -118,65 +119,102 @@ def read_params(path: str) -> CombinationParams:
         raise FormatError(str(exc), path) from None
 
 
+# The start of a single-entry weight's text, by its feature id.
+_ENTRY = {f"{fid}:": fid for fid in range(NUM_FEATURES)}
+
+
 def read_lattice(path: str, table: SymbolTable, kind: str = "generic") -> Wfst:
     """Parse a lattice file into a frozen machine.
 
-    ``kind`` selects the contract, :func:`~latcomb.fst.contract_errors`,
-    which the machine keeps, so ``combine`` does not check it again; a
-    violation raises :class:`FormatError` with every message.  The machine
-    also keeps :func:`~latcomb.fst.has_negative`, learned while parsing.
+    ``kind`` selects the contract, :func:`~latcomb.fst.contract_errors`;
+    a violation raises :class:`FormatError` with every message.  Each
+    line is checked as it is read.  Only a line that breaks the contract,
+    a missing final state or a cycle makes the reader walk the machine
+    for the messages; a clean file keeps its empty error list, so
+    ``combine`` does not check it again.  The machine also keeps
+    :func:`~latcomb.fst.has_negative` and :func:`~latcomb.fst.dense_arcs`,
+    learned while parsing.
     """
     with open(path, "r", encoding="utf-8") as handle:
         text = handle.read()
+    # The kind's score feature, None when arcs are not checked; and the
+    # label no arc may carry (NO_STATE is none).
+    score = {"nmt": NMT_SCORE, "hiero": HIERO_SCORE}.get(kind)
+    banned = UNK if kind == "hiero" else NO_STATE
     # File state ids are numbered by first mention, so the initial state is 0.
     state_of: dict[int, int] = {}
-    arcs_of: defaultdict[int, list[Arc]] = defaultdict(list)
+    rows_of: defaultdict[int, list[Row]] = defaultdict(list)
     finals: dict[int, FeatureWeight] = {}
-    negative = False
-    has_label = table.has_label
+    negative = zero = False
+    suspect = kind not in LATTICE_KINDS  # contract_errors rejects the kind
+    labels = table._label_to_word
     # Not splitlines(), which also splits at other characters (see above).
     for lineno, line in enumerate(text.split("\n"), start=1):
-        line = line.strip()
-        if not line or line[0] == "#":
-            continue
         fields = line.split()
         n = len(fields)
         try:
-            # A final line's second field is its weight, not a state.
-            ids = list(map(int, fields[: 1 if n == 2 else 4]))
-        except ValueError:
-            raise FormatError(f"non-integer field in {line!r}", path, lineno) from None
-        if n not in (1, 2, 4, 5):
-            raise FormatError(f"expected 1, 2, 4, or 5 fields, got {n}", path, lineno)
-        if n > 2 and not (has_label(ids[2]) and has_label(ids[3])):
-            label = ids[3] if has_label(ids[2]) else ids[2]
-            raise FormatError(f"label {label} is not in the symbol table", path, lineno)
-        weight = ONE
-        if n == 2 or n == 5:
+            # The common line, an arc with one well-formed weight entry,
+            # is parsed here; any other line, errors included, below.
+            a, b, c, d, w = fields
+            ids = int(a), int(b), int(c), int(d)
+            fid, x = _ENTRY[w[:2]], float(w[2:])
+            fast = x - x == 0.0 and ids[2] in labels and ids[3] in labels  # finite, known
+        except (ValueError, KeyError):
+            fast = False
+        if fast:
+            entries = [0.0] * NUM_FEATURES
+            if not -CANONICAL_EPS < x < CANONICAL_EPS:
+                entries[fid] = x
+                negative = negative or x < 0.0
+            values: Dense | None = tuple(entries)
+        else:
+            if not fields or fields[0][0] == "#":
+                continue
             try:
-                weight = parse_weight(fields[-1])
-            except ValueError as exc:
-                raise FormatError(str(exc), path, lineno) from None
-            # From the canonical values: -0.0 and -1e-16 read as 0.0.
-            if not negative and "-" in fields[-1]:
-                negative = min(weight.values) < 0.0
+                # A final line's second field is its weight, not a state.
+                ids = list(map(int, fields[: 1 if n == 2 else 4]))
+            except ValueError:
+                raise FormatError(f"non-integer field in {line.strip()!r}", path, lineno) from None
+            if n not in (1, 2, 4, 5):
+                raise FormatError(f"expected 1, 2, 4, or 5 fields, got {n}", path, lineno)
+            if n > 2 and not (ids[2] in labels and ids[3] in labels):
+                label = ids[3] if ids[2] in labels else ids[2]
+                raise FormatError(f"label {label} is not in the symbol table", path, lineno)
+            values = ONE.values
+            if n == 2 or n == 5:
+                try:
+                    values = parse_values(fields[-1])
+                except ValueError as exc:
+                    raise FormatError(str(exc), path, lineno) from None
+                negative = negative or values is not None and min(values) < 0.0
+        if score is not None and values is not None \
+                and values.count(0.0) + (values[score] != 0.0) != NUM_FEATURES:
+            suspect = True  # a feature other than the kind's score
         src = state_of.setdefault(ids[0], len(state_of))
         if n > 2:
-            dst = state_of.setdefault(ids[1], len(state_of))
-            arcs_of[src].append(Arc(ids[2], ids[3], weight, dst))
-        elif weight.infinite:
+            il, ol = ids[2], ids[3]
+            rows_of[src].append((state_of.setdefault(ids[1], len(state_of)), il, ol, values))
+            if values is None:
+                zero = True
+            if score is not None and (il != ol or il == banned):
+                suspect = True
+        elif values is None:
             raise FormatError("a final weight of INF means 'not final'; drop the line instead",
                               path, lineno)
         else:
-            finals[src] = weight
+            finals[src] = FeatureWeight(values)
     if not state_of:
         raise FormatError("empty lattice file (no initial state)", path)
-    # Frozen first, so that the contract and the order it sorts are kept.
-    fst = Wfst.frozen_from(table, [arcs_of[s] for s in range(len(state_of))], finals, 0)
+    fst = Wfst.frozen_from(table, [rows_of[s] for s in range(len(state_of))], finals, 0)
     _keep(fst, has_negative, negative)
-    errors = contract_errors(fst, kind)
-    if errors:
-        raise FormatError("; ".join(errors), path)
+    if not zero:
+        _keep(fst, dense_arcs, fst._arcs)
+    if suspect or not finals or (score is not None and topological_order(fst) is None):
+        errors = contract_errors(fst, kind)
+        if errors:
+            raise FormatError("; ".join(errors), path)
+    else:
+        _keep(fst, contract_errors, (), kind)
     return fst
 
 
@@ -184,23 +222,20 @@ def write_lattice(fst: Wfst, path: str) -> None:
     """Serialize deterministically; the initial state is written first as 0."""
     if fst.initial == NO_STATE:
         raise FormatError("machine has no initial state", path)
-    if not fst.arcs(fst.initial) and not fst.is_final(fst.initial):
+    if not fst.rows(fst.initial) and not fst.is_final(fst.initial):
         raise FormatError("the initial state has no arcs and is not final; nothing to write", path)
     order = [fst.initial] + [s for s in fst.states() if s != fst.initial]
     renumber = {old: new for new, old in enumerate(order)}
     lines: list[str] = []
     for old in order:
         new = renumber[old]
-        arcs = sorted(fst.arcs(old),
-                      key=lambda a: (a.ilabel, a.olabel, renumber[a.target], format_weight(a.weight)))
-        for arc in arcs:
-            wtext = format_weight(arc.weight)
-            base = f"{new} {renumber[arc.target]} {arc.ilabel} {arc.olabel}"
-            lines.append(f"{base} {wtext}" if wtext else base)
+        for ilabel, olabel, target, wtext in sorted(
+                (a.ilabel, a.olabel, renumber[a.target], format_weight(a.weight))
+                for a in fst.arcs(old)):
+            lines.append(f"{new} {target} {ilabel} {olabel} {wtext}".rstrip())
         fw = fst.final_weight(old)
         if fw is not None:
-            wtext = format_weight(fw)
-            lines.append(f"{new} {wtext}" if wtext else f"{new}")
+            lines.append(f"{new} {format_weight(fw)}".rstrip())
     with open(path, "w", encoding="utf-8") as handle:
         handle.write("\n".join(lines) + "\n")
 

@@ -30,7 +30,7 @@ from typing import FrozenSet, Iterable, Sequence
 from .algorithms import Mask, PathWitness, _prune_mask, nbest
 from .editfst import edit_weight, expand_unk_runs
 from .errors import ContractError, NoPathError, check_count
-from .fst import (EPSILON, UNK, Arc, Wfst, contract_errors, count_paths, dense_arcs,
+from .fst import (EPSILON, UNK, Row, Wfst, contract_errors, count_paths, dense_arcs,
                   has_negative, topological_order)
 from .semiring import (
     CANONICAL_EPS,
@@ -55,10 +55,10 @@ NMT_PATHS_SOFT_LIMIT = 20
 HIERO_ONLY = ParamVector(nmt=0.0, hiero=1.0, edit=0.0, sub=0.0, ins=0.0)
 
 # The alignment pass's view of a kept hiero arc: (cost, index among its
-# state's kept arcs, target position, arc, label); and of the move that
-# set a cell: (source cell, NMT arc, hiero arc, edit values, hiero arc index).
-_Entry = tuple[float, int, int, Arc, int]
-_Move = tuple[int, Arc | None, Arc | None, Dense, int]
+# state's kept arcs, target position, row, label); and of the move that
+# set a cell: (source cell, NMT row, hiero row, edit values, hiero arc index).
+_Entry = tuple[float, int, int, Row, int]
+_Move = tuple[int, Row | None, Row | None, Dense, int]
 
 
 @dataclass(frozen=True)
@@ -337,9 +337,9 @@ def _best_alignment(nmt: Wfst, hiero: Wfst, mask: Mask, nmt_vocab: FrozenSet[int
     for s in order_h:
         targets: dict[int, list[_Entry]] = {}
         skips: list[_Entry] = []
-        for rank, (t, w, h) in enumerate(hiero_arcs[s]):
-            y = h.ilabel
-            entry = (key(w)[0], rank, pos_h[t], h, y)
+        for rank, h in enumerate(hiero_arcs[s]):
+            y = h[1]
+            entry = (key(h[3])[0], rank, pos_h[h[0]], h, y)
             if y == EPSILON:
                 skips.append(entry)
                 continue
@@ -372,7 +372,7 @@ def _best_alignment(nmt: Wfst, hiero: Wfst, mask: Mask, nmt_vocab: FrozenSet[int
     # and a floor under their costs; and the free match.
     arcs_n = dense_arcs(nmt)
     pairings: dict[int, tuple] = {}
-    for x in {arc.olabel for row in arcs_n for _, _, arc in row}:
+    for x in {r[2] for rows in arcs_n for r in rows}:
         deleting = scored(edit_weight(nmt_vocab, x, EPSILON).values)
         if x == UNK:  # the hiero side has no UNK to match
             pairings[x] = (*deleting, {}, None, 0.0, ONE.values, 0.0)
@@ -385,13 +385,13 @@ def _best_alignment(nmt: Wfst, hiero: Wfst, mask: Mask, nmt_vocab: FrozenSet[int
     # Moves per NMT position: (arc, label matched, target base, arc cost,
     # then the label's pairings).  An epsilon arc advances alone: its
     # edit weight is ONE.
-    nmt_moves = [[(arc, arc.olabel, pos_n[t] * width, key(w)[0], *pairings[arc.olabel])
-                  for t, w, arc in arcs_n[s]] for s in order_n]
+    nmt_moves = [[(a, a[2], pos_n[a[0]] * width, key(a[3])[0], *pairings[a[2]])
+                  for a in arcs_n[s]] for s in order_n]
 
     # The slack, from the weights' magnitudes (see the docstring).
     absp = [abs(p) for p in params.as_tuple()]
     totals = [sum(map(abs, column)) for column in zip(
-        *[w for rows in (arcs_n, hiero_arcs) for row in rows for _, w, _ in row],
+        *[r[3] for machine in (arcs_n, hiero_arcs) for rows in machine for r in rows],
         *[fw.values for _, fw in nmt.finals()], *[fw.values for fw in hiero_finals.values()])]
     totals[EDIT_COUNT] += nmt.num_states + width
     totals[SUB_COUNT] += nmt.num_states + width
@@ -419,11 +419,11 @@ def _best_alignment(nmt: Wfst, hiero: Wfst, mask: Mask, nmt_vocab: FrozenSet[int
         # each addition.
         _, a, h, e, _ = move
         if a is None:
-            return dense_times(dense_times(d, e, False), h.weight.values, signed)
-        d = dense_times(d, a.weight.values, False)
+            return dense_times(dense_times(d, e, False), h[3], signed)
+        d = dense_times(d, a[3], False)
         if h is None:
             return dense_times(d, e, signed)
-        return dense_times(dense_times(d, e, False), h.weight.values, signed)
+        return dense_times(dense_times(d, e, False), h[3], signed)
 
     def exact(c: int) -> Dense:
         chain = []
@@ -542,21 +542,19 @@ def _best_alignment(nmt: Wfst, hiero: Wfst, mask: Mask, nmt_vocab: FrozenSet[int
     c = accepted
     final_weight = times(nmt.final_weight(order_n[c // width]),
                          hiero_finals[order_h[c % width]])
-    arcs: list[Arc] = []
+    rows: list[Row] = []
     while c != start:
         src, a, h, _, _ = back[c]
-        x = EPSILON if a is None else a.olabel
-        y = EPSILON if h is None else h.ilabel
-        w = edit_weight(nmt_vocab, x, y)
+        w = edit_weight(nmt_vocab, EPSILON if a is None else a[2],
+                        EPSILON if h is None else h[1]).values
         if a is not None:
-            w = times(a.weight, w)
+            w = dense_times(a[3], w, True)
         if h is not None:
-            w = times(w, h.weight)
-        arcs.append(Arc(EPSILON if a is None else a.ilabel, EPSILON if h is None else h.olabel,
-                        w, c))
+            w = dense_times(w, h[3], True)
+        rows.append((c, EPSILON if a is None else a[1], EPSILON if h is None else h[2], w))
         c = src
-    arcs.reverse()
-    return PathWitness(arcs=tuple(arcs), final_weight=final_weight,
+    rows.reverse()
+    return PathWitness(rows=tuple(rows), final_weight=final_weight,
                        weight=FeatureWeight(best[1]), cost=best[0])
 
 

@@ -114,10 +114,6 @@ class FeatureWeight:
             return self.values[feature_id]
         return default
 
-    @property
-    def is_one(self) -> bool:
-        return not self.infinite and not any(self.values)
-
     def __str__(self) -> str:
         return format_weight(self)
 
@@ -213,24 +209,17 @@ def format_weight(w: FeatureWeight) -> str:
 
 def parse_weight(text: str) -> FeatureWeight:
     """Inverse of :func:`format_weight`; raises ValueError on malformed input."""
+    values = parse_values(text)
+    return ZERO if values is None else FeatureWeight(values)
+
+
+def parse_values(text: str) -> Dense | None:
+    """The canonical values of the weight :func:`parse_weight` reads, None for ZERO."""
     text = text.strip()
     if not text:
-        return ONE
+        return ONE.values
     if text == "INF":
-        return ZERO
-    if "," not in text:
-        # Fast path for one well-formed entry; anything else, errors
-        # included, takes the general path below.  Zeroing below
-        # CANONICAL_EPS also turns -0.0 into 0.0, as the sum there does.
-        fid_text, _, value_text = text.partition(":")
-        try:
-            fid, value = int(fid_text), float(value_text)
-        except ValueError:
-            fid, value = -1, 0.0
-        if 0 <= fid < NUM_FEATURES and math.isfinite(value):
-            values = [0.0] * NUM_FEATURES
-            values[fid] = 0.0 if -CANONICAL_EPS < value < CANONICAL_EPS else value
-            return FeatureWeight(tuple(values))
+        return None
     entries: dict[int, float] = {}
     for chunk in text.split(","):
         fid_text, sep, value_text = chunk.partition(":")
@@ -245,6 +234,6 @@ def parse_weight(text: str) -> FeatureWeight:
             raise ValueError(f"duplicate feature id {fid} in weight")
         entries[fid] = value
     try:
-        return FeatureWeight.from_features(entries)
+        return FeatureWeight.from_features(entries).values
     except ContractError as exc:
         raise ValueError(str(exc)) from None

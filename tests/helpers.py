@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import random
 from collections import deque
+from typing import Iterable
 
 from latcomb import (
     EPSILON,
     ONE,
     UNK,
     Arc,
+    ContractError,
     FeatureWeight,
     ParamVector,
     SymbolTable,
@@ -18,6 +20,37 @@ from latcomb import (
     count_paths,
     weight,
 )
+
+
+def linear_chain(labels: Iterable[int], syms: SymbolTable,
+                 weights: Iterable[FeatureWeight] | None = None,
+                 final_weight: FeatureWeight = ONE) -> Wfst:
+    """Single-path acceptor for a label sequence."""
+    labels = list(labels)
+    weight_list = list(weights) if weights is not None else [ONE] * len(labels)
+    if len(weight_list) != len(labels):
+        raise ContractError("need exactly one weight per label")
+    fst = Wfst(syms, syms)
+    prev = fst.add_state()
+    fst.set_initial(prev)
+    for label, w in zip(labels, weight_list):
+        nxt = fst.add_state()
+        fst.add_arc(prev, Arc(label, label, w, nxt))
+        prev = nxt
+    fst.set_final(prev, final_weight)
+    return fst.freeze()
+
+
+def all_labels(fst: Wfst) -> set[int]:
+    """Every input and output label occurring on an arc of ``fst``."""
+    return {label for s in fst.states() for row in fst.rows(s) for label in row[1:3]}
+
+
+def is_one(w: FeatureWeight) -> bool:
+    """Whether ``w`` is the weight ONE."""
+    return not w.infinite and not any(w.values)
+
+
 WORD_POOL = ["haus", "fluss", "stadt", "plan", "rot", "gross", "am", "der", "die", "und"]
 
 
@@ -197,7 +230,7 @@ def flower_combine(nmt: Wfst, hiero: Wfst, params):
 
     pruned = prune_to_node_budget(hiero, params.hiero_node_budget, HIERO_ONLY)
     extended = expand_unk_runs(nmt, params.max_unk_run)
-    flower = build_modified_edit_fst(nmt.all_labels() | pruned.all_labels(), params.nmt_vocab,
+    flower = build_modified_edit_fst(all_labels(nmt) | all_labels(pruned), params.nmt_vocab,
                                      nmt.isyms)
     path = shortest_path(compose(compose(extended, flower), pruned), params.as_param_vector())
     counts = path.weight.values

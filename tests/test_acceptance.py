@@ -17,7 +17,6 @@ from latcomb import (
     combine,
     compose,
     is_acyclic,
-    linear_chain,
     plus,
     prune_to_node_budget,
     scalarize,
@@ -34,11 +33,13 @@ from latcomb.oracle import dp_edit_distance
 
 from helpers import (
     acceptor_from_sentences,
+    all_labels,
     assert_combination_matches_oracle,
     assert_substitution_property,
     classic_levenshtein,
     grid_params,
     grid_weight,
+    linear_chain,
     path_signature,
     random_combination_instance,
     random_dag_lattice,
@@ -163,7 +164,7 @@ def test_c06_structural_invariants():
         syms = SymbolTable()
         nmt = random_dag_lattice(rng, syms, score_feature=0, max_paths=20, allow_unk=True)
         hiero = random_dag_lattice(rng, syms, score_feature=1, max_paths=40)
-        alphabet = (nmt.all_labels() | hiero.all_labels()) - {0, UNK}
+        alphabet = (all_labels(nmt) | all_labels(hiero)) - {0, UNK}
         flower = build_modified_edit_fst(alphabet, frozenset(), syms)
         assert is_acyclic(compose(compose(nmt, flower), hiero))
 

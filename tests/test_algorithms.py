@@ -15,7 +15,6 @@ from latcomb import (
     SymbolTable,
     Wfst,
     count_paths,
-    linear_chain,
     nbest,
     prune_to_node_budget,
     shortest_path,
@@ -27,7 +26,7 @@ from latcomb.fst import has_negative
 from latcomb.oracle import enumerate_paths
 from latcomb.semiring import scalarize
 
-from helpers import (acceptor_from_sentences, dyadic, grid_params, grid_weight,
+from helpers import (acceptor_from_sentences, dyadic, grid_params, grid_weight, linear_chain,
                      path_signature, random_dag_lattice)
 
 UNIT = ParamVector(1.0, 1.0, 1.0, 1.0, 1.0)
@@ -271,7 +270,8 @@ def witness(arc_triples, syms):
         label_o = UNK if ol == "UNK" else (EPSILON if ol is None else syms.add(ol))
         arcs.append(Arc(label_i, label_o, w, 0))
         total = times(total, w)
-    return PathWitness(arcs=tuple(arcs), final_weight=ONE, weight=total,
+    return PathWitness(rows=tuple((a.target, a.ilabel, a.olabel, a.weight.values) for a in arcs),
+                       final_weight=ONE, weight=total,
                        cost=scalarize(total, UNIT))
 
 

@@ -12,14 +12,13 @@ from latcomb import (
     Arc,
     Wfst,
     compose,
-    linear_chain,
     shortest_path,
     weight,
 )
 from latcomb.editfst import build_standard_edit_fst
 from latcomb.oracle import enumerate_paths
 
-from helpers import classic_levenshtein, naive_compose
+from helpers import classic_levenshtein, linear_chain, naive_compose
 
 UNIT = ParamVector(1.0, 1.0, 1.0, 1.0, 1.0)
 

@@ -8,6 +8,7 @@ same optimum, bit for bit.
 
 import math
 import random
+import sys
 from dataclasses import replace as dc_replace
 
 import pytest
@@ -21,22 +22,26 @@ from latcomb import (
     Arc,
     CombinationParams,
     EditStats,
+    FeatureWeight,
     SymbolTable,
     Wfst,
     combine,
-    linear_chain,
+    corpus_report,
     shortest_path,
     weight,
 )
 from latcomb import algorithms, editfst, pipeline
 from latcomb.editfst import build_modified_edit_fst, edit_weight
 from latcomb.fst import has_negative, topological_order
+from latcomb.lattice_io import read_lattice, write_lattice
 from latcomb.semiring import search_key
 
 from helpers import (
     acceptor_from_sentences,
+    all_labels,
     assert_matches_flower_combine,
     flower_combine,
+    linear_chain,
     random_combination_instance,
     tie_rule_alignment,
 )
@@ -159,7 +164,7 @@ def build_instance(pick, inexact=False):
 
 
 def has_word(nmt, hiero):
-    return bool((nmt.all_labels() | hiero.all_labels()) - {EPSILON, UNK})  # the flower needs one
+    return bool((all_labels(nmt) | all_labels(hiero)) - {EPSILON, UNK})  # the flower needs one
 
 
 @st.composite
@@ -406,6 +411,45 @@ def test_cells_build_value_vectors_only_for_near_ties(monkeypatch):
     assert built < 40
 
 
+def test_read_and_combine_build_arcs_only_for_the_winning_path(tmp_path):
+    # Machines store arcs as rows, and every search reads rows: reading
+    # the 64 arcs of the same instance, combining it and reporting on it
+    # builds no Arc, and FeatureWeight objects only for the two final
+    # weights and the path's weight and final weight.  The winning path's
+    # Arc objects are built when asked for, one per arc.
+    syms, nmt, hiero, params = sausage_instance()
+    for name, lattice in (("nmt", nmt), ("hiero", hiero)):
+        write_lattice(lattice, str(tmp_path / f"{name}.fst"))
+    built = {Arc.__init__.__code__: 0, FeatureWeight.__init__.__code__: 0}
+
+    def count(frame, event, arg):
+        if event == "call" and frame.f_code in built:
+            built[frame.f_code] += 1
+
+    def counted(run):
+        built.update(dict.fromkeys(built, 0))
+        sys.setprofile(count)
+        try:
+            out = run()
+        finally:
+            sys.setprofile(None)
+        return out, built[Arc.__init__.__code__], built[FeatureWeight.__init__.__code__]
+
+    def read_and_combine():
+        read = [read_lattice(str(tmp_path / f"{kind}.fst"), syms, kind=kind)
+                for kind in ("nmt", "hiero")]
+        return read, combine(*read, params)
+
+    ((nmt, hiero), result), arcs, weights = counted(read_and_combine)
+    assert nmt.num_arcs + hiero.num_arcs == 64
+    assert (arcs, weights) == (0, 4)
+    _, arcs, _ = counted(lambda: corpus_report([result], [hiero]))
+    assert arcs == 0
+    path, arcs, _ = counted(lambda: result.path.arcs)
+    assert arcs == len(path) == len(result.path.rows) == 4
+    assert_matches_flower_combine(result, flower_combine(nmt, hiero, params), syms)
+
+
 def test_infinite_slack_settles_every_move_exactly():
     # Scores of 1e300 and -1e300 put the weights' mass near the float
     # range, so the slack is infinite and no move is decided on floats:
@@ -526,5 +570,5 @@ def test_combine_equals_flower_chain_on_wide_group_stream():
         scores = [arc.weight.values[1] for s in hiero.states() for arc in hiero.arcs(s)]
         tied += len(set(scores)) < len(scores)
         flat += params.lambda_hiero == 0.0
-        unks += UNK in nmt.all_labels()
+        unks += UNK in all_labels(nmt)
     assert tied > 50 and flat > 15 and unks > 75  # the stream covers all three

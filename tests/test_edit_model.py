@@ -10,12 +10,13 @@ from latcomb import (
     ParamVector,
     SymbolTable,
     compose,
-    linear_chain,
     shortest_path,
 )
 from latcomb.editfst import build_modified_edit_fst, build_standard_edit_fst
 from latcomb.oracle import dp_edit_distance
 from latcomb.semiring import EDIT_COUNT, SUB_COUNT, weight
+
+from helpers import linear_chain
 
 
 UNIT = ParamVector(1.0, 1.0, 1.0, 1.0, 1.0)

@@ -15,7 +15,7 @@ from latcomb import (
     weight,
 )
 from latcomb.cli import cli_main
-from latcomb.fst import LATTICE_KINDS, contract_errors, has_negative, topological_order
+from latcomb.fst import LATTICE_KINDS, contract_errors, dense_arcs, has_negative, topological_order
 from latcomb.lattice_io import (
     paired_corpus_files,
     read_lattice,
@@ -31,6 +31,7 @@ from helpers import (
     acceptor_from_sentences,
     contract_test_machine,
     grid_weight,
+    is_one,
     path_signature,
     random_dag_lattice,
 )
@@ -245,6 +246,41 @@ SKIPPED = ["", "# comment", "   ", "# \x0b\x0c\x1c\x85\u2028 one line", "\t"]
 NOISE = SKIPPED + ["\t0 1 2 2 0:1  ", ""]
 
 
+def test_reader_reports_contract_errors_in_state_order(tmp_path):
+    # The reader notices a broken contract line by line, but its messages
+    # come in state order: the arc 0->3 is on the last arc line, and its
+    # message comes before the one for 1->2.
+    syms = SymbolTable()
+    syms.add_pair("a", 2)
+    syms.add_pair("b", 3)
+    path = tmp_path / "m.fst"
+    path.write_text("0 1 2 3\n1 2 2 3\n0 3 3 2\n2\n3\n", encoding="utf-8")
+    with pytest.raises(FormatError) as err:
+        read_lattice(str(path), syms, kind="nmt")
+    assert str(err.value) == (f"{path}: arc 0->1 is not acceptor-form (ilabel 2 != olabel 3); "
+                              "arc 0->3 is not acceptor-form (ilabel 3 != olabel 2); "
+                              "arc 1->2 is not acceptor-form (ilabel 2 != olabel 3)")
+
+
+def test_an_inf_arc_is_kept_but_not_searched(tmp_path):
+    # An INF arc is part of the machine (its arcs, its arc count, the
+    # file it writes) but not of what the searches read.
+    syms = SymbolTable()
+    a, b = syms.add("a"), syms.add("b")
+    path = tmp_path / "h.fst"
+    path.write_text(f"0 1 {a} {a} 1:0.5\n0 1 {b} {b} INF\n1\n", encoding="utf-8")
+    hiero = read_lattice(str(path), syms, kind="hiero")
+    assert hiero.arcs(0) == (Arc(a, a, weight({1: 0.5}), 1), Arc(b, b, ZERO, 1))
+    assert hiero.num_arcs == 2
+    assert dense_arcs(hiero) == (((1, a, a, (0.0, 0.5, 0.0, 0.0, 0.0)),), ())
+    out = tmp_path / "out.fst"
+    write_lattice(hiero, str(out))
+    assert out.read_text(encoding="utf-8") == f"0 1 {a} {a} 1:0.5\n0 1 {b} {b} INF\n1\n"
+    again = read_lattice(str(out), syms, kind="hiero")
+    assert _structure(again) == _structure(hiero)
+    assert dense_arcs(again) == dense_arcs(hiero)
+
+
 @pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
 @pytest.mark.parametrize("noisy", [False, True], ids=["bare", "noisy"])
 @pytest.mark.parametrize("case", sorted(READER_ERRORS))
@@ -397,6 +433,8 @@ def test_reader_matches_a_machine_built_through_the_public_api(tmp_path):
             assert not expected
             assert read.frozen
             assert _structure(read) == _structure(reference)
+            assert read.num_arcs == reference.num_arcs
+            assert dense_arcs(read) == dense_arcs(reference)  # kept while reading
             assert topological_order(read) == topological_order(reference)
             assert (has_negative.__wrapped__,) in read._derived  # kept while reading
             assert has_negative(read) == has_negative(reference)
@@ -518,7 +556,7 @@ def test_cli_build_edit_fst_and_compose(tmp_path, capsys):
     flower = read_lattice(flower_path, syms, kind="generic")
     assert flower.num_states == 1
     arcs = {(a.ilabel, a.olabel): a.weight for a in flower.arcs(0)}
-    assert arcs[(UNK, syms.label("selten"))].is_one
+    assert is_one(arcs[(UNK, syms.label("selten"))])
     assert arcs[(UNK, syms.label("oft"))] == weight({3: 1.0})
 
     # compose a one-word acceptor with the flower via the CLI

@@ -22,7 +22,6 @@ from latcomb import (
     Wfst,
     combine,
     corpus_report,
-    linear_chain,
     weight,
 )
 from latcomb import fst as fst_module
@@ -35,6 +34,7 @@ from helpers import (
     acceptor_from_sentences,
     assert_combination_matches_oracle,
     contract_test_machine,
+    linear_chain,
     random_combination_instance,
     run_combine_and_oracle,
 )
@@ -81,8 +81,8 @@ def test_worked_example_lattice_construction():
 
 def test_combine_sorts_no_machine_twice(tmp_path):
     # The order and the contract are both kept per frozen machine: the
-    # reader walks each lattice's contract once, combine and the report
-    # not again.
+    # reader checks each clean lattice's contract while reading, without
+    # a walk, and combine and the report do not check it again.
     sort = fst_module.topological_order.__wrapped__.__code__
     walk = fst_module.contract_errors.__wrapped__.__code__
     sorted_machines = []
@@ -111,7 +111,22 @@ def test_combine_sorts_no_machine_twice(tmp_path):
     # The read lattices and one expanded NMT lattice per combine: no
     # pruned copy is built, so none is sorted.
     assert len(sorted_machines) == 4
-    assert [id(m) for m in walked_machines] == [id(nmt), id(hiero)]
+    assert walked_machines == []
+
+
+def test_names_the_benchmark_reaches_by_name_exist(tmp_path):
+    # perfbench's traced run looks these up by name: it wraps
+    # pipeline.count_paths and pipeline.nbest, records num_arcs of what
+    # read_lattice returns, and counts calls by swapping algorithms.times
+    # for a counting wrapper.  A missing name fails the traced run with
+    # AttributeError.
+    from latcomb import algorithms, pipeline
+
+    assert callable(pipeline.count_paths) and callable(pipeline.nbest)
+    assert callable(algorithms.times)
+    syms, nmt, _, _ = worked_example()
+    write_lattice(nmt, str(tmp_path / "nmt.fst"))
+    assert read_lattice(str(tmp_path / "nmt.fst"), syms, kind="nmt").num_arcs == nmt.num_arcs
 
 
 def test_combine_freezes_one_machine_within_budget(monkeypatch):
