@@ -456,7 +456,7 @@ def _prune_mask(fst: Wfst, budget: int, params: ParamVector) -> Mask:
     key = search_key(params)
     fkeys, back = _distances(fst, key)
     best = _best_path(fst, key, fkeys, back)
-    sp_states = len(best.arcs) + 1
+    sp_states = len(best.rows) + 1
     if budget < sp_states:
         raise ContractError(f"budget {budget} is below the {sp_states} states on the shortest path")
 

@@ -544,9 +544,7 @@ def _best_alignment(nmt: Wfst, hiero: Wfst, mask: Mask, nmt_vocab: FrozenSet[int
                          hiero_finals[order_h[c % width]])
     rows: list[Row] = []
     while c != start:
-        src, a, h, _, _ = back[c]
-        w = edit_weight(nmt_vocab, EPSILON if a is None else a[2],
-                        EPSILON if h is None else h[1]).values
+        src, a, h, w, _ = back[c]
         if a is not None:
             w = dense_times(a[3], w, True)
         if h is not None:
@@ -573,31 +571,29 @@ class CorpusReport:
     pct_hiero_unchanged: float
     nbest_membership: tuple[tuple[int, float], ...]
 
-    def to_key_value_lines(self) -> list[str]:
-        lines = [
-            f"num_sentences={self.num_sentences}",
-            f"avg_unk_extensions={_fmt(self.avg_unk_extensions)}",
-            f"pct_unk_extensions={_fmt(self.pct_unk_extensions)}",
-            f"avg_type2_subs={_fmt(self.avg_type2_subs)}",
-            f"pct_type2_subs={_fmt(self.pct_type2_subs)}",
-            f"avg_type3_edits={_fmt(self.avg_type3_edits)}",
-            f"pct_type3_edits={_fmt(self.pct_type3_edits)}",
-            f"pct_exact_match={_fmt(self.pct_exact_match)}",
-            f"pct_hiero_unchanged={_fmt(self.pct_hiero_unchanged)}",
+    def _rows(self) -> list[tuple[str, float | None, float]]:
+        """Each measure in report order: (name, average per sentence or None, percentage)."""
+        return [
+            ("unk_extensions", self.avg_unk_extensions, self.pct_unk_extensions),
+            ("type2_subs", self.avg_type2_subs, self.pct_type2_subs),
+            ("type3_edits", self.avg_type3_edits, self.pct_type3_edits),
+            ("exact_match", None, self.pct_exact_match),
+            ("hiero_unchanged", None, self.pct_hiero_unchanged),
+            *((f"hiero_in_{n}best", None, pct) for n, pct in self.nbest_membership),
         ]
-        lines.extend(f"pct_hiero_in_{n}best={_fmt(pct)}" for n, pct in self.nbest_membership)
+
+    def to_key_value_lines(self) -> list[str]:
+        lines = [f"num_sentences={self.num_sentences}"]
+        for name, avg, pct in self._rows():
+            if avg is not None:
+                lines.append(f"avg_{name}={_fmt(avg)}")
+            lines.append(f"pct_{name}={_fmt(pct)}")
         return lines
 
     def to_tsv_lines(self) -> list[str]:
-        lines = ["measure\tavg_per_sentence\tpct_affected"]
-        lines.append(f"unk_extensions\t{_fmt(self.avg_unk_extensions)}\t{_fmt(self.pct_unk_extensions)}")
-        lines.append(f"type2_subs\t{_fmt(self.avg_type2_subs)}\t{_fmt(self.pct_type2_subs)}")
-        lines.append(f"type3_edits\t{_fmt(self.avg_type3_edits)}\t{_fmt(self.pct_type3_edits)}")
-        lines.append(f"exact_match\t-\t{_fmt(self.pct_exact_match)}")
-        lines.append(f"hiero_unchanged\t-\t{_fmt(self.pct_hiero_unchanged)}")
-        for n, pct in self.nbest_membership:
-            lines.append(f"hiero_in_{n}best\t-\t{_fmt(pct)}")
-        return lines
+        return ["measure\tavg_per_sentence\tpct_affected"] + [
+            f"{name}\t{'-' if avg is None else _fmt(avg)}\t{_fmt(pct)}"
+            for name, avg, pct in self._rows()]
 
 
 def corpus_report(results: Sequence[CombinationResult], hiero_lattices: Sequence[Wfst],
@@ -609,6 +605,11 @@ def corpus_report(results: Sequence[CombinationResult], hiero_lattices: Sequence
     sentences whose selected hiero hypothesis is the hiero 1-best; and,
     for each n, the percentage of sentences whose selected hiero
     hypothesis appears among the n cheapest unique hiero strings.
+
+    All are read off one table: per sentence, the three edit counts and
+    the rank of its hiero hypothesis in one unique n-best list of its
+    lattice at the largest n (that n if absent; the list at a smaller n
+    is its prefix), whose paths are spelled only up to the match.
     """
     if not results:
         raise ContractError("corpus report needs at least one result")
@@ -616,38 +617,24 @@ def corpus_report(results: Sequence[CombinationResult], hiero_lattices: Sequence
         raise ContractError("need exactly one hiero lattice per result")
     if len(set(n_values)) != len(n_values):
         raise ContractError(f"each n may appear only once, got {list(n_values)}")
+    for n in n_values:
+        check_count("n", n)
     total = len(results)
-
-    def avg(getter) -> float:
-        return sum(getter(r) for r in results) / total
-
-    def pct(predicate) -> float:
-        return 100.0 * sum(1 for r in results if predicate(r)) / total
-
-    # One unique n-best search per lattice at the largest n; the list for
-    # a smaller n is its prefix, and its first entry is the 1-best.
     deepest = max(n_values, default=1)
-    unchanged = 0
-    hits = {n: 0 for n in n_values}
-    for result, lattice in zip(results, hiero_lattices):
-        ranked = [tuple(lattice.osyms.word(l) for l in p.output_labels())
-                  for p in nbest(lattice, deepest, HIERO_ONLY, unique=True)]
-        rank = ranked.index(result.t_hiero) if result.t_hiero in ranked else deepest
-        if rank == 0:
-            unchanged += 1
-        for n in n_values:
-            if rank < n:
-                hits[n] += 1
+    counts = [(r.stats.unk_extensions, r.stats.type2_subs, r.stats.type3_edits) for r in results]
+    ranks = [next((i for i, p in enumerate(nbest(h, deepest, HIERO_ONLY, unique=True))
+                   if tuple(map(h.osyms.word, p.output_labels())) == r.t_hiero), deepest)
+             for r, h in zip(results, hiero_lattices)]
 
+    def pct(flags: Iterable[bool]) -> float:
+        return 100.0 * sum(flags) / total
+
+    # Positional, in field order: the averages, then the percentages.
     return CorpusReport(
-        num_sentences=total,
-        avg_unk_extensions=avg(lambda r: r.stats.unk_extensions),
-        avg_type2_subs=avg(lambda r: r.stats.type2_subs),
-        avg_type3_edits=avg(lambda r: r.stats.type3_edits),
-        pct_unk_extensions=pct(lambda r: r.stats.unk_extensions > 0),
-        pct_type2_subs=pct(lambda r: r.stats.type2_subs > 0),
-        pct_type3_edits=pct(lambda r: r.stats.type3_edits > 0),
-        pct_exact_match=pct(lambda r: r.stats.exact_match),
-        pct_hiero_unchanged=100.0 * unchanged / total,
-        nbest_membership=tuple((n, 100.0 * hits[n] / total) for n in n_values),
+        total,
+        *(sum(column) / total for column in zip(*counts)),
+        *(pct(v > 0 for v in column) for column in zip(*counts)),
+        pct(row == (0, 0, 0) for row in counts),
+        pct(r == 0 for r in ranks),
+        tuple((n, pct(r < n for r in ranks)) for n in n_values),
     )

@@ -411,6 +411,35 @@ def test_cells_build_value_vectors_only_for_near_ties(monkeypatch):
     assert built < 40
 
 
+def counted(run):
+    """``run()``, the number of Arc objects and of FeatureWeight objects it built."""
+    built = {Arc.__init__.__code__: 0, FeatureWeight.__init__.__code__: 0}
+
+    def count(frame, event, arg):
+        if event == "call" and frame.f_code in built:
+            built[frame.f_code] += 1
+
+    sys.setprofile(count)
+    try:
+        out = run()
+    finally:
+        sys.setprofile(None)
+    return out, built[Arc.__init__.__code__], built[FeatureWeight.__init__.__code__]
+
+
+def written_and_read_back(tmp_path, syms, nmt, hiero, params):
+    """A run that reads both lattices back from files and combines them."""
+    for name, lattice in (("nmt", nmt), ("hiero", hiero)):
+        write_lattice(lattice, str(tmp_path / f"{name}.fst"))
+
+    def read_and_combine():
+        read = [read_lattice(str(tmp_path / f"{kind}.fst"), syms, kind=kind)
+                for kind in ("nmt", "hiero")]
+        return read, combine(*read, params)
+
+    return read_and_combine
+
+
 def test_read_and_combine_build_arcs_only_for_the_winning_path(tmp_path):
     # Machines store arcs as rows, and every search reads rows: reading
     # the 64 arcs of the same instance, combining it and reporting on it
@@ -418,29 +447,8 @@ def test_read_and_combine_build_arcs_only_for_the_winning_path(tmp_path):
     # weights and the path's weight and final weight.  The winning path's
     # Arc objects are built when asked for, one per arc.
     syms, nmt, hiero, params = sausage_instance()
-    for name, lattice in (("nmt", nmt), ("hiero", hiero)):
-        write_lattice(lattice, str(tmp_path / f"{name}.fst"))
-    built = {Arc.__init__.__code__: 0, FeatureWeight.__init__.__code__: 0}
-
-    def count(frame, event, arg):
-        if event == "call" and frame.f_code in built:
-            built[frame.f_code] += 1
-
-    def counted(run):
-        built.update(dict.fromkeys(built, 0))
-        sys.setprofile(count)
-        try:
-            out = run()
-        finally:
-            sys.setprofile(None)
-        return out, built[Arc.__init__.__code__], built[FeatureWeight.__init__.__code__]
-
-    def read_and_combine():
-        read = [read_lattice(str(tmp_path / f"{kind}.fst"), syms, kind=kind)
-                for kind in ("nmt", "hiero")]
-        return read, combine(*read, params)
-
-    ((nmt, hiero), result), arcs, weights = counted(read_and_combine)
+    run = written_and_read_back(tmp_path, syms, nmt, hiero, params)
+    ((nmt, hiero), result), arcs, weights = counted(run)
     assert nmt.num_arcs + hiero.num_arcs == 64
     assert (arcs, weights) == (0, 4)
     _, arcs, _ = counted(lambda: corpus_report([result], [hiero]))
@@ -448,6 +456,35 @@ def test_read_and_combine_build_arcs_only_for_the_winning_path(tmp_path):
     path, arcs, _ = counted(lambda: result.path.arcs)
     assert arcs == len(path) == len(result.path.rows) == 4
     assert_matches_flower_combine(result, flower_combine(nmt, hiero, params), syms)
+
+
+def test_an_over_budget_prune_builds_no_arcs(tmp_path):
+    # A layered hiero lattice of 8 states (initial, two layers of 3, final)
+    # whose shortest path has 4: a budget of 6 prunes it, and counting the
+    # shortest path's states reads its rows, so reading and combining
+    # still builds no Arc.
+    rng = random.Random(7)
+    syms = SymbolTable()
+    words = [syms.add(f"v{k}") for k in range(6)]
+    hiero = Wfst(syms, syms)
+    layers = [[hiero.add_state()], [hiero.add_state() for _ in range(3)],
+              [hiero.add_state() for _ in range(3)], [hiero.add_state()]]
+    hiero.set_initial(layers[0][0])
+    hiero.set_final(layers[-1][0], ONE)
+    for here, there in zip(layers, layers[1:]):
+        for src in here:
+            for dst in there:
+                label = rng.choice(words)
+                hiero.add_arc(src, Arc(label, label, weight({1: rng.uniform(0.0, 2.0)}), dst))
+    hiero = hiero.freeze()
+    nmt = linear_chain(words[:3], syms, [weight({0: 0.5})] * 3)
+    params = CombinationParams(hiero_node_budget=6)
+    keep, _, _ = algorithms._prune_mask(hiero, 6, pipeline.HIERO_ONLY)
+    assert len(keep) < hiero.num_states == 8
+
+    (_, result), arcs, _ = counted(written_and_read_back(tmp_path, syms, nmt, hiero, params))
+    assert arcs == 0
+    assert result == combine(nmt, hiero, params)
 
 
 def test_infinite_slack_settles_every_move_exactly():

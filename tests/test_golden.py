@@ -1,14 +1,17 @@
-"""Golden results: ``combine`` on the benchmark corpora, pinned by hash.
+"""Golden results: ``combine`` and the corpus report on the benchmark corpora, pinned by hash.
 
 Builds the seed 1-3 corpora of every benchmark workload with
 ``perfbench/workloads.py`` (into a temporary directory), reads and
 combines each sentence as ``latcomb stats`` does, and hashes what a
 refactor must not change: per sentence the stem, ``t_comb``, ``t_nmt``,
-``t_hiero``, ``repr`` of the total cost and the feature vector.  A
-mismatch means a change moved some sentence's result; compare against
-the previous commit to find which one.
+``t_hiero``, ``repr`` of the total cost and the feature vector; and, on
+the stats corpus, every line of ``corpus_report`` at n = 1, 10, 100 in
+both renderings.  Each corpus is built and combined once for both
+digests.  A mismatch means a change moved some sentence's result or a
+report line; compare against the previous commit to find which one.
 """
 
+import functools
 import hashlib
 import importlib.util
 import os
@@ -16,14 +19,19 @@ import sys
 
 import pytest
 
-from latcomb import combine, lattice_io
+from latcomb import combine, corpus_report, lattice_io
 
 WORKLOADS_PY = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "workloads.py")
+SEEDS = (1, 2, 3)
 
 GOLDEN = {
     "stats-corpus": "b91a0f6092b7d6497f0590f473cf64df7688ccf27a15e966682a197be8085b69",
     "wide-alphabet": "47b27995d20f4d2550dda0c68004a565d71b9b8f06676b75148ff378012da8da",
     "deep-hiero": "4d1f2afdf52885760c98a87528741a8f35fe8719be1f52f3a6b509495709fc27",
+}
+
+GOLDEN_REPORT = {
+    "stats-corpus": "269899858049876d8c0fcf176d497459658f7bb041ca78ecd5c7eb2eb532e252",
 }
 
 
@@ -38,30 +46,58 @@ def load_workloads():
     return sys.modules[name]
 
 
-def corpus_digest(root: str) -> str:
+def combine_corpus(root: str):
+    """Per stem in sorted order: (stem, combination result, hiero lattice)."""
     syms = lattice_io.read_symtab(os.path.join(root, "words.sym"))
     vocab = lattice_io.read_vocab(os.path.join(root, "vocab.txt"), syms)
     params = lattice_io.read_params(os.path.join(root, "params.cfg")).with_vocab(vocab)
     stems = sorted(name[: -len(".nmt.fst")] for name in os.listdir(os.path.join(root, "nmt")))
-    digest = hashlib.sha256()
+    out = []
     for stem in stems:
         nmt = lattice_io.read_lattice(os.path.join(root, "nmt", f"{stem}.nmt.fst"), syms,
                                       kind="nmt")
         hiero = lattice_io.read_lattice(os.path.join(root, "hiero", f"{stem}.hiero.fst"), syms,
                                         kind="hiero")
-        r = combine(nmt, hiero, params, source_id=stem)
-        row = (stem, r.t_comb, r.t_nmt, r.t_hiero, repr(r.total_cost),
-               r.feature_vector.values)
-        digest.update(repr(row).encode("utf-8"))
-    return digest.hexdigest()
+        out.append((stem, combine(nmt, hiero, params, source_id=stem), hiero))
+    return out
+
+
+@pytest.fixture(scope="module")
+def combined(tmp_path_factory):
+    """``combined(workload)``: per seed, ``combine_corpus`` of its corpus, built once."""
+    workloads = load_workloads()
+
+    @functools.cache
+    def build(workload):
+        corpora = []
+        for seed in SEEDS:
+            root = str(tmp_path_factory.mktemp(f"{workload}-seed{seed}"))
+            workloads.write_corpus(workloads.generate(workload, seed), root)
+            corpora.append(combine_corpus(root))
+        return corpora
+
+    return build
 
 
 @pytest.mark.parametrize("workload", sorted(GOLDEN))
-def test_combine_matches_golden_results(workload, tmp_path):
-    workloads = load_workloads()
+def test_combine_matches_golden_results(workload, combined):
     digest = hashlib.sha256()
-    for seed in (1, 2, 3):
-        root = str(tmp_path / f"seed{seed}")
-        workloads.write_corpus(workloads.generate(workload, seed), root)
-        digest.update(corpus_digest(root).encode("ascii"))
+    for corpus in combined(workload):
+        seed_digest = hashlib.sha256()
+        for stem, r, _ in corpus:
+            row = (stem, r.t_comb, r.t_nmt, r.t_hiero, repr(r.total_cost),
+                   r.feature_vector.values)
+            seed_digest.update(repr(row).encode("utf-8"))
+        digest.update(seed_digest.hexdigest().encode("ascii"))
     assert digest.hexdigest() == GOLDEN[workload]
+
+
+@pytest.mark.parametrize("workload", sorted(GOLDEN_REPORT))
+def test_corpus_report_matches_golden_lines(workload, combined):
+    digest = hashlib.sha256()
+    for corpus in combined(workload):
+        _, results, lattices = zip(*corpus)
+        report = corpus_report(results, lattices, (1, 10, 100))
+        for line in report.to_tsv_lines() + report.to_key_value_lines():
+            digest.update(f"{line}\n".encode("utf-8"))
+    assert digest.hexdigest() == GOLDEN_REPORT[workload]

@@ -432,6 +432,33 @@ def test_corpus_report_rejects_repeated_n():
         corpus_report([result], [hiero], n_values=(10, 1, 10))
 
 
+@pytest.mark.parametrize("n_values", [(0, 5), (5, -1), (True, 5), (2.5,)])
+def test_corpus_report_rejects_n_below_one(n_values):
+    # n = 0 used to give pct_hiero_in_0best=0 where the CLI rejects it.
+    _, nmt, hiero, params = worked_example()
+    result = combine(nmt, hiero, params)
+    with pytest.raises(ContractError, match="positive integer"):
+        corpus_report([result], [hiero], n_values=n_values)
+
+
+def test_corpus_report_spells_ranked_paths_only_up_to_the_match(monkeypatch):
+    # The selected hiero hypothesis is the 1-best of four unique strings:
+    # ranking it spells the first ranked path and no other.
+    syms = SymbolTable()
+    hiero = acceptor_from_sentences(syms, ["a b c", "d e", "f g h", "i"], score_feature=1,
+                                    scores=[0.1, 0.5, 0.9, 1.2])
+    nmt = acceptor_from_sentences(syms, ["a b c"], score_feature=0, scores=[0.1])
+    result = combine(nmt, hiero, CombinationParams())
+    assert result.t_hiero == ("a", "b", "c")
+    spelled = []
+    word = hiero.osyms.word
+    monkeypatch.setattr(hiero.osyms, "word", lambda label: spelled.append(label) or word(label))
+    report = corpus_report([result], [hiero], n_values=(1, 10))
+    assert report.pct_hiero_unchanged == 100.0
+    assert report.nbest_membership == ((1, 100.0), (10, 100.0))
+    assert len(spelled) <= len(result.t_hiero)
+
+
 def test_hiero_node_budget_restricts_candidates():
     # Pruning runs on hiero scores alone, so a tight budget can remove the
     # path the unpruned combination would have aligned with.
