@@ -12,17 +12,20 @@ Search order: every search here (shortest path, n-best, pruning), like
 paths with :func:`latcomb.semiring.dense_times` and compares them by
 :func:`latcomb.semiring.search_key`: scalarized cost first, then the
 feature vector.  Results are therefore deterministic and
-consistent with the weight algebra.
+consistent with the weight algebra.  Pruning and n-best add floats
+instead where that gives the same order (see :func:`_on_floats`).
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
+import math
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from itertools import count
-from typing import Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .errors import ContractError, NoPathError, check_count
 from .fst import (
@@ -35,11 +38,15 @@ from .fst import (
     accessible_states,
     arc_of,
     coaccessible_states,
+    contract_errors,
     dense_arcs,
     has_negative,
     topological_order,
 )
 from .semiring import (
+    CANONICAL_EPS,
+    HIERO_SCORE,
+    NUM_FEATURES,
     ONE,
     Dense,
     FeatureWeight,
@@ -207,53 +214,59 @@ def _check_searchable(fst: Wfst, params: ParamVector) -> None:
         raise ContractError("cyclic machine with a negative-cost arc: shortest path undefined")
 
 
-def _distances(fst: Wfst, key: Callable[[Dense], Key], backward: bool = False,
-               ) -> tuple[list[Key | None], list[tuple[int, Row] | None]]:
+def _distances(fst: Wfst, key: Callable[[Dense], Key] | None, backward: bool = False,
+               ) -> tuple[list[Any], list[tuple[int, Row] | None]]:
     """Best key from the initial state to every state, with backpointers
     (the previous state and the row of the arc taken).
 
     With ``backward``, the best key from every state to acceptance (final
-    weight included) instead, searched on the reversed arcs, and each
-    backpointer holds the next state and the arc's row reversed (its
-    source first).  An acyclic machine is searched in topological order,
-    a cyclic one with Dijkstra.
+    weight included) instead, searched on the reversed arcs, and an empty
+    backpointer list.  An acyclic machine is searched in topological
+    order, a cyclic one with Dijkstra.  With ``key`` None, for a machine
+    :func:`_on_floats` accepts, each key is its cost alone, summed on
+    floats.
     """
     order = topological_order(fst)
     signed = has_negative(fst)
     n = fst.num_states
-    keys: list[Key | None] = [None] * n
-    back: list[tuple[int, Row] | None] = [None] * n
+    keys: list[Any] = [None] * n
+    back: list[tuple[int, Row] | None] = [] if backward else [None] * n
     if backward:
         rev: list[list[Row]] = [[] for _ in range(n)]
         for s, rows in enumerate(dense_arcs(fst)):
             for t, il, ol, w in rows:
                 rev[t].append((s, il, ol, w))
         adj: Sequence[Sequence[Row]] = rev
-        sources = [(s, key(fw.values)) for s, fw in fst.finals()]
+        sources = [(s, fw.values) for s, fw in fst.finals()]
         if order is not None:
             order = order[::-1]
     else:
         adj = dense_arcs(fst)
-        sources = [] if fst.initial == NO_STATE else [(fst.initial, key(ONE.values))]
-    for s, k in sources:
-        keys[s] = k
+        sources = [] if fst.initial == NO_STATE else [(fst.initial, ONE.values)]
+    for s, v in sources:
+        keys[s] = v[HIERO_SCORE] if key is None else key(v)
 
     if order is not None:
         for s in order:
             ks = keys[s]
             if ks is None:
                 continue
-            v = ks[1]
             for row in adj[s]:
+                if key is None:
+                    cand = ks + row[3][HIERO_SCORE]
+                    if signed and -CANONICAL_EPS < cand < CANONICAL_EPS:
+                        cand = 0.0
+                else:
+                    cand = key(dense_times(ks[1], row[3], signed))
                 t = row[0]
-                cand = key(dense_times(v, row[3], signed))
                 old = keys[t]
                 if old is None or cand < old:
                     keys[t] = cand
-                    back[t] = (s, row)
+                    if not backward:
+                        back[t] = (s, row)
     else:
         counter = count()
-        heap = [(k, next(counter), s) for s, k in sources]
+        heap = [(k, next(counter), s) for s, k in enumerate(keys) if k is not None]
         heapq.heapify(heap)
         settled = [False] * n
         while heap:
@@ -270,9 +283,36 @@ def _distances(fst: Wfst, key: Callable[[Dense], Key], backward: bool = False,
                 old = keys[t]
                 if old is None or cand < old:
                     keys[t] = cand
-                    back[t] = (s, row)
+                    if not backward:
+                        back[t] = (s, row)
                     heapq.heappush(heap, (cand, next(counter), t))
     return keys, back
+
+
+def _on_floats(fst: Wfst, params: ParamVector) -> bool:
+    """Whether searches over ``fst`` under ``params`` can add floats: for a
+    hiero lattice under a hiero lambda of exactly 1.0.  Every weight is
+    then zero but at HIERO_SCORE, so a path's key is ``_hiero_key(c)``, c
+    its scores' float sum, zeroed below CANONICAL_EPS at each step as in
+    :func:`~latcomb.semiring.dense_times`, and keys order as their c do.
+    Adding in the same order with the same strict ``<`` gives the same
+    costs, backpointers and paths, bit for bit.  A sum that overflows is
+    inf either way, and an unreached state None.
+    """
+    return params.hiero == 1.0 and not contract_errors(fst, "hiero")
+
+
+def _hiero_key(c: float) -> Key:
+    """The key of a path that costs ``c`` on a machine :func:`_on_floats` accepts."""
+    values = [0.0] * NUM_FEATURES
+    values[HIERO_SCORE] = c
+    return c, tuple(values)
+
+
+def _float_times(a: float, b: float, signed: bool) -> float:
+    """``a + b``, zeroed below CANONICAL_EPS when ``signed`` (see :func:`_on_floats`)."""
+    c = a + b
+    return 0.0 if signed and -CANONICAL_EPS < c < CANONICAL_EPS else c
 
 
 def shortest_path(fst: Wfst, params: ParamVector) -> PathWitness:
@@ -289,16 +329,19 @@ def shortest_path(fst: Wfst, params: ParamVector) -> PathWitness:
     return _best_path(fst, key, keys, back)
 
 
-def _best_path(fst: Wfst, key: Callable[[Dense], Key], keys: list[Key | None],
+def _best_path(fst: Wfst, key: Callable[[Dense], Key] | None, keys: list[Any],
                back: list[tuple[int, Row] | None]) -> PathWitness:
-    """The best complete path given forward keys and backpointers."""
+    """The best complete path given forward keys and backpointers (costs
+    alone with ``key`` None, see :func:`_distances`)."""
+    signed = has_negative(fst)
     best_state = NO_STATE
     best: Key | None = None
     for s, fw in fst.finals():
         ks = keys[s]
         if ks is None:
             continue
-        k = key(dense_times(ks[1], fw.values, has_negative(fst)))
+        k = (_hiero_key(_float_times(ks, fw.values[HIERO_SCORE], signed)) if key is None
+             else key(dense_times(ks[1], fw.values, signed)))
         if best is None or k < best:
             best = k
             best_state = s
@@ -319,27 +362,27 @@ def _best_path(fst: Wfst, key: Callable[[Dense], Key], keys: list[Key | None],
                        weight=FeatureWeight(best[1]), cost=best[0])
 
 
-def _nbest_raw(fst: Wfst, n: int, key: Callable[[Dense], Key],
-               beta: list[Key | None]) -> list[PathWitness]:
-    """Up to n cheapest paths via best-first search with an exact heuristic.
+def _nbest_raw(fst: Wfst, cap: int, key: Callable[[Dense], Key] | None,
+               beta: list[Any]) -> Iterator[PathWitness]:
+    """Up to ``cap`` cheapest paths, drawn lazily by best-first search
+    with an exact heuristic, expanding no state more than ``cap`` times.
 
-    ``beta`` holds the backward keys of :func:`_distances`.
+    ``beta`` holds the backward keys of :func:`_distances` under ``key``
+    (costs on floats with ``key`` None); the initial state's is not None.
     """
-    if fst.initial == NO_STATE or beta[fst.initial] is None:
-        return []
     arcs = dense_arcs(fst)
     signed = has_negative(fst)
-    finals = {s: fw.values for s, fw in fst.finals()}
+    finals = {s: fw.values[HIERO_SCORE] if key is None else fw.values for s, fw in fst.finals()}
 
     # Nodes are (state, row, parent-index); rows recovered by walking parents.
     nodes: list[tuple[int, Row | None, int]] = [(fst.initial, None, -1)]
     counter = count()
-    # Entries are (key bound, tie counter, node, prefix weight values).
-    heap: list[tuple[Key, int, int, Dense]] = [(beta[fst.initial], next(counter), 0, ONE.values)]
+    # Entries are (bound, tie counter, node, prefix): keys and values, or costs.
+    heap = [(beta[fst.initial], next(counter), 0, 0.0 if key is None else ONE.values)]
     pops = [0] * fst.num_states
-    results: list[PathWitness] = []
+    drawn = 0
 
-    while heap and len(results) < n:
+    while heap and drawn < cap:
         bound, _, node_idx, prefix = heapq.heappop(heap)
         state = nodes[node_idx][0]
         if state == NO_STATE:
@@ -353,29 +396,79 @@ def _nbest_raw(fst: Wfst, n: int, key: Callable[[Dense], Key],
             path.reverse()
             fw = fst.final_weight(path[-1][0] if path else fst.initial)
             assert fw is not None
-            results.append(PathWitness(rows=tuple(path), final_weight=fw,
-                                       weight=FeatureWeight(prefix),
-                                       cost=bound[0]))
+            cost, values = _hiero_key(bound) if key is None else bound
+            drawn += 1
+            yield PathWitness(rows=tuple(path), final_weight=fw,
+                              weight=FeatureWeight(values), cost=cost)
             continue
-        if pops[state] >= n:
+        if pops[state] >= cap:
             continue
         pops[state] += 1
 
         fv = finals.get(state)
         if fv is not None:
-            total = dense_times(prefix, fv, signed)
+            total = (_float_times(prefix, fv, signed) if key is None
+                     else dense_times(prefix, fv, signed))
             node = len(nodes)
             nodes.append((NO_STATE, None, node_idx))
-            heapq.heappush(heap, (key(total), next(counter), node, total))
+            heapq.heappush(heap, (total if key is None else key(total), next(counter), node, total))
         for row in arcs[state]:
             b = beta[row[0]]
             if b is None:
                 continue
-            ext = dense_times(prefix, row[3], signed)
+            if key is None:
+                ext = _float_times(prefix, row[3][HIERO_SCORE], signed)
+                entry = _float_times(ext, b, signed)
+            else:
+                ext = dense_times(prefix, row[3], signed)
+                entry = key(dense_times(ext, b[1], signed))
             node = len(nodes)
             nodes.append((row[0], row, node_idx))
-            heapq.heappush(heap, (key(dense_times(ext, b[1], signed)), next(counter), node, ext))
-    return results
+            heapq.heappush(heap, (entry, next(counter), node, ext))
+
+
+def _unique(raw: Callable[[int], Iterator[PathWitness]], n: int) -> Iterator[PathWitness]:
+    """Up to n of ``raw``'s paths with distinct output strings, lazily.
+
+    In stages, from k = n: ``raw(k)`` draws at most k paths, and only
+    when those hold fewer than n distinct strings (and are not all the
+    machine has) does the next stage draw again, from the start, at 2k.
+    Each stage yields the strings no earlier stage yielded.
+    """
+    yielded: set[tuple[int, ...]] = set()
+    k = n
+    while True:
+        drawn = 0
+        for p in raw(k):
+            drawn += 1
+            labels = p.output_labels()
+            if labels not in yielded:
+                yielded.add(labels)
+                yield p
+                if len(yielded) == n:
+                    return
+        if drawn < k:
+            return  # machine exhausted
+        k *= 2
+
+
+def iter_nbest(fst: Wfst, n: int, params: ParamVector,
+               unique: bool = False) -> Iterator[PathWitness]:
+    """The paths of :func:`nbest`, each searched for only when asked for.
+
+    Checks its input, and raises as :func:`nbest` does, before returning.
+    """
+    _check_frozen(fst)
+    check_count("n", n)
+    _check_searchable(fst, params)
+    if unique and topological_order(fst) is None:
+        raise ContractError("unique n-best requires an acyclic machine")
+    key = None if _on_floats(fst, params) else search_key(params)
+    beta, _ = _distances(fst, key, backward=True)
+    if beta[fst.initial] is None:
+        raise NoPathError("no path from the initial state to a final state")
+    raw = functools.partial(_nbest_raw, fst, key=key, beta=beta)
+    return _unique(raw, n) if unique else raw(n)
 
 
 def nbest(fst: Wfst, n: int, params: ParamVector, unique: bool = False) -> list[PathWitness]:
@@ -383,38 +476,12 @@ def nbest(fst: Wfst, n: int, params: ParamVector, unique: bool = False) -> list[
 
     With ``unique``, paths whose output label strings coincide are
     collapsed keeping the cheapest; that mode requires an acyclic machine
-    (otherwise there is no bound on how many raw paths must be drawn).
+    (otherwise there is no bound on how many raw paths must be drawn),
+    and draws in stages (see ``_unique``).  A hiero lattice under a hiero
+    lambda of 1.0 is searched on floats (see :func:`_on_floats`), with
+    the same result.
     """
-    _check_frozen(fst)
-    check_count("n", n)
-    _check_searchable(fst, params)
-    if unique and topological_order(fst) is None:
-        raise ContractError("unique n-best requires an acyclic machine")
-    key = search_key(params)
-    beta, _ = _distances(fst, key, backward=True)
-    if not unique:
-        paths = _nbest_raw(fst, n, key, beta)
-        if not paths:
-            raise NoPathError("no path from the initial state to a final state")
-        return paths
-
-    k = n
-    while True:
-        raw = _nbest_raw(fst, k, key, beta)
-        if not raw:
-            raise NoPathError("no path from the initial state to a final state")
-        seen: set[tuple[int, ...]] = set()
-        out: list[PathWitness] = []
-        for p in raw:
-            labels = p.output_labels()
-            if labels not in seen:
-                seen.add(labels)
-                out.append(p)
-            if len(out) == n:
-                return out
-        if len(raw) < k:
-            return out  # machine exhausted
-        k *= 2
+    return list(iter_nbest(fst, n, params, unique))
 
 
 # What pruning keeps of a machine, on its own state ids: see _prune_mask.
@@ -428,7 +495,8 @@ def prune_to_node_budget(fst: Wfst, budget: int, params: ParamVector) -> Wfst:
     cost by more than a threshold chosen (by searching the sorted
     through-costs) as large as possible while meeting the budget.  The
     shortest path always survives with its cost intact; when even the
-    optimal-cost plateau is over budget, only the shortest path is kept.
+    optimal-cost plateau is over budget, or the shortest path's cost is
+    not finite (a sum overflowed), only the shortest path is kept.
     """
     keep, arcs, finals = _prune_mask(fst, budget, params)
     if fst.num_states <= budget:
@@ -444,6 +512,9 @@ def _prune_mask(fst: Wfst, budget: int, params: ParamVector) -> Mask:
     state); and the kept final weights.  Within budget that is all of
     ``fst``, its own ``dense_arcs`` included.  Kept states need not all
     be connected through the kept arcs; the public function trims them.
+    Over budget, the distance passes and the arc filter add floats when
+    :func:`_on_floats` accepts ``fst`` and ``params``, as it accepts
+    ``combine``'s hiero lattice under ``HIERO_ONLY``; the mask is the same.
     """
     _check_frozen(fst)
     check_count("budget", budget)
@@ -453,26 +524,27 @@ def _prune_mask(fst: Wfst, budget: int, params: ParamVector) -> Mask:
         raise NoPathError("machine accepts nothing")
     if fst.num_states <= budget:
         return fst.states(), dense_arcs(fst), dict(fst.finals())
-    key = search_key(params)
-    fkeys, back = _distances(fst, key)
-    best = _best_path(fst, key, fkeys, back)
+    key = None if _on_floats(fst, params) else search_key(params)
+    fcost, back = _distances(fst, key)
+    best = _best_path(fst, key, fcost, back)
     sp_states = len(best.rows) + 1
     if budget < sp_states:
         raise ContractError(f"budget {budget} is below the {sp_states} states on the shortest path")
 
-    bkeys, _ = _distances(fst, key, backward=True)
-    inf = float("inf")
-    through = [inf if fk is None or bk is None else fk[0] + bk[0]
-               for fk, bk in zip(fkeys, bkeys)]
+    bcost, _ = _distances(fst, key, backward=True)
+    if key is not None:
+        fcost, bcost = ([None if k is None else k[0] for k in keys] for keys in (fcost, bcost))
+    # A state on no complete path is nan: within no limit.
+    through = [math.nan if fc is None or bc is None else fc + bc for fc, bc in zip(fcost, bcost)]
     best_cost = best.cost
     slack = 1e-9 * max(1.0, abs(best_cost))
 
-    finite = sorted(c for c in through if c < inf)
+    finite = sorted(c for c in through if c < math.inf)
     # Largest threshold whose state count fits the budget.
     bound = max((c for c in finite if bisect_right(finite, c + slack) <= budget), default=None)
-    if bound is None or bound < best_cost - slack:
-        # Even the optimal plateau is over budget: keep just the best
-        # path, its states in path order.
+    if bound is None or bound < best_cost - slack or not math.isfinite(best_cost):
+        # Even the optimal plateau is over budget, or the best cost
+        # overflowed: keep just the best path, its states in path order.
         keep = [fst.initial, *(row[0] for row in best.rows)]
         arcs: list[Sequence[Row]] = [()] * fst.num_states
         for s, row in zip(keep, best.rows):
@@ -480,8 +552,9 @@ def _prune_mask(fst: Wfst, budget: int, params: ParamVector) -> Mask:
         return keep, arcs, {keep[-1]: best.final_weight}
 
     limit = bound + slack
+    arc_cost = (lambda v: v[HIERO_SCORE]) if key is None else (lambda v: key(v)[0])
     arcs = [tuple(r for r in rows if through[r[0]] <= limit
-                  and fkeys[s][0] + key(r[3])[0] + bkeys[r[0]][0] <= limit)
+                  and fcost[s] + arc_cost(r[3]) + bcost[r[0]] <= limit)
             if through[s] <= limit else () for s, rows in enumerate(dense_arcs(fst))]
     keep = [s for s in fst.states() if through[s] <= limit]
     return keep, arcs, {s: w for s, w in fst.finals() if through[s] <= limit}

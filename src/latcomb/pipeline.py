@@ -27,7 +27,7 @@ import warnings
 from dataclasses import dataclass, field, replace as dc_replace
 from typing import FrozenSet, Iterable, Sequence
 
-from .algorithms import Mask, PathWitness, _prune_mask, nbest
+from .algorithms import Mask, PathWitness, _prune_mask, iter_nbest
 from .editfst import edit_weight, expand_unk_runs
 from .errors import ContractError, NoPathError, check_count
 from .fst import (EPSILON, UNK, Row, Wfst, contract_errors, count_paths, dense_arcs,
@@ -608,8 +608,9 @@ def corpus_report(results: Sequence[CombinationResult], hiero_lattices: Sequence
 
     All are read off one table: per sentence, the three edit counts and
     the rank of its hiero hypothesis in one unique n-best list of its
-    lattice at the largest n (that n if absent; the list at a smaller n
-    is its prefix), whose paths are spelled only up to the match.
+    lattice at the largest n (that n if absent; a smaller n reads the
+    same list), drawn by :func:`~latcomb.algorithms.iter_nbest` only up
+    to the match, on floats for a lattice that holds to the hiero contract.
     """
     if not results:
         raise ContractError("corpus report needs at least one result")
@@ -622,7 +623,7 @@ def corpus_report(results: Sequence[CombinationResult], hiero_lattices: Sequence
     total = len(results)
     deepest = max(n_values, default=1)
     counts = [(r.stats.unk_extensions, r.stats.type2_subs, r.stats.type3_edits) for r in results]
-    ranks = [next((i for i, p in enumerate(nbest(h, deepest, HIERO_ONLY, unique=True))
+    ranks = [next((i for i, p in enumerate(iter_nbest(h, deepest, HIERO_ONLY, unique=True))
                    if tuple(map(h.osyms.word, p.output_labels())) == r.t_hiero), deepest)
              for r, h in zip(results, hiero_lattices)]
 

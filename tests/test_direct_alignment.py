@@ -34,7 +34,8 @@ from latcomb import algorithms, editfst, pipeline
 from latcomb.editfst import build_modified_edit_fst, edit_weight
 from latcomb.fst import has_negative, topological_order
 from latcomb.lattice_io import read_lattice, write_lattice
-from latcomb.semiring import search_key
+from latcomb.algorithms import PathWitness
+from latcomb.semiring import dense_times, search_key
 
 from helpers import (
     acceptor_from_sentences,
@@ -458,11 +459,30 @@ def test_read_and_combine_build_arcs_only_for_the_winning_path(tmp_path):
     assert_matches_flower_combine(result, flower_combine(nmt, hiero, params), syms)
 
 
-def test_an_over_budget_prune_builds_no_arcs(tmp_path):
-    # A layered hiero lattice of 8 states (initial, two layers of 3, final)
-    # whose shortest path has 4: a budget of 6 prunes it, and counting the
-    # shortest path's states reads its rows, so reading and combining
-    # still builds no Arc.
+def calls_to(run, function, from_module=None):
+    """``run()``, and how many calls to ``function`` it made (those made by
+    code in the module named ``from_module``, when given)."""
+    code = function.__code__
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code is code and (
+                from_module is None or frame.f_back.f_globals.get("__name__") == from_module):
+            calls += 1
+
+    sys.setprofile(count)
+    try:
+        out = run()
+    finally:
+        sys.setprofile(None)
+    return out, calls
+
+
+def over_budget_instance():
+    """A layered hiero lattice of 8 states (initial, two layers of 3,
+    final) whose shortest path has 4, an NMT chain, and budget 6, which
+    prunes the lattice."""
     rng = random.Random(7)
     syms = SymbolTable()
     words = [syms.add(f"v{k}") for k in range(6)]
@@ -481,10 +501,45 @@ def test_an_over_budget_prune_builds_no_arcs(tmp_path):
     params = CombinationParams(hiero_node_budget=6)
     keep, _, _ = algorithms._prune_mask(hiero, 6, pipeline.HIERO_ONLY)
     assert len(keep) < hiero.num_states == 8
+    return syms, nmt, hiero, params
 
+
+def test_an_over_budget_prune_builds_no_arcs(tmp_path):
+    # Counting the shortest path's states reads its rows, so reading and
+    # combining an instance that prunes still builds no Arc.
+    syms, nmt, hiero, params = over_budget_instance()
     (_, result), arcs, _ = counted(written_and_read_back(tmp_path, syms, nmt, hiero, params))
     assert arcs == 0
     assert result == combine(nmt, hiero, params)
+
+
+def test_an_over_budget_prune_adds_no_value_vectors(monkeypatch):
+    # combine prunes its hiero lattice on floats: of the dense_times calls
+    # combine makes, none comes from the pruning searches in algorithms.
+    # Pruning on value vectors gives the same result, with one call per
+    # arc (15) each way and one for the final weight.
+    _, nmt, hiero, params = over_budget_instance()
+    result, pruning = calls_to(lambda: combine(nmt, hiero, params), dense_times,
+                               "latcomb.algorithms")
+    _, aligning = calls_to(lambda: combine(nmt, hiero, params), dense_times, "latcomb.pipeline")
+    assert (pruning, aligning > 0) == (0, True)
+    monkeypatch.setattr(algorithms, "_on_floats", lambda fst, params: False)
+    assert calls_to(lambda: combine(nmt, hiero, params), dense_times,
+                    "latcomb.algorithms") == (result, 31)
+
+
+def test_a_report_on_a_1best_hiero_hypothesis_draws_one_path():
+    # The selected hiero hypothesis is the 1-best of four: ranking it
+    # draws one path from the lazy unique n-best, not the list at n = 100.
+    syms = SymbolTable()
+    hiero = acceptor_from_sentences(syms, ["a b c", "d e", "f g h", "i"], score_feature=1,
+                                    scores=[0.1, 0.5, 0.9, 1.2])
+    nmt = acceptor_from_sentences(syms, ["a b c"], score_feature=0, scores=[0.1])
+    result = combine(nmt, hiero, CombinationParams())
+    report, drawn = calls_to(lambda: corpus_report([result], [hiero]), PathWitness.__init__)
+    assert drawn == 1
+    assert (report.pct_hiero_unchanged, report.nbest_membership) == (
+        100.0, ((1, 100.0), (10, 100.0), (100, 100.0)))
 
 
 def test_infinite_slack_settles_every_move_exactly():

@@ -1,0 +1,209 @@
+"""The float searches against the vector searches they stand in for.
+
+Pruning and n-best add floats instead of value vectors on a hiero
+lattice under a hiero lambda of 1.0 (``algorithms._on_floats``).  These
+tests run both on many small, tie-heavy hiero lattices, the vector
+searches by switching the float path off, and require the same masks,
+paths, costs, backpointers and errors, bit for bit.
+"""
+
+import math
+import random
+
+import pytest
+
+from latcomb import EPSILON, ONE, Arc, ContractError, NoPathError, SymbolTable, Wfst, weight
+from latcomb import algorithms
+from latcomb.algorithms import (PathWitness, _distances, _nbest_raw, _prune_mask, nbest,
+                                shortest_path)
+from latcomb.pipeline import HIERO_ONLY
+from latcomb.semiring import search_key
+
+TIES = (-1.0, 0.0, 0.5, 1.0, 2.0)
+CANCELLING = (0.1, 0.2, -0.3, 0.7, -0.4, 1e-16)
+OVERFLOWING = (1e308, -1e308, 1.5e308, 0.0, 1.0)
+
+
+def hiero_lattice(rng: random.Random, syms: SymbolTable, scores) -> Wfst:
+    """A small acyclic hiero lattice: 2-8 states numbered out of
+    topological order, up to 3 arcs per state (a quarter of them
+    epsilon) over 3 words, so many paths share a string, 1-3 finals;
+    one lattice in eight starts mid-way, so some finals (or all) are
+    out of reach."""
+    words = [syms.add(w) for w in "abc"]
+    n = rng.randint(2, 8)
+    fst = Wfst(syms, syms)
+    for _ in range(n):
+        fst.add_state()
+    at = list(range(n))  # at[i]: the state in topological position i
+    rng.shuffle(at)
+    start = rng.randrange(n - 1) if rng.random() < 0.125 else 0
+    fst.set_initial(at[start])
+    for i in range(n - 1):
+        for _ in range(rng.randint(1 if i == start else 0, 3)):
+            label = EPSILON if rng.random() < 0.25 else rng.choice(words)
+            fst.add_arc(at[i], Arc(label, label, weight({1: rng.choice(scores)}),
+                                   at[rng.randrange(i + 1, n)]))
+    for i in rng.sample(range(n), rng.randint(1, min(3, n))):
+        fst.set_final(at[i], ONE if rng.random() < 0.5 else weight({1: rng.choice(scores)}))
+    return fst.freeze()
+
+
+def lattices(seed: int, count: int, scores):
+    rng = random.Random(seed)
+    syms = SymbolTable()
+    out = [hiero_lattice(rng, syms, scores) for _ in range(count)]
+    assert all(algorithms._on_floats(h, HIERO_ONLY) for h in out)
+    return out
+
+
+def exact(path):
+    """A path as a value that compares floats bit for bit (repr keeps -0.0 and nan)."""
+    return path.rows, repr(path.cost), repr(path.weight.values), path.final_weight
+
+
+def outcome(search, *args):
+    """What a search returns, or the type and message of the error it raises."""
+    try:
+        return search(*args)
+    except (ContractError, NoPathError) as exc:
+        return type(exc), str(exc)
+
+
+def mask(h, budget):
+    got = outcome(_prune_mask, h, budget, HIERO_ONLY)
+    if isinstance(got[0], type):
+        return got
+    keep, arcs, finals = got
+    return list(keep), [tuple(rows) for rows in arcs], finals
+
+
+def staged_unique_nbest(h, n):
+    """``nbest(h, n, HIERO_ONLY, unique=True)`` drawn eagerly, one list per
+    stage: stage k draws k raw paths (pop cap k), from k = n, and the
+    first stage that holds n distinct strings, or that exhausts the
+    lattice, gives the answer; otherwise the next stage draws 2k."""
+    key = None if algorithms._on_floats(h, HIERO_ONLY) else search_key(HIERO_ONLY)
+    beta, _ = _distances(h, key, backward=True)
+    if beta[h.initial] is None:
+        return NoPathError
+    k = n
+    while True:
+        raw = list(_nbest_raw(h, k, key, beta))
+        out = {}
+        for p in raw:
+            out.setdefault(p.output_labels(), p)
+        if len(out) >= n or len(raw) < k:
+            return [exact(p) for p in list(out.values())[:n]]
+        k *= 2
+
+
+def searches(h):
+    """Every search a lattice is checked on, on whichever path is switched
+    on: both distance passes, the mask at every budget from one below the
+    shortest path's state count up (a ContractError below it), the unique
+    n-best for n = 1..6 and the raw 6-best (a NoPathError without a path)."""
+    key = None if algorithms._on_floats(h, HIERO_ONLY) else search_key(HIERO_ONLY)
+    fwd, back = _distances(h, key)
+    bwd, _ = _distances(h, key, backward=True)
+
+    def costs(keys):
+        return [repr(k if k is None or key is None else k[0]) for k in keys]
+
+    def paths(n, unique):
+        got = outcome(nbest, h, n, HIERO_ONLY, unique)
+        return got if isinstance(got[0], type) else [exact(p) for p in got]
+
+    shortest = outcome(shortest_path, h, HIERO_ONLY)
+    lowest = len(shortest.rows) if isinstance(shortest, PathWitness) else 1
+    return {
+        "forward": costs(fwd), "back": back, "backward": costs(bwd),
+        "masks": [mask(h, b) for b in range(lowest, h.num_states + 1)],
+        "unique": [paths(n, True) for n in range(1, 7)],
+        "raw": paths(6, False),
+    }
+
+
+@pytest.mark.parametrize("scores, count", [(TIES, 10000), (CANCELLING, 5000), (OVERFLOWING, 5000)],
+                         ids=["ties", "cancelling", "overflowing"])
+def test_float_searches_equal_the_vector_searches(monkeypatch, scores, count):
+    # 20,000 lattices in all.  With CANCELLING, sums such as 0.1 + 0.2 -
+    # 0.3 fall below CANONICAL_EPS and are zeroed; with OVERFLOWING, sums
+    # reach inf, -inf and, through inf - inf, nan: an overflowed state is
+    # reached at inf on both paths, not taken for unreached.
+    machines = lattices(18, count, scores)
+    fast = [searches(h) for h in machines]
+    with monkeypatch.context() as m:
+        m.setattr(algorithms, "_on_floats", lambda fst, params: False)
+        slow = [searches(h) for h in machines]
+    assert [i for i, (f, s) in enumerate(zip(fast, slow)) if f != s] == []
+    no_path = (NoPathError, "no path from the initial state to a final state")
+    assert sum(f["raw"] == no_path for f in fast) > count // 20
+
+
+def test_lazy_unique_nbest_keeps_the_eager_stages():
+    # The lazy stream yields each stage's new strings as it draws them;
+    # eager stages answer with the list of the last stage drawn.  They
+    # agree on these 4,500 lattices.  They can differ in which of two
+    # tied paths stands for a string, when a restarted stage finds them
+    # in another order than the stage before it did, as on lattice 1601 of
+    # the overflowing set above: at n = 5, same strings, same costs, but
+    # another path for the fourth string, which costs inf either way.
+    for seed, scores in ((20, TIES), (21, CANCELLING), (22, OVERFLOWING)):
+        for h in lattices(seed, 1500, scores):
+            for n in range(1, 7):
+                staged = staged_unique_nbest(h, n)
+                got = outcome(nbest, h, n, HIERO_ONLY, True)
+                if staged is NoPathError:
+                    assert got[0] is NoPathError
+                else:
+                    assert [exact(p) for p in got] == staged
+    h = lattices(18, 1602, OVERFLOWING)[1601]
+    got = nbest(h, 5, HIERO_ONLY, unique=True)
+    staged = staged_unique_nbest(h, 5)
+    assert [(p.output_labels(), repr(p.cost)) for p in got] == [
+        (tuple(r[2] for r in rows if r[2] != EPSILON), cost) for rows, cost, _, _ in staged]
+    assert [exact(p) == e for p, e in zip(got, staged)] == [True] * 3 + [False, True]
+
+
+def test_unique_nbest_needs_its_restarts():
+    # Drawing with pop cap n and never restarting finds other strings
+    # than the stages do on some of these lattices.
+    no_restart = 0
+    for h in lattices(19, 2000, TIES):
+        beta, _ = _distances(h, None, backward=True)
+        if beta[h.initial] is None:
+            continue
+        for n in range(1, 7):
+            once = {}
+            for p in _nbest_raw(h, n, None, beta):
+                once.setdefault(p.output_labels(), exact(p))
+            no_restart += list(once.values())[:n] != staged_unique_nbest(h, n)
+    assert no_restart > 0
+
+
+def test_an_overflowed_sum_is_reached_at_inf():
+    # 1e308 + 1e308 overflows to inf, and the state it reaches is reached,
+    # not unreached: n-best finds the one path through it, at cost inf.
+    # A shortest path that costs inf leaves pruning no threshold, so it
+    # keeps that path alone (state 4, which nothing reaches, included, it
+    # raised TypeError before).
+    syms = SymbolTable()
+    a, b = syms.add("a"), syms.add("b")
+    h = Wfst(syms, syms)
+    for _ in range(5):
+        h.add_state()
+    h.set_initial(0)
+    for src, label, score, dst in ((0, a, 1e308, 1), (1, a, 1e308, 2), (2, a, -1e308, 3),
+                                   (4, b, 1.0, 3)):
+        h.add_arc(src, Arc(label, label, weight({1: score}), dst))
+    h.set_final(3, ONE)
+    h = h.freeze()
+    assert algorithms._on_floats(h, HIERO_ONLY)
+    fwd, _ = _distances(h, None)
+    assert fwd == [0.0, 1e308, math.inf, math.inf, None]
+    (path,) = nbest(h, 3, HIERO_ONLY, unique=True)
+    assert (path.output_labels(), path.cost) == ((a, a, a), math.inf)
+    keep, arcs, finals = _prune_mask(h, 4, HIERO_ONLY)
+    assert (keep, list(finals)) == ([0, 1, 2, 3], [3])
+    assert [len(rows) for rows in arcs] == [1, 1, 1, 0, 0]

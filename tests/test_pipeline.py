@@ -116,13 +116,15 @@ def test_combine_sorts_no_machine_twice(tmp_path):
 
 def test_names_the_benchmark_reaches_by_name_exist(tmp_path):
     # perfbench's traced run looks these up by name: it wraps
-    # pipeline.count_paths and pipeline.nbest, records num_arcs of what
-    # read_lattice returns, and counts calls by swapping algorithms.times
-    # for a counting wrapper.  A missing name fails the traced run with
-    # AttributeError.
+    # pipeline.count_paths, records num_arcs of what read_lattice returns,
+    # and counts calls by swapping algorithms.times for a counting
+    # wrapper.  A missing name fails the traced run with AttributeError,
+    # except a pipeline function to wrap: perfbench skips one the pipeline
+    # does not import (pipeline.nbest, since corpus_report draws its
+    # n-best lazily), and its metrics read 0.
     from latcomb import algorithms, pipeline
 
-    assert callable(pipeline.count_paths) and callable(pipeline.nbest)
+    assert callable(pipeline.count_paths)
     assert callable(algorithms.times)
     syms, nmt, _, _ = worked_example()
     write_lattice(nmt, str(tmp_path / "nmt.fst"))
