@@ -18,7 +18,6 @@ instead where that gives the same order (see :func:`_on_floats`).
 
 from __future__ import annotations
 
-import functools
 import heapq
 import math
 from bisect import bisect_right
@@ -362,13 +361,15 @@ def _best_path(fst: Wfst, key: Callable[[Dense], Key] | None, keys: list[Any],
                        weight=FeatureWeight(best[1]), cost=best[0])
 
 
-def _nbest_raw(fst: Wfst, cap: int, key: Callable[[Dense], Key] | None,
+def _nbest_raw(fst: Wfst, cap: float, key: Callable[[Dense], Key] | None,
                beta: list[Any]) -> Iterator[PathWitness]:
     """Up to ``cap`` cheapest paths, drawn lazily by best-first search
     with an exact heuristic, expanding no state more than ``cap`` times.
 
-    ``beta`` holds the backward keys of :func:`_distances` under ``key``
-    (costs on floats with ``key`` None); the initial state's is not None.
+    ``cap`` may be ``math.inf``: every path, in cost order, which ends
+    only on an acyclic machine.  ``beta`` holds the backward keys of
+    :func:`_distances` under ``key`` (costs on floats with ``key`` None);
+    the initial state's is not None.
     """
     arcs = dense_arcs(fst)
     signed = has_negative(fst)
@@ -427,29 +428,17 @@ def _nbest_raw(fst: Wfst, cap: int, key: Callable[[Dense], Key] | None,
             heapq.heappush(heap, (entry, next(counter), node, ext))
 
 
-def _unique(raw: Callable[[int], Iterator[PathWitness]], n: int) -> Iterator[PathWitness]:
-    """Up to n of ``raw``'s paths with distinct output strings, lazily.
-
-    In stages, from k = n: ``raw(k)`` draws at most k paths, and only
-    when those hold fewer than n distinct strings (and are not all the
-    machine has) does the next stage draw again, from the start, at 2k.
-    Each stage yields the strings no earlier stage yielded.
-    """
-    yielded: set[tuple[int, ...]] = set()
-    k = n
-    while True:
-        drawn = 0
-        for p in raw(k):
-            drawn += 1
-            labels = p.output_labels()
-            if labels not in yielded:
-                yielded.add(labels)
-                yield p
-                if len(yielded) == n:
-                    return
-        if drawn < k:
-            return  # machine exhausted
-        k *= 2
+def _unique(paths: Iterator[PathWitness], n: int) -> Iterator[PathWitness]:
+    """The first n of ``paths`` whose output strings no earlier path
+    had, lazily: from a stream in cost order, each string's cheapest."""
+    seen: set[tuple[int, ...]] = set()
+    for p in paths:
+        labels = p.output_labels()
+        if labels not in seen:
+            seen.add(labels)
+            yield p
+            if len(seen) == n:
+                return
 
 
 def iter_nbest(fst: Wfst, n: int, params: ParamVector,
@@ -457,6 +446,9 @@ def iter_nbest(fst: Wfst, n: int, params: ParamVector,
     """The paths of :func:`nbest`, each searched for only when asked for.
 
     Checks its input, and raises as :func:`nbest` does, before returning.
+    The raw stream stops after n paths, expanding no state more than n
+    times; the unique one filters a stream with neither cap, so its
+    paths do not depend on n.
     """
     _check_frozen(fst)
     check_count("n", n)
@@ -467,8 +459,9 @@ def iter_nbest(fst: Wfst, n: int, params: ParamVector,
     beta, _ = _distances(fst, key, backward=True)
     if beta[fst.initial] is None:
         raise NoPathError("no path from the initial state to a final state")
-    raw = functools.partial(_nbest_raw, fst, key=key, beta=beta)
-    return _unique(raw, n) if unique else raw(n)
+    if unique:
+        return _unique(_nbest_raw(fst, math.inf, key, beta), n)
+    return _nbest_raw(fst, n, key, beta)
 
 
 def nbest(fst: Wfst, n: int, params: ParamVector, unique: bool = False) -> list[PathWitness]:
@@ -477,9 +470,9 @@ def nbest(fst: Wfst, n: int, params: ParamVector, unique: bool = False) -> list[
     With ``unique``, paths whose output label strings coincide are
     collapsed keeping the cheapest; that mode requires an acyclic machine
     (otherwise there is no bound on how many raw paths must be drawn),
-    and draws in stages (see ``_unique``).  A hiero lattice under a hiero
-    lambda of 1.0 is searched on floats (see :func:`_on_floats`), with
-    the same result.
+    and its list at n is the first n of its list at any larger n.  A
+    hiero lattice under a hiero lambda of 1.0 is searched on floats (see
+    :func:`_on_floats`), with the same result.
     """
     return list(iter_nbest(fst, n, params, unique))
 

@@ -608,9 +608,10 @@ def corpus_report(results: Sequence[CombinationResult], hiero_lattices: Sequence
 
     All are read off one table: per sentence, the three edit counts and
     the rank of its hiero hypothesis in one unique n-best list of its
-    lattice at the largest n (that n if absent; a smaller n reads the
-    same list), drawn by :func:`~latcomb.algorithms.iter_nbest` only up
-    to the match, on floats for a lattice that holds to the hiero contract.
+    lattice at the largest n (that n if absent; the list at a smaller n
+    is its first n, so a smaller n reads the same list), drawn by
+    :func:`~latcomb.algorithms.iter_nbest` only up to the match, on
+    floats for a lattice that holds to the hiero contract.
     """
     if not results:
         raise ContractError("corpus report needs at least one result")

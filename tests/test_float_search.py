@@ -4,7 +4,9 @@ Pruning and n-best add floats instead of value vectors on a hiero
 lattice under a hiero lambda of 1.0 (``algorithms._on_floats``).  These
 tests run both on many small, tie-heavy hiero lattices, the vector
 searches by switching the float path off, and require the same masks,
-paths, costs, backpointers and errors, bit for bit.
+paths, costs, backpointers and errors, bit for bit.  The unique n-best
+is also checked for the prefix property the corpus report relies on,
+and against a brute-force walk of every path.
 """
 
 import math
@@ -14,10 +16,10 @@ import pytest
 
 from latcomb import EPSILON, ONE, Arc, ContractError, NoPathError, SymbolTable, Wfst, weight
 from latcomb import algorithms
-from latcomb.algorithms import (PathWitness, _distances, _nbest_raw, _prune_mask, nbest,
+from latcomb.algorithms import (PathWitness, _distances, _nbest_raw, _prune_mask, _unique, nbest,
                                 shortest_path)
 from latcomb.pipeline import HIERO_ONLY
-from latcomb.semiring import search_key
+from latcomb.semiring import HIERO_SCORE, search_key
 
 TIES = (-1.0, 0.0, 0.5, 1.0, 2.0)
 CANCELLING = (0.1, 0.2, -0.3, 0.7, -0.4, 1e-16)
@@ -78,24 +80,21 @@ def mask(h, budget):
     return list(keep), [tuple(rows) for rows in arcs], finals
 
 
-def staged_unique_nbest(h, n):
-    """``nbest(h, n, HIERO_ONLY, unique=True)`` drawn eagerly, one list per
-    stage: stage k draws k raw paths (pop cap k), from k = n, and the
-    first stage that holds n distinct strings, or that exhausts the
-    lattice, gives the answer; otherwise the next stage draws 2k."""
-    key = None if algorithms._on_floats(h, HIERO_ONLY) else search_key(HIERO_ONLY)
-    beta, _ = _distances(h, key, backward=True)
-    if beta[h.initial] is None:
-        return NoPathError
-    k = n
-    while True:
-        raw = list(_nbest_raw(h, k, key, beta))
-        out = {}
-        for p in raw:
-            out.setdefault(p.output_labels(), p)
-        if len(out) >= n or len(raw) < k:
-            return [exact(p) for p in list(out.values())[:n]]
-        k *= 2
+def cheapest_strings(h):
+    """Brute force: walk every path of ``h`` from its initial state to
+    acceptance and keep, per distinct output string, its least cost."""
+    best = {}
+
+    def walk(s, labels, cost):
+        fw = h.final_weight(s)
+        if fw is not None:
+            total = cost + fw.values[HIERO_SCORE]
+            best[labels] = min(best.get(labels, total), total)
+        for t, _, olabel, values in h.rows(s):
+            walk(t, labels if olabel == EPSILON else labels + (olabel,), cost + values[HIERO_SCORE])
+
+    walk(h.initial, (), 0.0)
+    return best
 
 
 def searches(h):
@@ -137,49 +136,49 @@ def test_float_searches_equal_the_vector_searches(monkeypatch, scores, count):
         m.setattr(algorithms, "_on_floats", lambda fst, params: False)
         slow = [searches(h) for h in machines]
     assert [i for i, (f, s) in enumerate(zip(fast, slow)) if f != s] == []
+    # The corpus report reads every smaller n off the list at its largest
+    # n.  Capping a search's pops at n breaks that where sums round (on 1
+    # cancelling and 16 overflowing lattices); one uncapped stream cannot.
+    unique = [f["unique"] for f in fast]
+    assert [i for i, u in enumerate(unique) if isinstance(u[-1], list)
+            and any(u[n - 1] != u[-1][:n] for n in range(1, 6))] == []
     no_path = (NoPathError, "no path from the initial state to a final state")
     assert sum(f["raw"] == no_path for f in fast) > count // 20
 
 
-def test_lazy_unique_nbest_keeps_the_eager_stages():
-    # The lazy stream yields each stage's new strings as it draws them;
-    # eager stages answer with the list of the last stage drawn.  They
-    # agree on these 4,500 lattices.  They can differ in which of two
-    # tied paths stands for a string, when a restarted stage finds them
-    # in another order than the stage before it did, as on lattice 1601 of
-    # the overflowing set above: at n = 5, same strings, same costs, but
-    # another path for the fourth string, which costs inf either way.
-    for seed, scores in ((20, TIES), (21, CANCELLING), (22, OVERFLOWING)):
-        for h in lattices(seed, 1500, scores):
-            for n in range(1, 7):
-                staged = staged_unique_nbest(h, n)
-                got = outcome(nbest, h, n, HIERO_ONLY, True)
-                if staged is NoPathError:
-                    assert got[0] is NoPathError
-                else:
-                    assert [exact(p) for p in got] == staged
-    h = lattices(18, 1602, OVERFLOWING)[1601]
-    got = nbest(h, 5, HIERO_ONLY, unique=True)
-    staged = staged_unique_nbest(h, 5)
-    assert [(p.output_labels(), repr(p.cost)) for p in got] == [
-        (tuple(r[2] for r in rows if r[2] != EPSILON), cost) for rows, cost, _, _ in staged]
-    assert [exact(p) == e for p, e in zip(got, staged)] == [True] * 3 + [False, True]
+def test_unique_nbest_equals_a_brute_force_reference():
+    # Every sum of these scores is exact, so each string's least cost is
+    # too.  The n-best lists n strings at their least costs, the n least
+    # of all, and every string cheaper than the n-th; which of the strings
+    # tied at the n-th cost it lists is the search's tie rule.
+    for h in lattices(20, 3000, TIES):
+        best = cheapest_strings(h)
+        if not best:
+            with pytest.raises(NoPathError):
+                nbest(h, 1, HIERO_ONLY, unique=True)
+            continue
+        least = sorted(best.values())
+        for n in range(1, 7):
+            got = nbest(h, n, HIERO_ONLY, unique=True)
+            strings = [p.output_labels() for p in got]
+            assert len(set(strings)) == len(strings)
+            assert [p.cost for p in got] == [best[s] for s in strings] == least[:n]
+            assert {s for s, c in best.items() if c < got[-1].cost} <= set(strings)
 
 
-def test_unique_nbest_needs_its_restarts():
-    # Drawing with pop cap n and never restarting finds other strings
-    # than the stages do on some of these lattices.
-    no_restart = 0
+def test_unique_nbest_must_not_cap_its_pops():
+    # A stream that expands no state more than n times finds other strings
+    # than the unique n-best on some of these lattices: with several paths
+    # per string, n distinct strings can need a state's (n+1)-th prefix.
+    capped = 0
     for h in lattices(19, 2000, TIES):
         beta, _ = _distances(h, None, backward=True)
         if beta[h.initial] is None:
             continue
         for n in range(1, 7):
-            once = {}
-            for p in _nbest_raw(h, n, None, beta):
-                once.setdefault(p.output_labels(), exact(p))
-            no_restart += list(once.values())[:n] != staged_unique_nbest(h, n)
-    assert no_restart > 0
+            once = [exact(p) for p in _unique(_nbest_raw(h, n, None, beta), n)]
+            capped += once != [exact(p) for p in nbest(h, n, HIERO_ONLY, unique=True)]
+    assert capped > 0
 
 
 def test_an_overflowed_sum_is_reached_at_inf():
