@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import heapq
 import math
-from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from itertools import count
@@ -223,13 +222,27 @@ def _distances(fst: Wfst, key: Callable[[Dense], Key] | None, backward: bool = F
     backpointer list.  An acyclic machine is searched in topological
     order, a cyclic one with Dijkstra.  With ``key`` None, for a machine
     :func:`_on_floats` accepts, each key is its cost alone, summed on
-    floats.
+    floats, and backward each state takes the least of its final cost and
+    its own arcs' costs plus their targets', in reverse topological order.
     """
     order = topological_order(fst)
     signed = has_negative(fst)
     n = fst.num_states
     keys: list[Any] = [None] * n
     back: list[tuple[int, Row] | None] = [] if backward else [None] * n
+    if backward and key is None:
+        # Acyclic, as _on_floats requires.  No nan or -0.0 arises, so the
+        # least candidate is the same float in any order, and zeroing it
+        # once is zeroing each (the zeroing is monotone).
+        arcs = dense_arcs(fst)
+        for s, fw in fst.finals():
+            keys[s] = fw.values[HIERO_SCORE]
+        for s in reversed(order):
+            cands = [kt + v[HIERO_SCORE] for t, _, _, v in arcs[s] if (kt := keys[t]) is not None]
+            if cands:
+                c = min(cands) if keys[s] is None else min(keys[s], *cands)
+                keys[s] = 0.0 if signed and -CANONICAL_EPS < c < CANONICAL_EPS else c
+        return keys, back
     if backward:
         rev: list[list[Row]] = [[] for _ in range(n)]
         for s, rows in enumerate(dense_arcs(fst)):
@@ -508,17 +521,23 @@ def _prune_mask(fst: Wfst, budget: int, params: ParamVector) -> Mask:
     Over budget, the distance passes and the arc filter add floats when
     :func:`_on_floats` accepts ``fst`` and ``params``, as it accepts
     ``combine``'s hiero lattice under ``HIERO_ONLY``; the mask is the same.
+    The forward pass also tells which final states are accessible; the
+    threshold is found in one downward scan of the sorted through-costs.
     """
     _check_frozen(fst)
     check_count("budget", budget)
     if topological_order(fst) is None:
         raise ContractError("pruning is defined for acyclic machines only")
-    if fst.initial == NO_STATE or not any(fst.is_final(s) for s in accessible_states(fst)):
-        raise NoPathError("machine accepts nothing")
     if fst.num_states <= budget:
+        if not any(fst.is_final(s) for s in accessible_states(fst)):
+            raise NoPathError("machine accepts nothing")
         return fst.states(), dense_arcs(fst), dict(fst.finals())
     key = None if _on_floats(fst, params) else search_key(params)
     fcost, back = _distances(fst, key)
+    # A final state that the forward pass reaches is accessible.
+    if all(fcost[s] is None for s, _ in fst.finals()) \
+            and not any(fst.is_final(s) for s in accessible_states(fst)):
+        raise NoPathError("machine accepts nothing")
     best = _best_path(fst, key, fcost, back)
     sp_states = len(best.rows) + 1
     if budget < sp_states:
@@ -532,9 +551,14 @@ def _prune_mask(fst: Wfst, budget: int, params: ParamVector) -> Mask:
     best_cost = best.cost
     slack = 1e-9 * max(1.0, abs(best_cost))
 
-    finite = sorted(c for c in through if c < math.inf)
-    # Largest threshold whose state count fits the budget.
-    bound = max((c for c in finite if bisect_right(finite, c + slack) <= budget), default=None)
+    finite = sorted([c for c in through if c < math.inf])
+    # The largest threshold c whose states, those within c + slack, fit
+    # the budget: with more states than that, finite[budget] > c + slack.
+    i = min(budget, len(finite)) - 1
+    if budget < len(finite):
+        while i >= 0 and finite[budget] <= finite[i] + slack:
+            i -= 1
+    bound = finite[i] if i >= 0 else None
     if bound is None or bound < best_cost - slack or not math.isfinite(best_cost):
         # Even the optimal plateau is over budget, or the best cost
         # overflowed: keep just the best path, its states in path order.
@@ -545,9 +569,9 @@ def _prune_mask(fst: Wfst, budget: int, params: ParamVector) -> Mask:
         return keep, arcs, {keep[-1]: best.final_weight}
 
     limit = bound + slack
-    arc_cost = (lambda v: v[HIERO_SCORE]) if key is None else (lambda v: key(v)[0])
-    arcs = [tuple(r for r in rows if through[r[0]] <= limit
-                  and fcost[s] + arc_cost(r[3]) + bcost[r[0]] <= limit)
+    arcs = [tuple([r for r in rows if through[r[0]] <= limit
+                   and fcost[s] + (r[3][HIERO_SCORE] if key is None else key(r[3])[0])
+                   + bcost[r[0]] <= limit])
             if through[s] <= limit else () for s, rows in enumerate(dense_arcs(fst))]
     keep = [s for s in fst.states() if through[s] <= limit]
     return keep, arcs, {s: w for s, w in fst.finals() if through[s] <= limit}

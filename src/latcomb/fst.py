@@ -41,11 +41,13 @@ LATTICE_KINDS = ("nmt", "hiero", "generic")
 
 
 class SymbolTable:
-    """Bidirectional word/label mapping with fixed epsilon and UNK entries."""
+    """Bidirectional word/label mapping with fixed epsilon and UNK entries;
+    also from each label's text, ``str(label)``, which the lattice reader reads."""
 
     def __init__(self) -> None:
         self._word_to_label: dict[str, int] = {EPSILON_SYMBOL: EPSILON, UNK_SYMBOL: UNK}
         self._label_to_word: dict[int, str] = {EPSILON: EPSILON_SYMBOL, UNK: UNK_SYMBOL}
+        self._label_of_text: dict[str, int] = {str(EPSILON): EPSILON, str(UNK): UNK}
         self._next = 2
 
     def __len__(self) -> int:
@@ -63,6 +65,7 @@ class SymbolTable:
         self._next += 1
         self._word_to_label[word] = label
         self._label_to_word[label] = word
+        self._label_of_text[str(label)] = label
         return label
 
     def add_pair(self, word: str, label: int) -> None:
@@ -77,6 +80,7 @@ class SymbolTable:
             raise ValueError(f"word {word!r} already maps to label {old_label}")
         self._word_to_label[word] = label
         self._label_to_word[label] = word
+        self._label_of_text[str(label)] = label
         self._next = max(self._next, label + 1)
 
     def label(self, word: str) -> int:

@@ -119,8 +119,8 @@ def read_params(path: str) -> CombinationParams:
         raise FormatError(str(exc), path) from None
 
 
-# The start of a single-entry weight's text, by its feature id.
-_ENTRY = {f"{fid}:": fid for fid in range(NUM_FEATURES)}
+# How a one-entry score weight's text starts (the fast path's literals take NMT_SCORE 0, HIERO_SCORE 1).
+_ENTRY = {f"{NMT_SCORE}:": NMT_SCORE, f"{HIERO_SCORE}:": HIERO_SCORE}
 
 
 def read_lattice(path: str, table: SymbolTable, kind: str = "generic") -> Wfst:
@@ -128,65 +128,82 @@ def read_lattice(path: str, table: SymbolTable, kind: str = "generic") -> Wfst:
 
     ``kind`` selects the contract, :func:`~latcomb.fst.contract_errors`;
     a violation raises :class:`FormatError` with every message.  Each
-    line is checked as it is read.  Only a line that breaks the contract,
-    a missing final state or a cycle makes the reader walk the machine
-    for the messages; a clean file keeps its empty error list, so
-    ``combine`` does not check it again.  The machine also keeps
+    line is checked as it is read.  The common line, an arc whose labels
+    are in canonical text and whose weight is one finite NMT or hiero
+    score, takes a fast path that looks labels (in ``table``) and states
+    up by their text; any other line, such as ``07`` or ``+7`` for label
+    7, is parsed in full, with the same result.  Only a line that breaks
+    the contract, a missing final state or a cycle makes the reader walk
+    the machine for the messages; a clean file keeps its empty error
+    list, so ``combine`` does not check it again.  The machine also keeps
     :func:`~latcomb.fst.has_negative` and :func:`~latcomb.fst.dense_arcs`,
     learned while parsing.
     """
     with open(path, "r", encoding="utf-8") as handle:
         text = handle.read()
-    # The kind's score feature, None when arcs are not checked; and the
-    # label no arc may carry (NO_STATE is none).
+    # The kind's score feature and the one no arc may carry, None when arcs
+    # are not checked; and the label no arc may carry (NO_STATE is none).
     score = {"nmt": NMT_SCORE, "hiero": HIERO_SCORE}.get(kind)
+    foreign = {"nmt": HIERO_SCORE, "hiero": NMT_SCORE}.get(kind)
     banned = UNK if kind == "hiero" else NO_STATE
-    # File state ids are numbered by first mention, so the initial state is 0.
+    # File state ids are numbered by first mention, so the initial state is
+    # 0; the fast path finds a state by its text, parsing each text once.
     state_of: dict[int, int] = {}
+    state_of_text: dict[str, int] = {}
+
+    def state(text: str) -> int:
+        sid = state_of_text[text] = state_of.setdefault(int(text), len(state_of))
+        return sid
+
     rows_of: defaultdict[int, list[Row]] = defaultdict(list)
     finals: dict[int, FeatureWeight] = {}
     negative = zero = False
     suspect = kind not in LATTICE_KINDS  # contract_errors rejects the kind
     labels = table._label_to_word
+    label_of = table._label_of_text
     # Not splitlines(), which also splits at other characters (see above).
     for lineno, line in enumerate(text.split("\n"), start=1):
         fields = line.split()
-        n = len(fields)
         try:
-            # The common line, an arc with one well-formed weight entry,
-            # is parsed here; any other line, errors included, below.
+            # The common line, parsed here; any other line, errors included, below.
             a, b, c, d, w = fields
-            ids = int(a), int(b), int(c), int(d)
-            fid, x = _ENTRY[w[:2]], float(w[2:])
-            fast = x - x == 0.0 and ids[2] in labels and ids[3] in labels  # finite, known
+            il, ol, fid, x = label_of[c], label_of[d], _ENTRY[w[:2]], float(w[2:])
+            src = state_of_text[a] if a in state_of_text else state(a)
+            dst = state_of_text[b] if b in state_of_text else state(b)
+            fast = x - x == 0.0  # finite
         except (ValueError, KeyError):
             fast = False
         if fast:
-            entries = [0.0] * NUM_FEATURES
-            if not -CANONICAL_EPS < x < CANONICAL_EPS:
-                entries[fid] = x
+            if -CANONICAL_EPS < x < CANONICAL_EPS:
+                values: Dense | None = ONE.values
+            else:
+                values = (x, 0.0, 0.0, 0.0, 0.0) if fid == NMT_SCORE else (0.0, x, 0.0, 0.0, 0.0)
                 negative = negative or x < 0.0
-            values: Dense | None = tuple(entries)
-        else:
-            if not fields or fields[0][0] == "#":
-                continue
+                suspect = suspect or fid == foreign
+            rows_of[src].append((dst, il, ol, values))
+            if score is not None and (il != ol or il == banned):
+                suspect = True
+            continue
+        n = len(fields)
+        if not fields or fields[0][0] == "#":
+            continue
+        try:
+            # A final line's second field is its weight, not a state.
+            ids = list(map(int, fields[: 1 if n == 2 else 4]))
+        except ValueError:
+            raise FormatError(f"non-integer field in {line.strip()!r}", path, lineno) from None
+        if n not in (1, 2, 4, 5):
+            raise FormatError(f"expected 1, 2, 4, or 5 fields, got {n}", path, lineno)
+        if n > 2 and not (ids[2] in labels and ids[3] in labels):
+            label = ids[3] if ids[2] in labels else ids[2]
+            raise FormatError(f"label {label} is not in the symbol table", path, lineno)
+        values = ONE.values
+        if n == 2 or n == 5:
             try:
-                # A final line's second field is its weight, not a state.
-                ids = list(map(int, fields[: 1 if n == 2 else 4]))
-            except ValueError:
-                raise FormatError(f"non-integer field in {line.strip()!r}", path, lineno) from None
-            if n not in (1, 2, 4, 5):
-                raise FormatError(f"expected 1, 2, 4, or 5 fields, got {n}", path, lineno)
-            if n > 2 and not (ids[2] in labels and ids[3] in labels):
-                label = ids[3] if ids[2] in labels else ids[2]
-                raise FormatError(f"label {label} is not in the symbol table", path, lineno)
-            values = ONE.values
-            if n == 2 or n == 5:
-                try:
-                    values = parse_values(fields[-1])
-                except ValueError as exc:
-                    raise FormatError(str(exc), path, lineno) from None
-                negative = negative or values is not None and min(values) < 0.0
+                values = parse_values(fields[-1])
+            except ValueError as exc:
+                raise FormatError(str(exc), path, lineno) from None
+            negative = negative or values is not None and min(values) < 0.0
         if score is not None and values is not None \
                 and values.count(0.0) + (values[score] != 0.0) != NUM_FEATURES:
             suspect = True  # a feature other than the kind's score

@@ -24,6 +24,7 @@ from latcomb.algorithms import PathWitness
 from latcomb.editfst import expand_unk_runs
 from latcomb.fst import has_negative
 from latcomb.oracle import enumerate_paths
+from latcomb.pipeline import HIERO_ONLY
 from latcomb.semiring import scalarize
 
 from helpers import (acceptor_from_sentences, dyadic, grid_params, grid_weight, linear_chain,
@@ -211,6 +212,26 @@ def test_prune_fallback_numbers_the_best_path_in_path_order():
     assert list(pruned.arcs(1)) == [Arc(b, b, ONE, 2)]
     assert list(pruned.arcs(2)) == []
     assert list(pruned.finals()) == [(2, ONE)]
+
+
+def test_prune_counts_a_state_exactly_at_the_slack():
+    # A threshold c keeps every state whose through-cost is within c plus
+    # the slack (1e-9 at best cost 0).  State 2's is exactly 1e-9, so no
+    # threshold keeps 3 of the 4 states, and only the best path is kept.
+    syms = SymbolTable()
+    a = syms.add("a")
+    fst = Wfst(syms, syms)
+    for _ in range(4):
+        fst.add_state()
+    fst.set_initial(0)
+    for src, score, dst in ((0, 0.0, 1), (1, 0.0, 3), (0, 1e-9, 2), (2, 0.0, 3)):
+        fst.add_arc(src, Arc(a, a, weight({1: score}), dst))
+    fst.set_final(3, ONE)
+    fst.freeze()
+    for params in (UNIT, HIERO_ONLY):
+        pruned = prune_to_node_budget(fst, 3, params)
+        assert [arc.ilabel for arc in shortest_path(pruned, params).arcs] == [a, a]
+        assert pruned.num_states == 3 and pruned.num_arcs == 2
 
 
 def test_prune_rejects_cyclic():

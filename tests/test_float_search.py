@@ -14,7 +14,8 @@ import random
 
 import pytest
 
-from latcomb import EPSILON, ONE, Arc, ContractError, NoPathError, SymbolTable, Wfst, weight
+from latcomb import (EPSILON, ONE, ZERO, Arc, ContractError, NoPathError, ParamVector, SymbolTable,
+                     Wfst, weight)
 from latcomb import algorithms
 from latcomb.algorithms import (PathWitness, _distances, _nbest_raw, _prune_mask, _unique, nbest,
                                 shortest_path)
@@ -136,6 +137,10 @@ def test_float_searches_equal_the_vector_searches(monkeypatch, scores, count):
         m.setattr(algorithms, "_on_floats", lambda fst, params: False)
         slow = [searches(h) for h in machines]
     assert [i for i, (f, s) in enumerate(zip(fast, slow)) if f != s] == []
+    # The float backward pass takes each state's least candidate over its
+    # own arcs, the vector pass relaxes the reversed arcs; a state that
+    # reaches no final state stays None in both.
+    assert sum(f["backward"].count("None") for f in fast) > count // 20
     # The corpus report reads every smaller n off the list at its largest
     # n.  Capping a search's pops at n breaks that where sums round (on 1
     # cancelling and 16 overflowing lattices); one uncapped stream cannot.
@@ -144,6 +149,40 @@ def test_float_searches_equal_the_vector_searches(monkeypatch, scores, count):
             and any(u[n - 1] != u[-1][:n] for n in range(1, 6))] == []
     no_path = (NoPathError, "no path from the initial state to a final state")
     assert sum(f["raw"] == no_path for f in fast) > count // 20
+
+
+@pytest.mark.parametrize("hiero", [1.0, 0.5], ids=["floats", "vectors"])
+def test_over_budget_pruning_needs_an_accessible_final_state(hiero):
+    # Over budget, pruning reads reachability off its forward pass.  No
+    # final state accessible: the machine accepts nothing.  One reached
+    # only through an INF arc is accessible but on no path, as before.
+    params = ParamVector(nmt=0.0, hiero=hiero, edit=0.0, sub=0.0, ins=0.0)
+    syms = SymbolTable()
+    a = syms.add("a")
+
+    def lattice(arcs):
+        h = Wfst(syms, syms)
+        for _ in range(5):
+            h.add_state()
+        h.set_initial(0)
+        for src, w, dst in arcs:
+            h.add_arc(src, Arc(a, a, w, dst))
+        h.set_final(4, ONE)
+        return h.freeze()
+
+    chain = [(0, weight({1: 0.5}), 1), (1, weight({1: 0.5}), 2)]
+    nothing = lattice(chain + [(3, ONE, 4)])
+    no_path = lattice(chain + [(2, ZERO, 4)])
+    assert algorithms._on_floats(nothing, params) == (hiero == 1.0)
+    for budget in (1, 2, 3, 4):
+        with pytest.raises(NoPathError, match="^machine accepts nothing$"):
+            _prune_mask(nothing, budget, params)
+        with pytest.raises(NoPathError, match="^no path from the initial state to a final state$"):
+            _prune_mask(no_path, budget, params)
+    # Within budget, only accessibility is checked.
+    with pytest.raises(NoPathError, match="^machine accepts nothing$"):
+        _prune_mask(nothing, 5, params)
+    assert list(_prune_mask(no_path, 5, params)[0]) == [0, 1, 2, 3, 4]
 
 
 def test_unique_nbest_equals_a_brute_force_reference():

@@ -14,6 +14,7 @@ from latcomb import (
     Wfst,
     weight,
 )
+from latcomb import lattice_io
 from latcomb.cli import cli_main
 from latcomb.fst import LATTICE_KINDS, contract_errors, dense_arcs, has_negative, topological_order
 from latcomb.lattice_io import (
@@ -231,6 +232,9 @@ READER_ERRORS = {
                    "feature values must be finite, got nan for id 0"),
     "weight-inf": ("generic", "0 1 2 2 0:inf", [],
                    "feature values must be finite, got inf for id 0"),
+    "unknown-label-other-text": ("generic", "0 1 2 +99 0:1", [],
+                                 "label 99 is not in the symbol table"),
+    "negative-label": ("hiero", "0 1 -1 -1 1:0.5", [], "label -1 is not in the symbol table"),
     "final-weight-bad-number": ("generic", "1 1:x", [], "malformed weight entry '1:x'"),
     "final-inf": ("generic", "1 INF", [],
                   "a final weight of INF means 'not final'; drop the line instead"),
@@ -441,6 +445,66 @@ def test_reader_matches_a_machine_built_through_the_public_api(tmp_path):
             if i >= 300:
                 assert has_negative(read) == (i in (300, 303))
             assert contract_errors(read, kind) == expected
+
+
+def test_reader_reads_labels_and_states_in_any_integer_text(tmp_path):
+    # The fast path looks arc labels up by their canonical text, and states
+    # by their text; labels in other text (+7, 07, 7_0 for 70, -0) take the
+    # full parse, and a state's texts all name one state, so every
+    # spelling reads the same.
+    syms = SymbolTable()
+    syms.add_pair("w", 7)
+    syms.add_pair("x", 70)
+    spellings = {"0": ["-0", "+0", "00", "0_0"], "1": ["+1", "01"], "2": ["02"], "3": ["+3", "03"],
+                 "7": ["+7", "07", "0_7"], "70": ["7_0", "+070"]}
+    path = tmp_path / "m.fst"
+
+    def read(lines, kind):
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        fst = read_lattice(str(path), syms, kind=kind)
+        return _structure(fst), dense_arcs(fst), has_negative(fst), topological_order(fst)
+
+    variants = 0
+    for kind in LATTICE_KINDS:
+        f = NMT_SCORE if kind == "nmt" else HIERO_SCORE
+        canonical = [f"0 1 7 7 {f}:0.5", f"1 2 70 70 {f}:-0.25", f"2 3 0 0 {f}:1e-16", "3"]
+        expected = read(canonical, kind)
+        for i, line in enumerate(canonical):
+            fields = line.split()
+            for j, field in enumerate(fields[:4]):
+                for text in spellings.get(field, []):
+                    lines = list(canonical)
+                    lines[i] = " ".join(fields[:j] + [text] + fields[j + 1:])
+                    assert read(lines, kind) == expected, lines[i]
+                    variants += 1
+    assert variants == 3 * 32
+
+
+def test_reader_finds_words_added_after_a_read(tmp_path, monkeypatch):
+    # The symbol table keeps its label texts in step with add and add_pair,
+    # so a word registered after a read (as read_vocab and read_symtab do)
+    # is found on the next read's fast path.
+    syms = SymbolTable()
+    a = syms.add("a")
+    path = tmp_path / "h.fst"
+    path.write_text(f"0 1 {a} {a} 1:0.5\n1 2 40 40 1:0.25\n2\n", encoding="utf-8")
+    with pytest.raises(FormatError) as err:
+        read_lattice(str(path), syms, kind="hiero")
+    assert (str(err.value), err.value.line) == (f"{path}:2: label 40 is not in the symbol table", 2)
+    vocab = tmp_path / "vocab.txt"
+    vocab.write_text("b\n", encoding="utf-8")
+    (b,) = read_vocab(str(vocab), syms)
+    syms.add_pair("c", 40)
+
+    def full_parse(text):
+        raise AssertionError(f"weight {text!r} was parsed in full")
+
+    monkeypatch.setattr(lattice_io, "parse_values", full_parse)  # arc lines take the fast path
+    path.write_text(f"0 1 {b} {b} 1:0.5\n1 2 40 40 1:0.25\n2\n", encoding="utf-8")
+    hiero = read_lattice(str(path), syms, kind="hiero")
+    assert [r[1] for rows in dense_arcs(hiero) for r in rows] == [b, 40]
+    table = read_symtab(symtab_file(tmp_path, syms))
+    assert read_lattice(str(path), table, kind="hiero").num_arcs == 2
 
 
 # -- CLI ---------------------------------------------------------------
