@@ -10,7 +10,8 @@ weight.  The selected pair of hypotheses minimizes typed edit distance
 plus the scaled model scores over all pairs the two lattices offer.
 
 The alignment is one shortest-distance pass over pairs of lattice
-states (Mohri, "Edit-Distance of Weighted Automata", 2003).  It finds
+states (Mohri, "Edit-Distance of Weighted Automata", 2003), over only
+the pairs that an A* search finds can hold the optimum.  It finds
 the same optimum, at the same cost and feature vector, as composing the
 extended NMT lattice with the modified edit flower and the hiero lattice
 and taking the shortest path, which is the paper's construction; but it
@@ -21,7 +22,9 @@ the alphabet size.  Per-sentence combinations are independent.
 from __future__ import annotations
 
 import functools
+import heapq
 import math
+import operator
 import sys
 import warnings
 from dataclasses import dataclass, field, replace as dc_replace
@@ -31,7 +34,7 @@ from .algorithms import Mask, PathWitness, _prune_mask, iter_nbest
 from .editfst import edit_weight, expand_unk_runs
 from .errors import ContractError, NoPathError, check_count
 from .fst import (EPSILON, UNK, Row, Wfst, contract_errors, count_paths, dense_arcs,
-                  has_negative, topological_order)
+                  has_negative, magnitudes, topological_order)
 from .semiring import (
     CANONICAL_EPS,
     EDIT_COUNT,
@@ -201,15 +204,14 @@ def combine(nmt_lattice: Wfst, hiero_lattice: Wfst, params: CombinationParams,
     ``topological_order`` of the hiero lattice as read.  For example, NMT
     ``UNK die`` against hiero ``die`` (``die`` out of vocabulary) ties
     deleting the UNK with filling it and deleting ``die``; the deletion of
-    the UNK is found first, so ``t_comb`` is ``die``.  The pass decides
-    most moves on float cost estimates and does not try the hiero arcs
-    that cannot win (see ``_best_alignment``); that leaves the rule
-    unchanged, because such a move's exact key is strictly larger than
-    the cell's current key, so it could not have taken the cell.  The
-    hiero arcs of one group (from one cell and NMT arc, or the insertions
-    from one cell, to one target cell) are tried in cost order, and an
-    exactly equal key goes to the lower arc index, so each group leaves
-    its target as trying its arcs in arc order would.
+    the UNK is found first, so ``t_comb`` is ``die``.  The pass visits
+    only the cells that can hold an alignment within a margin of the
+    optimum, decides most moves on float cost estimates, and does not try
+    the hiero arcs that cannot win (see ``_best_alignment``).  That leaves
+    the rule unchanged: a skipped cell or move could not have taken a cell
+    of the winning alignment, whose exact key is strictly smaller, and a
+    group of hiero arcs tried in cost order leaves its target as trying
+    them in arc order would.
     """
     _check_lattice(nmt_lattice, "nmt")
     _check_lattice(hiero_lattice, "hiero")
@@ -243,19 +245,263 @@ def combine(nmt_lattice: Wfst, hiero_lattice: Wfst, params: CombinationParams,
     )
 
 
+# Phase 1 runs when the kept hiero states have at least this many
+# successor states on average.  In a chain or a sausage (fewer than one)
+# every hiero state lies on every path, only the length gap can rule a
+# cell out, and the heap costs more than it saves (CHANGES.md has the sweep).
+_REGION_MIN_BRANCHING = 1.25
+
+
+class _MoveTables:
+    """What both traversals of the cells read, built once per sentence.
+
+    Cell (i, j), of NMT position i and kept hiero position j, is
+    ``i * width + j``; ``nmt_moves[i]`` and ``hiero_moves[j]`` hold the
+    moves out of it (see :func:`_best_alignment`).
+    """
+
+    def __init__(self, nmt: Wfst, hiero: Wfst, mask: Mask, nmt_vocab: FrozenSet[int],
+                 params: ParamVector) -> None:
+        keep, hiero_arcs, hiero_finals = mask
+        kept = set(keep)
+        order_n = topological_order(nmt)
+        assert order_n is not None
+        order_h = [s for s in topological_order(hiero) if s in kept]
+        self.pos_n = pos_n = {s: i for i, s in enumerate(order_n)}
+        self.pos_h = pos_h = {s: j for j, s in enumerate(order_h)}
+        self.nmt, self.order_n, self.order_h, self.hiero_finals = nmt, order_n, order_h, \
+            hiero_finals
+        self.width = width = len(order_h)
+        self.size = len(order_n) * width
+        self.start = pos_n[nmt.initial] * width + pos_h[hiero.initial]
+        self.key = key = search_key(params)
+        self.nmt_vocab, self.lambda_edit = nmt_vocab, params.edit
+        self.cost = cost = lambda v: key(v)[0]
+        # Edit weights as (values, cost).  Edit typing yields a few distinct
+        # weights, so each one's cost is computed once, by its values.
+        self.scored = scored = functools.cache(lambda v: (v, cost(v)))
+
+        # Per hiero position, its arcs as (cost, index, target, arc, label):
+        # the word arcs alone on their target; the other word arcs grouped by
+        # target, each group sorted by (cost, index), and the same arcs by
+        # label; the epsilon arcs.
+        self.hiero_moves = hiero_moves = []
+        self.branches = 0  # successor states summed over the kept states
+        words: list[int] = []  # two distinct hiero words, if there are two
+        for s in order_h:
+            targets: dict[int, list[_Entry]] = {}
+            skips: list[_Entry] = []
+            for rank, h in enumerate(hiero_arcs[s]):
+                y = h[1]
+                entry = (key(h[3])[0], rank, pos_h[h[0]], h, y)
+                if y == EPSILON:
+                    skips.append(entry)
+                    continue
+                targets.setdefault(entry[2], []).append(entry)
+                if len(words) < 2 and y not in words:
+                    words.append(y)
+            self.branches += len(targets) + len(skips)
+            singles: list[_Entry] = []
+            groups: list[tuple[int, list[_Entry]]] = []
+            labels: dict[int, list[_Entry]] = {}
+            for t_j, group in targets.items():
+                if len(group) == 1:
+                    singles.append(group[0])
+                    continue
+                group.sort()
+                groups.append((t_j, group))
+                for entry in group:
+                    labels.setdefault(entry[4], []).append(entry)
+            hiero_moves.append((singles, groups, labels, skips))
+
+        # Edit typing charges alike for inserting any word, and for pairing a
+        # label that is not UNK with any word but itself; so those weights are
+        # typed once, with the first hiero words.
+        self.w_skip, self.s_skip = scored(edit_weight(nmt_vocab, EPSILON, EPSILON).values)
+        self.w_ins, self.s_ins = scored(edit_weight(nmt_vocab, EPSILON, words[0]).values) \
+            if words else (None, 0.0)
+
+        # Per NMT label: the values and cost of deleting it; the weights of
+        # pairing it with the words typed one by one (filled on demand for
+        # UNK, by type_pair); the weight of pairing it with every other word
+        # (None for UNK) and a floor under their costs; and the free match.
+        arcs_n = dense_arcs(nmt)
+        pairings: dict[int, tuple] = {}
+        for x in {r[2] for rows in arcs_n for r in rows}:
+            deleting = scored(edit_weight(nmt_vocab, x, EPSILON).values)
+            if x == UNK:  # the hiero side has no UNK to match
+                pairings[x] = (*deleting, {}, None, 0.0, ONE.values, 0.0)
+                continue
+            match = scored(edit_weight(nmt_vocab, x, x).values)
+            other = [y for y in words if y != x]
+            sub = scored(edit_weight(nmt_vocab, x, other[0]).values) if other else None
+            pairings[x] = (*deleting, {x: match}, sub, 0.0 if sub is None else sub[1], *match)
+
+        # Moves per NMT position: (arc, label matched, target base, arc cost,
+        # then the label's pairings).  An epsilon arc advances alone: its
+        # edit weight is ONE.
+        self.nmt_moves = [[(a, a[2], pos_n[a[0]] * width, key(a[3])[0], *pairings[a[2]])
+                           for a in arcs_n[s]] for s in order_n]
+
+        # The slack, from the weights' magnitudes (see _best_alignment).
+        absp = [abs(p) for p in params.as_tuple()]
+        totals = [a + b for a, b in zip(magnitudes(nmt), magnitudes(hiero))]
+        totals[EDIT_COUNT] += nmt.num_states + width
+        totals[SUB_COUNT] += nmt.num_states + width
+        mass = sum(p * v for p, v in zip(absp, totals))
+        steps = len(order_n) + width
+        self.slack = math.inf
+        if mass < 1e300:
+            self.slack = ((1e-9 + 1e-15 * steps) * mass + CANONICAL_EPS * steps * sum(absp)
+                          + sys.float_info.min)
+        self.signed = has_negative(nmt) or has_negative(hiero)
+
+    def type_pair(self, typed: dict, x: int, y: int) -> tuple[Dense, float]:
+        """Type the pairing of ``x`` with ``y`` and keep it in ``typed``, x's table."""
+        w = typed[y] = self.scored(edit_weight(self.nmt_vocab, x, y).values)
+        return w
+
+
+def _by_length(finals: list[float],
+               arcs: list[list[tuple[int, float, bool]]]) -> list[list[float]]:
+    """Per position, whose arcs (target, cost, 1 for a token) lead to later
+    ones: per l, the cheapest cost on to a final over exactly l tokens."""
+    rows: list[list[float]] = [[]] * len(finals)
+    for p in reversed(range(len(finals))):
+        rows[p] = row = [finals[p]]
+        for t, c, token in arcs[p]:
+            tail = rows[t]
+            row.extend([math.inf] * (len(tail) + token - len(row)))
+            for l, v in enumerate(tail, token):
+                v += c
+                if v < row[l]:
+                    row[l] = v
+    return rows
+
+
+def _near(row: list[float], lam: float) -> list[float]:
+    """Per l: the least row[k] + lam * |k - l|, in two sweeps."""
+    for l in range(1, len(row)):
+        row[l] = min(row[l], row[l - 1] + lam)
+    for l in range(len(row) - 2, -1, -1):
+        row[l] = min(row[l], row[l + 1] + lam)
+    return row
+
+
+def _region(tab: _MoveTables) -> list[list[int]] | None:
+    """Phase 1 of :func:`_best_alignment`: per NMT position, the sorted
+    hiero positions of the cells A* closes; None for every cell."""
+    if tab.branches < _REGION_MIN_BRANCHING * tab.width or tab.slack == math.inf:
+        return None
+    inf, width, cost, type_pair = math.inf, tab.width, tab.cost, tab.type_pair
+    s_ins, s_skip, nmt_moves, hiero_moves = tab.s_ins, tab.s_skip, tab.nmt_moves, tab.hiero_moves
+    # Per hiero position, the cheapest word arc to each target, then the epsilon arcs.
+    advances = [singles + [g[0] for _, g in groups] + skips
+                for singles, groups, _, skips in hiero_moves]
+    final_n = [inf if fw is None else cost(fw.values)
+               for fw in map(tab.nmt.final_weight, tab.order_n)]
+    final_h = [cost(tab.hiero_finals[s].values) if s in tab.hiero_finals else inf
+               for s in tab.order_h]
+    bn = _by_length(final_n, [[(t_base // width, s_a, x != EPSILON) for _, x, t_base, s_a, *_ in m]
+                              for m in nmt_moves])
+    bh = _by_length(final_h, [[(t_j, s_h, y != EPSILON) for s_h, _, t_j, _, y in m]
+                              for m in advances])
+    n, lam = max(map(len, bh)), tab.lambda_edit
+    near = [_near(row + [inf] * (n - len(row)), lam) for row in bn]
+
+    est = [inf] * tab.size
+    cell_h: list[float | None] = [None] * tab.size
+    heap: list[tuple[float, int]] = []
+    closed: list[int] = []
+    add, heappush, heappop = operator.add, heapq.heappush, heapq.heappop
+
+    def push(c: int, e: float) -> None:
+        est[c] = e
+        h = cell_h[c]
+        if h is None:
+            h = cell_h[c] = min(map(add, bh[c % width], near[c // width]))
+        if h < inf:
+            heappush(heap, (e + h, c))
+
+    push(tab.start, cost(ONE.values))
+    limit, margin = inf, 4.0 * tab.slack
+    while heap:
+        f, c = heappop(heap)
+        if f > limit:
+            break
+        est_c = est[c]
+        if f > est_c + cell_h[c]:  # superseded by a cheaper push
+            continue
+        closed.append(c)
+        i, j = divmod(c, width)
+        singles, groups, _, _ = hiero_moves[j]
+        if est_c + final_n[i] + final_h[j] + margin < limit:
+            limit = est_c + final_n[i] + final_h[j] + margin
+        for _, x, t_base, s_a, _, s_del, typed, sub, *_ in nmt_moves[i]:
+            est_a = est_c + s_a
+            if est_a + s_del < est[t_base + j]:
+                push(t_base + j, est_a + s_del)
+            if x == EPSILON:
+                continue
+            for s_h, _, t_j, _, y in singles:
+                e = est_a + (typed.get(y, sub) or type_pair(typed, x, y))[1] + s_h
+                if e < est[t_base + t_j]:
+                    push(t_base + t_j, e)
+            for t_j, group in groups:
+                t = t_base + t_j
+                for s_h, _, _, _, y in group:  # edit costs are nonnegative
+                    if est_a + s_h >= est[t]:
+                        break
+                    e = est_a + (typed.get(y, sub) or type_pair(typed, x, y))[1] + s_h
+                    if e < est[t]:
+                        push(t, e)
+        for s_h, _, t_j, _, y in advances[j]:
+            e = est_c + (s_skip if y == EPSILON else s_ins) + s_h
+            if e < est[i * width + t_j]:
+                push(i * width + t_j, e)
+    region: list[list[int]] = [[] for _ in tab.order_n]
+    for c in sorted(set(closed)):
+        region[c // width].append(c % width)
+    return region
+
+
 def _best_alignment(nmt: Wfst, hiero: Wfst, mask: Mask, nmt_vocab: FrozenSet[int],
                     params: ParamVector) -> PathWitness:
     """Cheapest typed-edit alignment of an NMT path with a hiero path.
 
-    A forward shortest-distance pass over the cells (NMT state, hiero
-    state) of two acyclic machines that have initial states (``combine``
-    checks both), in the order and with the moves that :func:`combine`
-    documents; the hiero machine is read through ``mask``, what
+    A shortest-distance search over the cells (NMT state, hiero state) of
+    two acyclic machines that have initial states (``combine`` checks
+    both), with the moves that :func:`combine` documents; the hiero
+    machine is read through ``mask``, what
     :func:`~latcomb.algorithms._prune_mask` keeps of it.  NMT output
     labels are matched against hiero input labels; the returned path
     writes (NMT input label, hiero output label) on each arc and carries
     the same per-arc weights as the composition with the modified flower
-    would.
+    would.  Raises :class:`NoPathError` when no final cell is reachable.
+
+    Two phases read one set of :class:`_MoveTables`.  Phase 1
+    (:func:`_region`) is A* over the cells on float estimates (Hart,
+    Nilsson and Raphael, 1968).  Its heuristic h(i, j) is the least
+    bn(i, ln) + bh(j, lh) + lambda_edit * |ln - lh|, with bn and bh the
+    cheapest costs on to a final state over exactly l tokens (final
+    weights and UNK run arcs counted; the hiero side through the mask,
+    an epsilon arc no token).  That is the exact cost-to-go when every
+    pair move is free; every real move costs at least as much (pair edit
+    costs are nonnegative, an insertion or deletion costs lambda_edit),
+    so h is admissible and consistent, h(c) <= w + h(c') for each move
+    c -> c' of cost w, whatever the signs of the scores.  A* stops once
+    the least g + h on its heap exceeds the cheapest final estimate it
+    closed plus ``4 * slack``; its closed cells are the region.  Phase 2
+    is the exact pass described below, over the region only: a cell
+    outside it keeps ``high = -inf``, so every move into it loses on the
+    float screen.  Each cell of the winning alignment has g + h <= f*
+    over the reals; an estimate is within far less than ``slack``, and
+    an exact key within ``slack``, of its real sum, so its g + h is below
+    the stop.  Its winning move is still there and every other move into
+    it is missing or no cheaper, in the same order, so the result, ties
+    included, is the full pass's.  The region is every cell when the
+    slack is infinite, or when the kept hiero states average fewer than
+    ``_REGION_MIN_BRANCHING`` successors (a chain or a sausage).
 
     Weight values are accumulated with
     :func:`~latcomb.semiring.dense_times` and compared by
@@ -263,8 +509,7 @@ def _best_alignment(nmt: Wfst, hiero: Wfst, mask: Mask, nmt_vocab: FrozenSet[int
     Every feature of an aligned pair comes from one side, because
     ``combine``'s contract check admits no foreign feature; so the cost
     and feature vector are bit-identical to the shortest path of the
-    composed machine.  Raises :class:`NoPathError` when either machine
-    accepts nothing.
+    composed machine.
 
     Cells are scalar first.  A cell holds a float estimate of its cost
     and the move that set it: the source cell's estimate plus the costs
@@ -276,140 +521,54 @@ def _best_alignment(nmt: Wfst, hiero: Wfst, mask: Mask, nmt_vocab: FrozenSet[int
     below it wins, and both are decided on floats alone.
 
     Why that is exact: let ``mass`` be sum_k |p_k| times the total
-    magnitude of feature k over everything one path can add up (every
-    arc and final weight the pass reads of both machines, plus one edit
-    count per move).  Every term an estimate or an exact cost adds has
-    magnitude at most ``mass``.  Over the reals the two are the same sum;
-    in floats each takes a few roundings of relative size 2**-53 per
-    move, and the exact vector may also zero, once per move, entries
-    below CANONICAL_EPS.  A path makes fewer than ``steps`` moves, so
-    their gap is far below ``slack = (1e-9 + 1e-15 * steps) * mass +
-    CANONICAL_EPS * steps * sum_k |p_k|`` (plus the smallest normal
-    float, against underflow), however much large positive and negative
-    scores cancel.  A NaN estimate is never decided on floats, and when
-    ``mass`` nears the float range the slack is infinite, so every move
-    is settled exactly.
+    magnitude of feature k over every arc and final weight of both
+    machines (:func:`~latcomb.fst.magnitudes`), plus one edit count per
+    move.  Every term an estimate or an exact cost adds has magnitude at
+    most ``mass``.  Over the reals the two are the same sum; in floats
+    each takes a few roundings of relative size 2**-53 per move, and the
+    exact vector may also zero, once per move, entries below
+    CANONICAL_EPS.  A path makes fewer than ``steps`` moves, so their gap
+    is far below ``slack = (1e-9 + 1e-15 * steps) * mass + CANONICAL_EPS
+    * steps * sum_k |p_k|`` (plus the smallest normal float, against
+    underflow), however much large positive and negative scores cancel.
+    A NaN estimate is never decided on floats, and when ``mass`` nears
+    the float range the slack is infinite, so every move is settled
+    exactly.
 
-    Most moves lose, so from each cell and NMT arc the pass tries only
-    the hiero arcs that can win.  It groups each kept hiero state's word
-    arcs by target and sorts each group of two or more by (arc cost, arc
-    index).  A label that is not UNK tries a group's arcs with its own
-    label (free matches) first, then the others in cost order, each at
-    one and the same edit cost (:func:`~latcomb.editfst.edit_weight`
-    types every other word alike), and stops at the first that loses on
-    floats; UNK tries the group in cost order, each word at its typed
-    edit cost, and stops once the estimate without the edit cost loses.
-    Insertions, at one and the same edit cost for every word, try each
-    group in cost order and stop at the first that loses.  An arc alone
-    on its target, and an epsilon arc, is just tried.  Both cuts are
-    exact.  Float addition is monotone and edit costs are nonnegative, so
-    every arc after the stop loses too.  A group (the moves from one cell
-    and NMT arc, or the insertions from one cell, to one target) changes
-    its target only through its first minimum by (key, arc index), and
-    the cell keeps the arc index of the move that set it: an exactly
-    equal key from the same group goes to the lower index.  So the group
-    leaves the cell as trying its arcs in arc order would.
+    Most moves lose, so the pass tries only the hiero arcs that can win.
+    Each kept hiero state's word arcs to one target form a group, sorted
+    by (arc cost, arc index).  A label that is not UNK tries its free
+    matches first, then the other words in cost order, all at one edit
+    cost (:func:`~latcomb.editfst.edit_weight` types them alike); UNK
+    and insertions try the group in cost order.  Each stops at the first
+    arc that loses on floats, UNK even without its typed edit cost: float
+    addition is monotone and edit costs are nonnegative, so every later
+    arc loses too.  A group changes
+    its target only through its first minimum by (key, arc index), an
+    equal key from the same group going to the lower index, as trying its
+    arcs in arc order would.
     """
-    keep, hiero_arcs, hiero_finals = mask
-    kept = set(keep)
-    order_n = topological_order(nmt)
-    order_h = [s for s in topological_order(hiero) if s in kept]
-    assert order_n is not None
-    pos_n = {s: i for i, s in enumerate(order_n)}
-    pos_h = {s: j for j, s in enumerate(order_h)}
-    width = len(order_h)
-    key = search_key(params)
+    tab = _MoveTables(nmt, hiero, mask, nmt_vocab, params)
+    region = _region(tab)
+    order_n, order_h, pos_n, pos_h, hiero_finals = tab.order_n, tab.order_h, tab.pos_n, \
+        tab.pos_h, tab.hiero_finals
+    width, size, start, hiero_moves, nmt_moves = tab.width, tab.size, tab.start, \
+        tab.hiero_moves, tab.nmt_moves
+    key, cost, signed, type_pair = tab.key, tab.cost, tab.signed, tab.type_pair
+    w_skip, s_skip, w_ins, s_ins = tab.w_skip, tab.s_skip, tab.w_ins, tab.s_ins
+    twice = 2.0 * tab.slack
 
-    def cost(v: Dense) -> float:
-        return key(v)[0]
-
-    # Edit weights as (values, cost).  Edit typing yields a few distinct
-    # weights, so each one's cost is computed once, by its values.
-    scored = functools.cache(lambda v: (v, cost(v)))
-
-    # Per hiero position, its arcs as (cost, index, target, arc, label):
-    # the word arcs alone on their target; the other word arcs grouped by
-    # target, each group sorted by (cost, index), and the same arcs by
-    # label; the epsilon arcs.
-    hiero_moves: list[tuple[list[_Entry], list[tuple[int, list[_Entry]]],
-                            dict[int, list[_Entry]], list[_Entry]]] = []
-    words: list[int] = []  # two distinct hiero words, if there are two
-    for s in order_h:
-        targets: dict[int, list[_Entry]] = {}
-        skips: list[_Entry] = []
-        for rank, h in enumerate(hiero_arcs[s]):
-            y = h[1]
-            entry = (key(h[3])[0], rank, pos_h[h[0]], h, y)
-            if y == EPSILON:
-                skips.append(entry)
-                continue
-            targets.setdefault(entry[2], []).append(entry)
-            if len(words) < 2 and y not in words:
-                words.append(y)
-        singles: list[_Entry] = []
-        groups: list[tuple[int, list[_Entry]]] = []
-        labels: dict[int, list[_Entry]] = {}
-        for t_j, group in targets.items():
-            if len(group) == 1:
-                singles.append(group[0])
-                continue
-            group.sort()
-            groups.append((t_j, group))
-            for entry in group:
-                labels.setdefault(entry[4], []).append(entry)
-        hiero_moves.append((singles, groups, labels, skips))
-
-    # Edit typing charges alike for inserting any word, and for pairing a
-    # label that is not UNK with any word but itself; so those weights are
-    # typed once, with the first hiero words.
-    w_skip, s_skip = scored(edit_weight(nmt_vocab, EPSILON, EPSILON).values)
-    w_ins, s_ins = scored(edit_weight(nmt_vocab, EPSILON, words[0]).values) if words \
-        else (None, 0.0)
-
-    # Per NMT label: the values and cost of deleting it; the weights of
-    # pairing it with the words typed one by one (filled on demand for
-    # UNK); the weight of pairing it with every other word (None for UNK)
-    # and a floor under their costs; and the free match.
-    arcs_n = dense_arcs(nmt)
-    pairings: dict[int, tuple] = {}
-    for x in {r[2] for rows in arcs_n for r in rows}:
-        deleting = scored(edit_weight(nmt_vocab, x, EPSILON).values)
-        if x == UNK:  # the hiero side has no UNK to match
-            pairings[x] = (*deleting, {}, None, 0.0, ONE.values, 0.0)
-            continue
-        match = scored(edit_weight(nmt_vocab, x, x).values)
-        other = [y for y in words if y != x]
-        sub = scored(edit_weight(nmt_vocab, x, other[0]).values) if other else None
-        pairings[x] = (*deleting, {x: match}, sub, 0.0 if sub is None else sub[1], *match)
-
-    # Moves per NMT position: (arc, label matched, target base, arc cost,
-    # then the label's pairings).  An epsilon arc advances alone: its
-    # edit weight is ONE.
-    nmt_moves = [[(a, a[2], pos_n[a[0]] * width, key(a[3])[0], *pairings[a[2]])
-                  for a in arcs_n[s]] for s in order_n]
-
-    # The slack, from the weights' magnitudes (see the docstring).
-    absp = [abs(p) for p in params.as_tuple()]
-    totals = [sum(map(abs, column)) for column in zip(
-        *[r[3] for machine in (arcs_n, hiero_arcs) for rows in machine for r in rows],
-        *[fw.values for _, fw in nmt.finals()], *[fw.values for fw in hiero_finals.values()])]
-    totals[EDIT_COUNT] += nmt.num_states + width
-    totals[SUB_COUNT] += nmt.num_states + width
-    mass = sum(p * v for p, v in zip(absp, totals))
-    steps = len(order_n) + width
-    slack = math.inf
-    if mass < 1e300:
-        slack = ((1e-9 + 1e-15 * steps) * mass + CANONICAL_EPS * steps * sum(absp)
-                 + sys.float_info.min)
-    twice = 2.0 * slack
-
-    signed = has_negative(nmt) or has_negative(hiero)
-    size = len(order_n) * width
     # Per cell: the estimate; the estimate plus 2 * slack, above which a
-    # move loses; the move that set it, as (source cell, NMT arc, hiero
-    # arc, edit values, hiero arc index); and its value vector once built.
+    # move loses (-inf outside the region); the move that set it, as
+    # (source cell, NMT arc, hiero arc, edit values, hiero arc index); and
+    # its value vector once built.
     est = [math.inf] * size
     high = [math.inf] * size
+    if region is not None:
+        high = [-math.inf] * size
+        for i, row in enumerate(region):
+            for j in row:
+                high[i * width + j] = math.inf
     back: list[_Move | None] = [None] * size
     vec: list[Dense | None] = [None] * size
 
@@ -453,13 +612,12 @@ def _best_alignment(nmt: Wfst, hiero: Wfst, mask: Mask, nmt_vocab: FrozenSet[int
         e = cost(v)
         est[t], high[t], back[t], vec[t] = e, e + twice, move, v
 
-    start = pos_n[nmt.initial] * width + pos_h[hiero.initial]
     est[start], vec[start] = cost(ONE.values), ONE.values
     back[start] = (start, None, None, ONE.values, 0)  # reached; never followed
-    for i in range(pos_n[nmt.initial], len(order_n)):
+    for i in range(start // width, len(order_n)):
         moves_n = nmt_moves[i]
         base = i * width
-        for j in range(width):
+        for j in range(width) if region is None else region[i]:
             c = base + j
             if back[c] is None:
                 continue
@@ -474,9 +632,7 @@ def _best_alignment(nmt: Wfst, hiero: Wfst, mask: Mask, nmt_vocab: FrozenSet[int
                 if x == EPSILON:
                     continue
                 for s_h, rank, t_j, h, y in singles:
-                    w_e = typed.get(y, sub)
-                    if w_e is None:
-                        w_e = typed[y] = scored(edit_weight(nmt_vocab, x, y).values)
+                    w_e = typed.get(y, sub) or type_pair(typed, x, y)
                     t = t_base + t_j
                     e = est_a + w_e[1] + s_h
                     if not e > high[t]:
@@ -497,9 +653,7 @@ def _best_alignment(nmt: Wfst, hiero: Wfst, mask: Mask, nmt_vocab: FrozenSet[int
                             break
                         if y == x:
                             continue
-                        w_e = typed.get(y, sub)
-                        if w_e is None:
-                            w_e = typed[y] = scored(edit_weight(nmt_vocab, x, y).values)
+                        w_e = typed.get(y, sub) or type_pair(typed, x, y)
                         e = est_a + w_e[1] + s_h
                         if not e > high[t]:
                             relax(t, e, (c, a, h, w_e[0], rank))

@@ -22,7 +22,7 @@ from latcomb import (
 )
 from latcomb.algorithms import PathWitness
 from latcomb.editfst import expand_unk_runs
-from latcomb.fst import has_negative
+from latcomb.fst import has_negative, magnitudes
 from latcomb.oracle import enumerate_paths
 from latcomb.pipeline import HIERO_ONLY
 from latcomb.semiring import scalarize
@@ -381,9 +381,12 @@ def test_expand_unk_runs_keeps_the_sign_of_its_lattice():
     x = syms.add("x")
     for unk_score, x_score in ((0.75, 1.0), (-0.75, 1.0), (0.75, -1.0), (-1e-16, 1.0)):
         root = linear_chain([x, UNK], syms, [weight({0: x_score}), weight({0: unk_score})])
-        out = expand_unk_runs(root, 3)
-        assert (has_negative.__wrapped__,) in out._derived  # kept, not walked for
-        assert has_negative(out) == has_negative.__wrapped__(out) == has_negative(root)
+        for max_run in (1, 2, 3, 4):
+            out = expand_unk_runs(root, max_run)
+            assert (has_negative.__wrapped__,) in out._derived  # kept, not walked for
+            assert has_negative(out) == has_negative.__wrapped__(out) == has_negative(root)
+            assert (magnitudes.__wrapped__,) in out._derived
+            assert magnitudes(out) == pytest.approx(magnitudes.__wrapped__(out), rel=1e-12)
 
 
 @pytest.mark.parametrize("max_run", [0, 2.5, True])
