@@ -21,14 +21,12 @@ the alphabet size.  Per-sentence combinations are independent.
 
 from __future__ import annotations
 
-import functools
-import heapq
 import math
-import operator
 import sys
 import warnings
 from dataclasses import dataclass, field, replace as dc_replace
-from typing import FrozenSet, Iterable, Sequence
+from heapq import heappop, heappush
+from typing import Callable, FrozenSet, Iterable, Sequence
 
 from .algorithms import Mask, PathWitness, _prune_mask, iter_nbest
 from .editfst import edit_weight, expand_unk_runs
@@ -38,6 +36,7 @@ from .fst import (EPSILON, UNK, Row, Wfst, contract_errors, count_paths, dense_a
 from .semiring import (
     CANONICAL_EPS,
     EDIT_COUNT,
+    HIERO_SCORE,
     ONE,
     SUB_COUNT,
     UNK_EXT_COUNT,
@@ -257,7 +256,10 @@ class _MoveTables:
 
     Cell (i, j), of NMT position i and kept hiero position j, is
     ``i * width + j``; ``nmt_moves[i]`` and ``hiero_moves[j]`` hold the
-    moves out of it (see :func:`_best_alignment`).
+    moves out of it (see :func:`_best_alignment`).  A kept hiero arc costs
+    ``0.0 + params.hiero * score``, bit for bit its ``search_key`` cost on
+    what ``combine`` admits: hiero arcs carry no other feature and every
+    lambda is finite and nonnegative, so every other term of the sum is 0.
     """
 
     def __init__(self, nmt: Wfst, hiero: Wfst, mask: Mask, nmt_vocab: FrozenSet[int],
@@ -275,11 +277,9 @@ class _MoveTables:
         self.size = len(order_n) * width
         self.start = pos_n[nmt.initial] * width + pos_h[hiero.initial]
         self.key = key = search_key(params)
-        self.nmt_vocab, self.lambda_edit = nmt_vocab, params.edit
-        self.cost = cost = lambda v: key(v)[0]
-        # Edit weights as (values, cost).  Edit typing yields a few distinct
-        # weights, so each one's cost is computed once, by its values.
-        self.scored = scored = functools.cache(lambda v: (v, cost(v)))
+        self.nmt_vocab, self.lambda_edit, lam_h = nmt_vocab, params.edit, params.hiero
+        self.cost = lambda v: key(v)[0]
+        self._scored: dict[Dense, tuple[Dense, float]] = {}  # edit typing yields few weights
 
         # Per hiero position, its arcs as (cost, index, target, arc, label):
         # the word arcs alone on their target; the other word arcs grouped by
@@ -293,7 +293,7 @@ class _MoveTables:
             skips: list[_Entry] = []
             for rank, h in enumerate(hiero_arcs[s]):
                 y = h[1]
-                entry = (key(h[3])[0], rank, pos_h[h[0]], h, y)
+                entry = (0.0 + lam_h * h[3][HIERO_SCORE], rank, pos_h[h[0]], h, y)
                 if y == EPSILON:
                     skips.append(entry)
                     continue
@@ -317,8 +317,8 @@ class _MoveTables:
         # Edit typing charges alike for inserting any word, and for pairing a
         # label that is not UNK with any word but itself; so those weights are
         # typed once, with the first hiero words.
-        self.w_skip, self.s_skip = scored(edit_weight(nmt_vocab, EPSILON, EPSILON).values)
-        self.w_ins, self.s_ins = scored(edit_weight(nmt_vocab, EPSILON, words[0]).values) \
+        self.w_skip, self.s_skip = self.scored(edit_weight(nmt_vocab, EPSILON, EPSILON).values)
+        self.w_ins, self.s_ins = self.scored(edit_weight(nmt_vocab, EPSILON, words[0]).values) \
             if words else (None, 0.0)
 
         # Per NMT label: the values and cost of deleting it; the weights of
@@ -328,13 +328,13 @@ class _MoveTables:
         arcs_n = dense_arcs(nmt)
         pairings: dict[int, tuple] = {}
         for x in {r[2] for rows in arcs_n for r in rows}:
-            deleting = scored(edit_weight(nmt_vocab, x, EPSILON).values)
+            deleting = self.scored(edit_weight(nmt_vocab, x, EPSILON).values)
             if x == UNK:  # the hiero side has no UNK to match
                 pairings[x] = (*deleting, {}, None, 0.0, ONE.values, 0.0)
                 continue
-            match = scored(edit_weight(nmt_vocab, x, x).values)
+            match = self.scored(edit_weight(nmt_vocab, x, x).values)
             other = [y for y in words if y != x]
-            sub = scored(edit_weight(nmt_vocab, x, other[0]).values) if other else None
+            sub = self.scored(edit_weight(nmt_vocab, x, other[0]).values) if other else None
             pairings[x] = (*deleting, {x: match}, sub, 0.0 if sub is None else sub[1], *match)
 
         # Moves per NMT position: (arc, label matched, target base, arc cost,
@@ -356,36 +356,53 @@ class _MoveTables:
                           + sys.float_info.min)
         self.signed = has_negative(nmt) or has_negative(hiero)
 
+    def scored(self, v: Dense) -> tuple[Dense, float]:
+        """Edit weight values with their cost, computed once per distinct values."""
+        return self._scored.get(v) or self._scored.setdefault(v, (v, self.cost(v)))
+
     def type_pair(self, typed: dict, x: int, y: int) -> tuple[Dense, float]:
         """Type the pairing of ``x`` with ``y`` and keep it in ``typed``, x's table."""
-        w = typed[y] = self.scored(edit_weight(self.nmt_vocab, x, y).values)
-        return w
+        return typed.setdefault(y, self.scored(edit_weight(self.nmt_vocab, x, y).values))
 
 
-def _by_length(finals: list[float],
-               arcs: list[list[tuple[int, float, bool]]]) -> list[list[float]]:
-    """Per position, whose arcs (target, cost, 1 for a token) lead to later
-    ones: per l, the cheapest cost on to a final over exactly l tokens."""
-    rows: list[list[float]] = [[]] * len(finals)
+def _to_go(finals: list[float], moves: list[list[_Entry]]) -> tuple[list, list, list]:
+    """Per position, whose moves (cost, _, target, _, label) lead to later ones: the cheapest
+    cost on to a final, the fewest and most tokens (non-epsilon labels) on the way."""
+    inf, cost = math.inf, finals[:]
+    lo, hi = [0 if f < inf else inf for f in finals], [0 if f < inf else -inf for f in finals]
     for p in reversed(range(len(finals))):
-        rows[p] = row = [finals[p]]
-        for t, c, token in arcs[p]:
-            tail = rows[t]
-            row.extend([math.inf] * (len(tail) + token - len(row)))
-            for l, v in enumerate(tail, token):
-                v += c
-                if v < row[l]:
-                    row[l] = v
-    return rows
+        c, l, h = cost[p], lo[p], hi[p]
+        for w, _, t, _, y in moves[p]:
+            token = y != EPSILON
+            if cost[t] + w < c:
+                c = cost[t] + w
+            if lo[t] + token < l:
+                l = lo[t] + token
+            if hi[t] + token > h:
+                h = hi[t] + token
+        cost[p], lo[p], hi[p] = c, l, h
+    return cost, lo, hi
 
 
-def _near(row: list[float], lam: float) -> list[float]:
-    """Per l: the least row[k] + lam * |k - l|, in two sweeps."""
-    for l in range(1, len(row)):
-        row[l] = min(row[l], row[l - 1] + lam)
-    for l in range(len(row) - 2, -1, -1):
-        row[l] = min(row[l], row[l + 1] + lam)
-    return row
+def _heuristic(tab: _MoveTables) -> tuple[list[float], list[float], list[list[_Entry]], Callable]:
+    """Per NMT and kept hiero position its final cost; per hiero position its cheapest
+    word arc to each target, then its epsilon arcs; and h(cell) (see _best_alignment)."""
+    inf, width, cost, lam = math.inf, tab.width, tab.cost, tab.lambda_edit
+    advances = [singles + [g[0] for _, g in groups] + skips if groups or skips else singles
+                for singles, groups, _, skips in tab.hiero_moves]
+    final_n = [inf if fw is None else cost(fw.values)
+               for fw in map(tab.nmt.final_weight, tab.order_n)]
+    final_h = [cost(tab.hiero_finals[s].values) if s in tab.hiero_finals else inf
+               for s in tab.order_h]
+    cn, lo_n, hi_n = _to_go(final_n, [[(m[3], 0, m[2] // width, 0, m[1]) for m in row]
+                                      for row in tab.nmt_moves])
+    ch, lo_h, hi_h = _to_go(final_h, advances)
+
+    def h(c: int) -> float:
+        i, j = divmod(c, width)
+        return cn[i] + ch[j] + lam * max(0, lo_n[i] - hi_h[j], lo_h[j] - hi_n[i])
+
+    return final_n, final_h, advances, h
 
 
 def _region(tab: _MoveTables) -> list[list[int]] | None:
@@ -395,49 +412,30 @@ def _region(tab: _MoveTables) -> list[list[int]] | None:
         return None
     inf, width, cost, type_pair = math.inf, tab.width, tab.cost, tab.type_pair
     s_ins, s_skip, nmt_moves, hiero_moves = tab.s_ins, tab.s_skip, tab.nmt_moves, tab.hiero_moves
-    # Per hiero position, the cheapest word arc to each target, then the epsilon arcs.
-    advances = [singles + [g[0] for _, g in groups] + skips
-                for singles, groups, _, skips in hiero_moves]
-    final_n = [inf if fw is None else cost(fw.values)
-               for fw in map(tab.nmt.final_weight, tab.order_n)]
-    final_h = [cost(tab.hiero_finals[s].values) if s in tab.hiero_finals else inf
-               for s in tab.order_h]
-    bn = _by_length(final_n, [[(t_base // width, s_a, x != EPSILON) for _, x, t_base, s_a, *_ in m]
-                              for m in nmt_moves])
-    bh = _by_length(final_h, [[(t_j, s_h, y != EPSILON) for s_h, _, t_j, _, y in m]
-                              for m in advances])
-    n, lam = max(map(len, bh)), tab.lambda_edit
-    near = [_near(row + [inf] * (n - len(row)), lam) for row in bn]
-
+    final_n, final_h, advances, heuristic = _heuristic(tab)
     est = [inf] * tab.size
-    cell_h: list[float | None] = [None] * tab.size
-    heap: list[tuple[float, int]] = []
+    heap: list[tuple[float, int, float]] = []
     closed: list[int] = []
-    add, heappush, heappop = operator.add, heapq.heappush, heapq.heappop
 
     def push(c: int, e: float) -> None:
         est[c] = e
-        h = cell_h[c]
-        if h is None:
-            h = cell_h[c] = min(map(add, bh[c % width], near[c // width]))
+        h = heuristic(c)
         if h < inf:
-            heappush(heap, (e + h, c))
+            heappush(heap, (e + h, c, e))
 
     push(tab.start, cost(ONE.values))
     limit, margin = inf, 4.0 * tab.slack
     while heap:
-        f, c = heappop(heap)
+        f, c, est_c = heappop(heap)
         if f > limit:
             break
-        est_c = est[c]
-        if f > est_c + cell_h[c]:  # superseded by a cheaper push
+        if est_c > est[c]:  # superseded by a cheaper push
             continue
         closed.append(c)
         i, j = divmod(c, width)
         singles, groups, _, _ = hiero_moves[j]
-        if est_c + final_n[i] + final_h[j] + margin < limit:
-            limit = est_c + final_n[i] + final_h[j] + margin
-        for _, x, t_base, s_a, _, s_del, typed, sub, *_ in nmt_moves[i]:
+        limit = min(limit, est_c + final_n[i] + final_h[j] + margin)
+        for _, x, t_base, s_a, _, s_del, typed, sub, _, _, _ in nmt_moves[i]:
             est_a = est_c + s_a
             if est_a + s_del < est[t_base + j]:
                 push(t_base + j, est_a + s_del)
@@ -481,27 +479,30 @@ def _best_alignment(nmt: Wfst, hiero: Wfst, mask: Mask, nmt_vocab: FrozenSet[int
 
     Two phases read one set of :class:`_MoveTables`.  Phase 1
     (:func:`_region`) is A* over the cells on float estimates (Hart,
-    Nilsson and Raphael, 1968).  Its heuristic h(i, j) is the least
-    bn(i, ln) + bh(j, lh) + lambda_edit * |ln - lh|, with bn and bh the
-    cheapest costs on to a final state over exactly l tokens (final
-    weights and UNK run arcs counted; the hiero side through the mask,
-    an epsilon arc no token).  That is the exact cost-to-go when every
-    pair move is free; every real move costs at least as much (pair edit
-    costs are nonnegative, an insertion or deletion costs lambda_edit),
-    so h is admissible and consistent, h(c) <= w + h(c') for each move
-    c -> c' of cost w, whatever the signs of the scores.  A* stops once
-    the least g + h on its heap exceeds the cheapest final estimate it
-    closed plus ``4 * slack``; its closed cells are the region.  Phase 2
-    is the exact pass described below, over the region only: a cell
-    outside it keeps ``high = -inf``, so every move into it loses on the
-    float screen.  Each cell of the winning alignment has g + h <= f*
-    over the reals; an estimate is within far less than ``slack``, and
-    an exact key within ``slack``, of its real sum, so its g + h is below
-    the stop.  Its winning move is still there and every other move into
-    it is missing or no cheaper, in the same order, so the result, ties
-    included, is the full pass's.  The region is every cell when the
-    slack is infinite, or when the kept hiero states average fewer than
-    ``_REGION_MIN_BRANCHING`` successors (a chain or a sausage).
+    Nilsson and Raphael, 1968) with h(i, j) = cn(i) + ch(j) + lambda_edit
+    * max(0, lo_n(i) - hi_h(j), lo_h(j) - hi_n(i)) (:func:`_heuristic`):
+    per position, c is the cheapest cost on to a final state and lo, hi
+    the fewest and most tokens on the way (epsilon arcs count none, UNK
+    run arcs one; hiero through the mask).  Completions cost at least cn
+    and ch in arcs and final weights, and lambda_edit per token of their
+    length gap (insertions or deletions; pair edits cost >= 0): h is
+    admissible.  It is consistent, h(c) <= w + h(c') for each move c -> c'
+    of cost w, whatever the signs of the scores: cn and ch are; a pair
+    move shifts both token ranges by one, an epsilon arc neither, and an
+    insertion or deletion widens the gap by at most one and pays
+    lambda_edit.  A* stops once the least g + h on its heap exceeds the
+    cheapest final estimate it closed plus ``4 * slack``; its closed cells
+    are the region.  Phase 2 (the exact pass below) visits only the
+    region: a cell outside it keeps ``high = -inf``, so every move into it
+    loses on the float screen.  Each cell of the winning alignment has
+    g + h <= f* over the reals.  An estimate and h (path costs, and
+    lambda_edit times fewer than ``steps`` tokens, all within ``mass``)
+    are within far less than ``slack``, and an exact key within ``slack``,
+    of their real sums, so its g + h is below the stop.  Its winning move
+    is still there and every other move into it is missing or no cheaper,
+    in the same order, so the result, ties included, is the full pass's.
+    The region is every cell when the slack is infinite or the kept hiero
+    states average fewer than ``_REGION_MIN_BRANCHING`` successors.
 
     Weight values are accumulated with
     :func:`~latcomb.semiring.dense_times` and compared by
@@ -543,10 +544,9 @@ def _best_alignment(nmt: Wfst, hiero: Wfst, mask: Mask, nmt_vocab: FrozenSet[int
     and insertions try the group in cost order.  Each stops at the first
     arc that loses on floats, UNK even without its typed edit cost: float
     addition is monotone and edit costs are nonnegative, so every later
-    arc loses too.  A group changes
-    its target only through its first minimum by (key, arc index), an
-    equal key from the same group going to the lower index, as trying its
-    arcs in arc order would.
+    arc loses too.  A group changes its target only through its first
+    minimum by (key, arc index), an equal key from the same group going
+    to the lower index, as trying its arcs in arc order would.
     """
     tab = _MoveTables(nmt, hiero, mask, nmt_vocab, params)
     region = _region(tab)
