@@ -6,8 +6,10 @@ combines each sentence as ``latcomb stats`` does, and hashes what a
 refactor must not change: per sentence the stem, ``t_comb``, ``t_nmt``,
 ``t_hiero``, ``repr`` of the total cost and the feature vector; and, on
 the stats corpus, every line of ``corpus_report`` at n = 1, 10, 100 in
-both renderings.  Each corpus is built and combined once for both
-digests.  A mismatch means a change moved some sentence's result or a
+both renderings.  The searches of :mod:`latcomb.algorithms` are pinned
+on the same hiero lattices, under a hiero lambda of 1.0 (the float
+searches) and 0.7 (the vector searches).  Each corpus is built and
+combined once for every digest.  A mismatch means a change moved some sentence's result or a
 report line; compare against the previous commit to find which one.
 """
 
@@ -19,7 +21,8 @@ import sys
 
 import pytest
 
-from latcomb import combine, corpus_report, lattice_io
+from latcomb import (ContractError, NoPathError, ParamVector, combine, corpus_report, lattice_io,
+                     nbest, prune_to_node_budget, shortest_path)
 
 WORKLOADS_PY = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "workloads.py")
 SEEDS = (1, 2, 3)
@@ -33,6 +36,14 @@ GOLDEN = {
 GOLDEN_REPORT = {
     "stats-corpus": "269899858049876d8c0fcf176d497459658f7bb041ca78ecd5c7eb2eb532e252",
 }
+
+GOLDEN_SEARCHES = {
+    "stats-corpus": "7243b96cdd5f537038177866c5584d94fd41478404f8e317fe9d2b6a1a2a7ceb",
+    "wide-alphabet": "a34a69d3e62b66cedf46ce0953e18a8e140a29f4667e7bc9360b2a12d55d4e47",
+    "deep-hiero": "8b6d25e58de270932567700c48ff2f0b87980ee1f8ea1b580d73c820ab6f2e90",
+}
+
+HIERO_LAMBDAS = (1.0, 0.7)
 
 
 def load_workloads():
@@ -101,3 +112,43 @@ def test_corpus_report_matches_golden_lines(workload, combined):
         for line in report.to_tsv_lines() + report.to_key_value_lines():
             digest.update(f"{line}\n".encode("utf-8"))
     assert digest.hexdigest() == GOLDEN_REPORT[workload]
+
+
+def outcome(search, *args):
+    """What a search returns, or the type name and message of the error it raises."""
+    try:
+        return search(*args)
+    except (ContractError, NoPathError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def exact(path):
+    """A path as text that keeps every float bit (repr keeps -0.0, inf and nan)."""
+    if isinstance(path, tuple):
+        return path
+    return path.rows, repr(path.cost), repr(path.weight.values), path.final_weight
+
+
+def searched(hiero, params):
+    """The shortest path; the prune at budgets n // 2, 26 and n (n the
+    state count), as rows and finals; the raw and the unique 10-best."""
+    n = hiero.num_states
+    pruned = []
+    for budget in (n // 2, 26, n):
+        m = outcome(prune_to_node_budget, hiero, budget, params)
+        pruned.append(m if isinstance(m, tuple)
+                      else ([m.rows(s) for s in m.states()], list(m.finals()), m.initial))
+    listed = [outcome(nbest, hiero, 10, params, unique) for unique in (False, True)]
+    return (exact(outcome(shortest_path, hiero, params)), pruned,
+            [got if isinstance(got, tuple) else [exact(p) for p in got] for got in listed])
+
+
+@pytest.mark.parametrize("workload", sorted(GOLDEN_SEARCHES))
+def test_hiero_searches_match_golden_results(workload, combined):
+    digest = hashlib.sha256()
+    for lam in HIERO_LAMBDAS:
+        params = ParamVector(nmt=0.0, hiero=lam, edit=0.0, sub=0.0, ins=0.0)
+        for corpus in combined(workload):
+            for _, _, hiero in corpus:
+                digest.update(repr(searched(hiero, params)).encode("utf-8"))
+    assert digest.hexdigest() == GOLDEN_SEARCHES[workload]
