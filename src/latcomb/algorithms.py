@@ -12,8 +12,9 @@ Search order: every search here (shortest path, n-best, pruning), like
 paths with :func:`latcomb.semiring.dense_times` and compares them by
 :func:`latcomb.semiring.search_key`: scalarized cost first, then the
 feature vector.  Results are therefore deterministic and
-consistent with the weight algebra.  Pruning and n-best add floats
-instead where that gives the same order (see :func:`_on_floats`).
+consistent with the weight algebra.  Every search picks its arithmetic
+once through :func:`_search`: it adds floats instead where that gives
+the same order (see :func:`_on_floats`), and runs one loop either way.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from itertools import count
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from operator import itemgetter
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import ContractError, NoPathError, check_count
 from .fst import (
@@ -212,71 +214,109 @@ def _check_searchable(fst: Wfst, params: ParamVector) -> None:
         raise ContractError("cyclic machine with a negative-cost arc: shortest path undefined")
 
 
-def _distances(fst: Wfst, key: Callable[[Dense], Key] | None, backward: bool = False,
+class _Search(NamedTuple):
+    """The arithmetic of one search: see :func:`_search`."""
+
+    lift: Callable[[Dense], Any]
+    step: Callable[[Any, Dense], Any]
+    join: Callable[[Any, Any], Any]
+    cost: Callable[[Any], float]
+    pair: Callable[[Any], Key]
+
+
+def _on_floats(fst: Wfst, params: ParamVector) -> bool:
+    """Whether searches over ``fst`` under ``params`` can add floats: for a
+    hiero lattice under a hiero lambda of exactly 1.0.  Every weight is
+    then zero but at HIERO_SCORE, so a path's search key is ``(c, v)``
+    with ``v`` zero but ``v[HIERO_SCORE] == c``: c its scores' float sum,
+    zeroed below CANONICAL_EPS at each step as ``dense_times`` zeroes.
+    Keys order as their c do, so adding in the same order with the same
+    strict ``<`` gives the same costs, backpointers and paths, bit for
+    bit.  A sum that overflows is inf either way, an unreached state None.
+    """
+    return params.hiero == 1.0 and not contract_errors(fst, "hiero")
+
+
+def _search(fst: Wfst, params: ParamVector) -> _Search:
+    """How every search over ``fst`` under ``params`` adds and compares keys.
+
+    ``lift`` keys a value vector, ``step`` extends a key by one (one call
+    per arc), ``join`` adds two keys, ``cost`` is a key's cost and
+    ``pair`` the key as ``(cost, values)``.  A key is the cost alone, a
+    float (its own cost), where :func:`_on_floats` accepts ``fst`` and
+    ``params``, else its :func:`~latcomb.semiring.search_key`.
+    """
+    signed = has_negative(fst)
+    if not _on_floats(fst, params):
+        key = search_key(params)
+        return _Search(key, lambda k, v: key(dense_times(k[1], v, signed)),
+                       lambda k, m: key(dense_times(k[1], m[1], signed)), itemgetter(0), lambda k: k)
+
+    def step(c: float, v: Dense) -> float:
+        c += v[HIERO_SCORE]
+        return 0.0 if signed and -CANONICAL_EPS < c < CANONICAL_EPS else c
+
+    def join(c: float, d: float) -> float:
+        c += d
+        return 0.0 if signed and -CANONICAL_EPS < c < CANONICAL_EPS else c
+
+    return _Search(itemgetter(HIERO_SCORE), step, join, float,
+                   lambda c: (c, tuple(c if f == HIERO_SCORE else 0.0 for f in range(NUM_FEATURES))))
+
+
+def _distances(fst: Wfst, search: _Search, backward: bool = False,
                ) -> tuple[list[Any], list[tuple[int, Row] | None]]:
     """Best key from the initial state to every state, with backpointers
     (the previous state and the row of the arc taken).
 
     With ``backward``, the best key from every state to acceptance (final
-    weight included) instead, searched on the reversed arcs, and an empty
-    backpointer list.  An acyclic machine is searched in topological
-    order, a cyclic one with Dijkstra.  With ``key`` None, for a machine
-    :func:`_on_floats` accepts, each key is its cost alone, summed on
-    floats, and backward each state takes the least of its final cost and
-    its own arcs' costs plus their targets', in reverse topological order.
+    weight included) instead, and no backpointers: in reverse topological
+    order, each state takes the least of its final key and its own arcs'
+    keys plus their targets' (Mohri, 2002), the same key in any order as
+    keys order totally (a nan cost needs an overflow under a zero lambda).
+    A cyclic machine is searched with Dijkstra, backward on reversed arcs.
     """
+    lift, step = search.lift, search.step
     order = topological_order(fst)
-    signed = has_negative(fst)
+    adj = dense_arcs(fst)
     n = fst.num_states
     keys: list[Any] = [None] * n
-    back: list[tuple[int, Row] | None] = [] if backward else [None] * n
-    if backward and key is None:
-        # Acyclic, as _on_floats requires.  No nan or -0.0 arises, so the
-        # least candidate is the same float in any order, and zeroing it
-        # once is zeroing each (the zeroing is monotone).
-        arcs = dense_arcs(fst)
-        for s, fw in fst.finals():
-            keys[s] = fw.values[HIERO_SCORE]
-        for s in reversed(order):
-            cands = [kt + v[HIERO_SCORE] for t, _, _, v in arcs[s] if (kt := keys[t]) is not None]
-            if cands:
-                c = min(cands) if keys[s] is None else min(keys[s], *cands)
-                keys[s] = 0.0 if signed and -CANONICAL_EPS < c < CANONICAL_EPS else c
-        return keys, back
+    back: list[tuple[int, Row] | None] = [None] * n
     if backward:
-        rev: list[list[Row]] = [[] for _ in range(n)]
-        for s, rows in enumerate(dense_arcs(fst)):
-            for t, il, ol, w in rows:
-                rev[t].append((s, il, ol, w))
-        adj: Sequence[Sequence[Row]] = rev
-        sources = [(s, fw.values) for s, fw in fst.finals()]
-        if order is not None:
-            order = order[::-1]
-    else:
-        adj = dense_arcs(fst)
-        sources = [] if fst.initial == NO_STATE else [(fst.initial, ONE.values)]
-    for s, v in sources:
-        keys[s] = v[HIERO_SCORE] if key is None else key(v)
+        for s, fw in fst.finals():
+            keys[s] = lift(fw.values)
+    elif fst.initial != NO_STATE:
+        keys[fst.initial] = lift(ONE.values)
 
-    if order is not None:
+    if order is not None and backward:
+        for s in reversed(order):
+            best = keys[s]
+            for t, _, _, v in adj[s]:
+                kt = keys[t]
+                if kt is not None:
+                    k = step(kt, v)
+                    if best is None or k < best:
+                        best = k
+            keys[s] = best
+    elif order is not None:
         for s in order:
             ks = keys[s]
             if ks is None:
                 continue
             for row in adj[s]:
-                if key is None:
-                    cand = ks + row[3][HIERO_SCORE]
-                    if signed and -CANONICAL_EPS < cand < CANONICAL_EPS:
-                        cand = 0.0
-                else:
-                    cand = key(dense_times(ks[1], row[3], signed))
+                cand = step(ks, row[3])
                 t = row[0]
                 old = keys[t]
                 if old is None or cand < old:
                     keys[t] = cand
-                    if not backward:
-                        back[t] = (s, row)
+                    back[t] = (s, row)
     else:
+        if backward:
+            rev: list[list[Row]] = [[] for _ in range(n)]
+            for s, rows in enumerate(adj):
+                for t, il, ol, w in rows:
+                    rev[t].append((s, il, ol, w))
+            adj = rev
         counter = count()
         heap = [(k, next(counter), s) for s, k in enumerate(keys) if k is not None]
         heapq.heapify(heap)
@@ -286,45 +326,17 @@ def _distances(fst: Wfst, key: Callable[[Dense], Key] | None, backward: bool = F
             if settled[s]:
                 continue
             settled[s] = True
-            v = ks[1]
             for row in adj[s]:
                 t = row[0]
                 if settled[t]:
                     continue
-                cand = key(dense_times(v, row[3], signed))
+                cand = step(ks, row[3])
                 old = keys[t]
                 if old is None or cand < old:
                     keys[t] = cand
-                    if not backward:
-                        back[t] = (s, row)
+                    back[t] = (s, row)
                     heapq.heappush(heap, (cand, next(counter), t))
-    return keys, back
-
-
-def _on_floats(fst: Wfst, params: ParamVector) -> bool:
-    """Whether searches over ``fst`` under ``params`` can add floats: for a
-    hiero lattice under a hiero lambda of exactly 1.0.  Every weight is
-    then zero but at HIERO_SCORE, so a path's key is ``_hiero_key(c)``, c
-    its scores' float sum, zeroed below CANONICAL_EPS at each step as in
-    :func:`~latcomb.semiring.dense_times`, and keys order as their c do.
-    Adding in the same order with the same strict ``<`` gives the same
-    costs, backpointers and paths, bit for bit.  A sum that overflows is
-    inf either way, and an unreached state None.
-    """
-    return params.hiero == 1.0 and not contract_errors(fst, "hiero")
-
-
-def _hiero_key(c: float) -> Key:
-    """The key of a path that costs ``c`` on a machine :func:`_on_floats` accepts."""
-    values = [0.0] * NUM_FEATURES
-    values[HIERO_SCORE] = c
-    return c, tuple(values)
-
-
-def _float_times(a: float, b: float, signed: bool) -> float:
-    """``a + b``, zeroed below CANONICAL_EPS when ``signed`` (see :func:`_on_floats`)."""
-    c = a + b
-    return 0.0 if signed and -CANONICAL_EPS < c < CANONICAL_EPS else c
+    return keys, [] if backward else back
 
 
 def shortest_path(fst: Wfst, params: ParamVector) -> PathWitness:
@@ -336,24 +348,21 @@ def shortest_path(fst: Wfst, params: ParamVector) -> PathWitness:
     """
     _check_frozen(fst)
     _check_searchable(fst, params)
-    key = search_key(params)
-    keys, back = _distances(fst, key)
-    return _best_path(fst, key, keys, back)
+    search = _search(fst, params)
+    return _best_path(fst, search, *_distances(fst, search))
 
 
-def _best_path(fst: Wfst, key: Callable[[Dense], Key] | None, keys: list[Any],
+def _best_path(fst: Wfst, search: _Search, keys: list[Any],
                back: list[tuple[int, Row] | None]) -> PathWitness:
-    """The best complete path given forward keys and backpointers (costs
-    alone with ``key`` None, see :func:`_distances`)."""
-    signed = has_negative(fst)
+    """The best complete path given forward keys and backpointers."""
+    step = search.step
     best_state = NO_STATE
-    best: Key | None = None
+    best: Any = None
     for s, fw in fst.finals():
         ks = keys[s]
         if ks is None:
             continue
-        k = (_hiero_key(_float_times(ks, fw.values[HIERO_SCORE], signed)) if key is None
-             else key(dense_times(ks[1], fw.values, signed)))
+        k = step(ks, fw.values)
         if best is None or k < best:
             best = k
             best_state = s
@@ -370,29 +379,28 @@ def _best_path(fst: Wfst, key: Callable[[Dense], Key] | None, keys: list[Any],
     rows.reverse()
     final_w = fst.final_weight(best_state)
     assert final_w is not None
+    cost, values = search.pair(best)
     return PathWitness(rows=tuple(rows), final_weight=final_w,
-                       weight=FeatureWeight(best[1]), cost=best[0])
+                       weight=FeatureWeight(values), cost=cost)
 
 
-def _nbest_raw(fst: Wfst, cap: float, key: Callable[[Dense], Key] | None,
-               beta: list[Any]) -> Iterator[PathWitness]:
+def _nbest_raw(fst: Wfst, cap: float, search: _Search, beta: list[Any]) -> Iterator[PathWitness]:
     """Up to ``cap`` cheapest paths, drawn lazily by best-first search
     with an exact heuristic, expanding no state more than ``cap`` times.
 
     ``cap`` may be ``math.inf``: every path, in cost order, which ends
     only on an acyclic machine.  ``beta`` holds the backward keys of
-    :func:`_distances` under ``key`` (costs on floats with ``key`` None);
-    the initial state's is not None.
+    :func:`_distances` under ``search``; the initial state's is not None.
     """
+    step, join = search.step, search.join
     arcs = dense_arcs(fst)
-    signed = has_negative(fst)
-    finals = {s: fw.values[HIERO_SCORE] if key is None else fw.values for s, fw in fst.finals()}
+    finals = {s: fw.values for s, fw in fst.finals()}
 
     # Nodes are (state, row, parent-index); rows recovered by walking parents.
     nodes: list[tuple[int, Row | None, int]] = [(fst.initial, None, -1)]
     counter = count()
-    # Entries are (bound, tie counter, node, prefix): keys and values, or costs.
-    heap = [(beta[fst.initial], next(counter), 0, 0.0 if key is None else ONE.values)]
+    # Entries are (bound, tie counter, node, prefix key).
+    heap = [(beta[fst.initial], next(counter), 0, search.lift(ONE.values))]
     pops = [0] * fst.num_states
     drawn = 0
 
@@ -410,7 +418,7 @@ def _nbest_raw(fst: Wfst, cap: float, key: Callable[[Dense], Key] | None,
             path.reverse()
             fw = fst.final_weight(path[-1][0] if path else fst.initial)
             assert fw is not None
-            cost, values = _hiero_key(bound) if key is None else bound
+            cost, values = search.pair(bound)
             drawn += 1
             yield PathWitness(rows=tuple(path), final_weight=fw,
                               weight=FeatureWeight(values), cost=cost)
@@ -421,24 +429,18 @@ def _nbest_raw(fst: Wfst, cap: float, key: Callable[[Dense], Key] | None,
 
         fv = finals.get(state)
         if fv is not None:
-            total = (_float_times(prefix, fv, signed) if key is None
-                     else dense_times(prefix, fv, signed))
+            total = step(prefix, fv)
             node = len(nodes)
             nodes.append((NO_STATE, None, node_idx))
-            heapq.heappush(heap, (total if key is None else key(total), next(counter), node, total))
+            heapq.heappush(heap, (total, next(counter), node, total))
         for row in arcs[state]:
             b = beta[row[0]]
             if b is None:
                 continue
-            if key is None:
-                ext = _float_times(prefix, row[3][HIERO_SCORE], signed)
-                entry = _float_times(ext, b, signed)
-            else:
-                ext = dense_times(prefix, row[3], signed)
-                entry = key(dense_times(ext, b[1], signed))
+            ext = step(prefix, row[3])
             node = len(nodes)
             nodes.append((row[0], row, node_idx))
-            heapq.heappush(heap, (entry, next(counter), node, ext))
+            heapq.heappush(heap, (join(ext, b), next(counter), node, ext))
 
 
 def _unique(paths: Iterator[PathWitness], n: int) -> Iterator[PathWitness]:
@@ -468,13 +470,13 @@ def iter_nbest(fst: Wfst, n: int, params: ParamVector,
     _check_searchable(fst, params)
     if unique and topological_order(fst) is None:
         raise ContractError("unique n-best requires an acyclic machine")
-    key = None if _on_floats(fst, params) else search_key(params)
-    beta, _ = _distances(fst, key, backward=True)
+    search = _search(fst, params)
+    beta, _ = _distances(fst, search, backward=True)
     if beta[fst.initial] is None:
         raise NoPathError("no path from the initial state to a final state")
     if unique:
-        return _unique(_nbest_raw(fst, math.inf, key, beta), n)
-    return _nbest_raw(fst, n, key, beta)
+        return _unique(_nbest_raw(fst, math.inf, search, beta), n)
+    return _nbest_raw(fst, n, search, beta)
 
 
 def nbest(fst: Wfst, n: int, params: ParamVector, unique: bool = False) -> list[PathWitness]:
@@ -518,11 +520,10 @@ def _prune_mask(fst: Wfst, budget: int, params: ParamVector) -> Mask:
     state); and the kept final weights.  Within budget that is all of
     ``fst``, its own ``dense_arcs`` included.  Kept states need not all
     be connected through the kept arcs; the public function trims them.
-    Over budget, the distance passes and the arc filter add floats when
-    :func:`_on_floats` accepts ``fst`` and ``params``, as it accepts
-    ``combine``'s hiero lattice under ``HIERO_ONLY``; the mask is the same.
-    The forward pass also tells which final states are accessible; the
-    threshold is found in one downward scan of the sorted through-costs.
+    Over budget, the searches add floats for ``combine``'s hiero lattice
+    under ``HIERO_ONLY`` (see :func:`_search`).  The forward pass also
+    tells which final states are accessible; the threshold is found in
+    one downward scan of the sorted through-costs.
     """
     _check_frozen(fst)
     check_count("budget", budget)
@@ -532,20 +533,20 @@ def _prune_mask(fst: Wfst, budget: int, params: ParamVector) -> Mask:
         if not any(fst.is_final(s) for s in accessible_states(fst)):
             raise NoPathError("machine accepts nothing")
         return fst.states(), dense_arcs(fst), dict(fst.finals())
-    key = None if _on_floats(fst, params) else search_key(params)
-    fcost, back = _distances(fst, key)
+    search = _search(fst, params)
+    fkeys, back = _distances(fst, search)
     # A final state that the forward pass reaches is accessible.
-    if all(fcost[s] is None for s, _ in fst.finals()) \
+    if all(fkeys[s] is None for s, _ in fst.finals()) \
             and not any(fst.is_final(s) for s in accessible_states(fst)):
         raise NoPathError("machine accepts nothing")
-    best = _best_path(fst, key, fcost, back)
+    best = _best_path(fst, search, fkeys, back)
     sp_states = len(best.rows) + 1
     if budget < sp_states:
         raise ContractError(f"budget {budget} is below the {sp_states} states on the shortest path")
 
-    bcost, _ = _distances(fst, key, backward=True)
-    if key is not None:
-        fcost, bcost = ([None if k is None else k[0] for k in keys] for keys in (fcost, bcost))
+    bkeys, _ = _distances(fst, search, backward=True)
+    cost, lift = search.cost, search.lift
+    fcost, bcost = ([None if k is None else cost(k) for k in keys] for keys in (fkeys, bkeys))
     # A state on no complete path is nan: within no limit.
     through = [math.nan if fc is None or bc is None else fc + bc for fc, bc in zip(fcost, bcost)]
     best_cost = best.cost
@@ -570,8 +571,7 @@ def _prune_mask(fst: Wfst, budget: int, params: ParamVector) -> Mask:
 
     limit = bound + slack
     arcs = [tuple([r for r in rows if through[r[0]] <= limit
-                   and fcost[s] + (r[3][HIERO_SCORE] if key is None else key(r[3])[0])
-                   + bcost[r[0]] <= limit])
+                   and fcost[s] + cost(lift(r[3])) + bcost[r[0]] <= limit])
             if through[s] <= limit else () for s, rows in enumerate(dense_arcs(fst))]
     keep = [s for s in fst.states() if through[s] <= limit]
     return keep, arcs, {s: w for s, w in fst.finals() if through[s] <= limit}

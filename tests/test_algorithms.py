@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -22,7 +23,7 @@ from latcomb import (
 )
 from latcomb.algorithms import PathWitness
 from latcomb.editfst import expand_unk_runs
-from latcomb.fst import has_negative, magnitudes
+from latcomb.fst import has_negative, is_acyclic, magnitudes
 from latcomb.oracle import enumerate_paths
 from latcomb.pipeline import HIERO_ONLY
 from latcomb.semiring import scalarize
@@ -159,6 +160,83 @@ def test_unique_nbest_lists_are_prefixes_of_longer_ones(seed):
         assert [p.output_labels() for p in got] == [p.output_labels() for p in deepest[:n]]
         assert [p.cost for p in got] == [p.cost for p in deepest[:n]]
     assert deepest[0].output_labels() == shortest_path(lattice, params).output_labels()
+
+
+def random_cyclic_machine(rng, syms):
+    """1-4 states with up to 3 arcs each to any state, itself included, so
+    most such machines have a cycle.  An arc weighs one feature at a
+    dyadic value in [0.5, 2]; a final weight is ONE or a dyadic value."""
+    a, b = syms.add("a"), syms.add("b")
+    fst = Wfst(syms, syms)
+    n = rng.randint(1, 4)
+    for _ in range(n):
+        fst.add_state()
+    fst.set_initial(0)
+    for s in range(n):
+        for _ in range(rng.randint(0, 3)):
+            label = rng.choice((a, b))
+            w = weight({rng.randrange(5): dyadic(rng, 0.5, 2.0)})
+            fst.add_arc(s, Arc(label, label, w, rng.randrange(n)))
+    for s in rng.sample(range(n), rng.randint(1, n)):
+        fst.set_final(s, ONE if rng.random() < 0.5 else weight({2: dyadic(rng, 0.0, 2.0)}))
+    return fst.freeze()
+
+
+def least_path_costs(fst, k):
+    """The k least costs under UNIT of the complete paths of ``fst`` (all
+    of them if fewer), by listing every path that costs at most a bound,
+    the bound raised by 0.5 until k paths fit or none was cut off.  Only
+    prefixes that can complete within the bound are walked, by the least
+    cost on from each state (Bellman-Ford); every arc costs at least 0.5,
+    so each bound admits finitely many paths.  Dyadic sums are exact."""
+    to_go = [math.inf] * fst.num_states
+    for s, fw in fst.finals():
+        to_go[s] = scalarize(fw, UNIT)
+    for _ in fst.states():
+        for s in fst.states():
+            for arc in fst.arcs(s):
+                to_go[s] = min(to_go[s], scalarize(arc.weight, UNIT) + to_go[arc.target])
+    bound = to_go[fst.initial]
+    while bound < math.inf:
+        costs, cut = [], False
+        stack = [(fst.initial, 0.0)]
+        while stack:
+            s, c = stack.pop()
+            fw = fst.final_weight(s)
+            if fw is not None and c + scalarize(fw, UNIT) <= bound:
+                costs.append(c + scalarize(fw, UNIT))
+            elif fw is not None:
+                cut = True
+            for arc in fst.arcs(s):
+                on = c + scalarize(arc.weight, UNIT)
+                cut |= bound < on + to_go[arc.target] < math.inf
+                if on + to_go[arc.target] <= bound:
+                    stack.append((arc.target, on))
+        if len(costs) >= k or not cut:
+            return sorted(costs)[:k]
+        bound += 0.5
+    return []
+
+
+def test_raw_nbest_on_cyclic_machines_lists_the_least_path_costs():
+    # On a cyclic machine the n-best's backward pass is Dijkstra on the
+    # reversed arcs (what `latcomb nbest` runs on a flower transducer).
+    rng = random.Random(23)
+    syms = SymbolTable()
+    cyclic = listed = 0
+    for _ in range(1000):
+        fst = random_cyclic_machine(rng, syms)
+        if is_acyclic(fst):
+            continue
+        cyclic += 1
+        expected = least_path_costs(fst, 6)
+        if not expected:
+            with pytest.raises(NoPathError):
+                nbest(fst, 6, UNIT)
+            continue
+        assert [p.cost for p in nbest(fst, 6, UNIT)] == expected
+        listed += len(expected) == 6
+    assert cyclic > 500 and listed > 300
 
 
 def _layered_lattice(rng, syms, n_states):

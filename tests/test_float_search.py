@@ -17,10 +17,10 @@ import pytest
 from latcomb import (EPSILON, ONE, ZERO, Arc, ContractError, NoPathError, ParamVector, SymbolTable,
                      Wfst, weight)
 from latcomb import algorithms
-from latcomb.algorithms import (PathWitness, _distances, _nbest_raw, _prune_mask, _unique, nbest,
-                                shortest_path)
+from latcomb.algorithms import (PathWitness, _distances, _nbest_raw, _prune_mask, _search, _unique,
+                                nbest, shortest_path)
 from latcomb.pipeline import HIERO_ONLY
-from latcomb.semiring import HIERO_SCORE, search_key
+from latcomb.semiring import HIERO_SCORE
 
 TIES = (-1.0, 0.0, 0.5, 1.0, 2.0)
 CANCELLING = (0.1, 0.2, -0.3, 0.7, -0.4, 1e-16)
@@ -100,24 +100,27 @@ def cheapest_strings(h):
 
 def searches(h):
     """Every search a lattice is checked on, on whichever path is switched
-    on: both distance passes, the mask at every budget from one below the
-    shortest path's state count up (a ContractError below it), the unique
-    n-best for n = 1..6 and the raw 6-best (a NoPathError without a path)."""
-    key = None if algorithms._on_floats(h, HIERO_ONLY) else search_key(HIERO_ONLY)
-    fwd, back = _distances(h, key)
-    bwd, _ = _distances(h, key, backward=True)
+    on: both distance passes, the shortest path, the mask at every budget
+    from one below the shortest path's state count up (a ContractError
+    below it), the unique n-best for n = 1..6 and the raw 6-best (a
+    NoPathError without a path)."""
+    search = _search(h, HIERO_ONLY)
+    fwd, back = _distances(h, search)
+    bwd, _ = _distances(h, search, backward=True)
 
     def costs(keys):
-        return [repr(k if k is None or key is None else k[0]) for k in keys]
+        return [repr(k if k is None else search.cost(k)) for k in keys]
 
     def paths(n, unique):
         got = outcome(nbest, h, n, HIERO_ONLY, unique)
         return got if isinstance(got[0], type) else [exact(p) for p in got]
 
     shortest = outcome(shortest_path, h, HIERO_ONLY)
-    lowest = len(shortest.rows) if isinstance(shortest, PathWitness) else 1
+    found = isinstance(shortest, PathWitness)
+    lowest = len(shortest.rows) if found else 1
     return {
         "forward": costs(fwd), "back": back, "backward": costs(bwd),
+        "shortest": exact(shortest) if found else shortest,
         "masks": [mask(h, b) for b in range(lowest, h.num_states + 1)],
         "unique": [paths(n, True) for n in range(1, 7)],
         "raw": paths(6, False),
@@ -211,11 +214,12 @@ def test_unique_nbest_must_not_cap_its_pops():
     # per string, n distinct strings can need a state's (n+1)-th prefix.
     capped = 0
     for h in lattices(19, 2000, TIES):
-        beta, _ = _distances(h, None, backward=True)
+        search = _search(h, HIERO_ONLY)
+        beta, _ = _distances(h, search, backward=True)
         if beta[h.initial] is None:
             continue
         for n in range(1, 7):
-            once = [exact(p) for p in _unique(_nbest_raw(h, n, None, beta), n)]
+            once = [exact(p) for p in _unique(_nbest_raw(h, n, search, beta), n)]
             capped += once != [exact(p) for p in nbest(h, n, HIERO_ONLY, unique=True)]
     assert capped > 0
 
@@ -238,7 +242,7 @@ def test_an_overflowed_sum_is_reached_at_inf():
     h.set_final(3, ONE)
     h = h.freeze()
     assert algorithms._on_floats(h, HIERO_ONLY)
-    fwd, _ = _distances(h, None)
+    fwd, _ = _distances(h, _search(h, HIERO_ONLY))
     assert fwd == [0.0, 1e308, math.inf, math.inf, None]
     (path,) = nbest(h, 3, HIERO_ONLY, unique=True)
     assert (path.output_labels(), path.cost) == ((a, a, a), math.inf)

@@ -9,8 +9,9 @@ the stats corpus, every line of ``corpus_report`` at n = 1, 10, 100 in
 both renderings.  The searches of :mod:`latcomb.algorithms` are pinned
 on the same hiero lattices, under a hiero lambda of 1.0 (the float
 searches) and 0.7 (the vector searches).  Each corpus is built and
-combined once for every digest.  A mismatch means a change moved some sentence's result or a
-report line; compare against the previous commit to find which one.
+combined once for every digest.  A mismatch means a change moved some
+sentence's result, a report line or a search result; compare against
+the previous commit to find which one.
 """
 
 import functools
@@ -123,7 +124,7 @@ def outcome(search, *args):
 
 
 def exact(path):
-    """A path as text that keeps every float bit (repr keeps -0.0, inf and nan)."""
+    """A path as a value that keeps every float bit (repr keeps -0.0, inf and nan)."""
     if isinstance(path, tuple):
         return path
     return path.rows, repr(path.cost), repr(path.weight.values), path.final_weight
