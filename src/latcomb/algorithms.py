@@ -15,9 +15,6 @@ feature vector.  Results are therefore deterministic and
 consistent with the weight algebra.  Every search picks its arithmetic
 once through :func:`_search`: it adds floats instead where that gives
 the same order (see :func:`_on_floats`), and runs one loop either way.
-In floats the order is not kept under extension, so the acyclic forward
-pass keeps per state the keys that could still overtake its best (see
-:func:`_distances`).
 """
 
 from __future__ import annotations
@@ -44,7 +41,6 @@ from .fst import (
     contract_errors,
     dense_arcs,
     has_negative,
-    magnitudes,
     topological_order,
 )
 from .semiring import (
@@ -57,8 +53,6 @@ from .semiring import (
     Key,
     ParamVector,
     dense_times,
-    outranks,
-    rounding_slack,
     search_key,
     times,
 )
@@ -228,7 +222,6 @@ class _Search(NamedTuple):
     join: Callable[[Any, Any], Any]
     cost: Callable[[Any], float]
     pair: Callable[[Any], Key]
-    outranks: Callable[[Any, Any], bool] | None
 
 
 def _on_floats(fst: Wfst, params: ParamVector) -> bool:
@@ -248,25 +241,16 @@ def _search(fst: Wfst, params: ParamVector) -> _Search:
     """How every search over ``fst`` under ``params`` adds and compares keys.
 
     ``lift`` keys a value vector, ``step`` extends a key by one (one call
-    per arc), ``join`` adds two keys, ``cost`` is a key's cost, ``pair``
-    the key as ``(cost, values)`` and ``outranks(a, b)`` whether the
-    acyclic forward pass may drop a path of key ``b`` for one of key
-    ``a`` into the same state (see :func:`_distances`), None where a
-    lower key always may.  A key is the cost alone, a float (its own
-    cost), where :func:`_on_floats` accepts ``fst`` and ``params``:
-    float addition is monotone, so a key no higher than another stays
-    so.  Else a key is its :func:`~latcomb.semiring.search_key`, and
-    ``outranks`` is :func:`~latcomb.semiring.outranks` under the slack
-    of ``fst``'s magnitudes (which bound every path of an acyclic
-    machine) over paths of up to ``fst.num_states`` arcs.
+    per arc), ``join`` adds two keys, ``cost`` is a key's cost and
+    ``pair`` the key as ``(cost, values)``.  A key is the cost alone, a
+    float (its own cost), where :func:`_on_floats` accepts ``fst`` and
+    ``params``, else its :func:`~latcomb.semiring.search_key`.
     """
     signed = has_negative(fst)
     if not _on_floats(fst, params):
         key = search_key(params)
-        slack = rounding_slack(params, magnitudes(fst), fst.num_states + 1)
         return _Search(key, lambda k, v: key(dense_times(k[1], v, signed)),
-                       lambda k, m: key(dense_times(k[1], m[1], signed)), itemgetter(0), lambda k: k,
-                       outranks(params, slack))
+                       lambda k, m: key(dense_times(k[1], m[1], signed)), itemgetter(0), lambda k: k)
 
     def step(c: float, v: Dense) -> float:
         c += v[HIERO_SCORE]
@@ -277,22 +261,13 @@ def _search(fst: Wfst, params: ParamVector) -> _Search:
         return 0.0 if signed and -CANONICAL_EPS < c < CANONICAL_EPS else c
 
     return _Search(itemgetter(HIERO_SCORE), step, join, float,
-                   lambda c: (c, tuple(c if f == HIERO_SCORE else 0.0 for f in range(NUM_FEATURES))),
-                   None)
+                   lambda c: (c, tuple(c if f == HIERO_SCORE else 0.0 for f in range(NUM_FEATURES))))
 
 
 def _distances(fst: Wfst, search: _Search, backward: bool = False,
                ) -> tuple[list[Any], list[tuple[int, Row] | None]]:
     """Best key from the initial state to every state, with backpointers
     (the previous state and the row of the arc taken).
-
-    On an acyclic machine the forward pass also keeps, next to a state's
-    best key, its rivals: keys that ``search.outranks`` does not let it
-    drop, because float rounding could still let them overtake the best
-    one a step later.  They follow the states' keys in ``keys`` and
-    ``back`` (a backpointer may name one; a dropped rival's key is None),
-    are extended after their state's own key, and make
-    :func:`_best_path` exact: the least key of all complete paths.
 
     With ``backward``, the best key from every state to acceptance (final
     weight included) instead, and no backpointers: in reverse topological
@@ -324,44 +299,17 @@ def _distances(fst: Wfst, search: _Search, backward: bool = False,
                         best = k
             keys[s] = best
     elif order is not None:
-        # A state's rivals follow the states' own keys in keys and back.
-        outranks = search.outranks
-        rivals: dict[int, list[int]] = {}
-
-        def drop(t: int, k: Any) -> None:
-            # Drop the rivals at t that key k outranks; their keys become None.
-            kept = []
-            for r in rivals.pop(t, ()):
-                if outranks(k, keys[r]):
-                    keys[r] = None
-                else:
-                    kept.append(r)
-            if kept:
-                rivals[t] = kept
-
-        def rival(t: int, k: Any, entry: tuple[int, Row]) -> None:
-            if not any(outranks(keys[r], k) for r in rivals.get(t, ())):
-                drop(t, k)
-                rivals.setdefault(t, []).append(len(keys))
-                keys.append(k)
-                back.append(entry)
-
         for s in order:
-            for u in (s, *rivals[s]) if s in rivals else (s,):
-                ku = keys[u]
-                for row in adj[s] if ku is not None else ():
-                    cand = step(ku, row[3])
-                    t = row[0]
-                    old = keys[t]
-                    if old is None or cand < old:
-                        if old is not None and outranks is not None:
-                            drop(t, cand)
-                            if not outranks(cand, old):
-                                rival(t, old, back[t])
-                        keys[t] = cand
-                        back[t] = (u, row)
-                    elif outranks is not None and not outranks(old, cand):
-                        rival(t, cand, (u, row))
+            ks = keys[s]
+            if ks is None:
+                continue
+            for row in adj[s]:
+                cand = step(ks, row[3])
+                t = row[0]
+                old = keys[t]
+                if old is None or cand < old:
+                    keys[t] = cand
+                    back[t] = (s, row)
     else:
         if backward:
             rev: list[list[Row]] = [[] for _ in range(n)]
@@ -394,10 +342,8 @@ def _distances(fst: Wfst, search: _Search, backward: bool = False,
 def shortest_path(fst: Wfst, params: ParamVector) -> PathWitness:
     """Minimum-scalarized-cost path from the initial state to acceptance.
 
-    Acyclic machines use topological relaxation, which returns the least
-    key of all paths (see :func:`_distances`); cyclic ones require all
-    arc scalarizations to be nonnegative and use Dijkstra, one key per
-    state.  Raises
+    Acyclic machines use topological relaxation; cyclic ones require all
+    arc scalarizations to be nonnegative and use Dijkstra.  Raises
     :class:`NoPathError` when the machine accepts nothing.
     """
     _check_frozen(fst)
@@ -408,37 +354,30 @@ def shortest_path(fst: Wfst, params: ParamVector) -> PathWitness:
 
 def _best_path(fst: Wfst, search: _Search, keys: list[Any],
                back: list[tuple[int, Row] | None]) -> PathWitness:
-    """The best complete path given forward keys and backpointers: among
-    the final states in order, each state's own key before its rivals,
-    the first least key with its final weight."""
+    """The best complete path given forward keys and backpointers."""
     step = search.step
-    rivals: dict[int, list[int]] = {}
-    for r in range(fst.num_states, len(keys)):
-        if keys[r] is not None:
-            rivals.setdefault(back[r][1][0], []).append(r)
-    best_entry = NO_STATE
+    best_state = NO_STATE
     best: Any = None
     for s, fw in fst.finals():
-        for u in (s, *rivals.get(s, ())):
-            ku = keys[u]
-            if ku is None:
-                continue
-            k = step(ku, fw.values)
-            if best is None or k < best:
-                best = k
-                best_entry = u
+        ks = keys[s]
+        if ks is None:
+            continue
+        k = step(ks, fw.values)
+        if best is None or k < best:
+            best = k
+            best_state = s
     if best is None:
         raise NoPathError("no path from the initial state to a final state")
 
     rows: list[Row] = []
-    s = best_entry
+    s = best_state
     while s != fst.initial:
         entry = back[s]
         assert entry is not None
         s, row = entry
         rows.append(row)
     rows.reverse()
-    final_w = fst.final_weight(rows[-1][0] if rows else fst.initial)
+    final_w = fst.final_weight(best_state)
     assert final_w is not None
     cost, values = search.pair(best)
     return PathWitness(rows=tuple(rows), final_weight=final_w,

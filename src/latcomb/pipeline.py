@@ -22,6 +22,7 @@ the alphabet size.  Per-sentence combinations are independent.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field, replace as dc_replace
 from heapq import heappop, heappush
@@ -33,6 +34,7 @@ from .errors import ContractError, NoPathError, check_count
 from .fst import (EPSILON, UNK, Row, Wfst, contract_errors, count_paths, dense_arcs,
                   has_negative, magnitudes, topological_order)
 from .semiring import (
+    CANONICAL_EPS,
     EDIT_COUNT,
     HIERO_SCORE,
     ONE,
@@ -44,8 +46,6 @@ from .semiring import (
     ParamVector,
     dense_times,
     format_weight,
-    outranks,
-    rounding_slack,
     search_key,
     times,
 )
@@ -193,11 +193,7 @@ def combine(nmt_lattice: Wfst, hiero_lattice: Wfst, params: CombinationParams,
     kept hiero arc in arc order), then each kept hiero arc in arc order
     (an epsilon arc advances alone; any other arc is inserted); a cell
     takes a new value only on a strictly smaller key, and among final
-    cells the first in visiting order with the smallest key wins.  Next
-    to its own alignment a cell keeps, as rivals tried after it, those
-    that float rounding could still let overtake it on a later move (see
-    ``_best_alignment``), so the winner has the least key of all
-    alignments, as the shortest path of the composed machine does.  The
+    cells the first in visiting order with the smallest key wins.  The
     extended NMT machine is :func:`~latcomb.editfst.expand_unk_runs` of
     the lattice: the lattice's states keep their ids, each UNK arc is
     followed, in its state's arc order, by the first arc of its run chain,
@@ -347,12 +343,17 @@ class _MoveTables:
         self.nmt_moves = [[(a, a[2], pos_n[a[0]] * width, key(a[3])[0], *pairings[a[2]])
                            for a in arcs_n[s]] for s in order_n]
 
-        # The slack, from the weights' magnitudes plus one edit count per move.
+        # The slack, from the weights' magnitudes (see _best_alignment).
+        absp = [abs(p) for p in params.as_tuple()]
         totals = [a + b for a, b in zip(magnitudes(nmt), magnitudes(hiero))]
         totals[EDIT_COUNT] += nmt.num_states + width
         totals[SUB_COUNT] += nmt.num_states + width
-        self.slack = rounding_slack(params, totals, len(order_n) + width)
-        self.outranks = outranks(params, self.slack)
+        mass = sum(p * v for p, v in zip(absp, totals))
+        steps = len(order_n) + width
+        self.slack = math.inf
+        if mass < 1e300:
+            self.slack = ((1e-9 + 1e-15 * steps) * mass + CANONICAL_EPS * steps * sum(absp)
+                          + sys.float_info.min)
         self.signed = has_negative(nmt) or has_negative(hiero)
 
     def scored(self, v: Dense) -> tuple[Dense, float]:
@@ -423,7 +424,7 @@ def _region(tab: _MoveTables) -> list[list[int]] | None:
             heappush(heap, (e + h, c, e))
 
     push(tab.start, cost(ONE.values))
-    limit, margin = inf, 8.0 * tab.slack
+    limit, margin = inf, 4.0 * tab.slack
     while heap:
         f, c, est_c = heappop(heap)
         if f > limit:
@@ -490,16 +491,14 @@ def _best_alignment(nmt: Wfst, hiero: Wfst, mask: Mask, nmt_vocab: FrozenSet[int
     move shifts both token ranges by one, an epsilon arc neither, and an
     insertion or deletion widens the gap by at most one and pays
     lambda_edit.  A* stops once the least g + h on its heap exceeds the
-    cheapest final estimate it closed plus ``8 * slack``; its closed cells
+    cheapest final estimate it closed plus ``4 * slack``; its closed cells
     are the region.  Phase 2 (the exact pass below) visits only the
     region: a cell outside it keeps ``high = -inf``, so every move into it
-    loses on the float screen.  The winning alignment has the least key,
-    so its real cost is within ``2 * slack`` of the least real cost f*,
-    and each of its cells has g + h <= f* + 2 * slack over the reals.  An
-    estimate and h (path costs, and lambda_edit times fewer than ``steps``
-    tokens, all within ``mass``) are within far less than ``slack``, and
-    an exact key within ``slack``, of their real sums, so its g + h is
-    below the stop.  Its winning move
+    loses on the float screen.  Each cell of the winning alignment has
+    g + h <= f* over the reals.  An estimate and h (path costs, and
+    lambda_edit times fewer than ``steps`` tokens, all within ``mass``)
+    are within far less than ``slack``, and an exact key within ``slack``,
+    of their real sums, so its g + h is below the stop.  Its winning move
     is still there and every other move into it is missing or no cheaper,
     in the same order, so the result, ties included, is the full pass's.
     The region is every cell when the slack is infinite or the kept hiero
@@ -517,35 +516,25 @@ def _best_alignment(nmt: Wfst, hiero: Wfst, mask: Mask, nmt_vocab: FrozenSet[int
     and the move that set it: the source cell's estimate plus the costs
     of the arc and edit weights the move adds.  Its value vector and
     exact key are built, and kept, only when a move's estimate comes
-    within ``wide = 8 * slack`` of the cell's (a near tie, settled by the
-    exact strict ``<`` on keys), at acceptance and for the path.  An
-    estimate more than ``wide`` above the cell's loses, one more than
-    that below it wins, and both are decided on floats alone.
+    within ``2 * slack`` of the cell's (a near tie, settled by the exact
+    strict ``<`` on keys), at acceptance and for the path.  An estimate
+    more than ``2 * slack`` above the cell's loses, one more than that
+    below it wins, and both are decided on floats alone.
 
-    Why that is exact: :func:`~latcomb.semiring.rounding_slack` of the
-    parameters, the magnitudes of both machines
-    (:func:`~latcomb.fst.magnitudes`) plus one edit count per move, and
-    ``steps``, a bound on the moves of a path, bounds how far an estimate
-    or an exact cost lies from the real sum of its terms, which is the
-    same for both; so they differ by at most ``2 * slack``.  A NaN
-    estimate is never decided on floats, and when the magnitudes near
+    Why that is exact: let ``mass`` be sum_k |p_k| times the total
+    magnitude of feature k over every arc and final weight of both
+    machines (:func:`~latcomb.fst.magnitudes`), plus one edit count per
+    move.  Every term an estimate or an exact cost adds has magnitude at
+    most ``mass``.  Over the reals the two are the same sum; in floats
+    each takes a few roundings of relative size 2**-53 per move, and the
+    exact vector may also zero, once per move, entries below
+    CANONICAL_EPS.  A path makes fewer than ``steps`` moves, so their gap
+    is far below ``slack = (1e-9 + 1e-15 * steps) * mass + CANONICAL_EPS
+    * steps * sum_k |p_k|`` (plus the smallest normal float, against
+    underflow), however much large positive and negative scores cancel.
+    A NaN estimate is never decided on floats, and when ``mass`` nears
     the float range the slack is infinite, so every move is settled
     exactly.
-
-    Rivals.  The order is not kept under extension in floats: two
-    alignments whose costs tie, or nearly, at a cell can swap places a
-    move later, as each cost is rounded from its own vector.  So a near
-    tie that a cell's own alignment wins keeps the loser as a rival of
-    the cell, unless a kept alignment outranks it
-    (:func:`~latcomb.semiring.outranks`: a cost more than ``4 * slack``
-    higher, or values nowhere lower, as every lambda is nonnegative); a
-    new alignment of the cell drops the rivals it outranks.  Rivals are
-    entries after the cells, tried after the cell's own alignment by the
-    same moves, and compete at acceptance.  A move whose estimate the
-    screen drops is outranked (its exact cost is more than ``4 * slack``
-    above the cell's), and so is every path at a cell that one more than
-    ``wide`` below takes.  So every dropped alignment keys, from there
-    on, no lower than a kept one, and the winner has the least key.
 
     Most moves lose, so the pass tries only the hiero arcs that can win.
     Each kept hiero state's word arcs to one target form a group, sorted
@@ -565,17 +554,14 @@ def _best_alignment(nmt: Wfst, hiero: Wfst, mask: Mask, nmt_vocab: FrozenSet[int
         tab.pos_h, tab.hiero_finals
     width, size, start, hiero_moves, nmt_moves = tab.width, tab.size, tab.start, \
         tab.hiero_moves, tab.nmt_moves
-    key, cost, signed, type_pair, outranks = tab.key, tab.cost, tab.signed, tab.type_pair, \
-        tab.outranks
+    key, cost, signed, type_pair = tab.key, tab.cost, tab.signed, tab.type_pair
     w_skip, s_skip, w_ins, s_ins = tab.w_skip, tab.s_skip, tab.w_ins, tab.s_ins
-    wide = 8.0 * tab.slack
+    twice = 2.0 * tab.slack
 
-    # Per entry: the estimate; the move that set it, as (source entry, NMT
-    # arc, hiero arc, edit values, hiero arc index); and its value vector
-    # once built.  Entry c < size is cell c's own path; the rivals come
-    # after the cells, each with its cell in ``home``, listed per cell in
-    # ``rivals``.  Per cell, its estimate plus ``wide``, above which a move
-    # loses (-inf outside the region).
+    # Per cell: the estimate; the estimate plus 2 * slack, above which a
+    # move loses (-inf outside the region); the move that set it, as
+    # (source cell, NMT arc, hiero arc, edit values, hiero arc index); and
+    # its value vector once built.
     est = [math.inf] * size
     high = [math.inf] * size
     if region is not None:
@@ -585,8 +571,6 @@ def _best_alignment(nmt: Wfst, hiero: Wfst, mask: Mask, nmt_vocab: FrozenSet[int
                 high[i * width + j] = math.inf
     back: list[_Move | None] = [None] * size
     vec: list[Dense | None] = [None] * size
-    home: list[int] = []
-    rivals: dict[int, list[int]] = {}
 
     def step(d: Dense, move: _Move) -> Dense:
         # Three-term sums zero entries once, at the end (inner signed=False):
@@ -610,56 +594,23 @@ def _best_alignment(nmt: Wfst, hiero: Wfst, mask: Mask, nmt_vocab: FrozenSet[int
             d = vec[c] = step(d, back[c])
         return d
 
-    def takes(old: _Move, move: _Move) -> bool:
-        # On equal values, a lower arc index of the same group takes the entry.
-        return old[0] == move[0] and old[1] is move[1] and move[4] < old[4]
-
-    def rival(t: int, k: Key, move: _Move, k_own: Key) -> None:
-        # Keep the path of key k that move brings to t, unless t's own path
-        # (key k_own) or a rival outranks it; drop the rivals it outranks.
-        if outranks(k_own, k):
-            return
-        kept = rivals.get(t, ())
-        for u in kept:
-            if vec[u] == k[1]:
-                if takes(back[u], move):
-                    back[u] = move
-                return
-            if outranks(key(vec[u]), k):
-                return
-        rivals[t] = [u for u in kept if not outranks(k, key(vec[u]))] + [len(back)]
-        home.append(t)
-        est.append(k[0])
-        back.append(move)
-        vec.append(k[1])
-
     def relax(t: int, e: float, move: _Move) -> None:
         # The caller has checked that e is not above high[t].  An unset
         # cell's estimate is inf, so with a finite slack any finite e wins.
-        if e < est[t] - wide:  # it outranks every path at t
-            est[t], high[t], back[t], vec[t] = e, e + wide, move, None
-            if rivals:
-                rivals.pop(t, None)
+        if e < est[t] - twice:
+            est[t], high[t], back[t], vec[t] = e, e + twice, move, None
             return
         v = step(exact(move[0]), move)
         old = back[t]
         if old is not None:
             v_old = exact(t)
-            if v == v_old:
-                if not takes(old, move):
+            if v == v_old:  # equal keys: a lower arc index of the same group takes the cell
+                if not (old[0] == move[0] and old[1] is move[1] and move[4] < old[4]):
                     return
-            else:
-                k, k_old = key(v), key(v_old)
-                if not k < k_old:
-                    rival(t, k, move, k_old)
-                    return
-                if t in rivals:
-                    kept = [u for u in rivals.pop(t) if not outranks(k, key(vec[u]))]
-                    if kept:
-                        rivals[t] = kept
-                rival(t, k_old, old, k)
+            elif not key(v) < key(v_old):
+                return
         e = cost(v)
-        est[t], high[t], back[t], vec[t] = e, e + wide, move, v
+        est[t], high[t], back[t], vec[t] = e, e + twice, move, v
 
     est[start], vec[start] = cost(ONE.values), ONE.values
     back[start] = (start, None, None, ONE.values, 0)  # reached; never followed
@@ -667,68 +618,66 @@ def _best_alignment(nmt: Wfst, hiero: Wfst, mask: Mask, nmt_vocab: FrozenSet[int
         moves_n = nmt_moves[i]
         base = i * width
         for j in range(width) if region is None else region[i]:
-            cell = base + j
-            if back[cell] is None:
+            c = base + j
+            if back[c] is None:
                 continue
+            est_c = est[c]
             singles, groups, labels, skips = hiero_moves[j]
-            for c in (cell, *rivals[cell]) if cell in rivals else (cell,):
-                est_c = est[c]
-                for a, x, t_base, s_a, w_del, s_del, typed, sub, s_sub, w_m, s_m in moves_n:
-                    est_a = est_c + s_a
-                    t = t_base + j
-                    e = est_a + s_del
+            for a, x, t_base, s_a, w_del, s_del, typed, sub, s_sub, w_m, s_m in moves_n:
+                est_a = est_c + s_a
+                t = t_base + j
+                e = est_a + s_del
+                if not e > high[t]:
+                    relax(t, e, (c, a, None, w_del, 0))
+                if x == EPSILON:
+                    continue
+                for s_h, rank, t_j, h, y in singles:
+                    w_e = typed.get(y, sub) or type_pair(typed, x, y)
+                    t = t_base + t_j
+                    e = est_a + w_e[1] + s_h
                     if not e > high[t]:
-                        relax(t, e, (c, a, None, w_del, 0))
-                    if x == EPSILON:
-                        continue
-                    for s_h, rank, t_j, h, y in singles:
+                        relax(t, e, (c, a, h, w_e[0], rank))
+                if not groups:
+                    continue
+                # A group: the free matches, then the other words in cost order.
+                for s_h, rank, t_j, h, _ in labels.get(x, ()):
+                    t = t_base + t_j
+                    e = est_a + s_m + s_h
+                    if not e > high[t]:
+                        relax(t, e, (c, a, h, w_m, rank))
+                floor = est_a + s_sub
+                for t_j, group in groups:
+                    t = t_base + t_j
+                    for s_h, rank, _, h, y in group:
+                        if floor + s_h > high[t]:
+                            break
+                        if y == x:
+                            continue
                         w_e = typed.get(y, sub) or type_pair(typed, x, y)
-                        t = t_base + t_j
                         e = est_a + w_e[1] + s_h
                         if not e > high[t]:
                             relax(t, e, (c, a, h, w_e[0], rank))
-                    if not groups:
-                        continue
-                    # A group: the free matches, then the other words in cost order.
-                    for s_h, rank, t_j, h, _ in labels.get(x, ()):
-                        t = t_base + t_j
-                        e = est_a + s_m + s_h
-                        if not e > high[t]:
-                            relax(t, e, (c, a, h, w_m, rank))
-                    floor = est_a + s_sub
-                    for t_j, group in groups:
-                        t = t_base + t_j
-                        for s_h, rank, _, h, y in group:
-                            if floor + s_h > high[t]:
-                                break
-                            if y == x:
-                                continue
-                            w_e = typed.get(y, sub) or type_pair(typed, x, y)
-                            e = est_a + w_e[1] + s_h
-                            if not e > high[t]:
-                                relax(t, e, (c, a, h, w_e[0], rank))
-                # Insertions, each word at the same edit cost, then epsilon arcs.
-                est_i = est_c + s_ins
-                for s_h, rank, t_j, h, _ in singles:
-                    t = base + t_j
+            # Insertions, each word at the same edit cost, then epsilon arcs.
+            est_i = est_c + s_ins
+            for s_h, rank, t_j, h, _ in singles:
+                t = base + t_j
+                e = est_i + s_h
+                if not e > high[t]:
+                    relax(t, e, (c, None, h, w_ins, rank))
+            for t_j, group in groups:
+                t = base + t_j
+                for s_h, rank, _, h, _ in group:
                     e = est_i + s_h
-                    if not e > high[t]:
-                        relax(t, e, (c, None, h, w_ins, rank))
-                for t_j, group in groups:
-                    t = base + t_j
-                    for s_h, rank, _, h, _ in group:
-                        e = est_i + s_h
-                        if e > high[t]:
-                            break
-                        relax(t, e, (c, None, h, w_ins, rank))
-                for s_h, rank, t_j, h, _ in skips:
-                    t = base + t_j
-                    e = est_c + s_skip + s_h
-                    if not e > high[t]:
-                        relax(t, e, (c, None, h, w_skip, rank))
+                    if e > high[t]:
+                        break
+                    relax(t, e, (c, None, h, w_ins, rank))
+            for s_h, rank, t_j, h, _ in skips:
+                t = base + t_j
+                e = est_c + s_skip + s_h
+                if not e > high[t]:
+                    relax(t, e, (c, None, h, w_skip, rank))
 
-    # Acceptance: the final cells in visiting order, each path before its
-    # rivals, first smallest key wins.
+    # Acceptance: the final cells in visiting order, first smallest key wins.
     best: Key | None = None
     accepted = start
     for i in sorted(pos_n[s] for s, _ in nmt.finals()):
@@ -737,20 +686,16 @@ def _best_alignment(nmt: Wfst, hiero: Wfst, mask: Mask, nmt_vocab: FrozenSet[int
             c = i * width + j
             if back[c] is not None:
                 fw_h = hiero_finals[order_h[j]].values
-                for u in (c, *rivals.get(c, ())):
-                    k = key(dense_times(dense_times(exact(u), fw_n, False), fw_h, signed))
-                    if best is None or k < best:
-                        best, accepted = k, u
+                k = key(dense_times(dense_times(exact(c), fw_n, False), fw_h, signed))
+                if best is None or k < best:
+                    best, accepted = k, c
     if best is None:
         raise NoPathError("no path from the initial state to a final state")
 
     # Rebuild the path with the weights the composed machine's arcs carry.
-    def cell_of(c: int) -> int:
-        return c if c < size else home[c - size]
-
     c = accepted
-    final_weight = times(nmt.final_weight(order_n[cell_of(c) // width]),
-                         hiero_finals[order_h[cell_of(c) % width]])
+    final_weight = times(nmt.final_weight(order_n[c // width]),
+                         hiero_finals[order_h[c % width]])
     rows: list[Row] = []
     while c != start:
         src, a, h, w, _ = back[c]
@@ -758,8 +703,7 @@ def _best_alignment(nmt: Wfst, hiero: Wfst, mask: Mask, nmt_vocab: FrozenSet[int
             w = dense_times(a[3], w, True)
         if h is not None:
             w = dense_times(w, h[3], True)
-        rows.append((cell_of(c), EPSILON if a is None else a[1], EPSILON if h is None else h[2],
-                     w))
+        rows.append((c, EPSILON if a is None else a[1], EPSILON if h is None else h[2], w))
         c = src
     rows.reverse()
     return PathWitness(rows=tuple(rows), final_weight=final_weight,

@@ -21,7 +21,6 @@ searches apply them to the stored vectors directly.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
@@ -175,62 +174,6 @@ def search_key(params: ParamVector) -> Callable[[Dense], Key]:
         return (0.0 + p0 * v0 + p1 * v1 + p2 * v2 + p3 * v3 + p4 * v4, v)
 
     return key
-
-
-def rounding_slack(params: ParamVector, totals: Dense, steps: int) -> float:
-    """A bound, far above the float error, on how far the search-key cost
-    of any path of fewer than ``steps`` extensions lies from the real sum
-    of its terms, when ``totals`` bounds per feature the magnitude of
-    all the path adds up (:func:`~latcomb.fst.magnitudes`).
-
-    With ``mass`` = sum_k |p_k| * totals[k], each term of either sum has
-    magnitude at most ``mass`` and takes a few roundings of relative size
-    2**-53 per extension; ``dense_times`` may also zero, once per
-    extension, entries below CANONICAL_EPS.  So the slack is ``(1e-9 +
-    1e-15 * steps) * mass + CANONICAL_EPS * steps * sum_k |p_k|``, plus
-    the smallest normal float against underflow, however much large
-    scores of both signs cancel; it is infinite once ``mass`` nears the
-    float range.
-    """
-    absp = [abs(p) for p in params.as_tuple()]
-    mass = sum(p * v for p, v in zip(absp, totals))
-    if not mass < 1e300:
-        return math.inf
-    return (1e-9 + 1e-15 * steps) * mass + CANONICAL_EPS * steps * sum(absp) + sys.float_info.min
-
-
-def outranks(params: ParamVector, slack: float) -> Callable[[Key, Key], bool]:
-    """``outranks(a, b)``: whether a search may drop the path of key ``b``
-    for the path of key ``a`` that ends in the same state, because every
-    extension both can take keys ``a``'s no higher than ``b``'s.
-
-    The search order is not kept under extension in floats: two paths
-    whose costs tie, or nearly, can swap places once their value vectors
-    take one more step, since the cost is rounded from the vector anew.
-    So a search that keeps one path per state can miss the least key.
-    ``b`` is outranked when its cost is more than ``4 * slack`` above
-    ``a``'s (:func:`rounding_slack`: each cost lies within ``slack`` of
-    its real sum, before and after any extension), or when no parameter
-    is negative and ``a``'s values are nowhere above ``b``'s (float
-    addition is monotone, and so is the cost in each value), or when the
-    two hold the same values.  Otherwise both must be kept.  With an infinite slack every ``b`` is outranked
-    by a smaller ``a``: one path per state, the order alone.
-    """
-    margin = 4.0 * slack
-    if margin == math.inf:
-        return lambda a, b: True
-    monotone = min(params.as_tuple()) >= 0.0
-
-    def outranks(a: Key, b: Key) -> bool:
-        if b[0] - a[0] > margin:
-            return True
-        if not monotone:
-            return a[1] == b[1]
-        a0, a1, a2, a3, a4 = a[1]
-        b0, b1, b2, b3, b4 = b[1]
-        return a0 <= b0 and a1 <= b1 and a2 <= b2 and a3 <= b3 and a4 <= b4
-
-    return outranks
 
 
 def plus(a: FeatureWeight, b: FeatureWeight, params: ParamVector) -> FeatureWeight:

@@ -208,27 +208,31 @@ def naive_compose(t1: Wfst, t2: Wfst) -> Wfst:
     return connect(out.freeze())
 
 
-def flower_machine(nmt: Wfst, hiero: Wfst, params) -> Wfst:
-    """The paper's composed machine: the extended NMT lattice, the modified
-    edit flower over the labels present and the pruned hiero lattice,
-    pruned and extended exactly as ``combine`` does."""
-    from latcomb import build_modified_edit_fst, compose, expand_unk_runs, prune_to_node_budget
+def flower_combine(nmt: Wfst, hiero: Wfst, params):
+    """The paper's construction, kept as the reference for ``combine``.
+
+    Prunes and extends exactly as ``combine`` does, then composes the
+    extended NMT lattice with the modified edit flower over the labels
+    present and with the pruned hiero lattice, and takes the shortest
+    path of the composed machine.
+    """
+    from latcomb import (
+        CombinationResult,
+        EditStats,
+        build_modified_edit_fst,
+        compose,
+        expand_unk_runs,
+        prune_to_node_budget,
+        shortest_path,
+    )
     from latcomb.pipeline import HIERO_ONLY
+    from latcomb.semiring import EDIT_COUNT, SUB_COUNT, UNK_EXT_COUNT
 
     pruned = prune_to_node_budget(hiero, params.hiero_node_budget, HIERO_ONLY)
     extended = expand_unk_runs(nmt, params.max_unk_run)
     flower = build_modified_edit_fst(all_labels(nmt) | all_labels(pruned), params.nmt_vocab,
                                      nmt.isyms)
-    return compose(compose(extended, flower), pruned)
-
-
-def flower_combine(nmt: Wfst, hiero: Wfst, params):
-    """The paper's construction, kept as the reference for ``combine``:
-    the shortest path of :func:`flower_machine`."""
-    from latcomb import CombinationResult, EditStats, shortest_path
-    from latcomb.semiring import EDIT_COUNT, SUB_COUNT, UNK_EXT_COUNT
-
-    path = shortest_path(flower_machine(nmt, hiero, params), params.as_param_vector())
+    path = shortest_path(compose(compose(extended, flower), pruned), params.as_param_vector())
     counts = path.weight.values
     syms = nmt.isyms
     return CombinationResult(
@@ -256,31 +260,6 @@ def assert_matches_flower_combine(result, reference, syms):
     assert result.t_hiero == reference.t_hiero
     assert collapse_unk_runs(result.t_nmt) == collapse_unk_runs(reference.t_nmt)
     assert_substitution_property(result, syms)
-
-
-def least_path_key(fst: Wfst, params: ParamVector, limit: int = 100_000):
-    """The least search key over every path of an acyclic machine, final
-    weight included, each path's values added up arc by arc in path order
-    as the searches add them; None without a path.  Walks every path
-    (at most ``limit`` prefixes)."""
-    from latcomb.semiring import dense_times, search_key
-
-    key = search_key(params)
-    best = None
-    stack = [(fst.initial, ONE.values)]
-    while stack:
-        limit -= 1
-        if limit < 0:
-            raise ContractError("too many paths to walk")
-        s, values = stack.pop()
-        fw = fst.final_weight(s)
-        if fw is not None:
-            k = key(dense_times(values, fw.values, True))
-            if best is None or k < best:
-                best = k
-        stack.extend((r[0], dense_times(values, r[3], True)) for r in fst.rows(s)
-                     if r[3] is not None)  # None: the zero weight
-    return best
 
 
 def tie_rule_alignment(nmt: Wfst, hiero: Wfst, params):

@@ -32,7 +32,7 @@ from latcomb import (
 )
 from latcomb import algorithms, editfst, pipeline
 from latcomb.editfst import build_modified_edit_fst, edit_weight
-from latcomb.fst import count_paths, has_negative, topological_order
+from latcomb.fst import has_negative, topological_order
 from latcomb.lattice_io import read_lattice, write_lattice
 from latcomb.algorithms import PathWitness
 from latcomb.semiring import dense_times, search_key
@@ -42,8 +42,6 @@ from helpers import (
     all_labels,
     assert_matches_flower_combine,
     flower_combine,
-    flower_machine,
-    least_path_key,
     linear_chain,
     random_combination_instance,
     tie_rule_alignment,
@@ -321,51 +319,6 @@ def test_combine_equals_flower_chain_on_inexact_property(instance):
     syms, nmt, hiero, params = instance
     assert_matches_flower_combine(combine(nmt, hiero, params),
                                   flower_combine(nmt, hiero, params), syms)
-
-
-def test_combine_keeps_a_tied_alignment_that_rounding_favours_later():
-    # NMT "UNK" against hiero "fluss haus haus haus", "haus" in vocabulary,
-    # lambda_sub 0 and lambda_edit == lambda_ins.  After "fluss haus",
-    # filling the UNK with "fluss" and inserting "haus" (one edit) ties
-    # exactly with the two-UNK run "fluss haus" (a substitution and an
-    # extension), which the feature order puts first.  Two insertions
-    # later the run's cost rounds one ulp above the fill's: the fill, the
-    # least key of all alignments, must still be there to win.
-    syms = SymbolTable()
-    fluss, haus = syms.add("fluss"), syms.add("haus")
-    nmt = linear_chain([UNK], syms, [weight({0: -0.5375000000000001})])
-    scores = (999999999.5625, -0.5687500000000001, -0.5843750000000001, -1000000000.6921875)
-    hiero = linear_chain([fluss, haus, haus, haus], syms, [weight({1: v}) for v in scores])
-    params = CombinationParams(lambda_nmt=0.1, lambda_hiero=0.7, lambda_sub=0.0, lambda_edit=0.7,
-                               lambda_ins=0.7, max_unk_run=2, nmt_vocab=frozenset({haus}))
-    result = combine(nmt, hiero, params)
-    assert result.t_comb == ("fluss",)
-    assert result.stats == EditStats(unk_extensions=0, type2_subs=0, type3_edits=3)
-    assert (result.total_cost, result.feature_vector.values) == \
-        least_path_key(flower_machine(nmt, hiero, params), params.as_param_vector())
-    assert_matches_flower_combine(result, flower_combine(nmt, hiero, params), syms)
-
-
-# Seeds of build_instance(random.Random(seed).choice, inexact=True) on
-# which keeping one alignment per cell misses the least key; on the last
-# two, keeping one path per state of the composed machine misses it too.
-ROUNDING_SEEDS = (12673, 9452, 19356)
-
-
-def test_combine_and_the_flower_chain_find_the_least_key_of_all_alignments():
-    checked = []
-    for seed in ROUNDING_SEEDS + tuple(range(300)):
-        syms, nmt, hiero, params = build_instance(random.Random(seed).choice, inexact=True)
-        if not has_word(nmt, hiero):
-            continue
-        machine = flower_machine(nmt, hiero, params)
-        if count_paths(machine) > 20_000:
-            continue
-        least = least_path_key(machine, params.as_param_vector())
-        for result in (combine(nmt, hiero, params), flower_combine(nmt, hiero, params)):
-            assert (result.total_cost, result.feature_vector.values) == least, seed
-        checked.append(seed)
-    assert set(ROUNDING_SEEDS) <= set(checked) and len(checked) > 250
 
 
 @pytest.mark.parametrize("first, second, lambda_nmt", [
