@@ -11,10 +11,10 @@ Search order: every search here (shortest path, n-best, pruning), like
 ``plus`` and the alignment pass of :mod:`latcomb.pipeline`, extends
 paths with :func:`latcomb.semiring.dense_times` and compares them by
 :func:`latcomb.semiring.search_key`: scalarized cost first, then the
-feature vector.  Results are therefore deterministic and
-consistent with the weight algebra.  Every search picks its arithmetic
-once through :func:`_search`: it adds floats instead where that gives
-the same order (see :func:`_on_floats`), and runs one loop either way.
+feature vector.  Results are therefore deterministic and consistent
+with the weight algebra.  Every search picks its arithmetic once through
+:func:`_search`: it adds floats instead where that gives the same order
+(see :func:`_on_floats`), and runs one loop either way.
 """
 
 from __future__ import annotations
@@ -219,6 +219,8 @@ class _Search(NamedTuple):
 
     lift: Callable[[Dense], Any]
     step: Callable[[Any, Dense], Any]
+    unit: Any
+    extend: Callable[[Any, Dense], Any]
     join: Callable[[Any, Any], Any]
     cost: Callable[[Any], float]
     pair: Callable[[Any], Key]
@@ -229,10 +231,9 @@ def _on_floats(fst: Wfst, params: ParamVector) -> bool:
     hiero lattice under a hiero lambda of exactly 1.0.  Every weight is
     then zero but at HIERO_SCORE, so a path's search key is ``(c, v)``
     with ``v`` zero but ``v[HIERO_SCORE] == c``: c its scores' float sum,
-    zeroed below CANONICAL_EPS at each step as ``dense_times`` zeroes.
-    Keys order as their c do, so adding in the same order with the same
-    strict ``<`` gives the same costs, backpointers and paths, bit for
-    bit.  A sum that overflows is inf either way, an unreached state None.
+    zeroed below CANONICAL_EPS at each step as ``dense_times`` zeroes, inf
+    on overflow either way.  Keys order as their c do, so the same sums
+    and the same strict ``<`` give the same costs, backpointers and paths.
     """
     return params.hiero == 1.0 and not contract_errors(fst, "hiero")
 
@@ -241,16 +242,18 @@ def _search(fst: Wfst, params: ParamVector) -> _Search:
     """How every search over ``fst`` under ``params`` adds and compares keys.
 
     ``lift`` keys a value vector, ``step`` extends a key by one (one call
-    per arc), ``join`` adds two keys, ``cost`` is a key's cost and
-    ``pair`` the key as ``(cost, values)``.  A key is the cost alone, a
-    float (its own cost), where :func:`_on_floats` accepts ``fst`` and
-    ``params``, else its :func:`~latcomb.semiring.search_key`.
+    per arc), ``cost`` and ``pair`` give a key as its cost and as ``(cost,
+    values)``.  The n-best extends bare prefixes from ``unit`` by ``extend``
+    and keys one followed by a key with ``join``.  Keys and prefixes are
+    costs where :func:`_on_floats` accepts ``fst`` and ``params``, else
+    value vectors and their :func:`~latcomb.semiring.search_key`.
     """
     signed = has_negative(fst)
     if not _on_floats(fst, params):
         key = search_key(params)
-        return _Search(key, lambda k, v: key(dense_times(k[1], v, signed)),
-                       lambda k, m: key(dense_times(k[1], m[1], signed)), itemgetter(0), lambda k: k)
+        return _Search(key, lambda k, v: key(dense_times(k[1], v, signed)), ONE.values,
+                       lambda p, v: dense_times(p, v, signed),
+                       lambda p, k: key(dense_times(p, k[1], signed)), itemgetter(0), lambda k: k)
 
     def step(c: float, v: Dense) -> float:
         c += v[HIERO_SCORE]
@@ -260,8 +263,8 @@ def _search(fst: Wfst, params: ParamVector) -> _Search:
         c += d
         return 0.0 if signed and -CANONICAL_EPS < c < CANONICAL_EPS else c
 
-    return _Search(itemgetter(HIERO_SCORE), step, join, float,
-                   lambda c: (c, tuple(c if f == HIERO_SCORE else 0.0 for f in range(NUM_FEATURES))))
+    return _Search(itemgetter(HIERO_SCORE), step, 0.0, step, join, float,
+                   lambda c: (c, (0.0,) * HIERO_SCORE + (c,) + (0.0,) * (NUM_FEATURES - HIERO_SCORE - 1)))
 
 
 def _distances(fst: Wfst, search: _Search, backward: bool = False,
@@ -392,15 +395,15 @@ def _nbest_raw(fst: Wfst, cap: float, search: _Search, beta: list[Any]) -> Itera
     only on an acyclic machine.  ``beta`` holds the backward keys of
     :func:`_distances` under ``search``; the initial state's is not None.
     """
-    step, join = search.step, search.join
+    extend, join = search.extend, search.join
     arcs = dense_arcs(fst)
-    finals = {s: fw.values for s, fw in fst.finals()}
+    finals = {s: search.lift(fw.values) for s, fw in fst.finals()}
 
     # Nodes are (state, row, parent-index); rows recovered by walking parents.
     nodes: list[tuple[int, Row | None, int]] = [(fst.initial, None, -1)]
     counter = count()
-    # Entries are (bound, tie counter, node, prefix key).
-    heap = [(beta[fst.initial], next(counter), 0, search.lift(ONE.values))]
+    # Entries are (bound, tie counter, node, prefix).
+    heap = [(beta[fst.initial], next(counter), 0, search.unit)]
     pops = [0] * fst.num_states
     drawn = 0
 
@@ -427,17 +430,16 @@ def _nbest_raw(fst: Wfst, cap: float, search: _Search, beta: list[Any]) -> Itera
             continue
         pops[state] += 1
 
-        fv = finals.get(state)
-        if fv is not None:
-            total = step(prefix, fv)
+        fk = finals.get(state)
+        if fk is not None:
             node = len(nodes)
             nodes.append((NO_STATE, None, node_idx))
-            heapq.heappush(heap, (total, next(counter), node, total))
+            heapq.heappush(heap, (join(prefix, fk), next(counter), node, None))
         for row in arcs[state]:
             b = beta[row[0]]
             if b is None:
                 continue
-            ext = step(prefix, row[3])
+            ext = extend(prefix, row[3])
             node = len(nodes)
             nodes.append((row[0], row, node_idx))
             heapq.heappush(heap, (join(ext, b), next(counter), node, ext))
@@ -485,9 +487,7 @@ def nbest(fst: Wfst, n: int, params: ParamVector, unique: bool = False) -> list[
     With ``unique``, paths whose output label strings coincide are
     collapsed keeping the cheapest; that mode requires an acyclic machine
     (otherwise there is no bound on how many raw paths must be drawn),
-    and its list at n is the first n of its list at any larger n.  A
-    hiero lattice under a hiero lambda of 1.0 is searched on floats (see
-    :func:`_on_floats`), with the same result.
+    and its list at n is the first n of its list at any larger n.
     """
     return list(iter_nbest(fst, n, params, unique))
 
