@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 import sys
-import warnings
 from dataclasses import dataclass, field, replace as dc_replace
 from heapq import heappop, heappush
 from typing import Callable, FrozenSet, Iterable, Sequence
@@ -31,8 +30,8 @@ from typing import Callable, FrozenSet, Iterable, Sequence
 from .algorithms import Mask, PathWitness, _prune_mask, iter_nbest
 from .editfst import edit_weight, expand_unk_runs
 from .errors import ContractError, NoPathError, check_count
-from .fst import (EPSILON, UNK, Row, Wfst, contract_errors, count_paths, dense_arcs,
-                  has_negative, magnitudes, topological_order)
+from .fst import (EPSILON, UNK, Row, Wfst, contract_errors, dense_arcs, has_negative,
+                  magnitudes, topological_order)
 from .semiring import (
     CANONICAL_EPS,
     EDIT_COUNT,
@@ -50,17 +49,14 @@ from .semiring import (
     times,
 )
 
-# The combination is designed around small NMT hypothesis sets; larger
-# ones still work but deserve a nudge.
-NMT_PATHS_SOFT_LIMIT = 20
-
 HIERO_ONLY = ParamVector(nmt=0.0, hiero=1.0, edit=0.0, sub=0.0, ins=0.0)
 
 # The alignment pass's view of a kept hiero arc: (cost, index among its
 # state's kept arcs, target position, row, label); and of the move that
-# set a cell: (source cell, NMT row, hiero row, edit values, hiero arc index).
+# set a cell: (source cell, NMT arc index, hiero arc index, NMT row, hiero
+# row, edit values), whose first three fields settle exact ties.
 _Entry = tuple[float, int, int, Row, int]
-_Move = tuple[int, Row | None, Row | None, Dense, int]
+_Move = tuple[int, int, int, Row | None, Row | None, Dense]
 
 
 @dataclass(frozen=True)
@@ -184,43 +180,31 @@ def combine(nmt_lattice: Wfst, hiero_lattice: Wfst, params: CombinationParams,
     states, arcs and final weights on the lattice's own state ids.  No
     pruned machine is built.
 
-    Tie rule.  Alignments compare on (cost, feature vector in id order).
-    Among exactly tied alignments the first one found wins: cells (NMT
-    state, hiero state) are visited in lexicographic order of their (NMT,
-    hiero) topological positions; from each cell, each outgoing arc of the
-    extended NMT state is tried in arc order (an epsilon arc advances
-    alone; any other arc is deleted, then paired with each non-epsilon
-    kept hiero arc in arc order), then each kept hiero arc in arc order
-    (an epsilon arc advances alone; any other arc is inserted); a cell
-    takes a new value only on a strictly smaller key, and among final
-    cells the first in visiting order with the smallest key wins.  The
-    extended NMT machine is :func:`~latcomb.editfst.expand_unk_runs` of
-    the lattice: the lattice's states keep their ids, each UNK arc is
-    followed, in its state's arc order, by the first arc of its run chain,
-    and the run states are numbered after the lattice's states.  The NMT
-    positions are those of :func:`~latcomb.fst.topological_order` on that
-    machine, the hiero positions those of the kept states in
-    ``topological_order`` of the hiero lattice as read.  For example, NMT
-    ``UNK die`` against hiero ``die`` (``die`` out of vocabulary) ties
-    deleting the UNK with filling it and deleting ``die``; the deletion of
-    the UNK is found first, so ``t_comb`` is ``die``.  The pass visits
-    only the cells that can hold an alignment within a margin of the
-    optimum, decides most moves on float cost estimates, and does not try
-    the hiero arcs that cannot win (see ``_best_alignment``).  That leaves
-    the rule unchanged: a skipped cell or move could not have taken a cell
-    of the winning alignment, whose exact key is strictly smaller, and a
-    group of hiero arcs tried in cost order leaves its target as trying
-    them in arc order would.
+    Tie rule.  Alignments compare on (cost, feature vector in id order);
+    exact ties go by an order on moves, as in a lexicographic semiring
+    (Roark, Sproat and Shafran, 2011).  A move leaves a source cell (NMT
+    state, hiero state) along an NMT arc, a hiero arc or one of each.  Of
+    the moves that give a cell its least key, the least (source cell, NMT
+    arc index, hiero arc index) sets it, and the least (key, cell) wins
+    among final cells.  Cells compare by (NMT position, hiero position):
+    the positions in :func:`~latcomb.fst.topological_order` of the
+    extended NMT machine and of the hiero lattice as read (its kept
+    states).  The extended machine is
+    :func:`~latcomb.editfst.expand_unk_runs` of the lattice: the lattice's
+    states keep their ids, each UNK arc is followed, in its state's arc
+    order, by the first arc of its run chain, and the run states are
+    numbered after the lattice's states.  Hiero arcs count among their
+    state's kept arcs; a move without an arc on one side counts index 0
+    there (moves of two kinds from one cell never share a target).  For
+    example, NMT ``UNK die`` against hiero ``die`` (``die`` out of
+    vocabulary) ties deleting the UNK and matching ``die`` with filling the
+    UNK and deleting ``die``; the match leaves an earlier cell than the
+    deletion, so ``t_comb`` is ``die``.
     """
     _check_lattice(nmt_lattice, "nmt")
     _check_lattice(hiero_lattice, "hiero")
     if not nmt_lattice.isyms.same_mapping(hiero_lattice.isyms):
         raise ContractError("the two lattices must share a symbol table")
-
-    n_paths = count_paths(nmt_lattice)
-    if n_paths is not None and n_paths > NMT_PATHS_SOFT_LIMIT:
-        warnings.warn(f"NMT lattice holds {n_paths} hypotheses; the combination is tuned "
-                      f"for small sets (<= {NMT_PATHS_SOFT_LIMIT})", stacklevel=2)
 
     mask = _prune_mask(hiero_lattice, params.hiero_node_budget, HIERO_ONLY)
     extended_nmt = expand_unk_runs(nmt_lattice, params.max_unk_run)
@@ -338,10 +322,10 @@ class _MoveTables:
             pairings[x] = (*deleting, {x: match}, sub, 0.0 if sub is None else sub[1], *match)
 
         # Moves per NMT position: (arc, label matched, target base, arc cost,
-        # then the label's pairings).  An epsilon arc advances alone: its
-        # edit weight is ONE.
-        self.nmt_moves = [[(a, a[2], pos_n[a[0]] * width, key(a[3])[0], *pairings[a[2]])
-                           for a in arcs_n[s]] for s in order_n]
+        # then the label's pairings, then the arc's index).  An epsilon arc
+        # advances alone: its edit weight is ONE.
+        self.nmt_moves = [[(a, a[2], pos_n[a[0]] * width, key(a[3])[0], *pairings[a[2]], k)
+                           for k, a in enumerate(arcs_n[s])] for s in order_n]
 
         # The slack, from the weights' magnitudes (see _best_alignment).
         absp = [abs(p) for p in params.as_tuple()]
@@ -405,9 +389,9 @@ def _heuristic(tab: _MoveTables) -> tuple[list[float], list[float], list[list[_E
     return final_n, final_h, advances, h
 
 
-def _region(tab: _MoveTables) -> list[list[int]] | None:
-    """Phase 1 of :func:`_best_alignment`: per NMT position, the sorted
-    hiero positions of the cells A* closes; None for every cell."""
+def _region(tab: _MoveTables) -> list[int] | None:
+    """Phase 1 of :func:`_best_alignment`: the cells A* closes, sorted;
+    None for every cell."""
     if tab.branches < _REGION_MIN_BRANCHING * tab.width or tab.slack == math.inf:
         return None
     inf, width, cost, type_pair = math.inf, tab.width, tab.cost, tab.type_pair
@@ -435,7 +419,7 @@ def _region(tab: _MoveTables) -> list[list[int]] | None:
         i, j = divmod(c, width)
         singles, groups, _, _ = hiero_moves[j]
         limit = min(limit, est_c + final_n[i] + final_h[j] + margin)
-        for _, x, t_base, s_a, _, s_del, typed, sub, _, _, _ in nmt_moves[i]:
+        for _, x, t_base, s_a, _, s_del, typed, sub, _, _, _, _ in nmt_moves[i]:
             est_a = est_c + s_a
             if est_a + s_del < est[t_base + j]:
                 push(t_base + j, est_a + s_del)
@@ -457,10 +441,7 @@ def _region(tab: _MoveTables) -> list[list[int]] | None:
             e = est_c + (s_skip if y == EPSILON else s_ins) + s_h
             if e < est[i * width + t_j]:
                 push(i * width + t_j, e)
-    region: list[list[int]] = [[] for _ in tab.order_n]
-    for c in sorted(set(closed)):
-        region[c // width].append(c % width)
-    return region
+    return sorted(set(closed))
 
 
 def _best_alignment(nmt: Wfst, hiero: Wfst, mask: Mask, nmt_vocab: FrozenSet[int],
@@ -469,8 +450,10 @@ def _best_alignment(nmt: Wfst, hiero: Wfst, mask: Mask, nmt_vocab: FrozenSet[int
 
     A shortest-distance search over the cells (NMT state, hiero state) of
     two acyclic machines that have initial states (``combine`` checks
-    both), with the moves that :func:`combine` documents; the hiero
-    machine is read through ``mask``, what
+    both).  A move takes an NMT arc alone (an epsilon arc advances, any
+    other is deleted), a kept hiero arc alone (likewise, or inserted), or
+    pairs two arcs that are not epsilon; :func:`combine` states the tie
+    rule.  The hiero machine is read through ``mask``, what
     :func:`~latcomb.algorithms._prune_mask` keeps of it.  NMT output
     labels are matched against hiero input labels; the returned path
     writes (NMT input label, hiero output label) on each arc and carries
@@ -493,14 +476,14 @@ def _best_alignment(nmt: Wfst, hiero: Wfst, mask: Mask, nmt_vocab: FrozenSet[int
     lambda_edit.  A* stops once the least g + h on its heap exceeds the
     cheapest final estimate it closed plus ``4 * slack``; its closed cells
     are the region.  Phase 2 (the exact pass below) visits only the
-    region: a cell outside it keeps ``high = -inf``, so every move into it
-    loses on the float screen.  Each cell of the winning alignment has
+    region, in ascending cell order: a cell outside it keeps ``high =
+    -inf``, so every move into it loses on the float screen.  Each cell of
+    the winning alignment, and of any alignment tied with it exactly, has
     g + h <= f* over the reals.  An estimate and h (path costs, and
     lambda_edit times fewer than ``steps`` tokens, all within ``mass``)
     are within far less than ``slack``, and an exact key within ``slack``,
-    of their real sums, so its g + h is below the stop.  Its winning move
-    is still there and every other move into it is missing or no cheaper,
-    in the same order, so the result, ties included, is the full pass's.
+    of their real sums, so its g + h is below the stop: every move the tie
+    rule weighs is there, and the result, ties included, is the full pass's.
     The region is every cell when the slack is infinite or the kept hiero
     states average fewer than ``_REGION_MIN_BRANCHING`` successors.
 
@@ -516,8 +499,8 @@ def _best_alignment(nmt: Wfst, hiero: Wfst, mask: Mask, nmt_vocab: FrozenSet[int
     and the move that set it: the source cell's estimate plus the costs
     of the arc and edit weights the move adds.  Its value vector and
     exact key are built, and kept, only when a move's estimate comes
-    within ``2 * slack`` of the cell's (a near tie, settled by the exact
-    strict ``<`` on keys), at acceptance and for the path.  An estimate
+    within ``2 * slack`` of the cell's (a near tie, settled exactly: by
+    key, then by the tie order), at acceptance and for the path.  An estimate
     more than ``2 * slack`` above the cell's loses, one more than that
     below it wins, and both are decided on floats alone.
 
@@ -534,7 +517,8 @@ def _best_alignment(nmt: Wfst, hiero: Wfst, mask: Mask, nmt_vocab: FrozenSet[int
     underflow), however much large positive and negative scores cancel.
     A NaN estimate is never decided on floats, and when ``mass`` nears
     the float range the slack is infinite, so every move is settled
-    exactly.
+    exactly.  Only there can a cost be NaN; a NaN key neither beats nor
+    loses to another, so the move tried first keeps the cell.
 
     Most moves lose, so the pass tries only the hiero arcs that can win.
     Each kept hiero state's word arcs to one target form a group, sorted
@@ -544,9 +528,7 @@ def _best_alignment(nmt: Wfst, hiero: Wfst, mask: Mask, nmt_vocab: FrozenSet[int
     and insertions try the group in cost order.  Each stops at the first
     arc that loses on floats, UNK even without its typed edit cost: float
     addition is monotone and edit costs are nonnegative, so every later
-    arc loses too.  A group changes its target only through its first
-    minimum by (key, arc index), an equal key from the same group going
-    to the lower index, as trying its arcs in arc order would.
+    arc loses too.
     """
     tab = _MoveTables(nmt, hiero, mask, nmt_vocab, params)
     region = _region(tab)
@@ -559,16 +541,14 @@ def _best_alignment(nmt: Wfst, hiero: Wfst, mask: Mask, nmt_vocab: FrozenSet[int
     twice = 2.0 * tab.slack
 
     # Per cell: the estimate; the estimate plus 2 * slack, above which a
-    # move loses (-inf outside the region); the move that set it, as
-    # (source cell, NMT arc, hiero arc, edit values, hiero arc index); and
-    # its value vector once built.
+    # move loses (-inf outside the region); the move that set it; and its
+    # value vector once built.
     est = [math.inf] * size
     high = [math.inf] * size
     if region is not None:
         high = [-math.inf] * size
-        for i, row in enumerate(region):
-            for j in row:
-                high[i * width + j] = math.inf
+        for c in region:
+            high[c] = math.inf
     back: list[_Move | None] = [None] * size
     vec: list[Dense | None] = [None] * size
 
@@ -576,7 +556,7 @@ def _best_alignment(nmt: Wfst, hiero: Wfst, mask: Mask, nmt_vocab: FrozenSet[int
         # Three-term sums zero entries once, at the end (inner signed=False):
         # with each feature coming from one side, that equals zeroing after
         # each addition.
-        _, a, h, e, _ = move
+        _, _, _, a, h, e = move
         if a is None:
             return dense_times(dense_times(d, e, False), h[3], signed)
         d = dense_times(d, a[3], False)
@@ -604,8 +584,8 @@ def _best_alignment(nmt: Wfst, hiero: Wfst, mask: Mask, nmt_vocab: FrozenSet[int
         old = back[t]
         if old is not None:
             v_old = exact(t)
-            if v == v_old:  # equal keys: a lower arc index of the same group takes the cell
-                if not (old[0] == move[0] and old[1] is move[1] and move[4] < old[4]):
+            if v == v_old:  # equal keys: the least (source cell, NMT arc, hiero arc) wins
+                if not move[:3] < old[:3]:
                     return
             elif not key(v) < key(v_old):
                 return
@@ -613,92 +593,86 @@ def _best_alignment(nmt: Wfst, hiero: Wfst, mask: Mask, nmt_vocab: FrozenSet[int
         est[t], high[t], back[t], vec[t] = e, e + twice, move, v
 
     est[start], vec[start] = cost(ONE.values), ONE.values
-    back[start] = (start, None, None, ONE.values, 0)  # reached; never followed
-    for i in range(start // width, len(order_n)):
-        moves_n = nmt_moves[i]
-        base = i * width
-        for j in range(width) if region is None else region[i]:
-            c = base + j
-            if back[c] is None:
+    back[start] = (start, 0, 0, None, None, ONE.values)  # reached; never followed
+    for c in range(start, size) if region is None else region:
+        if back[c] is None:
+            continue
+        i, j = divmod(c, width)
+        est_c, base = est[c], c - j
+        singles, groups, labels, skips = hiero_moves[j]
+        for a, x, t_base, s_a, w_del, s_del, typed, sub, s_sub, w_m, s_m, k in nmt_moves[i]:
+            est_a = est_c + s_a
+            t = t_base + j
+            e = est_a + s_del
+            if not e > high[t]:
+                relax(t, e, (c, k, 0, a, None, w_del))
+            if x == EPSILON:
                 continue
-            est_c = est[c]
-            singles, groups, labels, skips = hiero_moves[j]
-            for a, x, t_base, s_a, w_del, s_del, typed, sub, s_sub, w_m, s_m in moves_n:
-                est_a = est_c + s_a
-                t = t_base + j
-                e = est_a + s_del
+            for s_h, rank, t_j, h, y in singles:
+                w_e = typed.get(y, sub) or type_pair(typed, x, y)
+                t = t_base + t_j
+                e = est_a + w_e[1] + s_h
                 if not e > high[t]:
-                    relax(t, e, (c, a, None, w_del, 0))
-                if x == EPSILON:
-                    continue
-                for s_h, rank, t_j, h, y in singles:
+                    relax(t, e, (c, k, rank, a, h, w_e[0]))
+            if not groups:
+                continue
+            # A group: the free matches, then the other words in cost order.
+            for s_h, rank, t_j, h, _ in labels.get(x, ()):
+                t = t_base + t_j
+                e = est_a + s_m + s_h
+                if not e > high[t]:
+                    relax(t, e, (c, k, rank, a, h, w_m))
+            floor = est_a + s_sub
+            for t_j, group in groups:
+                t = t_base + t_j
+                for s_h, rank, _, h, y in group:
+                    if floor + s_h > high[t]:
+                        break
+                    if y == x:
+                        continue
                     w_e = typed.get(y, sub) or type_pair(typed, x, y)
-                    t = t_base + t_j
                     e = est_a + w_e[1] + s_h
                     if not e > high[t]:
-                        relax(t, e, (c, a, h, w_e[0], rank))
-                if not groups:
-                    continue
-                # A group: the free matches, then the other words in cost order.
-                for s_h, rank, t_j, h, _ in labels.get(x, ()):
-                    t = t_base + t_j
-                    e = est_a + s_m + s_h
-                    if not e > high[t]:
-                        relax(t, e, (c, a, h, w_m, rank))
-                floor = est_a + s_sub
-                for t_j, group in groups:
-                    t = t_base + t_j
-                    for s_h, rank, _, h, y in group:
-                        if floor + s_h > high[t]:
-                            break
-                        if y == x:
-                            continue
-                        w_e = typed.get(y, sub) or type_pair(typed, x, y)
-                        e = est_a + w_e[1] + s_h
-                        if not e > high[t]:
-                            relax(t, e, (c, a, h, w_e[0], rank))
-            # Insertions, each word at the same edit cost, then epsilon arcs.
-            est_i = est_c + s_ins
-            for s_h, rank, t_j, h, _ in singles:
-                t = base + t_j
+                        relax(t, e, (c, k, rank, a, h, w_e[0]))
+        # Insertions, each word at the same edit cost, then epsilon arcs.
+        est_i = est_c + s_ins
+        for s_h, rank, t_j, h, _ in singles:
+            t = base + t_j
+            e = est_i + s_h
+            if not e > high[t]:
+                relax(t, e, (c, 0, rank, None, h, w_ins))
+        for t_j, group in groups:
+            t = base + t_j
+            for s_h, rank, _, h, _ in group:
                 e = est_i + s_h
-                if not e > high[t]:
-                    relax(t, e, (c, None, h, w_ins, rank))
-            for t_j, group in groups:
-                t = base + t_j
-                for s_h, rank, _, h, _ in group:
-                    e = est_i + s_h
-                    if e > high[t]:
-                        break
-                    relax(t, e, (c, None, h, w_ins, rank))
-            for s_h, rank, t_j, h, _ in skips:
-                t = base + t_j
-                e = est_c + s_skip + s_h
-                if not e > high[t]:
-                    relax(t, e, (c, None, h, w_skip, rank))
+                if e > high[t]:
+                    break
+                relax(t, e, (c, 0, rank, None, h, w_ins))
+        for s_h, rank, t_j, h, _ in skips:
+            t = base + t_j
+            e = est_c + s_skip + s_h
+            if not e > high[t]:
+                relax(t, e, (c, 0, rank, None, h, w_skip))
 
-    # Acceptance: the final cells in visiting order, first smallest key wins.
-    best: Key | None = None
-    accepted = start
-    for i in sorted(pos_n[s] for s, _ in nmt.finals()):
-        fw_n = nmt.final_weight(order_n[i]).values
-        for j in sorted(pos_h[s] for s in hiero_finals):
-            c = i * width + j
+    # Acceptance: the least (key, final cell).
+    best: tuple[Key, int] | None = None
+    for s, fw_n in nmt.finals():
+        for s_h, fw_h in hiero_finals.items():
+            c = pos_n[s] * width + pos_h[s_h]
             if back[c] is not None:
-                fw_h = hiero_finals[order_h[j]].values
-                k = key(dense_times(dense_times(exact(c), fw_n, False), fw_h, signed))
-                if best is None or k < best:
-                    best, accepted = k, c
+                k = key(dense_times(dense_times(exact(c), fw_n.values, False), fw_h.values, signed))
+                if best is None or (k, c) < best:
+                    best = k, c
     if best is None:
         raise NoPathError("no path from the initial state to a final state")
+    (total, values), c = best
 
     # Rebuild the path with the weights the composed machine's arcs carry.
-    c = accepted
     final_weight = times(nmt.final_weight(order_n[c // width]),
                          hiero_finals[order_h[c % width]])
     rows: list[Row] = []
     while c != start:
-        src, a, h, w, _ = back[c]
+        src, _, _, a, h, w = back[c]
         if a is not None:
             w = dense_times(a[3], w, True)
         if h is not None:
@@ -707,7 +681,7 @@ def _best_alignment(nmt: Wfst, hiero: Wfst, mask: Mask, nmt_vocab: FrozenSet[int
         c = src
     rows.reverse()
     return PathWitness(rows=tuple(rows), final_weight=final_weight,
-                       weight=FeatureWeight(best[1]), cost=best[0])
+                       weight=FeatureWeight(values), cost=total)
 
 
 @dataclass(frozen=True)

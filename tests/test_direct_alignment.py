@@ -183,12 +183,13 @@ def test_combine_equals_flower_chain_property(instance):
                                   flower_combine(nmt, hiero, params), syms)
 
 
-def test_tie_rule_prefers_the_first_alignment_found():
+def test_tie_rule_prefers_the_move_from_the_least_cell():
     # NMT "UNK die" against hiero "die", with "die" out of vocabulary:
     # deleting the UNK and matching "die" ties exactly with filling the
-    # UNK with "die" and deleting the NMT "die".  Cells are visited in
-    # (NMT, hiero) order, so the deletion of the UNK reaches the final
-    # cell first and keeps it, also when the UNK may stand for a run.
+    # UNK with "die" and deleting the NMT "die".  Cells compare in (NMT,
+    # hiero) order, and the match leaves an earlier cell than the
+    # deletion, so the deletion of the UNK keeps the final cell, also when
+    # the UNK may stand for a run.
     syms = SymbolTable()
     nmt = acceptor_from_sentences(syms, ["UNK die"], score_feature=0, scores=[1.0])
     hiero = acceptor_from_sentences(syms, ["die"], score_feature=1, scores=[1.0])
@@ -210,7 +211,8 @@ def test_tie_rule_orders_hiero_states_as_the_read_lattice_does():
     # state 1 puts 1 ("x") before 2 ("y") in the read lattice's
     # topological order; a renumbered copy without state 3 would order
     # them the other way round.  Hiero positions are those of the read
-    # lattice, so the fill with "x" reaches the final cell first and keeps it.
+    # lattice, so the match of "w" after "x" leaves the earlier cell and
+    # keeps the final cell.
     syms = SymbolTable()
     x, y, z, v, w = (syms.add(word) for word in ("x", "y", "z", "v", "w"))
     hiero = Wfst(syms, syms)
@@ -583,9 +585,9 @@ def test_a_nan_estimate_takes_the_exact_comparison():
 def test_rounding_tie_in_a_group_goes_to_the_lower_arc_index():
     # After 1e8, the scores 0.3 + 2e-9 (arc b) and 0.3 (arc c) round to
     # the same sum, so substituting either for z gives exactly equal keys,
-    # although c is the cheaper arc and is tried first.  The arcs share a
-    # target, and within a group an equal key goes to the lower arc index,
-    # as trying the arcs in arc order would: b wins.
+    # although c is the cheaper arc and is tried first.  The two moves
+    # leave one cell along one NMT arc, so an equal key goes to the lower
+    # hiero arc index: b wins.
     syms = SymbolTable()
     a, b, c, z = (syms.add(w) for w in "abcz")
     hiero = Wfst(syms, syms)
@@ -664,3 +666,19 @@ def test_combine_equals_flower_chain_on_wide_group_stream():
         flat += params.lambda_hiero == 0.0
         unks += UNK in all_labels(nmt)
     assert tied > 50 and flat > 15 and unks > 75  # the stream covers all three
+
+
+def test_any_topological_order_of_the_cells_gives_the_same_alignment(monkeypatch):
+    # An exact tie goes to the least (source cell, NMT arc, hiero arc), not
+    # to the move found first, so visiting every cell hiero position first
+    # (column-major, also a topological order) picks the same alignments.
+    def outcome(result):
+        return (result.t_comb, result.t_nmt, result.t_hiero, repr(result.total_cost),
+                result.feature_vector.values, result.path.rows)
+
+    rng = random.Random(1515)
+    instances = [wide_instance(rng)[1:] for _ in range(150)]
+    expected = [outcome(combine(*instance)) for instance in instances]
+    monkeypatch.setattr(pipeline, "_region", lambda tab: sorted(
+        range(tab.size), key=lambda c: (c % tab.width, c // tab.width)))
+    assert [outcome(combine(*instance)) for instance in instances] == expected

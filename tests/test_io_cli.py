@@ -746,6 +746,39 @@ def test_readme_scripts_run(tmp_path):
             assert expected in proc.stdout
 
 
+def test_ab_inprocess_compares_two_trees(tmp_path):
+    # One round on four stats-corpus sentences: this checkout against
+    # itself agrees and prints both timed stages; against a copy whose
+    # combine adds 1 to every cost, the script reports the first sentence
+    # and fails.
+    import shutil
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parents[1]
+    changed = tmp_path / "changed"
+    shutil.copytree(root / "src" / "latcomb", changed / "src" / "latcomb",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    with open(changed / "src" / "latcomb" / "pipeline.py", "a", encoding="utf-8") as f:
+        f.write("\n_combine = combine\n\n\ndef combine(*args, **kwargs):\n"
+                "    r = _combine(*args, **kwargs)\n"
+                "    return dc_replace(r, total_cost=r.total_cost + 1.0)\n")
+
+    def run(change):
+        return subprocess.run(
+            [sys.executable, str(root / "scripts" / "ab_inprocess.py"), str(root), str(change),
+             "--workload", "stats-corpus", "--sentences", "4", "--rounds", "1"],
+            capture_output=True, text=True, env={"PATH": "/usr/bin:/bin"}, cwd=tmp_path)
+
+    same = run(root)
+    assert same.returncode == 0, same.stderr
+    assert "read+combine" in same.stdout and "corpus_report" in same.stdout
+    differs = run(changed)
+    assert differs.returncode == 1, differs.stderr
+    assert differs.stdout.startswith("stats-corpus: ") and " differs" in differs.stdout
+
+
 def test_readme_library_use_runs(worked_files, monkeypatch, capsys):
     # README's "Library use" snippet, run where the worked example's files
     # carry the names it uses.
