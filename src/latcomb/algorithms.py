@@ -22,7 +22,6 @@ from __future__ import annotations
 import heapq
 import math
 from collections import deque
-from dataclasses import dataclass
 from itertools import count
 from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
@@ -58,8 +57,7 @@ from .semiring import (
 )
 
 
-@dataclass(frozen=True)
-class PathWitness:
+class PathWitness(NamedTuple):
     """One complete path: its arcs as rows, final weight, and total weight.
 
     ``rows`` holds each arc as a machine stores it (:data:`~latcomb.fst.Row`);

@@ -1,4 +1,4 @@
-"""Exception types, and the count check, shared across the package."""
+"""Exception types, the count check and checked records, shared across the package."""
 
 
 class LatcombError(Exception):
@@ -29,3 +29,26 @@ def check_count(name: str, value: object) -> None:
     """Reject ``value`` unless it is an int (not a bool) of at least 1."""
     if isinstance(value, bool) or not isinstance(value, int) or value < 1:
         raise ContractError(f"{name} must be a positive integer, got {value!r}")
+
+
+class Checked:
+    """Base that runs a record's ``_check`` however the record is built.
+
+    For a class ``Name(Checked, _NameFields)`` whose ``_NameFields`` is a
+    ``typing.NamedTuple``: the constructor (which unpickling, under every
+    protocol, and ``copy`` call too) and ``_make`` (which ``_replace``
+    calls) both return what ``_check`` returns, the record itself or one
+    with normalized values.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        return super().__new__(cls, *args, **kwargs)._check()
+
+    @classmethod
+    def _make(cls, iterable):
+        return super()._make(iterable)._check()
+
+    def __reduce__(self):
+        return type(self), tuple(self)

@@ -23,9 +23,8 @@ immutable value twice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import wraps
-from typing import Callable, Iterator, Sequence, TypeVar
+from typing import Callable, Iterator, NamedTuple, Sequence, TypeVar
 
 from .errors import ContractError
 from .semiring import HIERO_SCORE, NMT_SCORE, ONE, ZERO, Dense, FeatureWeight
@@ -104,8 +103,7 @@ class SymbolTable:
         return self is other or self._word_to_label == other._word_to_label
 
 
-@dataclass(frozen=True, slots=True)
-class Arc:
+class Arc(NamedTuple):
     ilabel: int
     olabel: int
     weight: FeatureWeight
@@ -411,8 +409,7 @@ def contract_errors(fst: Wfst, kind: str) -> tuple[str, ...]:
     return tuple(errors)
 
 
-@dataclass
-class ValidationReport:
+class ValidationReport(NamedTuple):
     """Structural diagnostics; errors are contract violations, warnings are not."""
 
     errors: list[str]

@@ -11,9 +11,8 @@ reused.  Correctness reference only, not optimized.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
-from typing import Collection, Sequence
+from typing import Collection, NamedTuple, Sequence
 
 from .errors import ContractError
 from .fst import EPSILON, NO_STATE, UNK_SYMBOL, Wfst
@@ -22,8 +21,7 @@ from .semiring import ParamVector
 DEFAULT_PATH_LIMIT = 10_000
 
 
-@dataclass(frozen=True)
-class ScoredHypothesis:
+class ScoredHypothesis(NamedTuple):
     """One complete path: its token strings, raw features, and cost."""
 
     tokens: tuple[str, ...]
@@ -244,8 +242,7 @@ def dp_edit_alignment(x: Sequence[str], y: Sequence[str], vocab: Collection[str]
     return _counts_to_features(e, s, ext), tuple(combined)
 
 
-@dataclass(frozen=True)
-class OracleCombination:
+class OracleCombination(NamedTuple):
     nmt_tokens: tuple[str, ...]
     hiero_tokens: tuple[str, ...]
     combined_tokens: tuple[str, ...]

@@ -23,13 +23,12 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field, replace as dc_replace
 from heapq import heappop, heappush
-from typing import Callable, FrozenSet, Iterable, Sequence
+from typing import Callable, FrozenSet, Iterable, NamedTuple, Sequence
 
 from .algorithms import Mask, PathWitness, _prune_mask, iter_nbest
 from .editfst import edit_weight, expand_unk_runs
-from .errors import ContractError, NoPathError, check_count
+from .errors import Checked, ContractError, NoPathError, check_count
 from .fst import (EPSILON, UNK, Row, Wfst, contract_errors, dense_arcs, has_negative,
                   magnitudes, topological_order)
 from .semiring import (
@@ -59,10 +58,7 @@ _Entry = tuple[float, int, int, Row, int]
 _Move = tuple[int, int, int, Row | None, Row | None, Dense]
 
 
-@dataclass(frozen=True)
-class CombinationParams:
-    """Scaling and similarity parameters plus the NMT vocabulary (as labels)."""
-
+class _CombinationParamsFields(NamedTuple):
     lambda_nmt: float = 1.0
     lambda_hiero: float = 1.0
     lambda_sub: float = 1.0
@@ -70,9 +66,17 @@ class CombinationParams:
     lambda_ins: float = 1.0
     max_unk_run: int = 3
     hiero_node_budget: int = 100_000
-    nmt_vocab: FrozenSet[int] = field(default_factory=frozenset)
+    nmt_vocab: FrozenSet[int] = frozenset()
 
-    def __post_init__(self) -> None:
+
+class CombinationParams(Checked, _CombinationParamsFields):
+    """Scaling and similarity parameters plus the NMT vocabulary (as labels)."""
+
+    __slots__ = ()
+
+    def _check(self) -> "CombinationParams":
+        if type(self.nmt_vocab) is not frozenset:
+            return self._replace(nmt_vocab=frozenset(self.nmt_vocab))  # checked in turn
         self.as_param_vector()  # rejects a lambda that is not finite
         if not (self.lambda_sub >= 0.0 and self.lambda_edit > self.lambda_sub):
             raise ContractError(
@@ -84,20 +88,19 @@ class CombinationParams:
             raise ContractError("lambda_nmt and lambda_hiero must be nonnegative")
         check_count("max_unk_run", self.max_unk_run)
         check_count("hiero_node_budget", self.hiero_node_budget)
-        object.__setattr__(self, "nmt_vocab", frozenset(self.nmt_vocab))
         if UNK in self.nmt_vocab or EPSILON in self.nmt_vocab:
             raise ContractError("the NMT vocabulary must not contain the UNK or epsilon labels")
+        return self
 
     def as_param_vector(self) -> ParamVector:
         return ParamVector(nmt=self.lambda_nmt, hiero=self.lambda_hiero,
                            edit=self.lambda_edit, sub=self.lambda_sub, ins=self.lambda_ins)
 
     def with_vocab(self, vocab: Iterable[int]) -> "CombinationParams":
-        return dc_replace(self, nmt_vocab=frozenset(vocab))
+        return self._replace(nmt_vocab=frozenset(vocab))
 
 
-@dataclass(frozen=True)
-class EditStats:
+class EditStats(NamedTuple):
     """Per-sentence edit counts of the winning alignment.
 
     Each count is one feature of the alignment's weight:
@@ -115,13 +118,14 @@ class EditStats:
         return self.unk_extensions == 0 and self.type2_subs == 0 and self.type3_edits == 0
 
 
-@dataclass(frozen=True)
-class CombinationResult:
+class CombinationResult(NamedTuple):
     """Combined translation plus the hypothesis pair and diagnostics.
 
     ``path`` is the winning alignment, arc by arc as the path of the
     machine composed through the edit flower would read (None when the
-    result was assembled elsewhere, e.g. in reports).
+    result was assembled elsewhere, e.g. in reports).  It takes no part
+    in ``==``, ``hash`` or ``repr``: two results that differ only in how
+    their paths number cells are equal.
     """
 
     t_comb: tuple[str, ...]
@@ -131,7 +135,20 @@ class CombinationResult:
     feature_vector: FeatureWeight
     stats: EditStats
     source_id: str = ""
-    path: PathWitness | None = field(default=None, repr=False, compare=False)
+    path: PathWitness | None = None
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, CombinationResult) and self[:-1] == other[:-1]
+
+    def __ne__(self, other: object) -> bool:
+        return not self == other
+
+    def __hash__(self) -> int:
+        return hash(self[:-1])
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields[:-1], self))
+        return f"CombinationResult({shown})"
 
     def to_key_value_lines(self) -> list[str]:
         return [
@@ -684,8 +701,7 @@ def _best_alignment(nmt: Wfst, hiero: Wfst, mask: Mask, nmt_vocab: FrozenSet[int
                        weight=FeatureWeight(values), cost=total)
 
 
-@dataclass(frozen=True)
-class CorpusReport:
+class CorpusReport(NamedTuple):
     """Corpus-level aggregation of per-sentence combination outcomes."""
 
     num_sentences: int

@@ -21,10 +21,9 @@ searches apply them to the stored vectors directly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, NamedTuple
 
-from .errors import ContractError
+from .errors import Checked, ContractError
 
 # Reserved feature component ids.
 NMT_SCORE = 0
@@ -49,36 +48,39 @@ Dense = tuple[float, ...]
 Key = tuple[float, Dense]
 
 
-@dataclass(frozen=True, slots=True)
-class ParamVector:
-    """Per-feature multipliers used to scalarize feature weights.
-
-    Entries must be finite.  Negative entries are representable (some
-    callers check nonnegativity themselves where an algorithm needs it).
-    """
-
+class _ParamVectorFields(NamedTuple):
     nmt: float = 1.0
     hiero: float = 1.0
     edit: float = 1.0
     sub: float = 1.0
     ins: float = 1.0
 
-    def __post_init__(self) -> None:
-        for value in self.as_tuple():
+
+class ParamVector(Checked, _ParamVectorFields):
+    """Per-feature multipliers used to scalarize feature weights.
+
+    Entries must be finite.  Negative entries are representable (some
+    callers check nonnegativity themselves where an algorithm needs it).
+    """
+
+    __slots__ = ()
+
+    def _check(self) -> "ParamVector":
+        for value in self:
             if not math.isfinite(value):
                 raise ContractError(f"parameter vector entries must be finite, got {value!r}")
+        return self
 
     def as_tuple(self) -> tuple[float, float, float, float, float]:
-        return (self.nmt, self.hiero, self.edit, self.sub, self.ins)
+        return tuple(self)
 
     def coefficient(self, feature_id: int) -> float:
         if 0 <= feature_id < NUM_FEATURES:
-            return self.as_tuple()[feature_id]
+            return self[feature_id]
         raise ContractError(f"unknown feature id {feature_id}")
 
 
-@dataclass(frozen=True, slots=True)
-class FeatureWeight:
+class FeatureWeight(NamedTuple):
     """Feature vector weight.
 
     ``values`` holds one float per feature id in ascending id order, with

@@ -41,6 +41,13 @@ def linear_chain(labels: Iterable[int], syms: SymbolTable,
     return fst.freeze()
 
 
+def child_env(**extra: str) -> dict[str, str]:
+    """The environment of a Python child process that a test starts: a
+    minimal ``PATH``, ``PYTHONDONTWRITEBYTECODE=1`` so that the child
+    leaves no bytecode caches in the checkout, and ``extra``."""
+    return {"PATH": "/usr/bin:/bin", "PYTHONDONTWRITEBYTECODE": "1", **extra}
+
+
 def all_labels(fst: Wfst) -> set[int]:
     """Every input and output label occurring on an arc of ``fst``."""
     return {label for s in fst.states() for row in fst.rows(s) for label in row[1:3]}
@@ -263,13 +270,20 @@ def assert_matches_flower_combine(result, reference, syms):
 
 
 def tie_rule_alignment(nmt: Wfst, hiero: Wfst, params):
-    """The winning path of ``combine``'s tie rule, spelled out plainly.
+    """The winning path of ``combine``, spelled out plainly.
 
     No pruning (``hiero`` must be within budget), no screen, no groups:
-    every move's exact key, built with ``times``, in the order ``combine``
-    documents, and a cell taken only on a strictly smaller key.  Returns
-    the path as (input label, output label, weight values) per arc, then
-    the cost and value vector, as ``combine``'s ``path`` writes them.
+    every move's exact key, built with ``times``.  It replays one
+    topological order of the cells, by NMT position and then hiero
+    position in ``topological_order``, tries each cell's moves by NMT arc
+    and then hiero arc, and takes a cell only on a strictly smaller key,
+    so an exact tie keeps the first move tried.  That move is the least
+    (source cell, NMT arc index, hiero arc index), and the first final
+    cell at the least key is the least (key, cell): the replay agrees
+    with ``combine`` under its order on moves (moves of two kinds from
+    one cell never share a target).  Returns the path as (input label,
+    output label, weight values) per arc, then the cost and value
+    vector, as ``combine``'s ``path`` writes them.
     """
     from latcomb import edit_weight, expand_unk_runs, times
     from latcomb.fst import topological_order

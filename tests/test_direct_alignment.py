@@ -9,7 +9,6 @@ same optimum, bit for bit.
 import math
 import random
 import sys
-from dataclasses import replace as dc_replace
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -85,8 +84,8 @@ def test_combine_equals_flower_chain_on_pruned_stream():
         sp_states = len(shortest_path(hiero, pipeline.HIERO_ONLY).arcs) + 1
         if sp_states > hiero.num_states - 1:
             continue
-        params = dc_replace(params,
-                            hiero_node_budget=rng.randint(sp_states, hiero.num_states - 1))
+        params = params._replace(
+            hiero_node_budget=rng.randint(sp_states, hiero.num_states - 1))
         assert_matches_flower_combine(combine(nmt, hiero, params),
                                       flower_combine(nmt, hiero, params), syms)
         pruned += 1
@@ -416,7 +415,7 @@ def test_cells_build_value_vectors_only_for_near_ties(monkeypatch):
 
 def counted(run):
     """``run()``, the number of Arc objects and of FeatureWeight objects it built."""
-    built = {Arc.__init__.__code__: 0, FeatureWeight.__init__.__code__: 0}
+    built = {Arc.__new__.__code__: 0, FeatureWeight.__new__.__code__: 0}
 
     def count(frame, event, arg):
         if event == "call" and frame.f_code in built:
@@ -427,7 +426,7 @@ def counted(run):
         out = run()
     finally:
         sys.setprofile(None)
-    return out, built[Arc.__init__.__code__], built[FeatureWeight.__init__.__code__]
+    return out, built[Arc.__new__.__code__], built[FeatureWeight.__new__.__code__]
 
 
 def written_and_read_back(tmp_path, syms, nmt, hiero, params):
@@ -538,7 +537,7 @@ def test_a_report_on_a_1best_hiero_hypothesis_draws_one_path():
                                     scores=[0.1, 0.5, 0.9, 1.2])
     nmt = acceptor_from_sentences(syms, ["a b c"], score_feature=0, scores=[0.1])
     result = combine(nmt, hiero, CombinationParams())
-    report, drawn = calls_to(lambda: corpus_report([result], [hiero]), PathWitness.__init__)
+    report, drawn = calls_to(lambda: corpus_report([result], [hiero]), PathWitness.__new__)
     assert drawn == 1
     assert (report.pct_hiero_unchanged, report.nbest_membership) == (
         100.0, ((1, 100.0), (10, 100.0), (100, 100.0)))

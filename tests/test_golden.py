@@ -22,8 +22,8 @@ import sys
 
 import pytest
 
-from latcomb import (ContractError, NoPathError, ParamVector, combine, corpus_report, lattice_io,
-                     nbest, prune_to_node_budget, shortest_path)
+from latcomb import (ContractError, NoPathError, ParamVector, PathWitness, combine, corpus_report,
+                     lattice_io, nbest, prune_to_node_budget, shortest_path)
 
 WORKLOADS_PY = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "workloads.py")
 SEEDS = (1, 2, 3)
@@ -53,7 +53,9 @@ def load_workloads():
     if name not in sys.modules:
         spec = importlib.util.spec_from_file_location(name, WORKLOADS_PY)
         module = importlib.util.module_from_spec(spec)
-        sys.modules[name] = module  # its dataclasses look their module up
+        # Registered before it runs: the @dataclass decorator of workloads.py
+        # looks the module up in sys.modules while it builds each class.
+        sys.modules[name] = module
         spec.loader.exec_module(module)
     return sys.modules[name]
 
@@ -125,7 +127,7 @@ def outcome(search, *args):
 
 def exact(path):
     """A path as a value that keeps every float bit (repr keeps -0.0, inf and nan)."""
-    if isinstance(path, tuple):
+    if not isinstance(path, PathWitness):
         return path
     return path.rows, repr(path.cost), repr(path.weight.values), path.final_weight
 

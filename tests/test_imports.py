@@ -1,8 +1,11 @@
-"""The package is pure Python with no runtime dependencies."""
+"""The package is pure Python with no runtime dependencies, and starts light."""
 
 import ast
+import subprocess
 import sys
 from pathlib import Path
+
+from helpers import child_env
 
 SOURCE = Path(__file__).resolve().parents[1] / "src" / "latcomb"
 
@@ -26,3 +29,16 @@ def test_package_imports_only_itself_and_the_standard_library():
             if root != "latcomb" and root not in sys.stdlib_module_names:
                 outside.append(f"{path.name}:{lineno}: {root}")
     assert not outside, outside
+
+
+def test_start_up_loads_no_dataclasses():
+    # Importing dataclasses loads inspect, ast, dis and tokenize, and each
+    # dataclass runs generated code as it is defined: together about a
+    # third of a fresh process's set-up.  -S keeps site hooks, which may
+    # import either module, out of the child.
+    code = ("import sys, latcomb, latcomb.lattice_io, latcomb.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          env=child_env(PYTHONPATH=str(SOURCE.parent)))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

@@ -31,6 +31,7 @@ from latcomb.semiring import HIERO_SCORE, NMT_SCORE
 
 from helpers import (
     acceptor_from_sentences,
+    child_env,
     contract_test_machine,
     grid_weight,
     is_one,
@@ -700,21 +701,26 @@ def test_cli_output_is_byte_identical_across_processes(worked_files):
         # Each run must compare the report it wrote itself, not a leftover.
         report.unlink(missing_ok=True)
         proc = subprocess.run(cmd, capture_output=True, text=True,
-                              env={"PYTHONHASHSEED": seed, "PATH": "/usr/bin:/bin",
-                                   "PYTHONPATH": str(root / "src")}, cwd=root)
+                              env=child_env(PYTHONHASHSEED=seed, PYTHONPATH=str(root / "src")),
+                              cwd=root)
         assert proc.returncode == 0, proc.stderr
         assert report.exists(), "run with PYTHONHASHSEED=%s wrote no report" % seed
         runs.append((proc.stdout, report.read_text()))
     assert runs[0] == runs[1]
 
 
-def test_cli_runs_as_a_module(worked_files):
+def test_cli_runs_as_a_module(worked_files, tmp_path):
+    # From a copy of the package, which must hold no bytecode afterwards.
+    import shutil
     import subprocess
     import sys
     from pathlib import Path
 
     root = Path(__file__).resolve().parents[1]
-    env = {"PATH": "/usr/bin:/bin", "PYTHONPATH": str(root / "src")}
+    copy = tmp_path / "src"
+    shutil.copytree(root / "src" / "latcomb", copy / "latcomb",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    env = child_env(PYTHONPATH=str(copy))
     cmd = [sys.executable, "-m", "latcomb.cli", "validate", "--symtab", worked_files["symtab"],
            "--kind", "hiero"]
     ok = subprocess.run(cmd + [worked_files["hiero"]], capture_output=True, text=True, env=env)
@@ -723,6 +729,7 @@ def test_cli_runs_as_a_module(worked_files):
     bad = subprocess.run(cmd + [missing], capture_output=True, text=True, env=env)
     assert bad.returncode == 2
     assert bad.stderr.startswith("error:")
+    assert not list(copy.rglob("__pycache__"))
 
 
 def test_readme_scripts_run(tmp_path):
@@ -731,7 +738,7 @@ def test_readme_scripts_run(tmp_path):
     from pathlib import Path
 
     root = Path(__file__).resolve().parents[1]
-    env = {"PATH": "/usr/bin:/bin", "PYTHONPATH": str(root / "src")}
+    env = child_env(PYTHONPATH=str(root / "src"))
     runs = [
         ([str(root / "scripts" / "worked_example.py"), "--out-dir", str(tmp_path / "worked")],
          "die regionale Politik"),
@@ -748,7 +755,8 @@ def test_readme_scripts_run(tmp_path):
 
 def test_ab_inprocess_compares_two_trees(tmp_path):
     # One round on four stats-corpus sentences: this checkout against
-    # itself agrees and prints both timed stages; against a copy whose
+    # itself agrees and prints both timed stages and one set-up per tree
+    # (--setup 1); against a copy whose
     # combine adds 1 to every cost, the script reports the first sentence
     # and fails.
     import shutil
@@ -763,17 +771,18 @@ def test_ab_inprocess_compares_two_trees(tmp_path):
     with open(changed / "src" / "latcomb" / "pipeline.py", "a", encoding="utf-8") as f:
         f.write("\n_combine = combine\n\n\ndef combine(*args, **kwargs):\n"
                 "    r = _combine(*args, **kwargs)\n"
-                "    return dc_replace(r, total_cost=r.total_cost + 1.0)\n")
+                "    return r._replace(total_cost=r.total_cost + 1.0)\n")
 
-    def run(change):
+    def run(change, *extra):
         return subprocess.run(
             [sys.executable, str(root / "scripts" / "ab_inprocess.py"), str(root), str(change),
-             "--workload", "stats-corpus", "--sentences", "4", "--rounds", "1"],
-            capture_output=True, text=True, env={"PATH": "/usr/bin:/bin"}, cwd=tmp_path)
+             "--workload", "stats-corpus", "--sentences", "4", "--rounds", "1", *extra],
+            capture_output=True, text=True, env=child_env(), cwd=tmp_path)
 
-    same = run(root)
+    same = run(root, "--setup", "1")
     assert same.returncode == 0, same.stderr
     assert "read+combine" in same.stdout and "corpus_report" in same.stdout
+    assert "  setup (1 x 1 runs per tree;" in same.stdout
     differs = run(changed)
     assert differs.returncode == 1, differs.stderr
     assert differs.stdout.startswith("stats-corpus: ") and " differs" in differs.stdout

@@ -1,10 +1,10 @@
 import math
 import os
+import pickle
 import random
 import sys
 import tempfile
 import warnings
-from dataclasses import replace as dc_replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -34,6 +34,7 @@ from latcomb.semiring import EDIT_COUNT, HIERO_SCORE, NMT_SCORE, SUB_COUNT
 from helpers import (
     acceptor_from_sentences,
     assert_combination_matches_oracle,
+    child_env,
     contract_test_machine,
     linear_chain,
     random_combination_instance,
@@ -103,7 +104,7 @@ def test_combine_sorts_no_machine_twice(tmp_path):
         nmt = read_lattice(str(tmp_path / "nmt.fst"), syms, kind="nmt")
         hiero = read_lattice(str(tmp_path / "hiero.fst"), syms, kind="hiero")
         for budget in (100, 4):  # within budget, and pruned
-            result = combine(nmt, hiero, dc_replace(params, hiero_node_budget=budget))
+            result = combine(nmt, hiero, params._replace(hiero_node_budget=budget))
             corpus_report([result], [hiero])
     finally:
         sys.setprofile(None)
@@ -147,7 +148,7 @@ def test_combine_freezes_one_machine_within_budget(monkeypatch):
     monkeypatch.setattr(Wfst, "freeze", counting_freeze)
     for budget, t_comb in ((100, ("die", "regionale", "Politik")), (4, ("die", "der", "Politik"))):
         frozen.clear()
-        result = combine(nmt, hiero, dc_replace(params, hiero_node_budget=budget))
+        result = combine(nmt, hiero, params._replace(hiero_node_budget=budget))
         assert result.t_comb == t_comb
         assert len(frozen) == 1
 
@@ -279,6 +280,42 @@ def test_params_validation():
     for bad in (math.nan, math.inf):
         with pytest.raises(ContractError):
             CombinationParams(lambda_nmt=bad)
+
+
+def test_params_are_checked_however_built():
+    # _replace builds through _make, not the constructor.
+    with pytest.raises(ContractError):
+        CombinationParams()._replace(lambda_edit=0.5)  # not above lambda_sub = 1.0
+    with pytest.raises(ContractError):
+        CombinationParams._make([1.0, 1.0, 1.0, 2.0, 1.0, 0, 100, frozenset()])
+    params = CombinationParams()._replace(nmt_vocab=[3])
+    assert type(params.nmt_vocab) is frozenset and params.nmt_vocab == {3}
+
+
+def test_records_round_trip_through_pickle():
+    syms = SymbolTable()
+    nmt = acceptor_from_sentences(syms, ["die UNK Politik"], score_feature=0, scores=[1.0])
+    hiero = acceptor_from_sentences(syms, ["die regionale Politik", "der Plan"],
+                                    score_feature=1, scores=[2.0, 1.0])
+    params = CombinationParams(nmt_vocab={syms.label("die")})
+    result = combine(nmt, hiero, params)
+    assert result.path is not None
+    for record in (params, result, corpus_report([result], [hiero])):
+        assert pickle.loads(pickle.dumps(record)) == record
+    assert pickle.loads(pickle.dumps(result)).path == result.path
+
+
+def test_results_leave_their_path_out_of_eq_hash_and_repr():
+    syms = SymbolTable()
+    nmt = acceptor_from_sentences(syms, ["a UNK"], score_feature=0, scores=[0.5])
+    hiero = acceptor_from_sentences(syms, ["a b"], score_feature=1, scores=[0.25])
+    result = combine(nmt, hiero, CombinationParams())
+    bare = result._replace(path=None)
+    assert result.path is not None
+    assert result == bare and not result != bare and hash(result) == hash(bare)
+    assert result != result._replace(source_id="other")
+    assert repr(result) == repr(bare)
+    assert "path" not in repr(result) and repr(result).startswith("CombinationResult(t_comb=")
 
 
 def test_params_counts_must_be_integers():
@@ -477,9 +514,7 @@ def test_hiero_node_budget_restricts_candidates():
     full = combine(nmt, hiero, base)
     assert full.t_hiero == ("x",)  # the exact match wins despite its hiero score
 
-    from dataclasses import replace as dc_replace
-
-    tight = dc_replace(base, hiero_node_budget=2)
+    tight = base._replace(hiero_node_budget=2)
     pruned = combine(nmt, hiero, tight)
     assert pruned.t_hiero == ("y",)  # only the hiero-cheap path survived pruning
     assert pruned.stats.type3_edits == 1
@@ -498,9 +533,9 @@ def test_random_instances_number_symbols_alike_in_every_process():
     tables = []
     for hash_seed in ("0", "1"):
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              env={"PYTHONHASHSEED": hash_seed, "PATH": "/usr/bin:/bin",
-                                   "PYTHONPATH": os.pathsep.join([str(root / "src"),
-                                                                  str(root / "tests")])})
+                              env=child_env(PYTHONHASHSEED=hash_seed,
+                                            PYTHONPATH=os.pathsep.join([str(root / "src"),
+                                                                        str(root / "tests")])))
         assert proc.returncode == 0, proc.stderr
         tables.append(proc.stdout)
     assert tables[0] == tables[1]

@@ -371,7 +371,7 @@ def test_hiero_entry_costs_equal_their_search_key(lambda_hiero):
     negative = one = 0
     for _ in range(100):
         nmt, hiero, params = untrimmed_instance(rng)
-        params = dc_replace(params, lambda_hiero=lambda_hiero)
+        params = params._replace(lambda_hiero=lambda_hiero)
         tab, _ = region_of(nmt, hiero, params)
         key = search_key(params.as_param_vector())
         for singles, groups, _, skips in tab.hiero_moves:

@@ -1,5 +1,7 @@
 import math
+import pickle
 import random
+import struct
 
 import pytest
 from hypothesis import given, strategies as st
@@ -83,6 +85,24 @@ def test_param_vector_rejects_unknown_feature():
 def test_param_vector_requires_finite():
     with pytest.raises(ContractError):
         ParamVector(nmt=math.inf)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_param_vector_is_checked_however_built(bad):
+    # A NamedTuple's _make, and so _replace, bypass its constructor.
+    with pytest.raises(ContractError):
+        ParamVector(nmt=bad)
+    with pytest.raises(ContractError):
+        UNIT._replace(sub=bad)
+    with pytest.raises(ContractError):
+        ParamVector._make([1.0, bad, 1.0, 1.0, 1.0])
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        data = pickle.dumps(ParamVector(nmt=2.5), protocol)
+        tampered = data.replace(struct.pack(">d", 2.5), struct.pack(">d", bad)).replace(
+            b"F2.5\n", f"F{bad}\n".encode())  # binary floats, and protocol 0's text
+        assert tampered != data
+        with pytest.raises(ContractError):
+            pickle.loads(tampered)
 
 
 def test_text_round_trip():
