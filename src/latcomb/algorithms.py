@@ -8,13 +8,12 @@ the hiero lattice through it, and only :func:`prune_to_node_budget`
 builds the pruned machine.
 
 Search order: every search here (shortest path, n-best, pruning), like
-``plus`` and the alignment pass of :mod:`latcomb.pipeline`, extends
-paths with :func:`latcomb.semiring.dense_times` and compares them by
-:func:`latcomb.semiring.search_key`: scalarized cost first, then the
-feature vector.  Results are therefore deterministic and consistent
-with the weight algebra.  Every search picks its arithmetic once through
-:func:`_search`: it adds floats instead where that gives the same order
-(see :func:`_on_floats`), and runs one loop either way.
+``plus`` and the alignment pass of :mod:`latcomb.pipeline`, compares
+paths by exact integer keys (:func:`latcomb.semiring.exact_order`):
+scalarized cost first, then the feature vector.  The keys do not round,
+so keeping the least key per state finds the least path, and every tie
+is a real one.  A found path reports its weight and cost in floats,
+summed along it by :func:`latcomb.semiring.dense_times`.
 """
 
 from __future__ import annotations
@@ -22,8 +21,8 @@ from __future__ import annotations
 import heapq
 import math
 from collections import deque
-from itertools import count
-from operator import itemgetter
+from itertools import chain, count
+from operator import add
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import ContractError, NoPathError, check_count
@@ -37,24 +36,12 @@ from .fst import (
     accessible_states,
     arc_of,
     coaccessible_states,
-    contract_errors,
     dense_arcs,
     has_negative,
     topological_order,
 )
-from .semiring import (
-    CANONICAL_EPS,
-    HIERO_SCORE,
-    NUM_FEATURES,
-    ONE,
-    Dense,
-    FeatureWeight,
-    Key,
-    ParamVector,
-    dense_times,
-    search_key,
-    times,
-)
+from .semiring import (ONE, Dense, ExactOrder, FeatureWeight, ParamVector, dense_times,
+                       exact_order, scalarize, times)
 
 
 class PathWitness(NamedTuple):
@@ -201,228 +188,259 @@ def compose(t1: Wfst, t2: Wfst) -> Wfst:
     return connect(Wfst.frozen_from(t1.isyms, rows, finals, initial, t2.osyms))
 
 
-def _check_searchable(fst: Wfst, params: ParamVector) -> None:
-    """Require an initial and a final state and, for a cyclic machine,
-    nonnegative arc scalarizations."""
-    if fst.initial == NO_STATE or fst.num_finals == 0:
-        raise NoPathError("machine accepts nothing")
-    key = search_key(params)
-    if topological_order(fst) is None and any(key(r[3])[0] < 0.0 for rows in dense_arcs(fst)
-                                              for r in rows):
-        raise ContractError("cyclic machine with a negative-cost arc: shortest path undefined")
-
-
 class _Search(NamedTuple):
-    """The arithmetic of one search: see :func:`_search`."""
+    """One search's view of a machine: per state, its ``dense_arcs`` rows
+    each with its exact cost under ``order`` (see
+    :func:`~latcomb.semiring.exact_order`); and each final weight's exact
+    cost."""
 
-    lift: Callable[[Dense], Any]
-    step: Callable[[Any, Dense], Any]
-    unit: Any
-    extend: Callable[[Any, Dense], Any]
-    join: Callable[[Any, Any], Any]
-    cost: Callable[[Any], float]
-    pair: Callable[[Any], Key]
-
-
-def _on_floats(fst: Wfst, params: ParamVector) -> bool:
-    """Whether searches over ``fst`` under ``params`` can add floats: for a
-    hiero lattice under a hiero lambda of exactly 1.0.  Every weight is
-    then zero but at HIERO_SCORE, so a path's search key is ``(c, v)``
-    with ``v`` zero but ``v[HIERO_SCORE] == c``: c its scores' float sum,
-    zeroed below CANONICAL_EPS at each step as ``dense_times`` zeroes, inf
-    on overflow either way.  Keys order as their c do, so the same sums
-    and the same strict ``<`` give the same costs, backpointers and paths.
-    """
-    return params.hiero == 1.0 and not contract_errors(fst, "hiero")
+    arcs: list[list[tuple[Row, int]]]
+    finals: dict[int, int]
+    order: ExactOrder
 
 
 def _search(fst: Wfst, params: ParamVector) -> _Search:
-    """How every search over ``fst`` under ``params`` adds and compares keys.
+    """The exact arithmetic of every search over ``fst`` under ``params``.
 
-    ``lift`` keys a value vector, ``step`` extends a key by one (one call
-    per arc), ``cost`` and ``pair`` give a key as its cost and as ``(cost,
-    values)``.  The n-best extends bare prefixes from ``unit`` by ``extend``
-    and keys one followed by a key with ``join``.  Keys and prefixes are
-    costs where :func:`_on_floats` accepts ``fst`` and ``params``, else
-    value vectors and their :func:`~latcomb.semiring.search_key`.
+    Requires an initial and a final state and, for a cyclic machine, no
+    arc of negative cost.
     """
-    signed = has_negative(fst)
-    if not _on_floats(fst, params):
-        key = search_key(params)
-        return _Search(key, lambda k, v: key(dense_times(k[1], v, signed)), ONE.values,
-                       lambda p, v: dense_times(p, v, signed),
-                       lambda p, k: key(dense_times(p, k[1], signed)), itemgetter(0), lambda k: k)
+    if fst.initial == NO_STATE or fst.num_finals == 0:
+        raise NoPathError("machine accepts nothing")
+    arcs = dense_arcs(fst)
+    finals = dict(fst.finals())
+    vectors = [r[3] for rows in arcs for r in rows] + [w.values for w in finals.values()]
+    columns = list(zip(*vectors))  # per feature, its values
+    order = exact_order(params, chain.from_iterable(filter(any, columns)))
+    costs = None
+    for column, p in zip(columns, order.params):
+        if p:
+            column = order.scale(column, p)
+            costs = column if costs is None else list(map(add, costs, column))
+    each = iter(costs or [0] * len(vectors))
+    costed = [list(zip(rows, each)) for rows in arcs]
+    if topological_order(fst) is None and any(w < 0 for pairs in costed for _, w in pairs):
+        raise ContractError("cyclic machine with a negative-cost arc: shortest path undefined")
+    return _Search(costed, dict(zip(finals, each)), order)
 
-    def step(c: float, v: Dense) -> float:
-        c += v[HIERO_SCORE]
-        return 0.0 if signed and -CANONICAL_EPS < c < CANONICAL_EPS else c
 
-    def join(c: float, d: float) -> float:
-        c += d
-        return 0.0 if signed and -CANONICAL_EPS < c < CANONICAL_EPS else c
+def _distances(fst: Wfst, search: _Search, backward: bool = False) -> tuple:
+    """Least exact key from the initial state to every state, pointers
+    back to the previous state; with ``backward``, from every state to
+    acceptance, final weight included, pointers on to the next state.
 
-    return _Search(itemgetter(HIERO_SCORE), step, 0.0, step, join, float,
-                   lambda c: (c, (0.0,) * HIERO_SCORE + (c,) + (0.0,) * (NUM_FEATURES - HIERO_SCORE - 1)))
-
-
-def _distances(fst: Wfst, search: _Search, backward: bool = False,
-               ) -> tuple[list[Any], list[tuple[int, Row] | None]]:
-    """Best key from the initial state to every state, with backpointers
-    (the previous state and the row of the arc taken).
-
-    With ``backward``, the best key from every state to acceptance (final
-    weight included) instead, and no backpointers: in reverse topological
-    order, each state takes the least of its final key and its own arcs'
-    keys plus their targets' (Mohri, 2002), the same key in any order as
-    keys order totally (a nan cost needs an overflow under a zero lambda).
-    A cyclic machine is searched with Dijkstra, backward on reversed arcs.
+    Returns, per state, its least exact cost (None where there is no
+    path) and the pointer it was set by (the other state and the row of
+    the arc taken, None at a root); and via(s, v), the exact value vector
+    of the path that gives s its key, extended by the values v.  Keys are
+    costs first: a vector is built only where two paths tie on cost, by
+    summing the rows along the pointers, and a path takes a state only on
+    a smaller key, so the first arc tried keeps an exact tie.  An acyclic
+    machine is relaxed in topological order (backward, each state takes
+    the least of its final key and its own arcs' keys plus their
+    targets', Mohri, 2002); a cyclic one is searched with Dijkstra on
+    whole keys, backward on reversed arcs.
     """
-    lift, step = search.lift, search.step
     order = topological_order(fst)
-    adj = dense_arcs(fst)
+    adj, ints = search.arcs, search.order.ints
     n = fst.num_states
-    keys: list[Any] = [None] * n
-    back: list[tuple[int, Row] | None] = [None] * n
+    cost: list[Any] = [None] * n
+    ptr, vec = [None] * n, [None] * n
+
+    def vector(s: int) -> tuple[int, ...]:
+        # The exact value vector of the path that gives the settled state s
+        # its key: the rows along the pointers, on the initial state's or a
+        # final state's own (backward, the final weight).
+        chain = []
+        while vec[s] is None and ptr[s] is not None:
+            chain.append(s)
+            s = ptr[s][0]
+        v = vec[s] = vec[s] or ints(fst.final_weight(s).values)
+        for s in reversed(chain):
+            v = vec[s] = dense_times(v, ints(ptr[s][1][3]), False)
+        return v
+
+    def via(s: int, v: Dense) -> tuple[int, ...]:
+        # The vector of the settled state s's path extended by values v.
+        return dense_times(vector(s), ints(v), False)
+
+    def current(s: int) -> tuple[int, ...]:
+        # The vector of the path that gives the unsettled state s its key.
+        return via(ptr[s][0], ptr[s][1][3]) if ptr[s] else ints(fst.final_weight(s).values)
+
     if backward:
-        for s, fw in fst.finals():
-            keys[s] = lift(fw.values)
+        for s, _ in fst.finals():
+            cost[s] = search.finals[s]
     elif fst.initial != NO_STATE:
-        keys[fst.initial] = lift(ONE.values)
+        cost[fst.initial], vec[fst.initial] = 0, ints(ONE.values)
 
     if order is not None and backward:
         for s in reversed(order):
-            best = keys[s]
-            for t, _, _, v in adj[s]:
-                kt = keys[t]
-                if kt is not None:
-                    k = step(kt, v)
-                    if best is None or k < best:
-                        best = k
-            keys[s] = best
+            best = cost[s]
+            for row, w in adj[s]:
+                t = row[0]
+                kt = cost[t]
+                if kt is None:
+                    continue
+                k = kt + w
+                if best is None or k < best:
+                    best, ptr[s] = k, (t, row)
+                elif k == best and via(t, row[3]) < current(s):
+                    ptr[s] = (t, row)
+            cost[s] = best
     elif order is not None:
         for s in order:
-            ks = keys[s]
+            ks = cost[s]
             if ks is None:
                 continue
-            for row in adj[s]:
-                cand = step(ks, row[3])
+            for row, w in adj[s]:
                 t = row[0]
-                old = keys[t]
-                if old is None or cand < old:
-                    keys[t] = cand
-                    back[t] = (s, row)
+                k = ks + w
+                old = cost[t]
+                if old is None or k < old:
+                    cost[t], ptr[t] = k, (s, row)
+                elif k == old and via(s, row[3]) < current(t):
+                    ptr[t] = (s, row)
     else:
         if backward:
-            rev: list[list[Row]] = [[] for _ in range(n)]
-            for s, rows in enumerate(adj):
-                for t, il, ol, w in rows:
-                    rev[t].append((s, il, ol, w))
+            rev: list[list[tuple[Row, int]]] = [[] for _ in range(n)]
+            for s, pairs in enumerate(adj):
+                for (t, il, ol, v), w in pairs:
+                    rev[t].append(((s, il, ol, v), w))
             adj = rev
         counter = count()
-        heap = [(k, next(counter), s) for s, k in enumerate(keys) if k is not None]
+        # Keyed by whole keys: a state's vector is that of its pending path.
+        heap = [(k, vector(s), next(counter), s) for s, k in enumerate(cost) if k is not None]
         heapq.heapify(heap)
         settled = [False] * n
         while heap:
-            ks, _, s = heapq.heappop(heap)
+            ks, vs, _, s = heapq.heappop(heap)
             if settled[s]:
                 continue
             settled[s] = True
-            for row in adj[s]:
+            for row, w in adj[s]:
                 t = row[0]
                 if settled[t]:
                     continue
-                cand = step(ks, row[3])
-                old = keys[t]
-                if old is None or cand < old:
-                    keys[t] = cand
-                    back[t] = (s, row)
-                    heapq.heappush(heap, (cand, next(counter), t))
-    return keys, [] if backward else back
+                k, old = ks + w, cost[t]
+                if old is None or k <= old:
+                    v = dense_times(vs, ints(row[3]), False)
+                    if old is None or (k, v) < (old, vec[t]):
+                        cost[t], ptr[t], vec[t] = k, (s, row), v
+                        heapq.heappush(heap, (k, v, next(counter), t))
+    return cost, ptr, via
 
 
 def shortest_path(fst: Wfst, params: ParamVector) -> PathWitness:
-    """Minimum-scalarized-cost path from the initial state to acceptance.
+    """The path of least exact key from the initial state to acceptance.
 
     Acyclic machines use topological relaxation; cyclic ones require all
     arc scalarizations to be nonnegative and use Dijkstra.  Raises
     :class:`NoPathError` when the machine accepts nothing.
     """
     _check_frozen(fst)
-    _check_searchable(fst, params)
     search = _search(fst, params)
-    return _best_path(fst, search, *_distances(fst, search))
+    return _witness(*_best_path(fst, search, *_distances(fst, search)), params, has_negative(fst))
 
 
-def _best_path(fst: Wfst, search: _Search, keys: list[Any],
-               back: list[tuple[int, Row] | None]) -> PathWitness:
-    """The best complete path given forward keys and backpointers."""
-    step = search.step
-    best_state = NO_STATE
-    best: Any = None
-    for s, fw in fst.finals():
-        ks = keys[s]
-        if ks is None:
-            continue
-        k = step(ks, fw.values)
-        if best is None or k < best:
-            best = k
-            best_state = s
-    if best is None:
+def _witness(rows: Sequence[Row], final_weight: FeatureWeight, params: ParamVector,
+             signed: bool) -> PathWitness:
+    """A found path, its weight and cost in floats: its values added in
+    path order by ``dense_times`` (``signed`` as it takes), then scalarized."""
+    values = ONE.values
+    for row in rows:
+        values = dense_times(values, row[3], signed)
+    weight = FeatureWeight(dense_times(values, final_weight.values, signed))
+    return PathWitness(rows=tuple(rows), final_weight=final_weight, weight=weight,
+                       cost=scalarize(weight, params))
+
+
+def _best_path(fst: Wfst, search: _Search, cost: list[Any], back: list[Any],
+               via: Callable[[int, Dense], tuple[int, ...]]) -> tuple[list[Row], FeatureWeight]:
+    """The rows and final weight of the complete path of least exact key,
+    given the forward tree; the first final state in id order keeps an
+    exact tie."""
+    keys = [(cost[s] + search.finals[s], s) for s, _ in fst.finals() if cost[s] is not None]
+    if not keys:
         raise NoPathError("no path from the initial state to a final state")
+    least = min(keys)[0]
+    tied = [s for k, s in keys if k == least]
+    # Exact ties go by vector, then to the first final state.
+    best_state = min(tied, key=lambda s: via(s, fst.final_weight(s).values)) \
+        if len(tied) > 1 else tied[0]
 
     rows: list[Row] = []
     s = best_state
     while s != fst.initial:
-        entry = back[s]
-        assert entry is not None
-        s, row = entry
+        s, row = back[s]
         rows.append(row)
     rows.reverse()
     final_w = fst.final_weight(best_state)
     assert final_w is not None
-    cost, values = search.pair(best)
-    return PathWitness(rows=tuple(rows), final_weight=final_w,
-                       weight=FeatureWeight(values), cost=cost)
+    return rows, final_w
 
 
-def _nbest_raw(fst: Wfst, cap: float, search: _Search, beta: list[Any]) -> Iterator[PathWitness]:
-    """Up to ``cap`` cheapest paths, drawn lazily by best-first search
-    with an exact heuristic, expanding no state more than ``cap`` times.
+def _nbest_raw(fst: Wfst, cap: float, search: _Search,
+               beta: tuple) -> Iterator[tuple[list[Row], FeatureWeight]]:
+    """The rows and final weight of up to ``cap`` paths of least exact key,
+    drawn lazily by best-first search with an exact heuristic, expanding
+    no state more than ``cap`` times.
 
-    ``cap`` may be ``math.inf``: every path, in cost order, which ends
-    only on an acyclic machine.  ``beta`` holds the backward keys of
-    :func:`_distances` under ``search``; the initial state's is not None.
+    ``cap`` may be ``math.inf``: every path, in key order, which ends
+    only on an acyclic machine.  ``beta`` is the backward tree of
+    :func:`_distances`; the initial state has a path.  Heap entries carry
+    their bound's cost and, once it ties with another entry's, its
+    vector: entries tied on cost are popped together and pushed back with
+    their vectors, so the heap pops in key order, push order on exact ties.
     """
-    extend, join = search.extend, search.join
-    arcs = dense_arcs(fst)
-    finals = {s: search.lift(fw.values) for s, fw in fst.finals()}
+    arcs, finals, ints = search.arcs, search.finals, search.order.ints
+    bcost, _, bvia = beta
 
     # Nodes are (state, row, parent-index); rows recovered by walking parents.
     nodes: list[tuple[int, Row | None, int]] = [(fst.initial, None, -1)]
+
+    def rows_to(i: int) -> list[Row]:
+        # The rows of node i's prefix, last first.
+        rows = []
+        while i != -1:
+            _, row, i = nodes[i]
+            if row is not None:
+                rows.append(row)
+        return rows
+
+    def bound_vector(i: int) -> tuple[int, ...]:
+        # The exact vector of a node's bound: its prefix's rows, then its
+        # state's least completion, or a complete path's final weight.
+        state, _, parent = nodes[i]
+        v = ints(fst.final_weight(nodes[parent][0]).values) if state == NO_STATE \
+            else bvia(state, ONE.values)
+        for row in rows_to(i):
+            v = dense_times(v, ints(row[3]), False)
+        return v
+
     counter = count()
-    # Entries are (bound, tie counter, node, prefix).
-    heap = [(beta[fst.initial], next(counter), 0, search.unit)]
+    # Entries are (bound cost, bound vector or (), tie counter, node, prefix cost).
+    heap = [(bcost[fst.initial], (), next(counter), 0, 0)]
     pops = [0] * fst.num_states
     drawn = 0
 
     while heap and drawn < cap:
-        bound, _, node_idx, prefix = heapq.heappop(heap)
+        entry = heapq.heappop(heap)
+        bound, vector, _, node_idx, prefix = entry
+        if not vector and heap and heap[0][0] == bound:
+            tied = [entry]
+            while heap and heap[0][0] == bound:
+                tied.append(heapq.heappop(heap))
+            for b, v, k, i, p in tied:
+                heapq.heappush(heap, (b, v or bound_vector(i), k, i, p))
+            continue
         state = nodes[node_idx][0]
         if state == NO_STATE:
-            # Completed path: rebuild the row sequence.
-            path: list[Row] = []
-            idx = nodes[node_idx][2]
-            while idx != -1:
-                _, row, idx = nodes[idx]
-                if row is not None:
-                    path.append(row)
-            path.reverse()
+            path = rows_to(node_idx)[::-1]  # a completed path
             fw = fst.final_weight(path[-1][0] if path else fst.initial)
             assert fw is not None
-            cost, values = search.pair(bound)
             drawn += 1
-            yield PathWitness(rows=tuple(path), final_weight=fw,
-                              weight=FeatureWeight(values), cost=cost)
+            yield path, fw
             continue
         if pops[state] >= cap:
             continue
@@ -432,28 +450,45 @@ def _nbest_raw(fst: Wfst, cap: float, search: _Search, beta: list[Any]) -> Itera
         if fk is not None:
             node = len(nodes)
             nodes.append((NO_STATE, None, node_idx))
-            heapq.heappush(heap, (join(prefix, fk), next(counter), node, None))
-        for row in arcs[state]:
-            b = beta[row[0]]
+            heapq.heappush(heap, (prefix + fk, (), next(counter), node, 0))
+        for row, w in arcs[state]:
+            b = bcost[row[0]]
             if b is None:
                 continue
-            ext = extend(prefix, row[3])
+            ext = prefix + w
             node = len(nodes)
             nodes.append((row[0], row, node_idx))
-            heapq.heappush(heap, (join(ext, b), next(counter), node, ext))
+            heapq.heappush(heap, (ext + b, (), next(counter), node, ext))
 
 
-def _unique(paths: Iterator[PathWitness], n: int) -> Iterator[PathWitness]:
+def _unique(paths: Iterator[tuple[list[Row], FeatureWeight]],
+            n: int) -> Iterator[tuple[list[Row], FeatureWeight]]:
     """The first n of ``paths`` whose output strings no earlier path
-    had, lazily: from a stream in cost order, each string's cheapest."""
+    had, lazily: from a stream in key order, each string's least."""
     seen: set[tuple[int, ...]] = set()
-    for p in paths:
-        labels = p.output_labels()
+    for path in paths:
+        labels = tuple(r[2] for r in path[0] if r[2] != EPSILON)
         if labels not in seen:
             seen.add(labels)
-            yield p
+            yield path
             if len(seen) == n:
                 return
+
+
+def _ranked(fst: Wfst, n: int, params: ParamVector,
+            unique: bool) -> Iterator[tuple[list[Row], FeatureWeight]]:
+    """The stream of rows and final weights behind :func:`iter_nbest`,
+    whose checks it makes before returning."""
+    _check_frozen(fst)
+    check_count("n", n)
+    search = _search(fst, params)
+    if unique and topological_order(fst) is None:
+        raise ContractError("unique n-best requires an acyclic machine")
+    beta = _distances(fst, search, backward=True)
+    if beta[0][fst.initial] is None:
+        raise NoPathError("no path from the initial state to a final state")
+    paths = _nbest_raw(fst, math.inf if unique else n, search, beta)
+    return _unique(paths, n) if unique else paths
 
 
 def iter_nbest(fst: Wfst, n: int, params: ParamVector,
@@ -465,22 +500,12 @@ def iter_nbest(fst: Wfst, n: int, params: ParamVector,
     times; the unique one filters a stream with neither cap, so its
     paths do not depend on n.
     """
-    _check_frozen(fst)
-    check_count("n", n)
-    _check_searchable(fst, params)
-    if unique and topological_order(fst) is None:
-        raise ContractError("unique n-best requires an acyclic machine")
-    search = _search(fst, params)
-    beta, _ = _distances(fst, search, backward=True)
-    if beta[fst.initial] is None:
-        raise NoPathError("no path from the initial state to a final state")
-    if unique:
-        return _unique(_nbest_raw(fst, math.inf, search, beta), n)
-    return _nbest_raw(fst, n, search, beta)
+    signed = has_negative(fst)
+    return (_witness(rows, fw, params, signed) for rows, fw in _ranked(fst, n, params, unique))
 
 
 def nbest(fst: Wfst, n: int, params: ParamVector, unique: bool = False) -> list[PathWitness]:
-    """The n cheapest paths in cost order.
+    """The n paths of least exact key, in key order.
 
     With ``unique``, paths whose output label strings coincide are
     collapsed keeping the cheapest; that mode requires an acyclic machine
@@ -491,6 +516,8 @@ def nbest(fst: Wfst, n: int, params: ParamVector, unique: bool = False) -> list[
 
 
 # What pruning keeps of a machine, on its own state ids: see _prune_mask.
+# States within 1e-9 * max(1, |best cost|) of a threshold count as at it.
+PLATEAU = (1e-9).as_integer_ratio()
 Mask = tuple[Sequence[int], Sequence[Sequence[Row]], dict[int, FeatureWeight]]
 
 
@@ -499,10 +526,10 @@ def prune_to_node_budget(fst: Wfst, budget: int, params: ParamVector) -> Wfst:
 
     Removes states and arcs whose best through-cost exceeds the best path
     cost by more than a threshold chosen (by searching the sorted
-    through-costs) as large as possible while meeting the budget.  The
-    shortest path always survives with its cost intact; when even the
-    optimal-cost plateau is over budget, or the shortest path's cost is
-    not finite (a sum overflowed), only the shortest path is kept.
+    through-costs) as large as possible while meeting the budget; costs
+    are exact (see :func:`_search`).  The shortest path always survives
+    with its cost intact; when even the optimal-cost plateau is over
+    budget, only the shortest path is kept.
     """
     keep, arcs, finals = _prune_mask(fst, budget, params)
     if fst.num_states <= budget:
@@ -518,10 +545,9 @@ def _prune_mask(fst: Wfst, budget: int, params: ParamVector) -> Mask:
     state); and the kept final weights.  Within budget that is all of
     ``fst``, its own ``dense_arcs`` included.  Kept states need not all
     be connected through the kept arcs; the public function trims them.
-    Over budget, the searches add floats for ``combine``'s hiero lattice
-    under ``HIERO_ONLY`` (see :func:`_search`).  The forward pass also
-    tells which final states are accessible; the threshold is found in
-    one downward scan of the sorted through-costs.
+    Through-costs and the threshold are exact (see :func:`_search`).  The
+    forward pass also tells which final states are accessible; the
+    threshold is found in one downward scan of the sorted through-costs.
     """
     _check_frozen(fst)
     check_count("budget", budget)
@@ -532,44 +558,43 @@ def _prune_mask(fst: Wfst, budget: int, params: ParamVector) -> Mask:
             raise NoPathError("machine accepts nothing")
         return fst.states(), dense_arcs(fst), dict(fst.finals())
     search = _search(fst, params)
-    fkeys, back = _distances(fst, search)
+    fcost, back, vector = _distances(fst, search)
     # A final state that the forward pass reaches is accessible.
-    if all(fkeys[s] is None for s, _ in fst.finals()) \
+    if all(fcost[s] is None for s in search.finals) \
             and not any(fst.is_final(s) for s in accessible_states(fst)):
         raise NoPathError("machine accepts nothing")
-    best = _best_path(fst, search, fkeys, back)
-    sp_states = len(best.rows) + 1
+    best, final_w = _best_path(fst, search, fcost, back, vector)
+    sp_states = len(best) + 1
     if budget < sp_states:
         raise ContractError(f"budget {budget} is below the {sp_states} states on the shortest path")
 
-    bkeys, _ = _distances(fst, search, backward=True)
-    cost, lift = search.cost, search.lift
-    fcost, bcost = ([None if k is None else cost(k) for k in keys] for keys in (fkeys, bkeys))
-    # A state on no complete path is nan: within no limit.
-    through = [math.nan if fc is None or bc is None else fc + bc for fc, bc in zip(fcost, bcost)]
-    best_cost = best.cost
-    slack = 1e-9 * max(1.0, abs(best_cost))
+    bcost = _distances(fst, search, backward=True)[0]
+    best_cost = bcost[fst.initial]
+    # A state on no complete path has no through-cost: within no limit.
+    through = [None if fc is None or bc is None else fc + bc for fc, bc in zip(fcost, bcost)]
+    # The plateau, PLATEAU * max(1, |best cost|) on the costs' scale, rounded
+    # down: costs are integers, so c <= x + plateau exactly when c <= x + that.
+    plateau = PLATEAU[0] * max(search.order.unit, abs(best_cost)) // PLATEAU[1]
 
-    finite = sorted([c for c in through if c < math.inf])
-    # The largest threshold c whose states, those within c + slack, fit
-    # the budget: with more states than that, finite[budget] > c + slack.
+    finite = sorted([c for c in through if c is not None])
+    # The largest threshold c whose states, those within c + plateau, fit
+    # the budget: with more states than that, finite[budget] > c + plateau.
     i = min(budget, len(finite)) - 1
     if budget < len(finite):
-        while i >= 0 and finite[budget] <= finite[i] + slack:
+        while i >= 0 and finite[budget] <= finite[i] + plateau:
             i -= 1
-    bound = finite[i] if i >= 0 else None
-    if bound is None or bound < best_cost - slack or not math.isfinite(best_cost):
-        # Even the optimal plateau is over budget, or the best cost
-        # overflowed: keep just the best path, its states in path order.
-        keep = [fst.initial, *(row[0] for row in best.rows)]
+    if i < 0 or finite[i] < best_cost - plateau:
+        # Even the optimal plateau is over budget: keep just the best
+        # path, its states in path order.
+        keep = [fst.initial, *(row[0] for row in best)]
         arcs: list[Sequence[Row]] = [()] * fst.num_states
-        for s, row in zip(keep, best.rows):
+        for s, row in zip(keep, best):
             arcs[s] = (row,)
-        return keep, arcs, {keep[-1]: best.final_weight}
+        return keep, arcs, {keep[-1]: final_w}
 
-    limit = bound + slack
-    arcs = [tuple([r for r in rows if through[r[0]] <= limit
-                   and fcost[s] + cost(lift(r[3])) + bcost[r[0]] <= limit])
-            if through[s] <= limit else () for s, rows in enumerate(dense_arcs(fst))]
-    keep = [s for s in fst.states() if through[s] <= limit]
-    return keep, arcs, {s: w for s, w in fst.finals() if through[s] <= limit}
+    limit = finite[i] + plateau
+    kept = [c is not None and c <= limit for c in through]
+    arcs = [tuple([r for r, w in pairs if kept[r[0]] and fcost[s] + w + bcost[r[0]] <= limit])
+            if kept[s] else () for s, pairs in enumerate(search.arcs)]
+    keep = [s for s in fst.states() if kept[s]]
+    return keep, arcs, {s: w for s, w in fst.finals() if kept[s]}

@@ -30,7 +30,7 @@ from __future__ import annotations
 from typing import AbstractSet
 
 from .errors import ContractError, check_count
-from .fst import EPSILON, NO_STATE, UNK, Row, SymbolTable, Wfst, _keep, has_negative, magnitudes
+from .fst import EPSILON, NO_STATE, UNK, Row, SymbolTable, Wfst, _keep, has_negative
 from .semiring import EDIT_COUNT, ONE, SUB_COUNT, UNK_EXT_COUNT, FeatureWeight
 
 _EDIT_ONE = FeatureWeight.from_features({EDIT_COUNT: 1.0})
@@ -111,14 +111,12 @@ def expand_unk_runs(nmt: Wfst, max_run: int) -> Wfst:
     So a run of k tokens is exactly one path s -> t of weight w plus
     k - 1 extensions, and no epsilon arc is added.  The copy keeps
     :func:`~latcomb.fst.has_negative` of ``nmt``: its new arcs repeat an
-    UNK arc's weight or add one extension count.  It also keeps
-    :func:`~latcomb.fst.magnitudes`, those of ``nmt`` plus the new arcs'.
+    UNK arc's weight or add one extension count.
     """
     check_count("max_run", max_run)
     if nmt.initial == NO_STATE:
         raise ContractError("cannot expand the UNK runs of a machine with no initial state")
     ext = _EXT_ONE.values
-    mass = list(magnitudes(nmt))
     rows: list[list[Row]] = [[] for _ in nmt.states()]  # run states get appended
     for s in nmt.states():
         for row in nmt.rows(s):
@@ -127,12 +125,9 @@ def expand_unk_runs(nmt: Wfst, max_run: int) -> Wfst:
             if ilabel != UNK or olabel != UNK or max_run == 1:
                 continue
             rows[s].append((len(rows), UNK, UNK, values))
-            mass = [m + abs(v) for m, v in zip(mass, values or ONE.values)]
-            mass[UNK_EXT_COUNT] += 2 * max_run - 3
             for nxt in range(len(rows) + 1, len(rows) + max_run - 1):
                 rows.append([(nxt, UNK, UNK, ext), (target, UNK, UNK, ext)])
             rows.append([(target, UNK, UNK, ext)])
     extended = Wfst.frozen_from(nmt.isyms, rows, dict(nmt.finals()), nmt.initial, nmt.osyms)
     _keep(extended, has_negative, has_negative(nmt))
-    _keep(extended, magnitudes, tuple(mass))
     return extended

@@ -13,12 +13,11 @@ checked builder, takes an :class:`Arc` and stores its row.
 
 This module is the one place that derives facts from a machine's
 structure: :func:`topological_order`, :func:`has_negative`,
-:func:`magnitudes`, :func:`dense_arcs` and, per lattice kind,
-:func:`contract_errors`.  Each is computed at most once per frozen
-machine and kept on it (a builder that learns one while building records
-it instead); a mutable machine recomputes on every call.  Sharing a
-frozen machine across threads is safe: a race only computes the same
-immutable value twice.
+:func:`dense_arcs` and, per lattice kind, :func:`contract_errors`.  Each
+is computed at most once per frozen machine and kept on it (a builder
+that learns one while building records it instead); a mutable machine
+recomputes on every call.  Sharing a frozen machine across threads is
+safe: a race only computes the same immutable value twice.
 """
 
 from __future__ import annotations
@@ -312,15 +311,6 @@ def has_negative(fst: Wfst) -> bool:
     """
     return (any(row[3] is not None and min(row[3]) < 0.0 for rows in fst._arcs for row in rows)
             or any(v < 0.0 for _, w in fst.finals() for v in w.values))
-
-
-@_derived
-def magnitudes(fst: Wfst) -> Dense:
-    """Per feature, the sum of the magnitudes of its values over every
-    arc and final weight: a bound on what any one path adds up."""
-    values = [ONE.values] + [r[3] for rows in fst._arcs for r in rows if r[3] is not None]
-    return tuple(sum(map(abs, column))
-                 for column in zip(*values, *(w.values for w in fst._finals.values())))
 
 
 @_derived

@@ -22,39 +22,26 @@ the alphabet size.  Per-sentence combinations are independent.
 from __future__ import annotations
 
 import math
-import sys
 from heapq import heappop, heappush
+from itertools import chain
+from operator import add
 from typing import Callable, FrozenSet, Iterable, NamedTuple, Sequence
 
-from .algorithms import Mask, PathWitness, _prune_mask, iter_nbest
+from .algorithms import Mask, PathWitness, _prune_mask, _ranked, _witness
 from .editfst import edit_weight, expand_unk_runs
 from .errors import Checked, ContractError, NoPathError, check_count
-from .fst import (EPSILON, UNK, Row, Wfst, contract_errors, dense_arcs, has_negative,
-                  magnitudes, topological_order)
-from .semiring import (
-    CANONICAL_EPS,
-    EDIT_COUNT,
-    HIERO_SCORE,
-    ONE,
-    SUB_COUNT,
-    UNK_EXT_COUNT,
-    Dense,
-    FeatureWeight,
-    Key,
-    ParamVector,
-    dense_times,
-    format_weight,
-    search_key,
-    times,
-)
+from .fst import EPSILON, UNK, Row, Wfst, contract_errors, dense_arcs, has_negative, topological_order
+from .semiring import (EDIT_COUNT, HIERO_SCORE, NMT_SCORE, ONE, SUB_COUNT, UNK_EXT_COUNT, Dense,
+                       FeatureWeight, ParamVector, dense_times, exact_order, format_weight)
 
 HIERO_ONLY = ParamVector(nmt=0.0, hiero=1.0, edit=0.0, sub=0.0, ins=0.0)
+_ONE_EDIT = FeatureWeight.from_features({EDIT_COUNT: 1.0}).values
 
-# The alignment pass's view of a kept hiero arc: (cost, index among its
-# state's kept arcs, target position, row, label); and of the move that
+# The alignment pass's view of a kept hiero arc: (exact cost, index among
+# its state's kept arcs, target position, row, label); and of the move that
 # set a cell: (source cell, NMT arc index, hiero arc index, NMT row, hiero
 # row, edit values), whose first three fields settle exact ties.
-_Entry = tuple[float, int, int, Row, int]
+_Entry = tuple[int, int, int, Row, int]
 _Move = tuple[int, int, int, Row | None, Row | None, Dense]
 
 
@@ -197,8 +184,11 @@ def combine(nmt_lattice: Wfst, hiero_lattice: Wfst, params: CombinationParams,
     states, arcs and final weights on the lattice's own state ids.  No
     pruned machine is built.
 
-    Tie rule.  Alignments compare on (cost, feature vector in id order);
-    exact ties go by an order on moves, as in a lexicographic semiring
+    Tie rule.  Alignments compare on (cost, feature vector in id order),
+    both exact sums (:func:`~latcomb.semiring.exact_order`), so a tie is a
+    real tie; the reported cost and feature vector are float sums along
+    the winning path, and may differ from another path's by rounding.
+    Exact ties go by an order on moves, as in a lexicographic semiring
     (Roark, Sproat and Shafran, 2011).  A move leaves a source cell (NMT
     state, hiero state) along an NMT arc, a hiero arc or one of each.  Of
     the moves that give a cell its least key, the least (source cell, NMT
@@ -257,10 +247,14 @@ class _MoveTables:
 
     Cell (i, j), of NMT position i and kept hiero position j, is
     ``i * width + j``; ``nmt_moves[i]`` and ``hiero_moves[j]`` hold the
-    moves out of it (see :func:`_best_alignment`).  A kept hiero arc costs
-    ``0.0 + params.hiero * score``, bit for bit its ``search_key`` cost on
-    what ``combine`` admits: hiero arcs carry no other feature and every
-    lambda is finite and nonnegative, so every other term of the sum is 0.
+    moves out of it (see :func:`_best_alignment`).  Costs are exact
+    integers (:func:`~latcomb.semiring.exact_order`) on one scale for
+    every value the pass reads: both machines' arcs and final weights,
+    and the edit counts, integers on any such scale.  An arc's cost is
+    read off the features it can carry: ``combine``'s contract check
+    admits only the hiero score on a hiero arc, and only the NMT score on
+    an NMT arc (and its final weights), to which the run expansion adds
+    UNK extension counts, which are integers.
     """
 
     def __init__(self, nmt: Wfst, hiero: Wfst, mask: Mask, nmt_vocab: FrozenSet[int],
@@ -272,15 +266,20 @@ class _MoveTables:
         order_h = [s for s in topological_order(hiero) if s in kept]
         self.pos_n = pos_n = {s: i for i, s in enumerate(order_n)}
         self.pos_h = pos_h = {s: j for j, s in enumerate(order_h)}
-        self.nmt, self.order_n, self.order_h, self.hiero_finals = nmt, order_n, order_h, \
-            hiero_finals
+        self.hiero_finals = hiero_finals
         self.width = width = len(order_h)
         self.size = len(order_n) * width
         self.start = pos_n[nmt.initial] * width + pos_h[hiero.initial]
-        self.key = key = search_key(params)
-        self.nmt_vocab, self.lambda_edit, lam_h = nmt_vocab, params.edit, params.hiero
-        self.cost = lambda v: key(v)[0]
-        self._scored: dict[Dense, tuple[Dense, float]] = {}  # edit typing yields few weights
+        arcs_n = dense_arcs(nmt)
+        finals_n = [nmt.final_weight(s) for s in order_n]
+        scores = [h[3][HIERO_SCORE] for s in order_h for h in hiero_arcs[s]]
+        scores_n = [a[3][NMT_SCORE] for s in order_n for a in arcs_n[s]]
+        exact = exact_order(params, chain(scores, scores_n, *(
+            fw.values for fw in chain(finals_n, hiero_finals.values()) if fw is not None)))
+        self.cost, self.ints = exact.cost, exact.ints
+        self.nmt_vocab, self.lambda_edit = nmt_vocab, exact.cost(_ONE_EDIT)
+        self._scored: dict[Dense, tuple[Dense, int]] = {}  # edit typing yields few weights
+        hiero_costs = iter(exact.scale(scores, exact.params[HIERO_SCORE]))
 
         # Per hiero position, its arcs as (cost, index, target, arc, label):
         # the word arcs alone on their target; the other word arcs grouped by
@@ -294,7 +293,7 @@ class _MoveTables:
             skips: list[_Entry] = []
             for rank, h in enumerate(hiero_arcs[s]):
                 y = h[1]
-                entry = (0.0 + lam_h * h[3][HIERO_SCORE], rank, pos_h[h[0]], h, y)
+                entry = (next(hiero_costs), rank, pos_h[h[0]], h, y)
                 if y == EPSILON:
                     skips.append(entry)
                     continue
@@ -320,62 +319,59 @@ class _MoveTables:
         # typed once, with the first hiero words.
         self.w_skip, self.s_skip = self.scored(edit_weight(nmt_vocab, EPSILON, EPSILON).values)
         self.w_ins, self.s_ins = self.scored(edit_weight(nmt_vocab, EPSILON, words[0]).values) \
-            if words else (None, 0.0)
+            if words else (None, 0)
 
         # Per NMT label: the values and cost of deleting it; the weights of
         # pairing it with the words typed one by one (filled on demand for
         # UNK, by type_pair); the weight of pairing it with every other word
         # (None for UNK) and a floor under their costs; and the free match.
-        arcs_n = dense_arcs(nmt)
         pairings: dict[int, tuple] = {}
         for x in {r[2] for rows in arcs_n for r in rows}:
             deleting = self.scored(edit_weight(nmt_vocab, x, EPSILON).values)
             if x == UNK:  # the hiero side has no UNK to match
-                pairings[x] = (*deleting, {}, None, 0.0, ONE.values, 0.0)
+                pairings[x] = (*deleting, {}, None, 0, ONE.values, 0)
                 continue
             match = self.scored(edit_weight(nmt_vocab, x, x).values)
             other = [y for y in words if y != x]
             sub = self.scored(edit_weight(nmt_vocab, x, other[0]).values) if other else None
-            pairings[x] = (*deleting, {x: match}, sub, 0.0 if sub is None else sub[1], *match)
+            pairings[x] = (*deleting, {x: match}, sub, 0 if sub is None else sub[1], *match)
 
         # Moves per NMT position: (arc, label matched, target base, arc cost,
         # then the label's pairings, then the arc's index).  An epsilon arc
         # advances alone: its edit weight is ONE.
-        self.nmt_moves = [[(a, a[2], pos_n[a[0]] * width, key(a[3])[0], *pairings[a[2]], k)
+        costs = map(add, exact.scale(scores_n, exact.params[NMT_SCORE]),
+                    exact.scale([a[3][UNK_EXT_COUNT] for s in order_n for a in arcs_n[s]],
+                                exact.params[UNK_EXT_COUNT]))
+        self.nmt_moves = [[(a, a[2], pos_n[a[0]] * width, next(costs), *pairings[a[2]], k)
                            for k, a in enumerate(arcs_n[s])] for s in order_n]
-
-        # The slack, from the weights' magnitudes (see _best_alignment).
-        absp = [abs(p) for p in params.as_tuple()]
-        totals = [a + b for a, b in zip(magnitudes(nmt), magnitudes(hiero))]
-        totals[EDIT_COUNT] += nmt.num_states + width
-        totals[SUB_COUNT] += nmt.num_states + width
-        mass = sum(p * v for p, v in zip(absp, totals))
-        steps = len(order_n) + width
-        self.slack = math.inf
-        if mass < 1e300:
-            self.slack = ((1e-9 + 1e-15 * steps) * mass + CANONICAL_EPS * steps * sum(absp)
-                          + sys.float_info.min)
+        # Final costs per position, None where a state is not final.
+        self.final_n = [None if fw is None else exact.cost(fw.values) for fw in finals_n]
+        self.final_h = [exact.cost(hiero_finals[s].values) if s in hiero_finals else None
+                        for s in order_h]
         self.signed = has_negative(nmt) or has_negative(hiero)
 
-    def scored(self, v: Dense) -> tuple[Dense, float]:
+    def scored(self, v: Dense) -> tuple[Dense, int]:
         """Edit weight values with their cost, computed once per distinct values."""
         return self._scored.get(v) or self._scored.setdefault(v, (v, self.cost(v)))
 
-    def type_pair(self, typed: dict, x: int, y: int) -> tuple[Dense, float]:
+    def type_pair(self, typed: dict, x: int, y: int) -> tuple[Dense, int]:
         """Type the pairing of ``x`` with ``y`` and keep it in ``typed``, x's table."""
         return typed.setdefault(y, self.scored(edit_weight(self.nmt_vocab, x, y).values))
 
 
-def _to_go(finals: list[float], moves: list[list[_Entry]]) -> tuple[list, list, list]:
+def _to_go(finals: list[int | None], moves: list[list[_Entry]]) -> tuple[list, list, list]:
     """Per position, whose moves (cost, _, target, _, label) lead to later ones: the cheapest
-    cost on to a final, the fewest and most tokens (non-epsilon labels) on the way."""
+    cost on to a final (None for none), the fewest and most tokens (non-epsilon labels) on
+    the way."""
     inf, cost = math.inf, finals[:]
-    lo, hi = [0 if f < inf else inf for f in finals], [0 if f < inf else -inf for f in finals]
+    lo, hi = [inf if f is None else 0 for f in finals], [-inf if f is None else 0 for f in finals]
     for p in reversed(range(len(finals))):
         c, l, h = cost[p], lo[p], hi[p]
         for w, _, t, _, y in moves[p]:
+            if cost[t] is None:
+                continue
             token = y != EPSILON
-            if cost[t] + w < c:
+            if c is None or cost[t] + w < c:
                 c = cost[t] + w
             if lo[t] + token < l:
                 l = lo[t] + token
@@ -385,47 +381,46 @@ def _to_go(finals: list[float], moves: list[list[_Entry]]) -> tuple[list, list, 
     return cost, lo, hi
 
 
-def _heuristic(tab: _MoveTables) -> tuple[list[float], list[float], list[list[_Entry]], Callable]:
-    """Per NMT and kept hiero position its final cost; per hiero position its cheapest
-    word arc to each target, then its epsilon arcs; and h(cell) (see _best_alignment)."""
-    inf, width, cost, lam = math.inf, tab.width, tab.cost, tab.lambda_edit
+def _heuristic(tab: _MoveTables) -> tuple[list[list[_Entry]], Callable]:
+    """Per kept hiero position its cheapest word arc to each target, then its epsilon
+    arcs; and h(cell), None where no final cell is reachable (see _best_alignment)."""
+    width, lam = tab.width, tab.lambda_edit
     advances = [singles + [g[0] for _, g in groups] + skips if groups or skips else singles
                 for singles, groups, _, skips in tab.hiero_moves]
-    final_n = [inf if fw is None else cost(fw.values)
-               for fw in map(tab.nmt.final_weight, tab.order_n)]
-    final_h = [cost(tab.hiero_finals[s].values) if s in tab.hiero_finals else inf
-               for s in tab.order_h]
-    cn, lo_n, hi_n = _to_go(final_n, [[(m[3], 0, m[2] // width, 0, m[1]) for m in row]
-                                      for row in tab.nmt_moves])
-    ch, lo_h, hi_h = _to_go(final_h, advances)
+    cn, lo_n, hi_n = _to_go(tab.final_n, [[(m[3], 0, m[2] // width, 0, m[1]) for m in row]
+                                          for row in tab.nmt_moves])
+    ch, lo_h, hi_h = _to_go(tab.final_h, advances)
 
-    def h(c: int) -> float:
+    def h(c: int) -> int | None:
         i, j = divmod(c, width)
+        if cn[i] is None or ch[j] is None:
+            return None
         return cn[i] + ch[j] + lam * max(0, lo_n[i] - hi_h[j], lo_h[j] - hi_n[i])
 
-    return final_n, final_h, advances, h
+    return advances, h
 
 
 def _region(tab: _MoveTables) -> list[int] | None:
     """Phase 1 of :func:`_best_alignment`: the cells A* closes, sorted;
     None for every cell."""
-    if tab.branches < _REGION_MIN_BRANCHING * tab.width or tab.slack == math.inf:
+    if tab.branches < _REGION_MIN_BRANCHING * tab.width:
         return None
-    inf, width, cost, type_pair = math.inf, tab.width, tab.cost, tab.type_pair
+    inf, width, type_pair, final_n, final_h = math.inf, tab.width, tab.type_pair, tab.final_n, \
+        tab.final_h
     s_ins, s_skip, nmt_moves, hiero_moves = tab.s_ins, tab.s_skip, tab.nmt_moves, tab.hiero_moves
-    final_n, final_h, advances, heuristic = _heuristic(tab)
-    est = [inf] * tab.size
-    heap: list[tuple[float, int, float]] = []
+    advances, heuristic = _heuristic(tab)
+    est: list[float] = [inf] * tab.size
+    heap: list[tuple[int, int, int]] = []
     closed: list[int] = []
 
-    def push(c: int, e: float) -> None:
+    def push(c: int, e: int) -> None:
         est[c] = e
         h = heuristic(c)
-        if h < inf:
+        if h is not None:
             heappush(heap, (e + h, c, e))
 
-    push(tab.start, cost(ONE.values))
-    limit, margin = inf, 4.0 * tab.slack
+    push(tab.start, 0)
+    limit = inf
     while heap:
         f, c, est_c = heappop(heap)
         if f > limit:
@@ -435,7 +430,8 @@ def _region(tab: _MoveTables) -> list[int] | None:
         closed.append(c)
         i, j = divmod(c, width)
         singles, groups, _, _ = hiero_moves[j]
-        limit = min(limit, est_c + final_n[i] + final_h[j] + margin)
+        if final_n[i] is not None and final_h[j] is not None:
+            limit = min(limit, est_c + final_n[i] + final_h[j])
         for _, x, t_base, s_a, _, s_del, typed, sub, _, _, _, _ in nmt_moves[i]:
             est_a = est_c + s_a
             if est_a + s_del < est[t_base + j]:
@@ -477,65 +473,44 @@ def _best_alignment(nmt: Wfst, hiero: Wfst, mask: Mask, nmt_vocab: FrozenSet[int
     the same per-arc weights as the composition with the modified flower
     would.  Raises :class:`NoPathError` when no final cell is reachable.
 
+    Keys are exact (:func:`~latcomb.semiring.exact_order`): a cell's cost
+    is an integer sum, and its value vector sums integers too, so the
+    order is kept under extension and one key per cell finds the least
+    alignment, as the lexicographic semiring requires.  The returned
+    weight and cost are floats: the path's values summed in path order
+    with :func:`~latcomb.semiring.dense_times`, as the shortest path of
+    the composed machine reports them.  Every feature of an aligned pair
+    comes from one side, because ``combine``'s contract check admits no
+    foreign feature, so the two are bit-identical.
+
     Two phases read one set of :class:`_MoveTables`.  Phase 1
-    (:func:`_region`) is A* over the cells on float estimates (Hart,
-    Nilsson and Raphael, 1968) with h(i, j) = cn(i) + ch(j) + lambda_edit
-    * max(0, lo_n(i) - hi_h(j), lo_h(j) - hi_n(i)) (:func:`_heuristic`):
-    per position, c is the cheapest cost on to a final state and lo, hi
-    the fewest and most tokens on the way (epsilon arcs count none, UNK
-    run arcs one; hiero through the mask).  Completions cost at least cn
-    and ch in arcs and final weights, and lambda_edit per token of their
-    length gap (insertions or deletions; pair edits cost >= 0): h is
-    admissible.  It is consistent, h(c) <= w + h(c') for each move c -> c'
-    of cost w, whatever the signs of the scores: cn and ch are; a pair
-    move shifts both token ranges by one, an epsilon arc neither, and an
-    insertion or deletion widens the gap by at most one and pays
-    lambda_edit.  A* stops once the least g + h on its heap exceeds the
-    cheapest final estimate it closed plus ``4 * slack``; its closed cells
-    are the region.  Phase 2 (the exact pass below) visits only the
-    region, in ascending cell order: a cell outside it keeps ``high =
-    -inf``, so every move into it loses on the float screen.  Each cell of
-    the winning alignment, and of any alignment tied with it exactly, has
-    g + h <= f* over the reals.  An estimate and h (path costs, and
-    lambda_edit times fewer than ``steps`` tokens, all within ``mass``)
-    are within far less than ``slack``, and an exact key within ``slack``,
-    of their real sums, so its g + h is below the stop: every move the tie
-    rule weighs is there, and the result, ties included, is the full pass's.
-    The region is every cell when the slack is infinite or the kept hiero
-    states average fewer than ``_REGION_MIN_BRANCHING`` successors.
+    (:func:`_region`) is A* over the cells (Hart, Nilsson and Raphael,
+    1968) with h(i, j) = cn(i) + ch(j) + lambda_edit * max(0, lo_n(i) -
+    hi_h(j), lo_h(j) - hi_n(i)) (:func:`_heuristic`): per position, c is
+    the cheapest cost on to a final state and lo, hi the fewest and most
+    tokens on the way (epsilon arcs count none, UNK run arcs one; hiero
+    through the mask).  Completions cost at least cn and ch in arcs and
+    final weights, and lambda_edit per token of their length gap
+    (insertions or deletions; pair edits cost >= 0): h is admissible.  It
+    is consistent, h(c) <= w + h(c') for each move c -> c' of cost w,
+    whatever the signs of the scores: cn and ch are; a pair move shifts
+    both token ranges by one, an epsilon arc neither, and an insertion or
+    deletion widens the gap by at most one and pays lambda_edit.  A* stops
+    once the least g + h on its heap exceeds the cheapest final cost it
+    closed; its closed cells are the region.  Each cell of the winning
+    alignment, and of any alignment tied with it, has g + h <= f*, and so
+    has each cell that gives one of them its least cost: all are closed.
+    Phase 2 (the pass below) visits only the region, in ascending cell
+    order; a cell outside it holds -inf, so no move enters it.  The region
+    is every cell when the kept hiero states average fewer than
+    ``_REGION_MIN_BRANCHING`` successors.
 
-    Weight values are accumulated with
-    :func:`~latcomb.semiring.dense_times` and compared by
-    :func:`~latcomb.semiring.search_key`, the order every search uses.
-    Every feature of an aligned pair comes from one side, because
-    ``combine``'s contract check admits no foreign feature; so the cost
-    and feature vector are bit-identical to the shortest path of the
-    composed machine.
-
-    Cells are scalar first.  A cell holds a float estimate of its cost
-    and the move that set it: the source cell's estimate plus the costs
-    of the arc and edit weights the move adds.  Its value vector and
-    exact key are built, and kept, only when a move's estimate comes
-    within ``2 * slack`` of the cell's (a near tie, settled exactly: by
-    key, then by the tie order), at acceptance and for the path.  An estimate
-    more than ``2 * slack`` above the cell's loses, one more than that
-    below it wins, and both are decided on floats alone.
-
-    Why that is exact: let ``mass`` be sum_k |p_k| times the total
-    magnitude of feature k over every arc and final weight of both
-    machines (:func:`~latcomb.fst.magnitudes`), plus one edit count per
-    move.  Every term an estimate or an exact cost adds has magnitude at
-    most ``mass``.  Over the reals the two are the same sum; in floats
-    each takes a few roundings of relative size 2**-53 per move, and the
-    exact vector may also zero, once per move, entries below
-    CANONICAL_EPS.  A path makes fewer than ``steps`` moves, so their gap
-    is far below ``slack = (1e-9 + 1e-15 * steps) * mass + CANONICAL_EPS
-    * steps * sum_k |p_k|`` (plus the smallest normal float, against
-    underflow), however much large positive and negative scores cancel.
-    A NaN estimate is never decided on floats, and when ``mass`` nears
-    the float range the slack is infinite, so every move is settled
-    exactly.  Only there can a cost be NaN; a NaN key neither beats nor
-    loses to another, so the move tried first keeps the cell.
+    Cells are scalar first.  A cell holds its cost and the move that set
+    it: the source cell's cost plus the costs of the arc and edit weights
+    the move adds.  A move of lower cost wins; one of equal cost is
+    settled by the exact value vectors, then by the tie order.  The two
+    paths share a prefix, so only what each adds after they part is
+    summed (by walking the moves back).
 
     Most moves lose, so the pass tries only the hiero arcs that can win.
     Each kept hiero state's word arcs to one target form a group, sorted
@@ -543,150 +518,144 @@ def _best_alignment(nmt: Wfst, hiero: Wfst, mask: Mask, nmt_vocab: FrozenSet[int
     matches first, then the other words in cost order, all at one edit
     cost (:func:`~latcomb.editfst.edit_weight` types them alike); UNK
     and insertions try the group in cost order.  Each stops at the first
-    arc that loses on floats, UNK even without its typed edit cost: float
-    addition is monotone and edit costs are nonnegative, so every later
-    arc loses too.
+    arc that loses, UNK even without its typed edit cost: edit costs are
+    nonnegative, so every later arc loses too.
     """
     tab = _MoveTables(nmt, hiero, mask, nmt_vocab, params)
     region = _region(tab)
-    order_n, order_h, pos_n, pos_h, hiero_finals = tab.order_n, tab.order_h, tab.pos_n, \
-        tab.pos_h, tab.hiero_finals
+    pos_n, pos_h, hiero_finals = tab.pos_n, tab.pos_h, tab.hiero_finals
     width, size, start, hiero_moves, nmt_moves = tab.width, tab.size, tab.start, \
         tab.hiero_moves, tab.nmt_moves
-    key, cost, signed, type_pair = tab.key, tab.cost, tab.signed, tab.type_pair
+    signed, type_pair, exact_ints = tab.signed, tab.type_pair, tab.ints
     w_skip, s_skip, w_ins, s_ins = tab.w_skip, tab.s_skip, tab.w_ins, tab.s_ins
-    twice = 2.0 * tab.slack
 
-    # Per cell: the estimate; the estimate plus 2 * slack, above which a
-    # move loses (-inf outside the region); the move that set it; and its
-    # value vector once built.
-    est = [math.inf] * size
-    high = [math.inf] * size
+    # Per cell, and for acceptance at ``sink``: its cost (inf unset, -inf
+    # outside the region) and the move that set it.
+    sink = size
+    g: list[float] = [math.inf] * (size + 1)
     if region is not None:
-        high = [-math.inf] * size
+        g = [-math.inf] * size + [math.inf]
         for c in region:
-            high[c] = math.inf
-    back: list[_Move | None] = [None] * size
-    vec: list[Dense | None] = [None] * size
+            g[c] = math.inf
+    back: list[_Move | None] = [None] * (size + 1)
 
-    def step(d: Dense, move: _Move) -> Dense:
-        # Three-term sums zero entries once, at the end (inner signed=False):
-        # with each feature coming from one side, that equals zeroing after
-        # each addition.
+    # The exact ints of each value vector a move adds, by the vector's id:
+    # rows and edit weights outlive the pass.
+    ints: dict[int, tuple[int, ...]] = {}
+
+    def added(move: _Move) -> list[Dense]:
         _, _, _, a, h, e = move
-        if a is None:
-            return dense_times(dense_times(d, e, False), h[3], signed)
-        d = dense_times(d, a[3], False)
-        if h is None:
-            return dense_times(d, e, signed)
-        return dense_times(dense_times(d, e, False), h[3], signed)
+        return [v for v in (e, a and a[3], h and h[3]) if v]
 
-    def exact(c: int) -> Dense:
-        chain = []
-        while vec[c] is None:
-            chain.append(c)
-            c = back[c][0]
-        d = vec[c]
-        for c in reversed(chain):
-            d = vec[c] = step(d, back[c])
-        return d
+    def parted(ma: _Move, mb: _Move) -> tuple[list[Dense], list[Dense]]:
+        # The value vectors that the paths ending in moves ma and mb add
+        # after they part: a move leads to a larger cell, so the path at the
+        # larger cell steps back until they meet.  Their keys compare as the
+        # sums of these do.
+        va, vb, a, b = added(ma), added(mb), ma[0], mb[0]
+        while a != b:
+            if a > b:
+                va, a = va + added(back[a]), back[a][0]
+            else:
+                vb, b = vb + added(back[b]), back[b][0]
+        return va, vb
 
-    def relax(t: int, e: float, move: _Move) -> None:
-        # The caller has checked that e is not above high[t].  An unset
-        # cell's estimate is inf, so with a finite slack any finite e wins.
-        if e < est[t] - twice:
-            est[t], high[t], back[t], vec[t] = e, e + twice, move, None
+    def summed(vs: list[Dense]) -> tuple[int, ...]:
+        d0 = d1 = d2 = d3 = d4 = 0
+        for v in vs:
+            x0, x1, x2, x3, x4 = ints.get(id(v)) or ints.setdefault(id(v), exact_ints(v))
+            d0, d1, d2, d3, d4 = d0 + x0, d1 + x1, d2 + x2, d3 + x3, d4 + x4
+        return d0, d1, d2, d3, d4
+
+    def relax(t: int, e: int, move: _Move) -> None:
+        # The caller has checked that e is not above g[t].
+        if e < g[t]:
+            g[t], back[t] = e, move
             return
-        v = step(exact(move[0]), move)
         old = back[t]
-        if old is not None:
-            v_old = exact(t)
-            if v == v_old:  # equal keys: the least (source cell, NMT arc, hiero arc) wins
-                if not move[:3] < old[:3]:
-                    return
-            elif not key(v) < key(v_old):
-                return
-        e = cost(v)
-        est[t], high[t], back[t], vec[t] = e, e + twice, move, v
+        va, vb = parted(move, old)
+        # The same values in another order sum alike: no need to add them.
+        if sorted(map(id, va)) != sorted(map(id, vb)) and (sa := summed(va)) != (sb := summed(vb)):
+            if sa < sb:
+                back[t] = move
+        elif move[:3] < old[:3]:  # equal keys: the least (source cell, NMT arc, hiero arc) wins
+            back[t] = move
 
-    est[start], vec[start] = cost(ONE.values), ONE.values
+    g[start] = 0
     back[start] = (start, 0, 0, None, None, ONE.values)  # reached; never followed
     for c in range(start, size) if region is None else region:
         if back[c] is None:
             continue
         i, j = divmod(c, width)
-        est_c, base = est[c], c - j
+        g_c, base = g[c], c - j
         singles, groups, labels, skips = hiero_moves[j]
         for a, x, t_base, s_a, w_del, s_del, typed, sub, s_sub, w_m, s_m, k in nmt_moves[i]:
-            est_a = est_c + s_a
+            g_a = g_c + s_a
             t = t_base + j
-            e = est_a + s_del
-            if not e > high[t]:
+            e = g_a + s_del
+            if e <= g[t]:
                 relax(t, e, (c, k, 0, a, None, w_del))
             if x == EPSILON:
                 continue
             for s_h, rank, t_j, h, y in singles:
                 w_e = typed.get(y, sub) or type_pair(typed, x, y)
                 t = t_base + t_j
-                e = est_a + w_e[1] + s_h
-                if not e > high[t]:
+                e = g_a + w_e[1] + s_h
+                if e <= g[t]:
                     relax(t, e, (c, k, rank, a, h, w_e[0]))
             if not groups:
                 continue
             # A group: the free matches, then the other words in cost order.
             for s_h, rank, t_j, h, _ in labels.get(x, ()):
                 t = t_base + t_j
-                e = est_a + s_m + s_h
-                if not e > high[t]:
+                e = g_a + s_m + s_h
+                if e <= g[t]:
                     relax(t, e, (c, k, rank, a, h, w_m))
-            floor = est_a + s_sub
+            floor = g_a + s_sub
             for t_j, group in groups:
                 t = t_base + t_j
                 for s_h, rank, _, h, y in group:
-                    if floor + s_h > high[t]:
+                    if floor + s_h > g[t]:
                         break
                     if y == x:
                         continue
                     w_e = typed.get(y, sub) or type_pair(typed, x, y)
-                    e = est_a + w_e[1] + s_h
-                    if not e > high[t]:
+                    e = g_a + w_e[1] + s_h
+                    if e <= g[t]:
                         relax(t, e, (c, k, rank, a, h, w_e[0]))
         # Insertions, each word at the same edit cost, then epsilon arcs.
-        est_i = est_c + s_ins
+        g_i = g_c + s_ins
         for s_h, rank, t_j, h, _ in singles:
             t = base + t_j
-            e = est_i + s_h
-            if not e > high[t]:
+            e = g_i + s_h
+            if e <= g[t]:
                 relax(t, e, (c, 0, rank, None, h, w_ins))
         for t_j, group in groups:
             t = base + t_j
             for s_h, rank, _, h, _ in group:
-                e = est_i + s_h
-                if e > high[t]:
+                e = g_i + s_h
+                if e > g[t]:
                     break
                 relax(t, e, (c, 0, rank, None, h, w_ins))
         for s_h, rank, t_j, h, _ in skips:
             t = base + t_j
-            e = est_c + s_skip + s_h
-            if not e > high[t]:
+            e = g_c + s_skip + s_h
+            if e <= g[t]:
                 relax(t, e, (c, 0, rank, None, h, w_skip))
 
-    # Acceptance: the least (key, final cell).
-    best: tuple[Key, int] | None = None
+    # Acceptance: a move from each final cell to the sink adds the final
+    # weights, so the least (key, final cell) sets it.
     for s, fw_n in nmt.finals():
         for s_h, fw_h in hiero_finals.items():
             c = pos_n[s] * width + pos_h[s_h]
-            if back[c] is not None:
-                k = key(dense_times(dense_times(exact(c), fw_n.values, False), fw_h.values, signed))
-                if best is None or (k, c) < best:
-                    best = k, c
-    if best is None:
+            if back[c] is not None and (e := g[c] + tab.final_n[pos_n[s]]
+                                        + tab.final_h[pos_h[s_h]]) <= g[sink]:
+                relax(sink, e, (c, 0, 0, None, None, dense_times(fw_n.values, fw_h.values, True)))
+    if back[sink] is None:
         raise NoPathError("no path from the initial state to a final state")
-    (total, values), c = best
 
     # Rebuild the path with the weights the composed machine's arcs carry.
-    final_weight = times(nmt.final_weight(order_n[c // width]),
-                         hiero_finals[order_h[c % width]])
+    c, final_weight = back[sink][0], FeatureWeight(back[sink][5])
     rows: list[Row] = []
     while c != start:
         src, _, _, a, h, w = back[c]
@@ -697,8 +666,7 @@ def _best_alignment(nmt: Wfst, hiero: Wfst, mask: Mask, nmt_vocab: FrozenSet[int
         rows.append((c, EPSILON if a is None else a[1], EPSILON if h is None else h[2], w))
         c = src
     rows.reverse()
-    return PathWitness(rows=tuple(rows), final_weight=final_weight,
-                       weight=FeatureWeight(values), cost=total)
+    return _witness(rows, final_weight, params, signed)
 
 
 class CorpusReport(NamedTuple):
@@ -753,9 +721,8 @@ def corpus_report(results: Sequence[CombinationResult], hiero_lattices: Sequence
     All are read off one table: per sentence, the three edit counts and
     the rank of its hiero hypothesis in one unique n-best list of its
     lattice at the largest n (that n if absent; the list at a smaller n
-    is its first n, so a smaller n reads the same list), drawn by
-    :func:`~latcomb.algorithms.iter_nbest` only up to the match, on
-    floats for a lattice that holds to the hiero contract.
+    is its first n, so a smaller n reads the same list), drawn as by
+    :func:`~latcomb.algorithms.iter_nbest` only up to the match, as rows.
     """
     if not results:
         raise ContractError("corpus report needs at least one result")
@@ -768,9 +735,10 @@ def corpus_report(results: Sequence[CombinationResult], hiero_lattices: Sequence
     total = len(results)
     deepest = max(n_values, default=1)
     counts = [(r.stats.unk_extensions, r.stats.type2_subs, r.stats.type3_edits) for r in results]
-    ranks = [next((i for i, p in enumerate(iter_nbest(h, deepest, HIERO_ONLY, unique=True))
-                   if tuple(map(h.osyms.word, p.output_labels())) == r.t_hiero), deepest)
-             for r, h in zip(results, hiero_lattices)]
+    ranks = [next((i for i, (rows, _) in enumerate(_ranked(h, deepest, HIERO_ONLY, True))
+                   if tuple(h.osyms.word(r[2]) for r in rows if r[2] != EPSILON) == t.t_hiero),
+                  deepest)
+             for t, h in zip(results, hiero_lattices)]
 
     def pct(flags: Iterable[bool]) -> float:
         return 100.0 * sum(flags) / total

@@ -12,15 +12,18 @@ The scalar view of a weight is an ordinary tropical cost: plus is min,
 times is addition, +inf is the absorbing zero and 0.0 the identity.
 
 The algebra and the search order are defined here once:
-:func:`dense_times` extends a path and :func:`search_key` orders paths
-by scalarized cost, then by the vector.  :func:`times`,
-:func:`scalarize` and :func:`plus` are those two on weights, and the
+:func:`dense_times` extends a path in floats, which is what a path
+reports, and :func:`exact_order` orders paths exactly, by scalarized
+cost and then by the vector, both summed in integers.  :func:`times`,
+:func:`scalarize` and :func:`plus` are those on weights, and the
 searches apply them to the stored vectors directly.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
+from operator import mul
 from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .errors import Checked, ContractError
@@ -43,9 +46,8 @@ CANONICAL_EPS = 1e-15
 TROPICAL_ZERO = math.inf
 
 # A weight's value per feature id in ascending id order (see
-# FeatureWeight.values), and the search order's key for it.
+# FeatureWeight.values).
 Dense = tuple[float, ...]
-Key = tuple[float, Dense]
 
 
 class _ParamVectorFields(NamedTuple):
@@ -137,10 +139,13 @@ def times(a: FeatureWeight, b: FeatureWeight) -> FeatureWeight:
 
 
 def scalarize(w: FeatureWeight, params: ParamVector) -> float:
-    """Dot product with the parameter vector; +inf for the zero element."""
+    """Dot product with the parameter vector, summed in floats from 0.0 in
+    feature-id order: the cost a path reports.  +inf for the zero element."""
     if w.infinite:
         return TROPICAL_ZERO
-    return search_key(params)(w.values)[0]
+    p0, p1, p2, p3, p4 = params
+    v0, v1, v2, v3, v4 = w.values
+    return 0.0 + p0 * v0 + p1 * v1 + p2 * v2 + p3 * v3 + p4 * v4
 
 
 def _canonical(values: Iterable[float]) -> Dense:
@@ -161,37 +166,77 @@ def dense_times(u: Dense, v: Dense, signed: bool) -> Dense:
     return _canonical(out) if signed else out
 
 
-def search_key(params: ParamVector) -> Callable[[Dense], Key]:
-    """The search order under ``params``: ``key(v) == (cost, v)``.
+class ExactOrder(NamedTuple):
+    """The search order of one search, in integers: see :func:`exact_order`."""
 
-    The cost is the dot product with the parameters, summed from 0.0 in
-    feature-id order (:func:`scalarize` is this cost).  Keys compare as
-    tuples: by cost, then by the value vector lexicographically (the
-    lexicographic semiring of Roark, Sproat and Shafran, 2011).
+    scale: Callable[..., list[int]]
+    params: tuple[int, ...]
+    unit: int
+
+    def ints(self, v: Dense) -> tuple[int, ...]:
+        return tuple(self.scale(v))
+
+    def cost(self, v: Dense) -> int:
+        return sum(map(mul, self.params, self.scale(v)))
+
+
+def exact_order(params: ParamVector, values: Iterable[float]) -> ExactOrder:
+    """The search order under ``params`` over value vectors that hold only
+    ``values`` and integers (such as edit counts).
+
+    A path's key is (cost, vector), both exact integer sums over its
+    value vectors, compared as tuples: by cost, then by the value vector
+    lexicographically (the lexicographic semiring of Roark, Sproat and
+    Shafran, 2011).  ``scale(xs, p)`` gives each of ``xs`` times 2**k,
+    times p, for one power of two that makes every value an integer: a
+    nonzero float is m * 2**(e - 53) for an integer m and its
+    :func:`math.frexp` exponent e, so k = 53 - (least e) will do.
+    ``params`` are the parameters times 2**l, the least power of two that
+    makes each an integer; a vector's cost is the dot product of the two,
+    2**(k + l) times sum_i p_i * v_i, and ``unit`` is 2**(k + l), the
+    cost 1.0.  Integer sums do not round, so the order is kept under
+    extension, and keeping the least key per state finds the least path.
     """
-    p0, p1, p2, p3, p4 = params.as_tuple()
+    l, lams = _scaled(params)
+    mags = list(map(abs, filter(None, values)))
+    k = max(0, 53 - math.frexp(min(mags))[1]) if mags else 0
+    if not mags or k + max(1, math.frexp(max(mags))[1]) <= 1024:
+        f = 2.0 ** k
 
-    def key(v: Dense) -> Key:
-        v0, v1, v2, v3, v4 = v
-        return (0.0 + p0 * v0 + p1 * v1 + p2 * v2 + p3 * v3 + p4 * v4, v)
+        def scale(xs: Iterable[float], p: int = 1) -> list[int]:
+            return [p * int(x * f) if x else 0 for x in xs]
+    else:  # values some 970 binary orders apart: x * 2.0**k would overflow
 
-    return key
+        def scale(xs: Iterable[float], p: int = 1) -> list[int]:
+            return [p * (n << (k + 1 - d.bit_length())) for n, d in map(float.as_integer_ratio, xs)]
+
+    return ExactOrder(scale, lams, 1 << (k + l))
+
+
+@lru_cache(maxsize=16)
+def _scaled(params: ParamVector) -> tuple[int, tuple[int, ...]]:
+    """(l, the parameters times 2**l) for the least l that makes them integers."""
+    ratios = [p.as_integer_ratio() for p in params]
+    l = max(d.bit_length() for _, d in ratios) - 1
+    return l, tuple(n << (l + 1 - d.bit_length()) for n, d in ratios)
 
 
 def plus(a: FeatureWeight, b: FeatureWeight, params: ParamVector) -> FeatureWeight:
     """Select the better of two weights under the parameter vector.
 
-    The operand with the smaller :func:`search_key` wins, ``a`` on equal
-    keys: the smaller scalarization, with exact ties broken by the value
-    vectors in ascending feature-id order.  That order is invariant under componentwise addition, which
-    keeps ``times`` distributive over ``plus`` even on tied inputs.
+    The operand with the smaller exact key (:func:`exact_order`) wins,
+    ``a`` on equal keys: the smaller scalarization over the reals, with
+    exact ties broken by the value vectors in ascending feature-id order.
+    That order is invariant under exact componentwise addition, so
+    ``times`` distributes over ``plus`` wherever its float sums are exact.
     """
     if a.infinite:
         return b
     if b.infinite:
         return a
-    key = search_key(params)
-    return a if key(a.values) <= key(b.values) else b
+    order = exact_order(params, a.values + b.values)
+    key_a = order.cost(a.values), order.ints(a.values)
+    return a if key_a <= (order.cost(b.values), order.ints(b.values)) else b
 
 
 def _format_number(v: float) -> str:

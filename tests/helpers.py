@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import random
 from collections import deque
+from fractions import Fraction
+from operator import add, mul
 from typing import Iterable
 
 from latcomb import (
@@ -215,31 +217,28 @@ def naive_compose(t1: Wfst, t2: Wfst) -> Wfst:
     return connect(out.freeze())
 
 
-def flower_combine(nmt: Wfst, hiero: Wfst, params):
-    """The paper's construction, kept as the reference for ``combine``.
-
-    Prunes and extends exactly as ``combine`` does, then composes the
-    extended NMT lattice with the modified edit flower over the labels
-    present and with the pruned hiero lattice, and takes the shortest
-    path of the composed machine.
-    """
-    from latcomb import (
-        CombinationResult,
-        EditStats,
-        build_modified_edit_fst,
-        compose,
-        expand_unk_runs,
-        prune_to_node_budget,
-        shortest_path,
-    )
+def flower_machine(nmt: Wfst, hiero: Wfst, params) -> Wfst:
+    """The paper's composed machine: prunes and extends exactly as
+    ``combine`` does, then composes the extended NMT lattice with the
+    modified edit flower over the labels present and with the pruned
+    hiero lattice."""
+    from latcomb import build_modified_edit_fst, compose, expand_unk_runs, prune_to_node_budget
     from latcomb.pipeline import HIERO_ONLY
-    from latcomb.semiring import EDIT_COUNT, SUB_COUNT, UNK_EXT_COUNT
 
     pruned = prune_to_node_budget(hiero, params.hiero_node_budget, HIERO_ONLY)
     extended = expand_unk_runs(nmt, params.max_unk_run)
     flower = build_modified_edit_fst(all_labels(nmt) | all_labels(pruned), params.nmt_vocab,
                                      nmt.isyms)
-    path = shortest_path(compose(compose(extended, flower), pruned), params.as_param_vector())
+    return compose(compose(extended, flower), pruned)
+
+
+def flower_combine(nmt: Wfst, hiero: Wfst, params):
+    """The paper's construction, kept as the reference for ``combine``:
+    the shortest path of :func:`flower_machine`."""
+    from latcomb import CombinationResult, EditStats, shortest_path
+    from latcomb.semiring import EDIT_COUNT, SUB_COUNT, UNK_EXT_COUNT
+
+    path = shortest_path(flower_machine(nmt, hiero, params), params.as_param_vector())
     counts = path.weight.values
     syms = nmt.isyms
     return CombinationResult(
@@ -269,11 +268,56 @@ def assert_matches_flower_combine(result, reference, syms):
     assert_substitution_property(result, syms)
 
 
+def exact_key(values, params) -> tuple:
+    """The exact key of a path whose values sum to ``values`` (Fractions):
+    (sum_k p_k * v_k, values), compared as a tuple."""
+    return sum(Fraction(p) * v for p, v in zip(params, values)), tuple(values)
+
+
+def path_key(rows, final_weight, params) -> tuple:
+    """The exact key of a path given as rows and its final weight."""
+    vectors = [r[3] for r in rows] + [final_weight.values]
+    return exact_key([sum(map(Fraction, column)) for column in zip(*vectors)], params)
+
+
+def numerators(vectors, params):
+    """Every value of ``vectors``, and every parameter, as a Fraction over
+    one common denominator per set: (the numerators of each vector, the
+    values' denominator, key), where key(sums) = (sum_k p_k * v_k, sums)
+    on summed numerators orders paths as their exact keys do."""
+    scale = max((Fraction(x).denominator for v in vectors for x in v), default=1)
+    nums = {v: tuple(int(Fraction(x) * scale) for x in v) for v in vectors}
+    p_scale = max(Fraction(p).denominator for p in params)
+    p_nums = [int(Fraction(p) * p_scale) for p in params]
+    return nums, scale, lambda sums: (sum(map(mul, p_nums, sums)), sums)
+
+
+def least_exact_key(fst: Wfst, params) -> tuple | None:
+    """Brute force: walk every path of the acyclic ``fst`` from its initial
+    state to acceptance and return the least exact key, None when it
+    accepts nothing (see :func:`numerators`)."""
+    vectors = [r[3] for s in fst.states() for r in fst.rows(s) if r[3] is not None]
+    nums, scale, key = numerators(vectors + [w.values for _, w in fst.finals()], params)
+    least = None
+    stack = [(fst.initial, (0,) * 5)] if fst.initial >= 0 else []
+    while stack:
+        s, sums = stack.pop()
+        fw = fst.final_weight(s)
+        if fw is not None:
+            k = key(tuple(map(add, sums, nums[fw.values])))
+            if least is None or k < least:
+                least = k
+        for t, _, _, v in fst.rows(s):
+            if v is not None:
+                stack.append((t, tuple(map(add, sums, nums[v]))))
+    return None if least is None else exact_key([Fraction(x, scale) for x in least[1]], params)
+
+
 def tie_rule_alignment(nmt: Wfst, hiero: Wfst, params):
     """The winning path of ``combine``, spelled out plainly.
 
-    No pruning (``hiero`` must be within budget), no screen, no groups:
-    every move's exact key, built with ``times``.  It replays one
+    No pruning (``hiero`` must be within budget), no region, no groups:
+    every move's exact key, summed in Fractions.  It replays one
     topological order of the cells, by NMT position and then hiero
     position in ``topological_order``, tries each cell's moves by NMT arc
     and then hiero arc, and takes a cell only on a strictly smaller key,
@@ -283,23 +327,32 @@ def tie_rule_alignment(nmt: Wfst, hiero: Wfst, params):
     with ``combine`` under its order on moves (moves of two kinds from
     one cell never share a target).  Returns the path as (input label,
     output label, weight values) per arc, then the cost and value
-    vector, as ``combine``'s ``path`` writes them.
+    vector, as ``combine``'s ``path`` writes them: summed in floats with
+    ``times``.
     """
-    from latcomb import edit_weight, expand_unk_runs, times
+    from latcomb import edit_weight, expand_unk_runs, scalarize, times
     from latcomb.fst import topological_order
-    from latcomb.semiring import search_key
 
     assert hiero.num_states <= params.hiero_node_budget
     ext = expand_unk_runs(nmt, params.max_unk_run)
-    key = search_key(params.as_param_vector())
+    lambdas = params.as_param_vector()
     vocab = params.nmt_vocab
     cells = [(s, q) for s in topological_order(ext) for q in topological_order(hiero)]
-    value = {(ext.initial, hiero.initial): ONE}
+    vectors = [a.weight.values for m in (ext, hiero) for s in m.states() for a in m.arcs(s)]
+    vectors += [w.values for m in (ext, hiero) for _, w in m.finals()]
+    edits = [w.values for w in (ONE, weight({2: 1.0}), weight({3: 1.0}))]  # edit_weight's
+    nums, _, key = numerators(vectors + edits, lambdas)
+    value = {(ext.initial, hiero.initial): (ONE, (0,) * 5)}
     back = {}
 
-    def relax(target, w, move):
-        if target not in value or key(w.values) < key(value[target].values):
-            value[target], back[target] = w, move
+    def relax(target, d, weights, move):
+        # d is the source's float weight and its exact values' numerators.
+        w, exact = d
+        for x in weights:
+            w = times(w, x)
+            exact = tuple(map(add, exact, nums[x.values]))
+        if target not in value or key(exact) < key(value[target][1]):
+            value[target], back[target] = (w, exact), move
 
     for s, q in cells:
         d = value.get((s, q))
@@ -309,26 +362,26 @@ def tie_rule_alignment(nmt: Wfst, hiero: Wfst, params):
             if a.weight.infinite:
                 continue
             x = a.olabel
-            relax((a.target, q), times(times(d, a.weight), edit_weight(vocab, x, EPSILON)),
-                  (s, q, a, None))
+            relax((a.target, q), d, (a.weight, edit_weight(vocab, x, EPSILON)), (s, q, a, None))
             if x == EPSILON:
                 continue
             for h in hiero.arcs(q):
                 if h.ilabel != EPSILON and not h.weight.infinite:
-                    w = times(times(times(d, a.weight), edit_weight(vocab, x, h.ilabel)), h.weight)
-                    relax((a.target, h.target), w, (s, q, a, h))
+                    relax((a.target, h.target), d,
+                          (a.weight, edit_weight(vocab, x, h.ilabel), h.weight), (s, q, a, h))
         for h in hiero.arcs(q):
             if not h.weight.infinite:
-                w = times(times(d, edit_weight(vocab, EPSILON, h.ilabel)), h.weight)
-                relax((s, h.target), w, (s, q, None, h))
+                relax((s, h.target), d, (edit_weight(vocab, EPSILON, h.ilabel), h.weight),
+                      (s, q, None, h))
 
     best = None
     for cell in cells:
         fw_n, fw_h = ext.final_weight(cell[0]), hiero.final_weight(cell[1])
         if cell in value and fw_n is not None and fw_h is not None:
-            k = key(times(times(value[cell], fw_n), fw_h).values)
+            w, exact = value[cell]
+            k = key(tuple(map(add, exact, map(add, nums[fw_n.values], nums[fw_h.values]))))
             if best is None or k < best[0]:
-                best = (k, cell)
+                best = (k, cell, times(times(w, fw_n), fw_h))
     assert best is not None
     path = []
     cell = best[1]
@@ -343,7 +396,7 @@ def tie_rule_alignment(nmt: Wfst, hiero: Wfst, params):
         path.append((EPSILON if a is None else a.ilabel, EPSILON if h is None else h.olabel,
                      w.values))
         cell = (s, q)
-    return path[::-1], best[0][0], best[0][1]
+    return path[::-1], scalarize(best[2], lambdas), best[2].values
 
 
 def classic_levenshtein(x, y) -> int:

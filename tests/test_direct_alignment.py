@@ -34,7 +34,7 @@ from latcomb.editfst import build_modified_edit_fst, edit_weight
 from latcomb.fst import has_negative, topological_order
 from latcomb.lattice_io import read_lattice, write_lattice
 from latcomb.algorithms import PathWitness
-from latcomb.semiring import dense_times, search_key
+from latcomb.semiring import dense_times, scalarize
 
 from helpers import (
     acceptor_from_sentences,
@@ -292,12 +292,9 @@ def test_cancelling_scores_are_canonicalized_like_times():
     assert result.feature_vector.get(0) == result.feature_vector.get(1) == 0.001
 
 
-# Inexact arithmetic: the pass screens each move by a float estimate
-# (the source cost plus the move's weight costs) and builds the exact key
-# only within a slack of the target's cost.  Non-dyadic scores and
-# lambdas make the estimate differ from the exact cost; scores near
-# +-1e9 that cancel test that the slack is not taken from the (small)
-# costs alone.
+# Inexact arithmetic: non-dyadic scores and lambdas make float sums
+# round, and scores near +-1e9 that cancel make them round far above the
+# (small) costs; the pass compares exact sums.
 
 def test_combine_equals_flower_chain_on_inexact_stream():
     rng = random.Random(1109)
@@ -330,12 +327,10 @@ def test_a_winning_move_whose_estimate_exceeds_the_target_cost(first, second, la
     # NMT "a" directly, or epsilon then "a", scoring ``first`` and then
     # ``second``; the direct score is one float step above their sum.
     # The direct path reaches the final cell first, and the other one has
-    # the smaller key; yet its estimate, lambda_nmt * first + lambda_nmt
-    # * second + 0.3 * 0.1, rounds above the direct path's exact cost.
-    # So a screen with no slack would skip the winner.  In the second
-    # case the scores cancel and the estimate is off by about 5e-8, over
-    # 100 times 1e-9 of the target's cost: a slack taken from the costs
-    # alone would skip it too.
+    # the smaller key; yet its float estimate, lambda_nmt * first +
+    # lambda_nmt * second + 0.3 * 0.1, rounds above the direct path's
+    # cost.  In the second case the scores cancel and the estimate is off
+    # by about 5e-8.  Exact sums order the two paths right.
     syms = SymbolTable()
     a = syms.add("a")
     nmt = Wfst(syms, syms)
@@ -350,8 +345,10 @@ def test_a_winning_move_whose_estimate_exceeds_the_target_cost(first, second, la
     hiero = linear_chain([a], syms, [weight({1: 0.1})])
     params = CombinationParams(lambda_nmt=lambda_nmt, lambda_hiero=0.3)
 
-    key = lambda nmt_score, hiero_score: search_key(params.as_param_vector())(
-        (nmt_score, hiero_score, 0.0, 0.0, 0.0))
+    def key(nmt_score, hiero_score):
+        w = FeatureWeight((nmt_score, hiero_score, 0.0, 0.0, 0.0))
+        return scalarize(w, params.as_param_vector()), w.values
+
     direct = key(math.nextafter(first + second, math.inf), 0.1)
     winner = key(first + second, 0.1)
     estimate = key(first, 0.0)[0] + key(second, 0.0)[0] + key(0.0, 0.1)[0]
@@ -395,8 +392,9 @@ def dense_tuples_built(monkeypatch, nmt, hiero, params):
 def test_screen_skips_most_dense_tuples(monkeypatch):
     # Every cell is reached, and from cell (i, j) the pass could try, per
     # NMT arc, one deletion and one pair per hiero arc, then one insertion
-    # per hiero arc: 4 * (4 + 2 * 60) + 60 = 556 candidate moves.  Without
-    # the screen each one builds at least one dense tuple.
+    # per hiero arc: 4 * (4 + 2 * 60) + 60 = 556 candidate moves.  A pass
+    # that compared whole keys would build at least one dense tuple for
+    # each; moves that lose on cost build none.
     syms, nmt, hiero, params = sausage_instance()
     result, built = dense_tuples_built(monkeypatch, nmt, hiero, params)
     assert_matches_flower_combine(result, flower_combine(nmt, hiero, params), syms)
@@ -405,8 +403,9 @@ def test_screen_skips_most_dense_tuples(monkeypatch):
 
 def test_cells_build_value_vectors_only_for_near_ties(monkeypatch):
     # On the same instance, a pass that builds a value vector for every
-    # move it does not skip builds 187; scalar-first cells build them only
-    # for near ties, at acceptance and along the winning path.
+    # move it does not skip builds 187; scalar-first cells sum exact
+    # vectors only on ties on cost (in ints, not counted here) and build
+    # dense tuples only at acceptance and along the winning path.
     syms, nmt, hiero, params = sausage_instance()
     result, built = dense_tuples_built(monkeypatch, nmt, hiero, params)
     assert_matches_flower_combine(result, flower_combine(nmt, hiero, params), syms)
@@ -514,62 +513,46 @@ def test_an_over_budget_prune_builds_no_arcs(tmp_path):
     assert result == combine(nmt, hiero, params)
 
 
-def test_an_over_budget_prune_adds_no_value_vectors(monkeypatch):
-    # combine prunes its hiero lattice on floats: of the dense_times calls
-    # combine makes, none comes from the pruning searches in algorithms.
-    # Pruning on value vectors gives the same result, with one call per
-    # arc (15) each way and one for the final weight.
+def test_an_over_budget_prune_adds_no_value_vectors():
+    # combine prunes its hiero lattice on exact costs, with no tie among
+    # them here: the pruning searches build no vector, and sum no float
+    # weight for the shortest path they keep.
     _, nmt, hiero, params = over_budget_instance()
-    result, pruning = calls_to(lambda: combine(nmt, hiero, params), dense_times,
-                               "latcomb.algorithms")
+    _, pruning = calls_to(lambda: algorithms._prune_mask(hiero, 6, pipeline.HIERO_ONLY),
+                          dense_times)
     _, aligning = calls_to(lambda: combine(nmt, hiero, params), dense_times, "latcomb.pipeline")
     assert (pruning, aligning > 0) == (0, True)
-    monkeypatch.setattr(algorithms, "_on_floats", lambda fst, params: False)
-    assert calls_to(lambda: combine(nmt, hiero, params), dense_times,
-                    "latcomb.algorithms") == (result, 31)
 
 
-def test_a_report_on_a_1best_hiero_hypothesis_draws_one_path():
+def test_a_report_on_a_1best_hiero_hypothesis_draws_one_path(monkeypatch):
     # The selected hiero hypothesis is the 1-best of four: ranking it
-    # draws one path from the lazy unique n-best, not the list at n = 100.
+    # draws one path from the lazy unique n-best, not the list at n = 100,
+    # and builds no PathWitness for it.
     syms = SymbolTable()
     hiero = acceptor_from_sentences(syms, ["a b c", "d e", "f g h", "i"], score_feature=1,
                                     scores=[0.1, 0.5, 0.9, 1.2])
     nmt = acceptor_from_sentences(syms, ["a b c"], score_feature=0, scores=[0.1])
     result = combine(nmt, hiero, CombinationParams())
-    report, drawn = calls_to(lambda: corpus_report([result], [hiero]), PathWitness.__new__)
-    assert drawn == 1
+    drawn = []
+    real = algorithms._nbest_raw
+
+    def counting(*args):
+        for path in real(*args):
+            drawn.append(path)
+            yield path
+
+    monkeypatch.setattr(algorithms, "_nbest_raw", counting)
+    report, built = calls_to(lambda: corpus_report([result], [hiero]), PathWitness.__new__)
+    assert (len(drawn), built) == (1, 0)
     assert (report.pct_hiero_unchanged, report.nbest_membership) == (
         100.0, ((1, 100.0), (10, 100.0), (100, 100.0)))
 
 
-def test_infinite_slack_settles_every_move_exactly():
-    # Scores of 1e300 and -1e300 put the weights' mass near the float
-    # range, so the slack is infinite and no move is decided on floats:
-    # every one, the first into an unset cell included, takes the exact
-    # comparison.  The two hiero slots offer a (0.5) or c (0.25), then b
-    # (0.5) or c (0.1); substituting c for a is the cheapest alignment.
-    syms = SymbolTable()
-    a, b, c = (syms.add(w) for w in "abc")
-    nmt = linear_chain([a, b], syms, [weight({0: 1e300}), weight({0: -1e300})])
-    hiero = Wfst(syms, syms)
-    for _ in range(3):
-        hiero.add_state()
-    hiero.set_initial(0)
-    hiero.set_final(2, ONE)
-    for src, label, score in ((0, a, 0.5), (0, c, 0.25), (1, b, 0.5), (1, c, 0.1)):
-        hiero.add_arc(src, Arc(label, label, weight({1: score}), src + 1))
-    result = combine(nmt, hiero.freeze(), CombinationParams())
-    assert result.t_hiero == ("c", "b") and result.t_comb == ("a", "b")
-    assert result.total_cost == 2.75
-    assert result.feature_vector.values == (0.0, 0.75, 1.0, 0.0, 0.0)
-
-
 def test_a_nan_estimate_takes_the_exact_comparison():
-    # With both lambdas 2, the arc costs overflow to +inf and -inf, so the
-    # match's estimate is inf + -inf = NaN.  A NaN estimate is never
-    # decided on floats: it sets the unset cell through the exact
-    # comparison, and the alignment keeps the match.
+    # With both lambdas 2, the arc costs overflow to +inf and -inf in
+    # floats, so a float estimate of the match is inf + -inf = NaN, and
+    # so is the cost the result reports.  Exactly, the scores cancel: the
+    # match costs 0, less than any alignment with an edit, and wins.
     syms = SymbolTable()
     a = syms.add("a")
     nmt = linear_chain([a], syms, [weight({0: 1e308})])
@@ -581,12 +564,11 @@ def test_a_nan_estimate_takes_the_exact_comparison():
     assert result.stats.exact_match
 
 
-def test_rounding_tie_in_a_group_goes_to_the_lower_arc_index():
+def test_a_rounding_tie_in_a_group_goes_to_the_exactly_cheaper_arc():
     # After 1e8, the scores 0.3 + 2e-9 (arc b) and 0.3 (arc c) round to
-    # the same sum, so substituting either for z gives exactly equal keys,
-    # although c is the cheaper arc and is tried first.  The two moves
-    # leave one cell along one NMT arc, so an equal key goes to the lower
-    # hiero arc index: b wins.
+    # the same float sum, so float keys would tie substituting either for
+    # z and give the cell to the lower hiero arc index, b.  The exact sums
+    # differ by 2e-9: c wins, and the reported cost is the float sum.
     syms = SymbolTable()
     a, b, c, z = (syms.add(w) for w in "abcz")
     hiero = Wfst(syms, syms)
@@ -601,7 +583,7 @@ def test_rounding_tie_in_a_group_goes_to_the_lower_arc_index():
     assert 1e8 + (0.3 + 2e-9) == 1e8 + 0.3 and 0.3 + 2e-9 > 0.3
     nmt = linear_chain([a, z], syms)
     result = combine(nmt, hiero, CombinationParams())
-    assert result.t_hiero == ("a", "b")
+    assert result.t_hiero == ("a", "c")
     assert (result.total_cost, result.feature_vector.values) == \
         (1e8 + 0.3 + 2.0, (0.0, 1e8 + 0.3, 1.0, 0.0, 0.0))
 

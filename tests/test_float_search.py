@@ -1,12 +1,11 @@
-"""The float searches against the vector searches they stand in for.
+"""Searches over hiero lattices whose float sums round, cancel or overflow.
 
-Pruning and n-best add floats instead of value vectors on a hiero
-lattice under a hiero lambda of 1.0 (``algorithms._on_floats``).  These
-tests run both on many small, tie-heavy hiero lattices, the vector
-searches by switching the float path off, and require the same masks,
-paths, costs, backpointers and errors, bit for bit.  The unique n-best
-is also checked for the prefix property the corpus report relies on,
-and against a brute-force walk of every path.
+Every search keys paths exactly (``semiring.exact_order``), so on many
+small, tie-heavy hiero lattices with cancelling or overflowing scores
+each must find the least path that an exact walk of every path in
+Fractions finds (``helpers.least_exact_key``).  The unique n-best is also
+checked for the prefix property the corpus report relies on, and against
+a brute-force walk of every path.
 """
 
 import math
@@ -16,11 +15,11 @@ import pytest
 
 from latcomb import (EPSILON, ONE, ZERO, Arc, ContractError, NoPathError, ParamVector, SymbolTable,
                      Wfst, weight)
-from latcomb import algorithms
-from latcomb.algorithms import (PathWitness, _distances, _nbest_raw, _prune_mask, _search, _unique,
-                                nbest, shortest_path)
+from latcomb.algorithms import _distances, _nbest_raw, _prune_mask, _search, _unique, nbest, shortest_path
 from latcomb.pipeline import HIERO_ONLY
 from latcomb.semiring import HIERO_SCORE
+
+from helpers import least_exact_key, path_key
 
 TIES = (-1.0, 0.0, 0.5, 1.0, 2.0)
 CANCELLING = (0.1, 0.2, -0.3, 0.7, -0.4, 1e-16)
@@ -55,30 +54,12 @@ def hiero_lattice(rng: random.Random, syms: SymbolTable, scores) -> Wfst:
 def lattices(seed: int, count: int, scores):
     rng = random.Random(seed)
     syms = SymbolTable()
-    out = [hiero_lattice(rng, syms, scores) for _ in range(count)]
-    assert all(algorithms._on_floats(h, HIERO_ONLY) for h in out)
-    return out
+    return [hiero_lattice(rng, syms, scores) for _ in range(count)]
 
 
 def exact(path):
     """A path as a value that compares floats bit for bit (repr keeps -0.0 and nan)."""
     return path.rows, repr(path.cost), repr(path.weight.values), path.final_weight
-
-
-def outcome(search, *args):
-    """What a search returns, or the type and message of the error it raises."""
-    try:
-        return search(*args)
-    except (ContractError, NoPathError) as exc:
-        return type(exc), str(exc)
-
-
-def mask(h, budget):
-    got = outcome(_prune_mask, h, budget, HIERO_ONLY)
-    if isinstance(got[0], type):
-        return got
-    keep, arcs, finals = got
-    return list(keep), [tuple(rows) for rows in arcs], finals
 
 
 def cheapest_strings(h):
@@ -98,60 +79,49 @@ def cheapest_strings(h):
     return best
 
 
-def searches(h):
-    """Every search a lattice is checked on, on whichever path is switched
-    on: both distance passes, the shortest path, the mask at every budget
-    from one below the shortest path's state count up (a ContractError
-    below it), the unique n-best for n = 1..6 and the raw 6-best (a
-    NoPathError without a path)."""
-    search = _search(h, HIERO_ONLY)
-    fwd, back = _distances(h, search)
-    bwd, _ = _distances(h, search, backward=True)
-
-    def costs(keys):
-        return [repr(k if k is None else search.cost(k)) for k in keys]
-
-    def paths(n, unique):
-        got = outcome(nbest, h, n, HIERO_ONLY, unique)
-        return got if isinstance(got[0], type) else [exact(p) for p in got]
-
-    shortest = outcome(shortest_path, h, HIERO_ONLY)
-    found = isinstance(shortest, PathWitness)
-    lowest = len(shortest.rows) if found else 1
-    return {
-        "forward": costs(fwd), "back": back, "backward": costs(bwd),
-        "shortest": exact(shortest) if found else shortest,
-        "masks": [mask(h, b) for b in range(lowest, h.num_states + 1)],
-        "unique": [paths(n, True) for n in range(1, 7)],
-        "raw": paths(6, False),
-    }
-
-
-@pytest.mark.parametrize("scores, count", [(TIES, 10000), (CANCELLING, 5000), (OVERFLOWING, 5000)],
+@pytest.mark.parametrize("scores, count", [(TIES, 2000), (CANCELLING, 2000), (OVERFLOWING, 2000)],
                          ids=["ties", "cancelling", "overflowing"])
-def test_float_searches_equal_the_vector_searches(monkeypatch, scores, count):
-    # 20,000 lattices in all.  With CANCELLING, sums such as 0.1 + 0.2 -
-    # 0.3 fall below CANONICAL_EPS and are zeroed; with OVERFLOWING, sums
-    # reach inf, -inf and, through inf - inf, nan: an overflowed state is
-    # reached at inf on both paths, not taken for unreached.
-    machines = lattices(18, count, scores)
-    fast = [searches(h) for h in machines]
-    with monkeypatch.context() as m:
-        m.setattr(algorithms, "_on_floats", lambda fst, params: False)
-        slow = [searches(h) for h in machines]
-    assert [i for i, (f, s) in enumerate(zip(fast, slow)) if f != s] == []
-    # The float backward pass takes each state's least candidate over its
-    # own arcs, the vector pass relaxes the reversed arcs; a state that
-    # reaches no final state stays None in both.
-    assert sum(f["backward"].count("None") for f in fast) > count // 20
+def test_searches_find_the_exact_least_path(scores, count):
+    # With CANCELLING, float sums such as 0.1 + 0.2 - 0.3 fall below
+    # CANONICAL_EPS and are zeroed; with OVERFLOWING, they reach inf, -inf
+    # and, through inf - inf, nan.  The keys are exact: the shortest path,
+    # the 1-best and the unique 1-best all have the least key of the walk,
+    # and pruning keeps the shortest path at every budget from its state
+    # count up (a ContractError below it).
+    no_path = 0
+    for h in lattices(18, count, scores):
+        least = least_exact_key(h, HIERO_ONLY)
+        if least is None:
+            with pytest.raises(NoPathError):
+                shortest_path(h, HIERO_ONLY)
+            no_path += 1
+            continue
+        best = shortest_path(h, HIERO_ONLY)
+        (first,) = nbest(h, 1, HIERO_ONLY)
+        (unique,) = nbest(h, 1, HIERO_ONLY, unique=True)
+        assert [path_key(p.rows, p.final_weight, HIERO_ONLY) for p in (best, first, unique)] \
+            == [least] * 3
+        states = {h.initial, *(row[0] for row in best.rows)}
+        with pytest.raises(ContractError):
+            _prune_mask(h, len(states) - 1, HIERO_ONLY)
+        for budget in range(len(states), h.num_states + 1):
+            assert states <= set(_prune_mask(h, budget, HIERO_ONLY)[0])
+    assert no_path > count // 20
+
+
+@pytest.mark.parametrize("scores", [CANCELLING, OVERFLOWING], ids=["cancelling", "overflowing"])
+def test_unique_nbest_lists_are_prefixes_of_longer_ones(scores):
     # The corpus report reads every smaller n off the list at its largest
-    # n.  Capping a search's pops at n breaks that where sums round (on 1
-    # cancelling and 16 overflowing lattices); one uncapped stream cannot.
-    unique = [f["unique"] for f in fast]
-    assert [i for i, u in enumerate(unique) if isinstance(u[-1], list)
-            and any(u[n - 1] != u[-1][:n] for n in range(1, 6))] == []
-    no_path = (NoPathError, "no path from the initial state to a final state")
-    assert sum(f["raw"] == no_path for f in fast) > count // 20
+    # n: the first n strings of the unique 6-best are the unique n-best.
+    # Under float keys, a stream that capped its pops at n broke that on 1
+    # cancelling and 27 overflowing lattices of these 8,000 each.
+    for h in lattices(18, 8000, scores):
+        try:
+            six = [p.output_labels() for p in nbest(h, 6, HIERO_ONLY, unique=True)]
+        except NoPathError:
+            continue
+        for n in range(1, min(6, len(six))):
+            assert [p.output_labels() for p in nbest(h, n, HIERO_ONLY, unique=True)] == six[:n]
 
 
 @pytest.mark.parametrize("hiero", [1.0, 0.5], ids=["floats", "vectors"])
@@ -159,6 +129,7 @@ def test_over_budget_pruning_needs_an_accessible_final_state(hiero):
     # Over budget, pruning reads reachability off its forward pass.  No
     # final state accessible: the machine accepts nothing.  One reached
     # only through an INF arc is accessible but on no path, as before.
+    # Under a hiero lambda of 1.0 and of 0.5.
     params = ParamVector(nmt=0.0, hiero=hiero, edit=0.0, sub=0.0, ins=0.0)
     syms = SymbolTable()
     a = syms.add("a")
@@ -176,7 +147,6 @@ def test_over_budget_pruning_needs_an_accessible_final_state(hiero):
     chain = [(0, weight({1: 0.5}), 1), (1, weight({1: 0.5}), 2)]
     nothing = lattice(chain + [(3, ONE, 4)])
     no_path = lattice(chain + [(2, ZERO, 4)])
-    assert algorithms._on_floats(nothing, params) == (hiero == 1.0)
     for budget in (1, 2, 3, 4):
         with pytest.raises(NoPathError, match="^machine accepts nothing$"):
             _prune_mask(nothing, budget, params)
@@ -215,21 +185,21 @@ def test_unique_nbest_must_not_cap_its_pops():
     capped = 0
     for h in lattices(19, 2000, TIES):
         search = _search(h, HIERO_ONLY)
-        beta, _ = _distances(h, search, backward=True)
-        if beta[h.initial] is None:
+        beta = _distances(h, search, backward=True)
+        if beta[0][h.initial] is None:
             continue
         for n in range(1, 7):
-            once = [exact(p) for p in _unique(_nbest_raw(h, n, search, beta), n)]
-            capped += once != [exact(p) for p in nbest(h, n, HIERO_ONLY, unique=True)]
+            once = [tuple(rows) for rows, _ in _unique(_nbest_raw(h, n, search, beta), n)]
+            capped += once != [p.rows for p in nbest(h, n, HIERO_ONLY, unique=True)]
     assert capped > 0
 
 
 def test_an_overflowed_sum_is_reached_at_inf():
-    # 1e308 + 1e308 overflows to inf, and the state it reaches is reached,
-    # not unreached: n-best finds the one path through it, at cost inf.
-    # A shortest path that costs inf leaves pruning no threshold, so it
-    # keeps that path alone (state 4, which nothing reaches, included, it
-    # raised TypeError before).
+    # 1e308 + 1e308 overflows to inf in floats, and the state it reaches is
+    # reached, at its exact cost 2e308: n-best finds the one path through
+    # it, and reports its float cost, inf.  The shortest path's exact cost
+    # is 1e308, so pruning finds its threshold as for any other cost
+    # (state 4, which nothing reaches, is dropped).
     syms = SymbolTable()
     a, b = syms.add("a"), syms.add("b")
     h = Wfst(syms, syms)
@@ -241,9 +211,8 @@ def test_an_overflowed_sum_is_reached_at_inf():
         h.add_arc(src, Arc(label, label, weight({1: score}), dst))
     h.set_final(3, ONE)
     h = h.freeze()
-    assert algorithms._on_floats(h, HIERO_ONLY)
-    fwd, _ = _distances(h, _search(h, HIERO_ONLY))
-    assert fwd == [0.0, 1e308, math.inf, math.inf, None]
+    fwd = _distances(h, _search(h, HIERO_ONLY))[0]
+    assert fwd[0] == 0 and fwd[2] == 2 * fwd[1] == 2 * fwd[3] > 0 and fwd[4] is None
     (path,) = nbest(h, 3, HIERO_ONLY, unique=True)
     assert (path.output_labels(), path.cost) == ((a, a, a), math.inf)
     keep, arcs, finals = _prune_mask(h, 4, HIERO_ONLY)

@@ -1,8 +1,8 @@
 """The A* region before ``combine``'s alignment pass against the pass over every cell.
 
 ``pipeline._region`` (phase 1) picks the cells that can hold an
-alignment within a margin of the optimum; the exact pass (phase 2)
-visits only those.  Forced on, on every input, it must leave every
+optimal alignment, or give one of its cells its least key; the exact
+pass (phase 2) visits only those.  Forced on, on every input, it must leave every
 result bit for bit as the pass over every cell gives it: the same
 ``t_comb``, cost, feature vector and winning path, ties included.
 """
@@ -32,7 +32,6 @@ from latcomb import pipeline
 from latcomb.algorithms import _prune_mask
 from latcomb.editfst import edit_weight, expand_unk_runs
 from latcomb.fst import accessible_states, has_negative
-from latcomb.semiring import search_key
 
 from helpers import assert_matches_flower_combine, flower_combine, linear_chain
 from test_direct_alignment import build_instance, has_word, wide_instance
@@ -163,30 +162,6 @@ def region_of(nmt, hiero, params):
     tables = pipeline._MoveTables(expand_unk_runs(nmt, params.max_unk_run), hiero, mask,
                                   params.nmt_vocab, params.as_param_vector())
     return tables, pipeline._region(tables)
-
-
-def test_infinite_slack_makes_the_region_every_cell(monkeypatch):
-    # Scores of 1e300 and -1e300 put the weights' mass near the float
-    # range: the slack is infinite, no estimate bounds anything, and phase
-    # 1 leaves every reachable cell to the exact pass.
-    monkeypatch.setattr(pipeline, "_REGION_MIN_BRANCHING", 0.0)
-    syms = SymbolTable()
-    a, b, c = (syms.add(w) for w in "abc")
-    nmt = linear_chain([a, b], syms, [weight({0: 1e300}), weight({0: -1e300})])
-    hiero = Wfst(syms, syms)
-    for _ in range(3):
-        hiero.add_state()
-    hiero.set_initial(0)
-    hiero.set_final(2, ONE)
-    for src, label, score in ((0, a, 0.5), (0, c, 0.25), (1, b, 0.5), (1, c, 0.1)):
-        hiero.add_arc(src, Arc(label, label, weight({1: score}), src + 1))
-    hiero.freeze()
-    params = CombinationParams()
-    tables, region = region_of(nmt, hiero, params)
-    assert tables.slack == float("inf") and region is None
-    result = combine(nmt, hiero, params)
-    assert result.t_hiero == ("c", "b") and result.total_cost == 2.75
-    assert_matches_flower_combine(result, flower_combine(nmt, hiero, params), syms)
 
 
 def test_no_reachable_final_cell_still_raises_no_path(monkeypatch):
@@ -322,26 +297,21 @@ def test_heuristic_is_admissible_and_consistent():
     # Against the exact cost on from each cell, by a reverse pass over the
     # cells with every move of the tables (deletions and NMT epsilon arcs,
     # pairs with every kept hiero word arc, insertions and hiero epsilon
-    # arcs), typed here by edit_weight: h never exceeds it, is infinite
+    # arcs), typed here by edit_weight: h never exceeds it, is None
     # exactly where it is, and h(c) <= w + h(c') for every move c -> c'.
     rng = random.Random(2222)
     dead = epsilon = 0
     for _ in range(400):
         nmt, hiero, params = untrimmed_instance(rng)
         tab, _ = region_of(nmt, hiero, params)
-        h = pipeline._heuristic(tab)[3]
-        width, cost, slack = tab.width, tab.cost, tab.slack
-        assert slack < 1e-6
-        final_n = [math.inf if w is None else cost(w.values)
-                   for w in map(tab.nmt.final_weight, tab.order_n)]
-        final_h = [cost(tab.hiero_finals[s].values) if s in tab.hiero_finals else math.inf
-                   for s in tab.order_h]
+        h = pipeline._heuristic(tab)[1]
+        width, cost = tab.width, tab.cost
         epsilon += any(skips for *_, skips in tab.hiero_moves)
 
         def edit(x, y):
             return cost(edit_weight(params.nmt_vocab, x, y).values)
 
-        togo = [math.inf] * tab.size
+        togo = [None] * tab.size
         for c in reversed(range(tab.size)):
             i, j = divmod(c, width)
             singles, groups, _, skips = tab.hiero_moves[j]
@@ -353,30 +323,35 @@ def test_heuristic_is_admissible_and_consistent():
                     moves += [(t_base + t_j, s_a + edit(x, y) + s_h)
                               for s_h, _, t_j, _, y in words]
             moves += [(c - j + t_j, edit(EPSILON, y) + s_h) for s_h, _, t_j, _, y in words + skips]
-            togo[c] = min([final_n[i] + final_h[j]] + [w + togo[t] for t, w in moves])
-            assert (h(c) == math.inf) == (togo[c] == math.inf)
-            assert h(c) <= togo[c] + slack
+            options = [w + togo[t] for t, w in moves if togo[t] is not None]
+            if tab.final_n[i] is not None and tab.final_h[j] is not None:
+                options.append(tab.final_n[i] + tab.final_h[j])
+            togo[c] = min(options, default=None)
+            assert (h(c) is None) == (togo[c] is None)
+            if togo[c] is not None:
+                assert h(c) <= togo[c]
             for t, w in moves:
-                assert h(c) <= w + h(t) + slack
-            dead += togo[c] == math.inf
+                if h(t) is not None:
+                    assert h(c) <= w + h(t)
+            dead += togo[c] is None
     assert dead > 1000 and epsilon > 100
 
 
 @pytest.mark.parametrize("lambda_hiero", [0.0, 0.7, 1.0, 3.0])
 def test_hiero_entry_costs_equal_their_search_key(lambda_hiero):
-    # The tables read a kept hiero arc's cost as 0.0 + lambda_hiero * score,
-    # not through search_key: bit for bit the same on hiero-contract lattices
-    # under CombinationParams, signed and zero (ONE) scores included.
+    # The tables read a kept hiero arc's cost as the scaled lambda_hiero
+    # times the scaled score, not through the exact order's cost: the same
+    # on hiero-contract lattices under CombinationParams, signed and zero
+    # (ONE) scores included.
     rng = random.Random(2323)
     negative = one = 0
     for _ in range(100):
         nmt, hiero, params = untrimmed_instance(rng)
         params = params._replace(lambda_hiero=lambda_hiero)
         tab, _ = region_of(nmt, hiero, params)
-        key = search_key(params.as_param_vector())
         for singles, groups, _, skips in tab.hiero_moves:
             for s_h, _, _, row, _ in singles + [e for _, group in groups for e in group] + skips:
-                assert s_h.hex() == key(row[3])[0].hex()
+                assert s_h == tab.cost(row[3])
                 negative += row[3][HIERO_SCORE] < 0.0
                 one += row[3] == ONE.values
     assert negative > 50 and one > 50

@@ -1,5 +1,6 @@
 import math
 import pickle
+from fractions import Fraction
 import random
 import struct
 
@@ -19,7 +20,7 @@ from latcomb import (
     weight,
 )
 
-from latcomb.semiring import CANONICAL_EPS, NUM_FEATURES, dense_times, search_key
+from latcomb.semiring import CANONICAL_EPS, NUM_FEATURES, dense_times, exact_order
 
 from helpers import grid_params, grid_weight
 
@@ -44,6 +45,31 @@ def test_plus_tie_uses_dense_vector_order():
     assert scalarize(a, p) == scalarize(b, p) == 2.0
     assert plus(a, b, p) == b
     assert plus(b, a, p) == b
+
+
+def test_plus_orders_exact_sums_where_floats_round():
+    # In floats, 1.0 + 1e16 rounds to 1e16 and the first weight costs 0.0;
+    # its exact cost is 1.0, so the second weight (0.5) wins either way round.
+    a = weight({0: 1.0, 1: 1e16, 2: -1e16})
+    b = weight({0: 0.5})
+    assert scalarize(a, UNIT) == 0.0 < scalarize(b, UNIT)
+    assert plus(a, b, UNIT) == plus(b, a, UNIT) == b
+    # Extending both by one weight keeps the order, as distributivity needs.
+    c = weight({3: 0.25})
+    assert plus(times(a, c), times(b, c), UNIT) == times(b, c)
+
+
+def test_exact_order_keys_values_far_apart():
+    # 0.1 needs 2**57 to be an integer, and 1.7e308 times 2**57 overflows
+    # a float: such values are shifted from their exact ratios instead.
+    values = (0.1, -1.7e308, 1.7e308, 0.0, 1e-15)
+    order = exact_order(UNIT, values)
+    ints = order.ints(values)
+    scale = Fraction(ints[0]) / Fraction(values[0])
+    assert scale.denominator == 1 and scale.numerator.bit_count() == 1  # a power of two
+    assert [Fraction(x) * scale for x in values] == list(ints)
+    # The big pair cancels exactly: the cost is that of 0.1 + 1e-15.
+    assert order.cost(values) == order.unit * (Fraction(0.1) + Fraction(1e-15))
 
 
 def test_times_componentwise():
@@ -203,10 +229,10 @@ def _sparse_product(a, b):
 
 @given(st.integers(0, 10_000))
 def test_dense_key_equals_sparse_grid(seed):
-    # times, scalarize and the searches' (cost, vector) key of a dense
+    # times, scalarize and the float sum the searches report of a dense
     # product agree bit for bit with a sparse reference that sums only
     # the nonzero entries (also the sign of a zero cost under negative
-    # parameters).
+    # parameters); the grid's sums are exact, so the exact cost adds up.
     a, b, _, p = weights_grid(seed)
     if a.infinite or b.infinite:
         return
@@ -219,10 +245,10 @@ def test_dense_key_equals_sparse_grid(seed):
             cost += params.coefficient(fid) * product[fid]
         expected = _bits((cost, vector))
         assert _bits((scalarize(times(a, b), params), times(a, b).values)) == expected
-        key = search_key(params)
-        assert _bits(key(dense_times(a.values, b.values, True))) == expected
         if not any(v < 0.0 for v in a.values + b.values):
-            assert _bits(key(dense_times(a.values, b.values, False))) == expected
+            assert dense_times(a.values, b.values, False) == times(a, b).values
+        order = exact_order(params, a.values + b.values + vector)
+        assert order.cost(vector) == order.cost(a.values) + order.cost(b.values)
 
 
 @st.composite
