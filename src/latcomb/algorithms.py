@@ -10,9 +10,10 @@ builds the pruned machine.
 Search order: every search here (shortest path, n-best, pruning), like
 ``plus`` and the alignment pass of :mod:`latcomb.pipeline`, compares
 paths by exact integer keys (:func:`latcomb.semiring.exact_order`):
-scalarized cost first, then the feature vector.  The keys do not round,
-so keeping the least key per state finds the least path, and every tie
-is a real one.  A found path reports its weight and cost in floats,
+scalarized cost first, then the feature vector, here packed into one
+integer per arc (:func:`_search`).  The keys do not round, so keeping
+the least key per state finds the least path, and every tie is a real
+one.  A found path reports its weight and cost in floats,
 summed along it by :func:`latcomb.semiring.dense_times`.
 """
 
@@ -22,7 +23,6 @@ import heapq
 import math
 from collections import deque
 from itertools import chain, count
-from operator import add
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import ContractError, NoPathError, check_count
@@ -40,8 +40,8 @@ from .fst import (
     has_negative,
     topological_order,
 )
-from .semiring import (ONE, Dense, ExactOrder, FeatureWeight, ParamVector, dense_times,
-                       exact_order, scalarize, times)
+from .semiring import (ONE, Dense, FeatureWeight, ParamVector, dense_times, exact_order,
+                       scalarize, times)
 
 
 class PathWitness(NamedTuple):
@@ -190,17 +190,28 @@ def compose(t1: Wfst, t2: Wfst) -> Wfst:
 
 class _Search(NamedTuple):
     """One search's view of a machine: per state, its ``dense_arcs`` rows
-    each with its exact cost under ``order`` (see
-    :func:`~latcomb.semiring.exact_order`); and each final weight's exact
-    cost."""
+    each with its key; each final weight's key; the cost 1.0; and the
+    bits below a key's cost (see :func:`_search`)."""
 
     arcs: list[list[tuple[Row, int]]]
     finals: dict[int, int]
-    order: ExactOrder
+    unit: int
+    shift: int
 
 
-def _search(fst: Wfst, params: ParamVector) -> _Search:
+def _search(fst: Wfst, params: ParamVector, terms: int = 0) -> _Search:
     """The exact arithmetic of every search over ``fst`` under ``params``.
+
+    Each arc and final weight gets its exact key, (cost, value vector)
+    under :func:`~latcomb.semiring.exact_order`, packed into one integer:
+    the cost, then one digit ``bits`` wide per feature that some arc or
+    final weight carries, but the last such feature when its parameter is
+    not zero (the cost and the others fix it).  A sum of at most
+    ``terms`` keys (by default the states: a path that visits no state
+    twice, its final weight included) has each digit below 2**(bits - 1)
+    in magnitude, so such sums compare as the keys they pack do, and the
+    sum's cost is (sum + 2**(shift - 1)) >> shift.  Under a parameter vector
+    with one feature that the machine carries, a key is its cost.
 
     Requires an initial and a final state and, for a cyclic machine, no
     arc of negative cost.
@@ -210,97 +221,69 @@ def _search(fst: Wfst, params: ParamVector) -> _Search:
     arcs = dense_arcs(fst)
     finals = dict(fst.finals())
     vectors = [r[3] for rows in arcs for r in rows] + [w.values for w in finals.values()]
-    columns = list(zip(*vectors))  # per feature, its values
-    order = exact_order(params, chain.from_iterable(filter(any, columns)))
-    costs = None
-    for column, p in zip(columns, order.params):
-        if p:
-            column = order.scale(column, p)
-            costs = column if costs is None else list(map(add, costs, column))
-    each = iter(costs or [0] * len(vectors))
-    costed = [list(zip(rows, each)) for rows in arcs]
-    if topological_order(fst) is None and any(w < 0 for pairs in costed for _, w in pairs):
+    columns = [(i, c) for i, c in enumerate(zip(*vectors)) if any(c)]  # features carried
+    order = exact_order(params, chain.from_iterable(c for _, c in columns))
+    costs = [order.scale(c, order.params[i]) for i, c in columns if order.params[i]]
+    keys = costs[0] if len(costs) == 1 else [sum(ks) for ks in zip(*costs)] or [0] * len(vectors)
+    if columns and order.params[columns[-1][0]]:
+        columns.pop()
+    digits = [order.scale(c) for _, c in columns]
+    bits = (max(map(abs, chain(*digits))) * (terms or fst.num_states)).bit_length() + 1 \
+        if digits else 0
+    for column in digits:
+        keys = [(k << bits) + x for k, x in zip(keys, column)]
+    shift = bits * len(digits)
+    each = iter(keys)
+    keyed = [list(zip(rows, each)) for rows in arcs]
+    # A key's cost is below 0 when the key is below -2**(shift - 1).
+    if topological_order(fst) is None and any(w < -(1 << shift >> 1) for pairs in keyed
+                                              for _, w in pairs):
         raise ContractError("cyclic machine with a negative-cost arc: shortest path undefined")
-    return _Search(costed, dict(zip(finals, each)), order)
+    return _Search(keyed, dict(zip(finals, each)), order.unit, shift)
 
 
-def _distances(fst: Wfst, search: _Search, backward: bool = False) -> tuple:
-    """Least exact key from the initial state to every state, pointers
-    back to the previous state; with ``backward``, from every state to
+def _distances(fst: Wfst, search: _Search, backward: bool = False) -> tuple[list, list]:
+    """Least key from the initial state to every state, pointers back to
+    the previous state; with ``backward``, from every state to
     acceptance, final weight included, pointers on to the next state.
 
-    Returns, per state, its least exact cost (None where there is no
-    path) and the pointer it was set by (the other state and the row of
-    the arc taken, None at a root); and via(s, v), the exact value vector
-    of the path that gives s its key, extended by the values v.  Keys are
-    costs first: a vector is built only where two paths tie on cost, by
-    summing the rows along the pointers, and a path takes a state only on
-    a smaller key, so the first arc tried keeps an exact tie.  An acyclic
-    machine is relaxed in topological order (backward, each state takes
-    the least of its final key and its own arcs' keys plus their
-    targets', Mohri, 2002); a cyclic one is searched with Dijkstra on
-    whole keys, backward on reversed arcs.
+    Returns, per state, its least key (None where there is no path) and
+    the pointer it was set by (the other state and the row of the arc
+    taken, None at a root).  A path takes a state only on a smaller key,
+    so the first arc tried keeps a tie.  An acyclic machine is relaxed in
+    topological order (backward, each state takes the least of its final
+    key and its own arcs' keys plus their targets', Mohri, 2002); a
+    cyclic one is searched with Dijkstra, backward on reversed arcs.
     """
     order = topological_order(fst)
-    adj, ints = search.arcs, search.order.ints
+    adj = search.arcs
     n = fst.num_states
-    cost: list[Any] = [None] * n
-    ptr, vec = [None] * n, [None] * n
-
-    def vector(s: int) -> tuple[int, ...]:
-        # The exact value vector of the path that gives the settled state s
-        # its key: the rows along the pointers, on the initial state's or a
-        # final state's own (backward, the final weight).
-        chain = []
-        while vec[s] is None and ptr[s] is not None:
-            chain.append(s)
-            s = ptr[s][0]
-        v = vec[s] = vec[s] or ints(fst.final_weight(s).values)
-        for s in reversed(chain):
-            v = vec[s] = dense_times(v, ints(ptr[s][1][3]), False)
-        return v
-
-    def via(s: int, v: Dense) -> tuple[int, ...]:
-        # The vector of the settled state s's path extended by values v.
-        return dense_times(vector(s), ints(v), False)
-
-    def current(s: int) -> tuple[int, ...]:
-        # The vector of the path that gives the unsettled state s its key.
-        return via(ptr[s][0], ptr[s][1][3]) if ptr[s] else ints(fst.final_weight(s).values)
-
+    key: list[Any] = [None] * n
+    ptr: list[Any] = [None] * n
     if backward:
-        for s, _ in fst.finals():
-            cost[s] = search.finals[s]
-    elif fst.initial != NO_STATE:
-        cost[fst.initial], vec[fst.initial] = 0, ints(ONE.values)
+        for s, k in search.finals.items():
+            key[s] = k
+    else:
+        key[fst.initial] = 0
 
     if order is not None and backward:
         for s in reversed(order):
-            best = cost[s]
+            best = key[s]
             for row, w in adj[s]:
-                t = row[0]
-                kt = cost[t]
-                if kt is None:
-                    continue
-                k = kt + w
-                if best is None or k < best:
-                    best, ptr[s] = k, (t, row)
-                elif k == best and via(t, row[3]) < current(s):
-                    ptr[s] = (t, row)
-            cost[s] = best
+                kt = key[row[0]]
+                if kt is not None and (best is None or kt + w < best):
+                    best, ptr[s] = kt + w, (row[0], row)
+            key[s] = best
     elif order is not None:
         for s in order:
-            ks = cost[s]
+            ks = key[s]
             if ks is None:
                 continue
             for row, w in adj[s]:
                 t = row[0]
-                k = ks + w
-                old = cost[t]
+                k, old = ks + w, key[t]
                 if old is None or k < old:
-                    cost[t], ptr[t] = k, (s, row)
-                elif k == old and via(s, row[3]) < current(t):
-                    ptr[t] = (s, row)
+                    key[t], ptr[t] = k, (s, row)
     else:
         if backward:
             rev: list[list[tuple[Row, int]]] = [[] for _ in range(n)]
@@ -309,26 +292,21 @@ def _distances(fst: Wfst, search: _Search, backward: bool = False) -> tuple:
                     rev[t].append(((s, il, ol, v), w))
             adj = rev
         counter = count()
-        # Keyed by whole keys: a state's vector is that of its pending path.
-        heap = [(k, vector(s), next(counter), s) for s, k in enumerate(cost) if k is not None]
+        heap = [(k, next(counter), s) for s, k in enumerate(key) if k is not None]
         heapq.heapify(heap)
         settled = [False] * n
         while heap:
-            ks, vs, _, s = heapq.heappop(heap)
+            ks, _, s = heapq.heappop(heap)
             if settled[s]:
                 continue
             settled[s] = True
             for row, w in adj[s]:
                 t = row[0]
-                if settled[t]:
-                    continue
-                k, old = ks + w, cost[t]
-                if old is None or k <= old:
-                    v = dense_times(vs, ints(row[3]), False)
-                    if old is None or (k, v) < (old, vec[t]):
-                        cost[t], ptr[t], vec[t] = k, (s, row), v
-                        heapq.heappush(heap, (k, v, next(counter), t))
-    return cost, ptr, via
+                k, old = ks + w, key[t]
+                if not settled[t] and (old is None or k < old):
+                    key[t], ptr[t] = k, (s, row)
+                    heapq.heappush(heap, (k, next(counter), t))
+    return key, ptr
 
 
 def shortest_path(fst: Wfst, params: ParamVector) -> PathWitness:
@@ -355,92 +333,56 @@ def _witness(rows: Sequence[Row], final_weight: FeatureWeight, params: ParamVect
                        cost=scalarize(weight, params))
 
 
-def _best_path(fst: Wfst, search: _Search, cost: list[Any], back: list[Any],
-               via: Callable[[int, Dense], tuple[int, ...]]) -> tuple[list[Row], FeatureWeight]:
-    """The rows and final weight of the complete path of least exact key,
-    given the forward tree; the first final state in id order keeps an
-    exact tie."""
-    keys = [(cost[s] + search.finals[s], s) for s, _ in fst.finals() if cost[s] is not None]
+def _best_path(fst: Wfst, search: _Search, key: list[Any],
+               back: list[Any]) -> tuple[list[Row], FeatureWeight]:
+    """The rows and final weight of the complete path of least key, given
+    the forward tree; the final state of least id keeps a tie."""
+    keys = [(key[s] + k, s) for s, k in search.finals.items() if key[s] is not None]
     if not keys:
         raise NoPathError("no path from the initial state to a final state")
-    least = min(keys)[0]
-    tied = [s for k, s in keys if k == least]
-    # Exact ties go by vector, then to the first final state.
-    best_state = min(tied, key=lambda s: via(s, fst.final_weight(s).values)) \
-        if len(tied) > 1 else tied[0]
-
+    best_state = min(keys)[1]
     rows: list[Row] = []
     s = best_state
     while s != fst.initial:
         s, row = back[s]
         rows.append(row)
     rows.reverse()
-    final_w = fst.final_weight(best_state)
-    assert final_w is not None
-    return rows, final_w
+    return rows, fst.final_weight(best_state)
 
 
 def _nbest_raw(fst: Wfst, cap: float, search: _Search,
                beta: tuple) -> Iterator[tuple[list[Row], FeatureWeight]]:
-    """The rows and final weight of up to ``cap`` paths of least exact key,
+    """The rows and final weight of up to ``cap`` paths of least key,
     drawn lazily by best-first search with an exact heuristic, expanding
-    no state more than ``cap`` times.
+    no state more than ``cap`` times; push order keeps a tie.
 
     ``cap`` may be ``math.inf``: every path, in key order, which ends
     only on an acyclic machine.  ``beta`` is the backward tree of
-    :func:`_distances`; the initial state has a path.  Heap entries carry
-    their bound's cost and, once it ties with another entry's, its
-    vector: entries tied on cost are popped together and pushed back with
-    their vectors, so the heap pops in key order, push order on exact ties.
+    :func:`_distances`; the initial state has a path.
     """
-    arcs, finals, ints = search.arcs, search.finals, search.order.ints
-    bcost, _, bvia = beta
+    arcs, finals, bkey = search.arcs, search.finals, beta[0]
 
     # Nodes are (state, row, parent-index); rows recovered by walking parents.
     nodes: list[tuple[int, Row | None, int]] = [(fst.initial, None, -1)]
-
-    def rows_to(i: int) -> list[Row]:
-        # The rows of node i's prefix, last first.
-        rows = []
-        while i != -1:
-            _, row, i = nodes[i]
-            if row is not None:
-                rows.append(row)
-        return rows
-
-    def bound_vector(i: int) -> tuple[int, ...]:
-        # The exact vector of a node's bound: its prefix's rows, then its
-        # state's least completion, or a complete path's final weight.
-        state, _, parent = nodes[i]
-        v = ints(fst.final_weight(nodes[parent][0]).values) if state == NO_STATE \
-            else bvia(state, ONE.values)
-        for row in rows_to(i):
-            v = dense_times(v, ints(row[3]), False)
-        return v
-
     counter = count()
-    # Entries are (bound cost, bound vector or (), tie counter, node, prefix cost).
-    heap = [(bcost[fst.initial], (), next(counter), 0, 0)]
+    # Entries are (bound, tie counter, node, prefix key).
+    heap = [(bkey[fst.initial], next(counter), 0, 0)]
     pops = [0] * fst.num_states
     drawn = 0
 
     while heap and drawn < cap:
-        entry = heapq.heappop(heap)
-        bound, vector, _, node_idx, prefix = entry
-        if not vector and heap and heap[0][0] == bound:
-            tied = [entry]
-            while heap and heap[0][0] == bound:
-                tied.append(heapq.heappop(heap))
-            for b, v, k, i, p in tied:
-                heapq.heappush(heap, (b, v or bound_vector(i), k, i, p))
-            continue
+        _, _, node_idx, prefix = heapq.heappop(heap)
         state = nodes[node_idx][0]
-        if state == NO_STATE:
-            path = rows_to(node_idx)[::-1]  # a completed path
-            fw = fst.final_weight(path[-1][0] if path else fst.initial)
-            assert fw is not None
+        if state == NO_STATE:  # a completed path
+            path = []
+            i = nodes[node_idx][2]
+            while i != -1:
+                _, row, i = nodes[i]
+                if row is not None:
+                    path.append(row)
+            path.reverse()
             drawn += 1
-            yield path, fw
+            yield path, fst.final_weight(path[-1][0] if path else fst.initial)
             continue
         if pops[state] >= cap:
             continue
@@ -448,17 +390,15 @@ def _nbest_raw(fst: Wfst, cap: float, search: _Search,
 
         fk = finals.get(state)
         if fk is not None:
-            node = len(nodes)
             nodes.append((NO_STATE, None, node_idx))
-            heapq.heappush(heap, (prefix + fk, (), next(counter), node, 0))
+            heapq.heappush(heap, (prefix + fk, next(counter), len(nodes) - 1, 0))
         for row, w in arcs[state]:
-            b = bcost[row[0]]
+            b = bkey[row[0]]
             if b is None:
                 continue
             ext = prefix + w
-            node = len(nodes)
             nodes.append((row[0], row, node_idx))
-            heapq.heappush(heap, (ext + b, (), next(counter), node, ext))
+            heapq.heappush(heap, (ext + b, next(counter), len(nodes) - 1, ext))
 
 
 def _unique(paths: Iterator[tuple[list[Row], FeatureWeight]],
@@ -481,8 +421,11 @@ def _ranked(fst: Wfst, n: int, params: ParamVector,
     whose checks it makes before returning."""
     _check_frozen(fst)
     check_count("n", n)
-    search = _search(fst, params)
-    if unique and topological_order(fst) is None:
+    acyclic = topological_order(fst) is not None
+    # On a cyclic machine a drawn path visits a state at most n times, and
+    # its bound adds a completion that visits each state at most once.
+    search = _search(fst, params, 0 if acyclic else (n + 1) * fst.num_states)
+    if unique and not acyclic:
         raise ContractError("unique n-best requires an acyclic machine")
     beta = _distances(fst, search, backward=True)
     if beta[0][fst.initial] is None:
@@ -558,23 +501,26 @@ def _prune_mask(fst: Wfst, budget: int, params: ParamVector) -> Mask:
             raise NoPathError("machine accepts nothing")
         return fst.states(), dense_arcs(fst), dict(fst.finals())
     search = _search(fst, params)
-    fcost, back, vector = _distances(fst, search)
+    fkey, back = _distances(fst, search)
     # A final state that the forward pass reaches is accessible.
-    if all(fcost[s] is None for s in search.finals) \
+    if all(fkey[s] is None for s in search.finals) \
             and not any(fst.is_final(s) for s in accessible_states(fst)):
         raise NoPathError("machine accepts nothing")
-    best, final_w = _best_path(fst, search, fcost, back, vector)
+    best, final_w = _best_path(fst, search, fkey, back)
     sp_states = len(best) + 1
     if budget < sp_states:
         raise ContractError(f"budget {budget} is below the {sp_states} states on the shortest path")
 
-    bcost = _distances(fst, search, backward=True)[0]
-    best_cost = bcost[fst.initial]
+    bkey = _distances(fst, search, backward=True)[0]
+    # The costs of sums of keys (see _search).
+    shift, half = search.shift, 1 << search.shift >> 1
+    best_cost = (bkey[fst.initial] + half) >> shift
     # A state on no complete path has no through-cost: within no limit.
-    through = [None if fc is None or bc is None else fc + bc for fc, bc in zip(fcost, bcost)]
+    through = [None if fk is None or bk is None else (fk + bk + half) >> shift
+               for fk, bk in zip(fkey, bkey)]
     # The plateau, PLATEAU * max(1, |best cost|) on the costs' scale, rounded
     # down: costs are integers, so c <= x + plateau exactly when c <= x + that.
-    plateau = PLATEAU[0] * max(search.order.unit, abs(best_cost)) // PLATEAU[1]
+    plateau = PLATEAU[0] * max(search.unit, abs(best_cost)) // PLATEAU[1]
 
     finite = sorted([c for c in through if c is not None])
     # The largest threshold c whose states, those within c + plateau, fit
@@ -594,7 +540,8 @@ def _prune_mask(fst: Wfst, budget: int, params: ParamVector) -> Mask:
 
     limit = finite[i] + plateau
     kept = [c is not None and c <= limit for c in through]
-    arcs = [tuple([r for r, w in pairs if kept[r[0]] and fcost[s] + w + bcost[r[0]] <= limit])
+    arcs = [tuple([r for r, w in pairs
+                   if kept[r[0]] and (fkey[s] + w + bkey[r[0]] + half) >> shift <= limit])
             if kept[s] else () for s, pairs in enumerate(search.arcs)]
     keep = [s for s in fst.states() if kept[s]]
     return keep, arcs, {s: w for s, w in fst.finals() if kept[s]}

@@ -539,9 +539,8 @@ def _best_alignment(nmt: Wfst, hiero: Wfst, mask: Mask, nmt_vocab: FrozenSet[int
             g[c] = math.inf
     back: list[_Move | None] = [None] * (size + 1)
 
-    # The exact ints of each value vector a move adds, by the vector's id:
-    # rows and edit weights outlive the pass.
-    ints: dict[int, tuple[int, ...]] = {}
+    # The exact ints of each value vector a move adds.
+    ints: dict[Dense, tuple[int, ...]] = {}
 
     def added(move: _Move) -> list[Dense]:
         _, _, _, a, h, e = move
@@ -563,7 +562,7 @@ def _best_alignment(nmt: Wfst, hiero: Wfst, mask: Mask, nmt_vocab: FrozenSet[int
     def summed(vs: list[Dense]) -> tuple[int, ...]:
         d0 = d1 = d2 = d3 = d4 = 0
         for v in vs:
-            x0, x1, x2, x3, x4 = ints.get(id(v)) or ints.setdefault(id(v), exact_ints(v))
+            x0, x1, x2, x3, x4 = ints.get(v) or ints.setdefault(v, exact_ints(v))
             d0, d1, d2, d3, d4 = d0 + x0, d1 + x1, d2 + x2, d3 + x3, d4 + x4
         return d0, d1, d2, d3, d4
 

@@ -9,8 +9,8 @@ where float sums would round, cancel or overflow.
 import random
 import sys
 
-from latcomb import (Arc, CombinationParams, SymbolTable, Wfst, combine, nbest, shortest_path,
-                     weight)
+from latcomb import (Arc, CombinationParams, ParamVector, SymbolTable, Wfst, combine, nbest,
+                     shortest_path, weight)
 from latcomb import pipeline
 from latcomb.semiring import ONE
 
@@ -68,6 +68,47 @@ def test_scores_near_the_float_range_that_cancel():
     assert result.feature_vector.values == (0.0, 1.0, 0.0, 0.0, 0.0)
     assert result.total_cost == 1.0
     assert_least(nmt, hiero, params)
+
+
+def test_tied_final_cells_are_settled_by_their_final_weights():
+    # NMT "a" against hiero "a b c", which may end after a, b or c with
+    # hiero scores 3, 2 and 1: under lambda_edit 1, matching a and
+    # inserting no word, one or two costs 3 each way, and the least vector,
+    # of the least hiero score, is "a b c".  Acceptance tries the three in
+    # that order, each with a final-weight vector of its own, and each
+    # beats the one before.
+    syms = SymbolTable()
+    a, b, c = (syms.add(w) for w in "abc")
+    nmt = linear_chain([a], syms)
+    hiero = Wfst(syms, syms)
+    for _ in range(4):
+        hiero.add_state()
+    hiero.set_initial(0)
+    for src, label in enumerate((a, b, c)):
+        hiero.add_arc(src, Arc(label, label, ONE, src + 1))
+        hiero.set_final(src + 1, weight({1: 3.0 - src}))
+    hiero = hiero.freeze()
+    params = CombinationParams(lambda_edit=1.0, lambda_sub=0.5)
+    result = combine(nmt, hiero, params)
+    assert (result.t_hiero, result.total_cost) == (("a", "b", "c"), 3.0)
+    assert_least(nmt, hiero, params)
+
+
+def test_nbest_keeps_key_order_along_paths_longer_than_the_machine():
+    # One state with two loops under unit lambdas: a costs 0 and adds NMT
+    # score 1, b costs 2**-52 and adds NMT score -1.  Every string of a's
+    # costs 0, so the 8-best are a**0 to a**7, paths of up to 7 arcs on a
+    # machine of one state, whose NMT scores outweigh b's cost 7 times over.
+    syms = SymbolTable()
+    a, b = syms.add("a"), syms.add("b")
+    m = Wfst(syms, syms)
+    s = m.add_state()
+    m.set_initial(s)
+    m.set_final(s, ONE)
+    m.add_arc(s, Arc(a, a, weight({0: 1.0, 2: -1.0}), s))
+    m.add_arc(s, Arc(b, b, weight({0: -1.0, 2: 1.0 + 2.0**-52}), s))
+    got = nbest(m.freeze(), 8, ParamVector(1.0, 1.0, 1.0, 1.0, 1.0))
+    assert [p.output_labels() for p in got] == [(a,) * k for k in range(8)]
 
 
 def calls_to_pass_helpers(run):

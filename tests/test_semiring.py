@@ -60,16 +60,19 @@ def test_plus_orders_exact_sums_where_floats_round():
 
 
 def test_exact_order_keys_values_far_apart():
-    # 0.1 needs 2**57 to be an integer, and 1.7e308 times 2**57 overflows
-    # a float: such values are shifted from their exact ratios instead.
-    values = (0.1, -1.7e308, 1.7e308, 0.0, 1e-15)
-    order = exact_order(UNIT, values)
-    ints = order.ints(values)
-    scale = Fraction(ints[0]) / Fraction(values[0])
-    assert scale.denominator == 1 and scale.numerator.bit_count() == 1  # a power of two
-    assert [Fraction(x) * scale for x in values] == list(ints)
-    # The big pair cancels exactly: the cost is that of 0.1 + 1e-15.
-    assert order.cost(values) == order.unit * (Fraction(0.1) + Fraction(1e-15))
+    # 1e-15 needs 2**102 to be an integer.  With 1.7e8, x * 2.0**102 fits
+    # a float; 1.7e308 times 2**102 overflows one, so there each value is
+    # shifted from its exact ratio instead.  Either way every value comes
+    # out exact, on one power-of-two scale.
+    for big in (1.7e8, 1.7e308):
+        values = (0.1, -big, big, 0.0, 1e-15)
+        order = exact_order(UNIT, values)
+        ints = order.ints(values)
+        scale = Fraction(ints[0]) / Fraction(values[0])
+        assert scale.denominator == 1 and scale.numerator.bit_count() == 1  # a power of two
+        assert [Fraction(x) * scale for x in values] == list(ints)
+        # The big pair cancels exactly: the cost is that of 0.1 + 1e-15.
+        assert order.cost(values) == order.unit * (Fraction(0.1) + Fraction(1e-15))
 
 
 def test_times_componentwise():
