@@ -4,14 +4,16 @@ Builds the seed 1-3 corpora of every benchmark workload with
 ``perfbench/workloads.py`` (into a temporary directory), reads and
 combines each sentence as ``latcomb stats`` does, and hashes what a
 refactor must not change: per sentence the stem, ``t_comb``, ``t_nmt``,
-``t_hiero``, ``repr`` of the total cost and the feature vector; and, on
-the stats corpus, every line of ``corpus_report`` at n = 1, 10, 100 in
-both renderings.  The searches of :mod:`latcomb.algorithms` are pinned
-on the same hiero lattices, under a hiero lambda of 1.0 (the float
-searches) and 0.7 (the vector searches).  Each corpus is built and
-combined once for every digest.  A mismatch means a change moved some
-sentence's result, a report line or a search result; compare against
-the previous commit to find which one.
+``t_hiero``, ``repr`` of the total cost and the feature vector; apart,
+per sentence the winning alignment's ``path.rows`` (cells, labels and
+every float bit of the weights); and, on the stats corpus, every line
+of ``corpus_report`` at n = 1, 10, 100 in both renderings.  The
+searches of :mod:`latcomb.algorithms` are pinned on the same hiero
+lattices, under a hiero lambda of 1.0 (the float searches) and 0.7 (the
+vector searches).  Each corpus is built and combined once for every
+digest.  A mismatch means a change moved some sentence's result, a
+report line or a search result; compare against the previous commit to
+find which one.
 """
 
 import functools
@@ -32,6 +34,12 @@ GOLDEN = {
     "stats-corpus": "b91a0f6092b7d6497f0590f473cf64df7688ccf27a15e966682a197be8085b69",
     "wide-alphabet": "47b27995d20f4d2550dda0c68004a565d71b9b8f06676b75148ff378012da8da",
     "deep-hiero": "4d1f2afdf52885760c98a87528741a8f35fe8719be1f52f3a6b509495709fc27",
+}
+
+GOLDEN_PATHS = {
+    "stats-corpus": "c6531528d33bc66d75094f4f003b85d590dc36dc92c24b4a835cf6444ed5486a",
+    "wide-alphabet": "e479ea43eed423194a88dfb703f075b42cf37ff71ff4eb1d2cc07dd9e007fb49",
+    "deep-hiero": "727daca144108f18cff8b3a559b3bf813939c5ee2a6cc0a1734818fbd16ff60c",
 }
 
 GOLDEN_REPORT = {
@@ -104,6 +112,15 @@ def test_combine_matches_golden_results(workload, combined):
             seed_digest.update(repr(row).encode("utf-8"))
         digest.update(seed_digest.hexdigest().encode("ascii"))
     assert digest.hexdigest() == GOLDEN[workload]
+
+
+@pytest.mark.parametrize("workload", sorted(GOLDEN_PATHS))
+def test_combine_paths_match_golden_digest(workload, combined):
+    digest = hashlib.sha256()
+    for corpus in combined(workload):
+        for stem, r, _ in corpus:
+            digest.update(repr((stem, r.path.rows)).encode("utf-8"))
+    assert digest.hexdigest() == GOLDEN_PATHS[workload]
 
 
 @pytest.mark.parametrize("workload", sorted(GOLDEN_REPORT))
