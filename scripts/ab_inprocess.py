@@ -11,9 +11,10 @@ this checkout's ``perfbench/workloads.py``, written to the same
 temporary directory.
 
 First every sentence is combined once on each tree: its (t_comb,
-t_hiero, repr(total_cost), feature vector), and the corpus report's
-lines where the workload has a report (``report_ns.txt``), must be the
-same on both, or the script exits with status 1.  Then each round times both
+t_hiero, repr(total_cost), feature vector, winning path's rows), and the
+corpus report's lines where the workload has a report
+(``report_ns.txt``), must be the same on both, or the script exits with
+status 1.  Then each round times both
 trees, the order alternating from round to round: per sentence, two
 ``read_lattice`` calls and one ``combine``, the best of three passes;
 per pass, ``corpus_report`` over the pass's results where the
@@ -100,7 +101,7 @@ class Side:
     def outputs(self, stems: list[str], report_ns: tuple[int, ...]) -> list:
         """What both trees must agree on: per sentence, then the report's lines."""
         runs = [self.sentence(stem) for stem in stems]
-        out = [(r.t_comb, r.t_hiero, repr(r.total_cost), r.feature_vector.values)
+        out = [(r.t_comb, r.t_hiero, repr(r.total_cost), r.feature_vector.values, r.path.rows)
                for r, _ in runs]
         if report_ns:
             out.append(self.pipeline.corpus_report(

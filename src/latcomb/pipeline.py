@@ -10,13 +10,15 @@ weight.  The selected pair of hypotheses minimizes typed edit distance
 plus the scaled model scores over all pairs the two lattices offer.
 
 The alignment is one shortest-distance pass over pairs of lattice
-states (Mohri, "Edit-Distance of Weighted Automata", 2003), over only
-the pairs that an A* search finds can hold the optimum.  It finds
-the same optimum, at the same cost and feature vector, as composing the
-extended NMT lattice with the modified edit flower and the hiero lattice
-and taking the shortest path, which is the paper's construction; but it
-builds no flower and no composed machine, so its work does not depend on
-the alphabet size.  Per-sentence combinations are independent.
+states (Mohri, "Edit-Distance of Weighted Automata", 2003), run as A*:
+it expands only the pairs whose cost so far plus a consistent estimate
+of the rest is at most the optimum, and settles each pair, exact ties
+included, as it expands it.  It finds the same optimum, at the same
+cost and feature vector, as composing the extended NMT lattice with the
+modified edit flower and the hiero lattice and taking the shortest path,
+which is the paper's construction; but it builds no flower and no
+composed machine, so its work does not depend on the alphabet size.
+Per-sentence combinations are independent.
 """
 
 from __future__ import annotations
@@ -235,15 +237,8 @@ def combine(nmt_lattice: Wfst, hiero_lattice: Wfst, params: CombinationParams,
     )
 
 
-# Phase 1 runs when the kept hiero states have at least this many
-# successor states on average.  In a chain or a sausage (fewer than one)
-# every hiero state lies on every path, only the length gap can rule a
-# cell out, and the heap costs more than it saves (CHANGES.md has the sweep).
-_REGION_MIN_BRANCHING = 1.25
-
-
 class _MoveTables:
-    """What both traversals of the cells read, built once per sentence.
+    """What the pass over the cells reads, built once per sentence.
 
     Cell (i, j), of NMT position i and kept hiero position j, is
     ``i * width + j``; ``nmt_moves[i]`` and ``hiero_moves[j]`` hold the
@@ -264,9 +259,8 @@ class _MoveTables:
         order_n = topological_order(nmt)
         assert order_n is not None
         order_h = [s for s in topological_order(hiero) if s in kept]
-        self.pos_n = pos_n = {s: i for i, s in enumerate(order_n)}
-        self.pos_h = pos_h = {s: j for j, s in enumerate(order_h)}
-        self.hiero_finals = hiero_finals
+        pos_n = {s: i for i, s in enumerate(order_n)}
+        pos_h = {s: j for j, s in enumerate(order_h)}
         self.width = width = len(order_h)
         self.size = len(order_n) * width
         self.start = pos_n[nmt.initial] * width + pos_h[hiero.initial]
@@ -286,7 +280,6 @@ class _MoveTables:
         # target, each group sorted by (cost, index), and the same arcs by
         # label; the epsilon arcs.
         self.hiero_moves = hiero_moves = []
-        self.branches = 0  # successor states summed over the kept states
         words: list[int] = []  # two distinct hiero words, if there are two
         for s in order_h:
             targets: dict[int, list[_Entry]] = {}
@@ -300,7 +293,6 @@ class _MoveTables:
                 targets.setdefault(entry[2], []).append(entry)
                 if len(words) < 2 and y not in words:
                     words.append(y)
-            self.branches += len(targets) + len(skips)
             singles: list[_Entry] = []
             groups: list[tuple[int, list[_Entry]]] = []
             labels: dict[int, list[_Entry]] = {}
@@ -344,10 +336,10 @@ class _MoveTables:
                                 exact.params[UNK_EXT_COUNT]))
         self.nmt_moves = [[(a, a[2], pos_n[a[0]] * width, next(costs), *pairings[a[2]], k)
                            for k, a in enumerate(arcs_n[s])] for s in order_n]
-        # Final costs per position, None where a state is not final.
-        self.final_n = [None if fw is None else exact.cost(fw.values) for fw in finals_n]
-        self.final_h = [exact.cost(hiero_finals[s].values) if s in hiero_finals else None
-                        for s in order_h]
+        # Final weights and their costs per position, None where a state is not final.
+        self.finals_n, self.finals_h = finals_n, [hiero_finals.get(s) for s in order_h]
+        self.final_n, self.final_h = ([None if fw is None else exact.cost(fw.values) for fw in fws]
+                                      for fws in (self.finals_n, self.finals_h))
         self.signed = has_negative(nmt) or has_negative(hiero)
 
     def scored(self, v: Dense) -> tuple[Dense, int]:
@@ -381,10 +373,11 @@ def _to_go(finals: list[int | None], moves: list[list[_Entry]]) -> tuple[list, l
     return cost, lo, hi
 
 
-def _heuristic(tab: _MoveTables) -> tuple[list[list[_Entry]], Callable]:
-    """Per kept hiero position its cheapest word arc to each target, then its epsilon
-    arcs; and h(cell), None where no final cell is reachable (see _best_alignment)."""
+def _heuristic(tab: _MoveTables) -> Callable[[int], int | None]:
+    """The A* estimate h(cell) of the cheapest completion from a cell, None where
+    no final cell is reachable: admissible and consistent (see _best_alignment)."""
     width, lam = tab.width, tab.lambda_edit
+    # Per kept hiero position its cheapest word arc to each target, then its epsilon arcs.
     advances = [singles + [g[0] for _, g in groups] + skips if groups or skips else singles
                 for singles, groups, _, skips in tab.hiero_moves]
     cn, lo_n, hi_n = _to_go(tab.final_n, [[(m[3], 0, m[2] // width, 0, m[1]) for m in row]
@@ -397,64 +390,7 @@ def _heuristic(tab: _MoveTables) -> tuple[list[list[_Entry]], Callable]:
             return None
         return cn[i] + ch[j] + lam * max(0, lo_n[i] - hi_h[j], lo_h[j] - hi_n[i])
 
-    return advances, h
-
-
-def _region(tab: _MoveTables) -> list[int] | None:
-    """Phase 1 of :func:`_best_alignment`: the cells A* closes, sorted;
-    None for every cell."""
-    if tab.branches < _REGION_MIN_BRANCHING * tab.width:
-        return None
-    inf, width, type_pair, final_n, final_h = math.inf, tab.width, tab.type_pair, tab.final_n, \
-        tab.final_h
-    s_ins, s_skip, nmt_moves, hiero_moves = tab.s_ins, tab.s_skip, tab.nmt_moves, tab.hiero_moves
-    advances, heuristic = _heuristic(tab)
-    est: list[float] = [inf] * tab.size
-    heap: list[tuple[int, int, int]] = []
-    closed: list[int] = []
-
-    def push(c: int, e: int) -> None:
-        est[c] = e
-        h = heuristic(c)
-        if h is not None:
-            heappush(heap, (e + h, c, e))
-
-    push(tab.start, 0)
-    limit = inf
-    while heap:
-        f, c, est_c = heappop(heap)
-        if f > limit:
-            break
-        if est_c > est[c]:  # superseded by a cheaper push
-            continue
-        closed.append(c)
-        i, j = divmod(c, width)
-        singles, groups, _, _ = hiero_moves[j]
-        if final_n[i] is not None and final_h[j] is not None:
-            limit = min(limit, est_c + final_n[i] + final_h[j])
-        for _, x, t_base, s_a, _, s_del, typed, sub, _, _, _, _ in nmt_moves[i]:
-            est_a = est_c + s_a
-            if est_a + s_del < est[t_base + j]:
-                push(t_base + j, est_a + s_del)
-            if x == EPSILON:
-                continue
-            for s_h, _, t_j, _, y in singles:
-                e = est_a + (typed.get(y, sub) or type_pair(typed, x, y))[1] + s_h
-                if e < est[t_base + t_j]:
-                    push(t_base + t_j, e)
-            for t_j, group in groups:
-                t = t_base + t_j
-                for s_h, _, _, _, y in group:  # edit costs are nonnegative
-                    if est_a + s_h >= est[t]:
-                        break
-                    e = est_a + (typed.get(y, sub) or type_pair(typed, x, y))[1] + s_h
-                    if e < est[t]:
-                        push(t, e)
-        for s_h, _, t_j, _, y in advances[j]:
-            e = est_c + (s_skip if y == EPSILON else s_ins) + s_h
-            if e < est[i * width + t_j]:
-                push(i * width + t_j, e)
-    return sorted(set(closed))
+    return h
 
 
 def _best_alignment(nmt: Wfst, hiero: Wfst, mask: Mask, nmt_vocab: FrozenSet[int],
@@ -483,27 +419,33 @@ def _best_alignment(nmt: Wfst, hiero: Wfst, mask: Mask, nmt_vocab: FrozenSet[int
     comes from one side, because ``combine``'s contract check admits no
     foreign feature, so the two are bit-identical.
 
-    Two phases read one set of :class:`_MoveTables`.  Phase 1
-    (:func:`_region`) is A* over the cells (Hart, Nilsson and Raphael,
-    1968) with h(i, j) = cn(i) + ch(j) + lambda_edit * max(0, lo_n(i) -
-    hi_h(j), lo_h(j) - hi_n(i)) (:func:`_heuristic`): per position, c is
-    the cheapest cost on to a final state and lo, hi the fewest and most
-    tokens on the way (epsilon arcs count none, UNK run arcs one; hiero
-    through the mask).  Completions cost at least cn and ch in arcs and
-    final weights, and lambda_edit per token of their length gap
-    (insertions or deletions; pair edits cost >= 0): h is admissible.  It
-    is consistent, h(c) <= w + h(c') for each move c -> c' of cost w,
-    whatever the signs of the scores: cn and ch are; a pair move shifts
-    both token ranges by one, an epsilon arc neither, and an insertion or
-    deletion widens the gap by at most one and pays lambda_edit.  A* stops
-    once the least g + h on its heap exceeds the cheapest final cost it
-    closed; its closed cells are the region.  Each cell of the winning
-    alignment, and of any alignment tied with it, has g + h <= f*, and so
-    has each cell that gives one of them its least cost: all are closed.
-    Phase 2 (the pass below) visits only the region, in ascending cell
-    order; a cell outside it holds -inf, so no move enters it.  The region
-    is every cell when the kept hiero states average fewer than
-    ``_REGION_MIN_BRANCHING`` successors.
+    The pass is A* over the cells (Hart, Nilsson and Raphael, 1968) on
+    one set of :class:`_MoveTables`, with h(i, j) = cn(i) + ch(j) +
+    lambda_edit * max(0, lo_n(i) - hi_h(j), lo_h(j) - hi_n(i))
+    (:func:`_heuristic`): per position, c is the cheapest cost on to a
+    final state and lo, hi the fewest and most tokens on the way (epsilon
+    arcs count none, UNK run arcs one; hiero through the mask).
+    Completions cost at least cn and ch in arcs and final weights, and
+    lambda_edit per token of their length gap (insertions or deletions;
+    pair edits cost >= 0): h is admissible.  It is consistent, h(c) <= w
+    + h(c') for each move c -> c' of cost w, whatever the signs of the
+    scores: cn and ch are; a pair move shifts both token ranges by one, an
+    epsilon arc neither, and an insertion or deletion widens the gap by at
+    most one and pays lambda_edit.  A cell with no final cell within reach
+    has no h and is never pushed.
+
+    Cells pop in (g + h, cell) order.  A move that lowers a cell's cost
+    sets it and pushes the cell; a move that ties it is kept as a rival.
+    Costs are exact and h is consistent, so a popped cell's cost is final.
+    Every move leads to a larger cell, so a move c -> t that ties t's
+    least cost has g(c) + h(c) <= g(t) + h(t) and c < t: c pops before t,
+    and every rival has arrived when t pops.  Rivals are settled only
+    then, so a cell that never pops never walks back.  The final weights
+    are moves from each popped final cell into a sink, the largest cell,
+    where h is 0: the sink pops after every cell whose g + h is at most
+    its cost, and the pass ends there.  Each cell of the winning
+    alignment, of any alignment tied with it, and each cell that gives
+    one of them its least cost has g + h <= f*, so all pop first.
 
     Cells are scalar first.  A cell holds its cost and the move that set
     it: the source cell's cost plus the costs of the arc and edit weights
@@ -522,22 +464,20 @@ def _best_alignment(nmt: Wfst, hiero: Wfst, mask: Mask, nmt_vocab: FrozenSet[int
     nonnegative, so every later arc loses too.
     """
     tab = _MoveTables(nmt, hiero, mask, nmt_vocab, params)
-    region = _region(tab)
-    pos_n, pos_h, hiero_finals = tab.pos_n, tab.pos_h, tab.hiero_finals
-    width, size, start, hiero_moves, nmt_moves = tab.width, tab.size, tab.start, \
-        tab.hiero_moves, tab.nmt_moves
+    heuristic = _heuristic(tab)
+    width, start, hiero_moves, nmt_moves = tab.width, tab.start, tab.hiero_moves, tab.nmt_moves
+    finals_n, finals_h, final_n, final_h = tab.finals_n, tab.finals_h, tab.final_n, tab.final_h
     signed, type_pair, exact_ints = tab.signed, tab.type_pair, tab.ints
     w_skip, s_skip, w_ins, s_ins = tab.w_skip, tab.s_skip, tab.w_ins, tab.s_ins
 
-    # Per cell, and for acceptance at ``sink``: its cost (inf unset, -inf
-    # outside the region) and the move that set it.
-    sink = size
-    g: list[float] = [math.inf] * (size + 1)
-    if region is not None:
-        g = [-math.inf] * size + [math.inf]
-        for c in region:
-            g[c] = math.inf
-    back: list[_Move | None] = [None] * (size + 1)
+    # Per cell, and at ``sink`` for the final weights: its least cost found
+    # (inf unset) and the move that set it; the moves that tied it, each
+    # with the cost it tied; and the cells to pop, as (g + h, cell, g).
+    sink = tab.size
+    g: list[float] = [math.inf] * (sink + 1)
+    back: list[_Move | None] = [None] * (sink + 1)
+    ties: dict[int, list[tuple[int, _Move]]] = {}
+    heap: list[tuple[int, int, int]] = []
 
     # The exact ints of each value vector a move adds.
     ints: dict[Dense, tuple[int, ...]] = {}
@@ -568,25 +508,42 @@ def _best_alignment(nmt: Wfst, hiero: Wfst, mask: Mask, nmt_vocab: FrozenSet[int
 
     def relax(t: int, e: int, move: _Move) -> None:
         # The caller has checked that e is not above g[t].
-        if e < g[t]:
+        if e == g[t]:
+            ties.setdefault(t, []).append((e, move))
+        elif (h := 0 if t == sink else heuristic(t)) is not None:
             g[t], back[t] = e, move
-            return
-        old = back[t]
-        va, vb = parted(move, old)
-        # The same values in another order sum alike: no need to add them.
-        if sorted(map(id, va)) != sorted(map(id, vb)) and (sa := summed(va)) != (sb := summed(vb)):
-            if sa < sb:
-                back[t] = move
-        elif move[:3] < old[:3]:  # equal keys: the least (source cell, NMT arc, hiero arc) wins
-            back[t] = move
+            heappush(heap, (e + h, t, e))
 
-    g[start] = 0
-    back[start] = (start, 0, 0, None, None, ONE.values)  # reached; never followed
-    for c in range(start, size) if region is None else region:
-        if back[c] is None:
+    def settle(t: int) -> None:
+        # t pops: of the moves at its least cost, the least key sets it.
+        for e, move in ties.pop(t):
+            if e > g[t]:  # a later move cost less
+                continue
+            old = back[t]
+            va, vb = parted(move, old)
+            # The same values in another order sum alike: no need to add them.
+            if sorted(map(id, va)) != sorted(map(id, vb)) \
+                    and (sa := summed(va)) != (sb := summed(vb)):
+                if sa < sb:
+                    back[t] = move
+            elif move[:3] < old[:3]:  # equal keys: the least (source cell, NMT arc, hiero arc) wins
+                back[t] = move
+
+    relax(start, 0, (start, 0, 0, None, None, ONE.values))  # reached; never followed
+    while heap:
+        _, c, g_c = heappop(heap)
+        if g_c > g[c]:  # superseded by a cheaper move
             continue
+        if c in ties:
+            settle(c)
+        if c == sink:
+            break
         i, j = divmod(c, width)
-        g_c, base = g[c], c - j
+        base = c - j
+        if final_n[i] is not None and final_h[j] is not None \
+                and (e := g_c + final_n[i] + final_h[j]) <= g[sink]:
+            relax(sink, e, (c, 0, 0, None, None,
+                            dense_times(finals_n[i].values, finals_h[j].values, True)))
         singles, groups, labels, skips = hiero_moves[j]
         for a, x, t_base, s_a, w_del, s_del, typed, sub, s_sub, w_m, s_m, k in nmt_moves[i]:
             g_a = g_c + s_a
@@ -642,14 +599,6 @@ def _best_alignment(nmt: Wfst, hiero: Wfst, mask: Mask, nmt_vocab: FrozenSet[int
             if e <= g[t]:
                 relax(t, e, (c, 0, rank, None, h, w_skip))
 
-    # Acceptance: a move from each final cell to the sink adds the final
-    # weights, so the least (key, final cell) sets it.
-    for s, fw_n in nmt.finals():
-        for s_h, fw_h in hiero_finals.items():
-            c = pos_n[s] * width + pos_h[s_h]
-            if back[c] is not None and (e := g[c] + tab.final_n[pos_n[s]]
-                                        + tab.final_h[pos_h[s_h]]) <= g[sink]:
-                relax(sink, e, (c, 0, 0, None, None, dense_times(fw_n.values, fw_h.values, True)))
     if back[sink] is None:
         raise NoPathError("no path from the initial state to a final state")
 

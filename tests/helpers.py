@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from fractions import Fraction
+from itertools import chain
 from operator import add, mul
 from typing import Iterable
 
@@ -313,80 +314,96 @@ def least_exact_key(fst: Wfst, params) -> tuple | None:
     return None if least is None else exact_key([Fraction(x, scale) for x in least[1]], params)
 
 
-def tie_rule_alignment(nmt: Wfst, hiero: Wfst, params):
+def tie_rule_alignment(nmt: Wfst, hiero: Wfst, params, column_major: bool = False):
     """The winning path of ``combine``, spelled out plainly.
 
-    No pruning (``hiero`` must be within budget), no region, no groups:
-    every move's exact key, summed in Fractions.  It replays one
-    topological order of the cells, by NMT position and then hiero
-    position in ``topological_order``, tries each cell's moves by NMT arc
-    and then hiero arc, and takes a cell only on a strictly smaller key,
-    so an exact tie keeps the first move tried.  That move is the least
-    (source cell, NMT arc index, hiero arc index), and the first final
-    cell at the least key is the least (key, cell): the replay agrees
-    with ``combine`` under its order on moves (moves of two kinds from
-    one cell never share a target).  Returns the path as (input label,
-    output label, weight values) per arc, then the cost and value
-    vector, as ``combine``'s ``path`` writes them: summed in floats with
-    ``times``.
+    No heap, no heuristic, no groups: every move's exact key, summed in
+    Fractions.  The hiero side is what ``_prune_mask`` keeps of
+    ``hiero``.  The replay visits every cell in one topological order,
+    by NMT position and then hiero position in ``topological_order`` (of
+    the extended NMT machine, and of ``hiero`` restricted to its kept
+    states), or hiero position first with ``column_major``.  It tries
+    every move of a cell and takes a cell on a strictly smaller (key,
+    source cell's positions, NMT arc index, hiero arc index), an index
+    counting among its state's arcs that are not ZERO (kept arcs on the
+    hiero side) and 0 for a move without an arc on that side; it takes
+    the least (key, cell's positions) among final cells.  That is
+    ``combine``'s order on moves, stated outright, so the replay's order
+    of visits does not matter.  Returns the path as (input label, output
+    label, weight values) per arc, then the cost and value vector, as
+    ``combine``'s ``path`` writes them: summed in floats with ``times``.
     """
     from latcomb import edit_weight, expand_unk_runs, scalarize, times
+    from latcomb.algorithms import _prune_mask
     from latcomb.fst import topological_order
+    from latcomb.pipeline import HIERO_ONLY
 
-    assert hiero.num_states <= params.hiero_node_budget
     ext = expand_unk_runs(nmt, params.max_unk_run)
+    keep, kept_rows, hiero_finals = _prune_mask(hiero, params.hiero_node_budget, HIERO_ONLY)
     lambdas = params.as_param_vector()
     vocab = params.nmt_vocab
-    cells = [(s, q) for s in topological_order(ext) for q in topological_order(hiero)]
-    vectors = [a.weight.values for m in (ext, hiero) for s in m.states() for a in m.arcs(s)]
-    vectors += [w.values for m in (ext, hiero) for _, w in m.finals()]
+    order_n = topological_order(ext)
+    kept = set(keep)
+    order_h = [q for q in topological_order(hiero) if q in kept]
+    pos_n = {s: i for i, s in enumerate(order_n)}
+    pos_h = {q: j for j, q in enumerate(order_h)}
+    nmt_arcs = {s: [a for a in ext.arcs(s) if not a.weight.infinite] for s in order_n}
+    hiero_arcs = {q: [Arc(r[1], r[2], FeatureWeight(r[3]), r[0]) for r in kept_rows[q]]
+                  for q in order_h}
+    cells = [(s, q) for s in order_n for q in order_h]
+    if column_major:
+        cells.sort(key=lambda cell: (pos_h[cell[1]], pos_n[cell[0]]))
+    vectors = [a.weight.values for arcs in (nmt_arcs, hiero_arcs) for rows in arcs.values()
+               for a in rows]
+    vectors += [w.values for w in chain((w for _, w in ext.finals()), hiero_finals.values())]
     edits = [w.values for w in (ONE, weight({2: 1.0}), weight({3: 1.0}))]  # edit_weight's
     nums, _, key = numerators(vectors + edits, lambdas)
     value = {(ext.initial, hiero.initial): (ONE, (0,) * 5)}
     back = {}
 
-    def relax(target, d, weights, move):
+    def relax(target, d, weights, move, k, rank):
         # d is the source's float weight and its exact values' numerators.
         w, exact = d
         for x in weights:
             w = times(w, x)
             exact = tuple(map(add, exact, nums[x.values]))
-        if target not in value or key(exact) < key(value[target][1]):
-            value[target], back[target] = (w, exact), move
+        tie = (pos_n[move[0]], pos_h[move[1]], k, rank)
+        if target not in value or (key(exact), tie) < (key(value[target][1]), back[target][4]):
+            value[target], back[target] = (w, exact), (*move, tie)
 
     for s, q in cells:
         d = value.get((s, q))
         if d is None:
             continue
-        for a in ext.arcs(s):
-            if a.weight.infinite:
-                continue
+        for k, a in enumerate(nmt_arcs[s]):
             x = a.olabel
-            relax((a.target, q), d, (a.weight, edit_weight(vocab, x, EPSILON)), (s, q, a, None))
+            relax((a.target, q), d, (a.weight, edit_weight(vocab, x, EPSILON)), (s, q, a, None),
+                  k, 0)
             if x == EPSILON:
                 continue
-            for h in hiero.arcs(q):
-                if h.ilabel != EPSILON and not h.weight.infinite:
+            for rank, h in enumerate(hiero_arcs[q]):
+                if h.ilabel != EPSILON:
                     relax((a.target, h.target), d,
-                          (a.weight, edit_weight(vocab, x, h.ilabel), h.weight), (s, q, a, h))
-        for h in hiero.arcs(q):
-            if not h.weight.infinite:
-                relax((s, h.target), d, (edit_weight(vocab, EPSILON, h.ilabel), h.weight),
-                      (s, q, None, h))
+                          (a.weight, edit_weight(vocab, x, h.ilabel), h.weight), (s, q, a, h),
+                          k, rank)
+        for rank, h in enumerate(hiero_arcs[q]):
+            relax((s, h.target), d, (edit_weight(vocab, EPSILON, h.ilabel), h.weight),
+                  (s, q, None, h), 0, rank)
 
     best = None
     for cell in cells:
-        fw_n, fw_h = ext.final_weight(cell[0]), hiero.final_weight(cell[1])
+        fw_n, fw_h = ext.final_weight(cell[0]), hiero_finals.get(cell[1])
         if cell in value and fw_n is not None and fw_h is not None:
             w, exact = value[cell]
-            k = key(tuple(map(add, exact, map(add, nums[fw_n.values], nums[fw_h.values]))))
+            k = (key(tuple(map(add, exact, map(add, nums[fw_n.values], nums[fw_h.values])))),
+                 pos_n[cell[0]], pos_h[cell[1]])
             if best is None or k < best[0]:
                 best = (k, cell, times(times(w, fw_n), fw_h))
     assert best is not None
     path = []
     cell = best[1]
     while cell in back:
-        s, q, a, h = back[cell]
+        s, q, a, h, _ = back[cell]
         x, y = EPSILON if a is None else a.olabel, EPSILON if h is None else h.ilabel
         w = edit_weight(vocab, x, y)
         if a is not None:

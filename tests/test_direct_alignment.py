@@ -390,9 +390,9 @@ def dense_tuples_built(monkeypatch, nmt, hiero, params):
 
 
 def test_screen_skips_most_dense_tuples(monkeypatch):
-    # Every cell is reached, and from cell (i, j) the pass could try, per
-    # NMT arc, one deletion and one pair per hiero arc, then one insertion
-    # per hiero arc: 4 * (4 + 2 * 60) + 60 = 556 candidate moves.  A pass
+    # A pass over every cell could try, from cell (i, j), per NMT arc,
+    # one deletion and one pair per hiero arc, then one insertion per
+    # hiero arc: 4 * (4 + 2 * 60) + 60 = 556 candidate moves.  A pass
     # that compared whole keys would build at least one dense tuple for
     # each; moves that lose on cost build none.
     syms, nmt, hiero, params = sausage_instance()
@@ -649,17 +649,15 @@ def test_combine_equals_flower_chain_on_wide_group_stream():
     assert tied > 50 and flat > 15 and unks > 75  # the stream covers all three
 
 
-def test_any_topological_order_of_the_cells_gives_the_same_alignment(monkeypatch):
+def test_any_topological_order_of_the_cells_gives_the_same_alignment():
     # An exact tie goes to the least (source cell, NMT arc, hiero arc), not
-    # to the move found first, so visiting every cell hiero position first
-    # (column-major, also a topological order) picks the same alignments.
-    def outcome(result):
-        return (result.t_comb, result.t_nmt, result.t_hiero, repr(result.total_cost),
-                result.feature_vector.values, result.path.rows)
-
+    # to the move found first, so the cells A* pops in (g + h, cell) order
+    # and a replay of every cell hiero position first (column-major, also
+    # a topological order) pick the same alignments.
     rng = random.Random(1515)
-    instances = [wide_instance(rng)[1:] for _ in range(150)]
-    expected = [outcome(combine(*instance)) for instance in instances]
-    monkeypatch.setattr(pipeline, "_region", lambda tab: sorted(
-        range(tab.size), key=lambda c: (c % tab.width, c // tab.width)))
-    assert [outcome(combine(*instance)) for instance in instances] == expected
+    for _ in range(150):
+        _, nmt, hiero, params = wide_instance(rng)
+        result = combine(nmt, hiero, params)
+        path, cost, values = tie_rule_alignment(nmt, hiero, params, column_major=True)
+        assert [(a.ilabel, a.olabel, a.weight.values) for a in result.path.arcs] == path
+        assert (result.total_cost, result.feature_vector.values) == (cost, values)

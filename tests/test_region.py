@@ -1,13 +1,14 @@
-"""The A* region before ``combine``'s alignment pass against the pass over every cell.
+"""The A* pass of ``combine``'s alignment: its results, and the cells it expands.
 
-``pipeline._region`` (phase 1) picks the cells that can hold an
-optimal alignment, or give one of its cells its least key; the exact
-pass (phase 2) visits only those.  Forced on, on every input, it must leave every
-result bit for bit as the pass over every cell gives it: the same
-``t_comb``, cost, feature vector and winning path, ties included.
+``pipeline._best_alignment`` is one A* pass over the cells (NMT
+position, hiero position): cells pop in (g + h, cell) order, and only a
+popped cell's moves are tried.  The popped cells are its region.  On
+every input the pass must give the whole winning path that the tie rule,
+spelled out over every cell, gives (``helpers.tie_rule_alignment``), and
+the flower chain's cost and feature vector (``helpers.flower_combine``),
+ties included; and its region must stay small, by counts pinned here.
 """
 
-import math
 import os
 import random
 from dataclasses import replace as dc_replace
@@ -33,26 +34,55 @@ from latcomb.algorithms import _prune_mask
 from latcomb.editfst import edit_weight, expand_unk_runs
 from latcomb.fst import accessible_states, has_negative
 
-from helpers import assert_matches_flower_combine, flower_combine, linear_chain
+from helpers import (assert_matches_flower_combine, flower_combine, linear_chain,
+                     tie_rule_alignment)
 from test_direct_alignment import build_instance, has_word, wide_instance
 from test_golden import load_workloads
 
 WORKLOADS = ("stats-corpus", "wide-alphabet", "deep-hiero")
 
 
-def outcome(result):
-    return (result.t_comb, result.total_cost.hex(), result.feature_vector.values,
-            result.path.rows)
+def follows_the_tie_rule(nmt, hiero, params):
+    """``combine``'s whole winning path is the one the tie rule picks, at its
+    cost and feature vector, bit for bit."""
+    result = combine(nmt, hiero, params)
+    path, cost, values = tie_rule_alignment(nmt, hiero, params)
+    assert [(a.ilabel, a.olabel, a.weight.values) for a in result.path.arcs] == path
+    assert (result.total_cost, result.feature_vector.values) == (cost, values)
+    return result
 
 
-def both_ways(monkeypatch, nmt, hiero, params):
-    """``combine`` with phase 1 forced on, then with the region as every cell."""
+def matches_both_references(nmt, hiero, params):
+    """The tie rule's path, and the flower chain's cost and feature vector
+    (the flower chain breaks exact ties its own way)."""
+    result = follows_the_tie_rule(nmt, hiero, params)
+    reference = flower_combine(nmt, hiero, params)
+    assert (result.total_cost, result.feature_vector) == \
+        (reference.total_cost, reference.feature_vector)
+
+
+def expansions(monkeypatch, params, pairs):
+    """Combine each pair; returns the cells the pass expanded and the cells
+    there were, each summed over ``pairs``.  A cell counts as it expands:
+    the pass reads its hiero position's moves then, and only then."""
+    counts = [0, 0]
+
+    class Reads(list):
+        def __getitem__(self, j):
+            counts[0] += 1
+            return super().__getitem__(j)
+
+    class Tables(pipeline._MoveTables):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.hiero_moves = Reads(self.hiero_moves)
+            counts[1] += self.size
+
     with monkeypatch.context() as patch:
-        patch.setattr(pipeline, "_REGION_MIN_BRANCHING", 0.0)
-        fast = combine(nmt, hiero, params)
-        patch.setattr(pipeline, "_region", lambda tab: None)
-        slow = combine(nmt, hiero, params)
-    return fast, slow
+        patch.setattr(pipeline, "_MoveTables", Tables)
+        for nmt, hiero in pairs:
+            combine(nmt, hiero, params)
+    return tuple(counts)
 
 
 def read_corpus(root):
@@ -108,36 +138,35 @@ def with_skips(corpus, share, rng):
 
 
 @pytest.mark.parametrize("workload", WORKLOADS)
-def test_region_leaves_the_benchmark_corpora_bit_identical(workload, tmp_path, monkeypatch):
+def test_region_leaves_the_benchmark_corpora_bit_identical(workload, tmp_path):
+    # The tie rule reads the hiero lattice through the same prune mask, so
+    # this covers the pruned deep-hiero corpus too.
     for seed in (1, 2, 3):
         params, pairs = generated(tmp_path, workload, seed)
         for nmt, hiero in pairs:
-            fast, slow = both_ways(monkeypatch, nmt, hiero, params)
-            assert outcome(fast) == outcome(slow)
+            follows_the_tie_rule(nmt, hiero, params)
 
 
 @pytest.mark.parametrize("length, width, states, skips",
                          [(5, 12, 38, 0.0), (8, 30, 161, 0.0), (5, 12, 38, 0.3), (8, 30, 161, 0.3)],
                          ids=["5-12-38", "8-30-161", "5-12-38-skips", "8-30-161-skips"])
 def test_region_leaves_unpruned_layered_lattices_bit_identical(length, width, states, skips,
-                                                               tmp_path, monkeypatch):
+                                                               tmp_path):
     params, pairs = generated(tmp_path, "deep-hiero", 1, skips, length=length, width=width,
                               hiero_node_budget=100_000, sentences=5)
     for nmt, hiero in pairs:
         assert hiero.num_states == states
-        fast, slow = both_ways(monkeypatch, nmt, hiero, params)
-        assert outcome(fast) == outcome(slow)
+        matches_both_references(nmt, hiero, params)
 
 
-def test_region_leaves_the_inexact_cancelling_and_wide_group_streams_bit_identical(monkeypatch):
+def test_region_leaves_the_inexact_cancelling_and_wide_group_streams_bit_identical():
     rng = random.Random(2121)
     checked = signed = 0
     while checked < 300:
         _, nmt, hiero, params = build_instance(rng.choice, inexact=True)
         if not has_word(nmt, hiero):
             continue
-        fast, slow = both_ways(monkeypatch, nmt, hiero, params)
-        assert outcome(fast) == outcome(slow)
+        matches_both_references(nmt, hiero, params)
         checked += 1
         signed += has_negative(nmt) or has_negative(hiero)
     assert signed > 100
@@ -147,28 +176,24 @@ def test_region_leaves_the_inexact_cancelling_and_wide_group_streams_bit_identic
     scores = (0.1, 0.2, -0.3, 0.001)
     nmt = linear_chain([a, b, c, a], syms, [weight({0: v}) for v in scores])
     hiero = linear_chain([a, b, c, a], syms, [weight({1: v}) for v in scores])
-    fast, slow = both_ways(monkeypatch, nmt, hiero, CombinationParams())
-    assert outcome(fast) == outcome(slow)
+    matches_both_references(nmt, hiero, CombinationParams())
     rng = random.Random(1515)
     for _ in range(150):
         _, nmt, hiero, params = wide_instance(rng)
-        fast, slow = both_ways(monkeypatch, nmt, hiero, params)
-        assert outcome(fast) == outcome(slow)
+        matches_both_references(nmt, hiero, params)
 
 
-def region_of(nmt, hiero, params):
-    """Phase 1's region for one pair, forced on."""
+def tables_of(nmt, hiero, params):
+    """The pass's move tables for one pair."""
     mask = _prune_mask(hiero, params.hiero_node_budget, pipeline.HIERO_ONLY)
-    tables = pipeline._MoveTables(expand_unk_runs(nmt, params.max_unk_run), hiero, mask,
-                                  params.nmt_vocab, params.as_param_vector())
-    return tables, pipeline._region(tables)
+    return pipeline._MoveTables(expand_unk_runs(nmt, params.max_unk_run), hiero, mask,
+                                params.nmt_vocab, params.as_param_vector())
 
 
-def test_no_reachable_final_cell_still_raises_no_path(monkeypatch):
+def test_no_reachable_final_cell_still_raises_no_path():
     # The NMT lattice's final state is not reachable from its initial
-    # state: no cell has a finite heuristic, phase 1 closes none, and the
-    # exact pass finds no final cell.
-    monkeypatch.setattr(pipeline, "_REGION_MIN_BRANCHING", 0.0)
+    # state: the start cell has no heuristic value, so the pass pushes no
+    # cell and finds no final cell.
     syms = SymbolTable()
     a, b = syms.add("a"), syms.add("b")
     nmt = Wfst(syms, syms)
@@ -187,16 +212,15 @@ def test_no_reachable_final_cell_still_raises_no_path(monkeypatch):
         hiero.add_arc(src, Arc(label, label, weight({1: 0.5}), dst))
     hiero.freeze()
     params = CombinationParams()
-    _, region = region_of(nmt, hiero, params)
-    assert region == []
+    tab = tables_of(nmt, hiero, params)
+    assert pipeline._heuristic(tab)(tab.start) is None
     with pytest.raises(NoPathError, match="^no path from the initial state to a final state$"):
         combine(nmt, hiero, params)
 
 
-def test_signed_scores_keep_the_region_exact(monkeypatch):
-    # h is consistent whatever the signs of the scores: with phase 1 forced
-    # on, negative scores still give the flower chain's optimum.
-    monkeypatch.setattr(pipeline, "_REGION_MIN_BRANCHING", 0.0)
+def test_signed_scores_keep_the_region_exact():
+    # h is consistent whatever the signs of the scores: negative scores
+    # still give the flower chain's optimum.
     rng = random.Random(3131)
     checked = 0
     while checked < 150:
@@ -209,23 +233,14 @@ def test_signed_scores_keep_the_region_exact(monkeypatch):
 
 
 def test_region_holds_at_most_a_quarter_of_the_cells_on_deep_hiero(tmp_path, monkeypatch):
-    # A count, not a time: the cells phase 1 leaves to the exact pass,
-    # summed over the seed-1 deep-hiero corpus, against the cells the pass
-    # over every cell reaches (every accessible NMT state of the expanded
-    # lattice with every kept hiero state accessible through the kept arcs).
+    # A count, not a time: the cells the pass expands, summed over the
+    # seed-1 deep-hiero corpus, against the cells a pass over every cell
+    # would reach (every accessible NMT state of the expanded lattice with
+    # every kept hiero state accessible through the kept arcs).
     params, pairs = generated(tmp_path, "deep-hiero", 1)
-    sizes = []
-    real_region = pipeline._region
-
-    def counting(tab):
-        region = real_region(tab)
-        sizes.append(len(region))
-        return region
-
-    monkeypatch.setattr(pipeline, "_region", counting)
+    expanded, _ = expansions(monkeypatch, params, pairs)
     reached = 0
     for nmt, hiero in pairs:
-        combine(nmt, hiero, params)
         keep, arcs, _ = _prune_mask(hiero, params.hiero_node_budget, pipeline.HIERO_ONLY)
         seen, stack = {hiero.initial}, [hiero.initial]
         while stack:
@@ -234,22 +249,31 @@ def test_region_holds_at_most_a_quarter_of_the_cells_on_deep_hiero(tmp_path, mon
                     seen.add(row[0])
                     stack.append(row[0])
         reached += len(accessible_states(expand_unk_runs(nmt, params.max_unk_run))) * len(seen)
-    assert len(sizes) == len(pairs)  # phase 1 ran on every sentence
-    assert 4 * sum(sizes) <= reached
+    assert 4 * expanded <= reached
+
+
+def test_region_holds_at_most_a_third_of_the_cells_on_the_stats_corpus(tmp_path, monkeypatch):
+    # A count, not a time: on sausage-shaped hiero lattices every hiero
+    # state lies on every path, yet A* still leaves most cells unexpanded;
+    # summed over the seed-1 stats corpus, the expanded cells against all
+    # cells (every NMT position of the expanded lattice with every kept
+    # hiero position).
+    params, pairs = generated(tmp_path, "stats-corpus", 1)
+    expanded, cells = expansions(monkeypatch, params, pairs)
+    assert 3 * expanded <= cells
 
 
 def test_region_stays_small_on_hiero_paths_of_varying_length(tmp_path, monkeypatch):
-    # A count, not a time: the cells phase 1 leaves to the exact pass,
-    # summed over 20 unpruned layered lattices of 161 hiero states where
-    # about 30% of the states also skip a column, so hiero paths from one
-    # state differ in length.  Pinned at 1,794 with under 1% headroom: h
-    # without the length gap leaves 4,753 cells, h with half of it 2,422,
-    # and h with the gap's lo_n - hi_h side alone 1,821.
-    monkeypatch.setattr(pipeline, "_REGION_MIN_BRANCHING", 0.0)
+    # A count, not a time: the cells the pass expands, summed over 20
+    # unpruned layered lattices of 161 hiero states where about 30% of the
+    # states also skip a column, so hiero paths from one state differ in
+    # length.  Pinned at 1,794 with under 1% headroom: h without the length
+    # gap leaves 4,753 cells, h with half of it 2,422, and h with the gap's
+    # lo_n - hi_h side alone 1,821.
     params, pairs = generated(tmp_path, "deep-hiero", 1, 0.3, length=8, width=30,
                               hiero_node_budget=100_000, sentences=20)
-    sizes = [len(region_of(nmt, hiero, params)[1]) for nmt, hiero in pairs]
-    assert sum(sizes) <= 1_810
+    expanded, _ = expansions(monkeypatch, params, pairs)
+    assert expanded <= 1_810
 
 
 def untrimmed_lattice(rng, syms, feature, labels):
@@ -303,8 +327,8 @@ def test_heuristic_is_admissible_and_consistent():
     dead = epsilon = 0
     for _ in range(400):
         nmt, hiero, params = untrimmed_instance(rng)
-        tab, _ = region_of(nmt, hiero, params)
-        h = pipeline._heuristic(tab)[1]
+        tab = tables_of(nmt, hiero, params)
+        h = pipeline._heuristic(tab)
         width, cost = tab.width, tab.cost
         epsilon += any(skips for *_, skips in tab.hiero_moves)
 
@@ -348,7 +372,7 @@ def test_hiero_entry_costs_equal_their_search_key(lambda_hiero):
     for _ in range(100):
         nmt, hiero, params = untrimmed_instance(rng)
         params = params._replace(lambda_hiero=lambda_hiero)
-        tab, _ = region_of(nmt, hiero, params)
+        tab = tables_of(nmt, hiero, params)
         for singles, groups, _, skips in tab.hiero_moves:
             for s_h, _, _, row, _ in singles + [e for _, group in groups for e in group] + skips:
                 assert s_h == tab.cost(row[3])
