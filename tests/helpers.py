@@ -5,7 +5,6 @@ from __future__ import annotations
 import random
 from collections import deque
 from fractions import Fraction
-from itertools import chain
 from operator import add, mul
 from typing import Iterable
 
@@ -355,7 +354,7 @@ def tie_rule_alignment(nmt: Wfst, hiero: Wfst, params, column_major: bool = Fals
         cells.sort(key=lambda cell: (pos_h[cell[1]], pos_n[cell[0]]))
     vectors = [a.weight.values for arcs in (nmt_arcs, hiero_arcs) for rows in arcs.values()
                for a in rows]
-    vectors += [w.values for w in chain((w for _, w in ext.finals()), hiero_finals.values())]
+    vectors += [w.values for _, w in ext.finals()] + [w.values for w in hiero_finals.values()]
     edits = [w.values for w in (ONE, weight({2: 1.0}), weight({3: 1.0}))]  # edit_weight's
     nums, _, key = numerators(vectors + edits, lambdas)
     value = {(ext.initial, hiero.initial): (ONE, (0,) * 5)}
