@@ -10,10 +10,10 @@ builds the pruned machine.
 Search order: every search here (shortest path, n-best, pruning), like
 ``plus`` and the alignment pass of :mod:`latcomb.pipeline`, compares
 paths by exact integer keys (:func:`latcomb.semiring.exact_order`):
-scalarized cost first, then the feature vector, here packed into one
-integer per arc (:func:`_search`).  The keys do not round, so keeping
-the least key per state finds the least path, and every tie is a real
-one.  A found path reports its weight and cost in floats,
+scalarized cost first, then the feature vector, packed into one integer
+per arc (:func:`latcomb.semiring.pack_keys`).  The keys do not round,
+so keeping the least key per state finds the least path, and every tie
+is a real one.  A found path reports its weight and cost in floats,
 summed along it by :func:`latcomb.semiring.dense_times`.
 """
 
@@ -22,7 +22,7 @@ from __future__ import annotations
 import heapq
 import math
 from collections import deque
-from itertools import chain, count
+from itertools import count
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import ContractError, NoPathError, check_count
@@ -40,8 +40,8 @@ from .fst import (
     has_negative,
     topological_order,
 )
-from .semiring import (ONE, Dense, FeatureWeight, ParamVector, dense_times, exact_order,
-                       scalarize, times)
+from .semiring import (ONE, Dense, FeatureWeight, ParamVector, dense_times, pack_keys, scalarize,
+                       times)
 
 
 class PathWitness(NamedTuple):
@@ -202,16 +202,12 @@ class _Search(NamedTuple):
 def _search(fst: Wfst, params: ParamVector, terms: int = 0) -> _Search:
     """The exact arithmetic of every search over ``fst`` under ``params``.
 
-    Each arc and final weight gets its exact key, (cost, value vector)
-    under :func:`~latcomb.semiring.exact_order`, packed into one integer:
-    the cost, then one digit ``bits`` wide per feature that some arc or
-    final weight carries, but the last such feature when its parameter is
-    not zero (the cost and the others fix it).  A sum of at most
-    ``terms`` keys (by default the states: a path that visits no state
-    twice, its final weight included) has each digit below 2**(bits - 1)
-    in magnitude, so such sums compare as the keys they pack do, and the
-    sum's cost is (sum + 2**(shift - 1)) >> shift.  Under a parameter vector
-    with one feature that the machine carries, a key is its cost.
+    Each arc and final weight gets its exact key packed into one integer
+    (:func:`~latcomb.semiring.pack_keys`), with digits wide enough for a
+    sum of at most ``terms`` keys (by default the states: a path that
+    visits no state twice, its final weight included).  Such sums compare
+    as the keys they pack do, and the sum's cost is (sum + 2**(shift -
+    1)) >> shift.
 
     Requires an initial and a final state and, for a cyclic machine, no
     arc of negative cost.
@@ -220,26 +216,16 @@ def _search(fst: Wfst, params: ParamVector, terms: int = 0) -> _Search:
         raise NoPathError("machine accepts nothing")
     arcs = dense_arcs(fst)
     finals = dict(fst.finals())
-    vectors = [r[3] for rows in arcs for r in rows] + [w.values for w in finals.values()]
-    columns = [(i, c) for i, c in enumerate(zip(*vectors)) if any(c)]  # features carried
-    order = exact_order(params, chain.from_iterable(c for _, c in columns))
-    costs = [order.scale(c, order.params[i]) for i, c in columns if order.params[i]]
-    keys = costs[0] if len(costs) == 1 else [sum(ks) for ks in zip(*costs)] or [0] * len(vectors)
-    if columns and order.params[columns[-1][0]]:
-        columns.pop()
-    digits = [order.scale(c) for _, c in columns]
-    bits = (max(map(abs, chain(*digits))) * (terms or fst.num_states)).bit_length() + 1 \
-        if digits else 0
-    for column in digits:
-        keys = [(k << bits) + x for k, x in zip(keys, column)]
-    shift = bits * len(digits)
-    each = iter(keys)
+    packed = pack_keys(params, [r[3] for rows in arcs for r in rows]
+                       + [w.values for w in finals.values()], terms or fst.num_states)
+    shift = packed.shift
+    each = iter(packed.keys)
     keyed = [list(zip(rows, each)) for rows in arcs]
     # A key's cost is below 0 when the key is below -2**(shift - 1).
     if topological_order(fst) is None and any(w < -(1 << shift >> 1) for pairs in keyed
                                               for _, w in pairs):
         raise ContractError("cyclic machine with a negative-cost arc: shortest path undefined")
-    return _Search(keyed, dict(zip(finals, each)), order.unit, shift)
+    return _Search(keyed, dict(zip(finals, each)), packed.order.unit, shift)
 
 
 def _distances(fst: Wfst, search: _Search, backward: bool = False) -> tuple[list, list]:

@@ -13,7 +13,7 @@ The alignment is one shortest-distance pass over pairs of lattice
 states (Mohri, "Edit-Distance of Weighted Automata", 2003), run as A*:
 it expands only the pairs whose cost so far plus a consistent estimate
 of the rest is at most the optimum, and settles each pair, exact ties
-included, as it expands it.  It finds the same optimum, at the same
+included, before it expands it.  It finds the same optimum, at the same
 cost and feature vector, as composing the extended NMT lattice with the
 modified edit flower and the hiero lattice and taking the shortest path,
 which is the paper's construction; but it builds no flower and no
@@ -26,20 +26,18 @@ from __future__ import annotations
 import math
 from heapq import heappop, heappush
 from itertools import chain
-from operator import add
 from typing import Callable, FrozenSet, Iterable, NamedTuple, Sequence
 
 from .algorithms import Mask, PathWitness, _prune_mask, _ranked, _witness
-from .editfst import edit_weight, expand_unk_runs
+from .editfst import _EDIT_ONE, _SUB_ONE, edit_weight, expand_unk_runs
 from .errors import Checked, ContractError, NoPathError, check_count
 from .fst import EPSILON, UNK, Row, Wfst, contract_errors, dense_arcs, has_negative, topological_order
-from .semiring import (EDIT_COUNT, HIERO_SCORE, NMT_SCORE, ONE, SUB_COUNT, UNK_EXT_COUNT, Dense,
-                       FeatureWeight, ParamVector, dense_times, exact_order, format_weight)
+from .semiring import (EDIT_COUNT, ONE, SUB_COUNT, UNK_EXT_COUNT, Dense, FeatureWeight, ParamVector,
+                       dense_times, format_weight, pack_keys)
 
 HIERO_ONLY = ParamVector(nmt=0.0, hiero=1.0, edit=0.0, sub=0.0, ins=0.0)
-_ONE_EDIT = FeatureWeight.from_features({EDIT_COUNT: 1.0}).values
 
-# The alignment pass's view of a kept hiero arc: (exact cost, index among
+# The alignment pass's view of a kept hiero arc: (packed key, index among
 # its state's kept arcs, target position, row, label); and of the move that
 # set a cell: (source cell, NMT arc index, hiero arc index, NMT row, hiero
 # row, edit values), whose first three fields settle exact ties.
@@ -242,14 +240,14 @@ class _MoveTables:
 
     Cell (i, j), of NMT position i and kept hiero position j, is
     ``i * width + j``; ``nmt_moves[i]`` and ``hiero_moves[j]`` hold the
-    moves out of it (see :func:`_best_alignment`).  Costs are exact
-    integers (:func:`~latcomb.semiring.exact_order`) on one scale for
-    every value the pass reads: both machines' arcs and final weights,
-    and the edit counts, integers on any such scale.  An arc's cost is
-    read off the features it can carry: ``combine``'s contract check
-    admits only the hiero score on a hiero arc, and only the NMT score on
-    an NMT arc (and its final weights), to which the run expansion adds
-    UNK extension counts, which are integers.
+    moves out of it (see :func:`_best_alignment`).  Every value vector the
+    pass adds has its exact key packed into one integer once
+    (:func:`~latcomb.semiring.pack_keys`, ``packed``): both machines'
+    arcs and final weights, and the three weights edit typing yields.  A
+    move adds at most an NMT arc, a hiero arc and an edit weight, and
+    advances at least one side, so an alignment, its two final weights
+    included, adds fewer keys than twice the positions of both sides; the
+    digits are wide enough for that many, so a cell's key never carries.
     """
 
     def __init__(self, nmt: Wfst, hiero: Wfst, mask: Mask, nmt_vocab: FrozenSet[int],
@@ -265,19 +263,22 @@ class _MoveTables:
         self.size = len(order_n) * width
         self.start = pos_n[nmt.initial] * width + pos_h[hiero.initial]
         arcs_n = dense_arcs(nmt)
-        finals_n = [nmt.final_weight(s) for s in order_n]
-        scores = [h[3][HIERO_SCORE] for s in order_h for h in hiero_arcs[s]]
-        scores_n = [a[3][NMT_SCORE] for s in order_n for a in arcs_n[s]]
-        exact = exact_order(params, chain(scores, scores_n, *(
-            fw.values for fw in chain(finals_n, hiero_finals.values()) if fw is not None)))
-        self.cost, self.ints = exact.cost, exact.ints
-        self.nmt_vocab, self.lambda_edit = nmt_vocab, exact.cost(_ONE_EDIT)
-        self._scored: dict[Dense, tuple[Dense, int]] = {}  # edit typing yields few weights
-        hiero_costs = iter(exact.scale(scores, exact.params[HIERO_SCORE]))
+        # Final weights per position, None where a state is not final.
+        self.finals_n = finals_n = [nmt.final_weight(s) for s in order_n]
+        self.finals_h = finals_h = [hiero_finals.get(s) for s in order_h]
+        edits = (ONE.values, _SUB_ONE.values, _EDIT_ONE.values)
+        self.packed = packed = pack_keys(params, [
+            *edits, *(h[3] for s in order_h for h in hiero_arcs[s]),
+            *(a[3] for s in order_n for a in arcs_n[s]),
+            *(fw.values for fw in chain(finals_n, finals_h) if fw is not None)],
+            2 * (len(order_n) + width))
+        keys = iter(packed.keys)  # in the order packed, taken as the tables fill
+        self.edits = {v: (v, key) for v, key in zip(edits, keys)}
+        self.nmt_vocab, self.lambda_edit = nmt_vocab, packed.cost(self.edits[_EDIT_ONE.values][1])
 
-        # Per hiero position, its arcs as (cost, index, target, arc, label):
+        # Per hiero position, its arcs as (key, index, target, arc, label):
         # the word arcs alone on their target; the other word arcs grouped by
-        # target, each group sorted by (cost, index), and the same arcs by
+        # target, each group sorted by (key, index), and the same arcs by
         # label; the epsilon arcs.
         self.hiero_moves = hiero_moves = []
         words: list[int] = []  # two distinct hiero words, if there are two
@@ -286,7 +287,7 @@ class _MoveTables:
             skips: list[_Entry] = []
             for rank, h in enumerate(hiero_arcs[s]):
                 y = h[1]
-                entry = (next(hiero_costs), rank, pos_h[h[0]], h, y)
+                entry = (next(keys), rank, pos_h[h[0]], h, y)
                 if y == EPSILON:
                     skips.append(entry)
                     continue
@@ -309,80 +310,78 @@ class _MoveTables:
         # Edit typing charges alike for inserting any word, and for pairing a
         # label that is not UNK with any word but itself; so those weights are
         # typed once, with the first hiero words.
-        self.w_skip, self.s_skip = self.scored(edit_weight(nmt_vocab, EPSILON, EPSILON).values)
-        self.w_ins, self.s_ins = self.scored(edit_weight(nmt_vocab, EPSILON, words[0]).values) \
-            if words else (None, 0)
+        self.w_skip, self.s_skip = self.edit(EPSILON, EPSILON)
+        self.w_ins, self.s_ins = self.edit(EPSILON, words[0]) if words else (None, 0)
 
-        # Per NMT label: the values and cost of deleting it; the weights of
+        # Per NMT label: the values and key of deleting it; the weights of
         # pairing it with the words typed one by one (filled on demand for
         # UNK, by type_pair); the weight of pairing it with every other word
-        # (None for UNK) and a floor under their costs; and the free match.
+        # (None for UNK) and a floor under their keys; and the free match.
         pairings: dict[int, tuple] = {}
         for x in {r[2] for rows in arcs_n for r in rows}:
-            deleting = self.scored(edit_weight(nmt_vocab, x, EPSILON).values)
+            deleting = self.edit(x, EPSILON)
             if x == UNK:  # the hiero side has no UNK to match
                 pairings[x] = (*deleting, {}, None, 0, ONE.values, 0)
                 continue
-            match = self.scored(edit_weight(nmt_vocab, x, x).values)
+            match = self.edit(x, x)
             other = [y for y in words if y != x]
-            sub = self.scored(edit_weight(nmt_vocab, x, other[0]).values) if other else None
+            sub = self.edit(x, other[0]) if other else None
             pairings[x] = (*deleting, {x: match}, sub, 0 if sub is None else sub[1], *match)
 
-        # Moves per NMT position: (arc, label matched, target base, arc cost,
+        # Moves per NMT position: (arc, label matched, target base, arc key,
         # then the label's pairings, then the arc's index).  An epsilon arc
         # advances alone: its edit weight is ONE.
-        costs = map(add, exact.scale(scores_n, exact.params[NMT_SCORE]),
-                    exact.scale([a[3][UNK_EXT_COUNT] for s in order_n for a in arcs_n[s]],
-                                exact.params[UNK_EXT_COUNT]))
-        self.nmt_moves = [[(a, a[2], pos_n[a[0]] * width, next(costs), *pairings[a[2]], k)
+        self.nmt_moves = [[(a, a[2], pos_n[a[0]] * width, next(keys), *pairings[a[2]], k)
                            for k, a in enumerate(arcs_n[s])] for s in order_n]
-        # Final weights and their costs per position, None where a state is not final.
-        self.finals_n, self.finals_h = finals_n, [hiero_finals.get(s) for s in order_h]
-        self.final_n, self.final_h = ([None if fw is None else exact.cost(fw.values) for fw in fws]
-                                      for fws in (self.finals_n, self.finals_h))
+        # The final weights' keys per position, None where a state is not final.
+        self.final_n, self.final_h = ([None if fw is None else next(keys) for fw in fws]
+                                      for fws in (finals_n, finals_h))
         self.signed = has_negative(nmt) or has_negative(hiero)
 
-    def scored(self, v: Dense) -> tuple[Dense, int]:
-        """Edit weight values with their cost, computed once per distinct values."""
-        return self._scored.get(v) or self._scored.setdefault(v, (v, self.cost(v)))
+    def edit(self, x: int, y: int) -> tuple[Dense, int]:
+        """The values and key of the edit weight of aligning ``x`` with ``y``."""
+        return self.edits[edit_weight(self.nmt_vocab, x, y).values]
 
     def type_pair(self, typed: dict, x: int, y: int) -> tuple[Dense, int]:
         """Type the pairing of ``x`` with ``y`` and keep it in ``typed``, x's table."""
-        return typed.setdefault(y, self.scored(edit_weight(self.nmt_vocab, x, y).values))
+        return typed.setdefault(y, self.edit(x, y))
 
 
 def _to_go(finals: list[int | None], moves: list[list[_Entry]]) -> tuple[list, list, list]:
-    """Per position, whose moves (cost, _, target, _, label) lead to later ones: the cheapest
-    cost on to a final (None for none), the fewest and most tokens (non-epsilon labels) on
+    """Per position, whose moves (key, _, target, _, label) lead to later ones: the least
+    key on to a final (None for none), the fewest and most tokens (non-epsilon labels) on
     the way."""
-    inf, cost = math.inf, finals[:]
+    inf, key = math.inf, finals[:]
     lo, hi = [inf if f is None else 0 for f in finals], [-inf if f is None else 0 for f in finals]
     for p in reversed(range(len(finals))):
-        c, l, h = cost[p], lo[p], hi[p]
+        c, l, h = key[p], lo[p], hi[p]
         for w, _, t, _, y in moves[p]:
-            if cost[t] is None:
+            if key[t] is None:
                 continue
             token = y != EPSILON
-            if c is None or cost[t] + w < c:
-                c = cost[t] + w
+            if c is None or key[t] + w < c:
+                c = key[t] + w
             if lo[t] + token < l:
                 l = lo[t] + token
             if hi[t] + token > h:
                 h = hi[t] + token
-        cost[p], lo[p], hi[p] = c, l, h
-    return cost, lo, hi
+        key[p], lo[p], hi[p] = c, l, h
+    return key, lo, hi
 
 
 def _heuristic(tab: _MoveTables) -> Callable[[int], int | None]:
-    """The A* estimate h(cell) of the cheapest completion from a cell, None where
+    """The A* estimate h(cell) of the cheapest completion's cost from a cell, None where
     no final cell is reachable: admissible and consistent (see _best_alignment)."""
-    width, lam = tab.width, tab.lambda_edit
-    # Per kept hiero position its cheapest word arc to each target, then its epsilon arcs.
+    width, lam, shift = tab.width, tab.lambda_edit, tab.packed.shift
+    # Per kept hiero position its least word arc to each target, then its epsilon arcs.
     advances = [singles + [g[0] for _, g in groups] + skips if groups or skips else singles
                 for singles, groups, _, skips in tab.hiero_moves]
-    cn, lo_n, hi_n = _to_go(tab.final_n, [[(m[3], 0, m[2] // width, 0, m[1]) for m in row]
+    kn, lo_n, hi_n = _to_go(tab.final_n, [[(m[3], 0, m[2] // width, 0, m[1]) for m in row]
                                           for row in tab.nmt_moves])
-    ch, lo_h, hi_h = _to_go(tab.final_h, advances)
+    kh, lo_h, hi_h = _to_go(tab.final_h, advances)
+    # The least key on has the least cost on.
+    half = 1 << shift >> 1
+    cn, ch = ([None if k is None else (k + half) >> shift for k in ks] for ks in (kn, kh))
 
     def h(c: int) -> int | None:
         i, j = divmod(c, width)
@@ -409,13 +408,14 @@ def _best_alignment(nmt: Wfst, hiero: Wfst, mask: Mask, nmt_vocab: FrozenSet[int
     the same per-arc weights as the composition with the modified flower
     would.  Raises :class:`NoPathError` when no final cell is reachable.
 
-    Keys are exact (:func:`~latcomb.semiring.exact_order`): a cell's cost
-    is an integer sum, and its value vector sums integers too, so the
-    order is kept under extension and one key per cell finds the least
-    alignment, as the lexicographic semiring requires.  The returned
-    weight and cost are floats: the path's values summed in path order
-    with :func:`~latcomb.semiring.dense_times`, as the shortest path of
-    the composed machine reports them.  Every feature of an aligned pair
+    Keys are exact and packed (:class:`_MoveTables`): a cell's key g is
+    the integer sum of the keys of the values its alignment adds, and
+    compares as (cost, value vector) does, so the order is kept under
+    extension and one key per cell finds the least alignment, as the
+    lexicographic semiring requires.  The returned weight and cost are
+    floats: the path's values summed in path order with
+    :func:`~latcomb.semiring.dense_times`, as the shortest path of the
+    composed machine reports them.  Every feature of an aligned pair
     comes from one side, because ``combine``'s contract check admits no
     foreign feature, so the two are bit-identical.
 
@@ -434,108 +434,65 @@ def _best_alignment(nmt: Wfst, hiero: Wfst, mask: Mask, nmt_vocab: FrozenSet[int
     most one and pays lambda_edit.  A cell with no final cell within reach
     has no h and is never pushed.
 
-    Cells pop in (g + h, cell) order.  A move that lowers a cell's cost
-    sets it and pushes the cell; a move that ties it is kept as a rival.
-    Costs are exact and h is consistent, so a popped cell's cost is final.
-    Every move leads to a larger cell, so a move c -> t that ties t's
-    least cost has g(c) + h(c) <= g(t) + h(t) and c < t: c pops before t,
-    and every rival has arrived when t pops.  Rivals are settled only
-    then, so a cell that never pops never walks back.  The final weights
-    are moves from each popped final cell into a sink, the largest cell,
-    where h is 0: the sink pops after every cell whose g + h is at most
-    its cost, and the pass ends there.  Each cell of the winning
-    alignment, of any alignment tied with it, and each cell that gives
-    one of them its least cost has g + h <= f*, so all pop first.
-
-    Cells are scalar first.  A cell holds its cost and the move that set
-    it: the source cell's cost plus the costs of the arc and edit weights
-    the move adds.  A move of lower cost wins; one of equal cost is
-    settled by the exact value vectors, then by the tie order.  The two
-    paths share a prefix, so only what each adds after they part is
-    summed (by walking the moves back).
+    The heap orders cells by the cost of g, plus h, then by cell.  A move
+    that lowers a cell's key sets it and pushes the cell, so a move that
+    lowers only the value vector pushes it again, and the stale entry is
+    dropped when it pops.  A move that ties the key is settled as it
+    arrives: it sets the cell when its (source cell, NMT arc index, hiero
+    arc index) is less.  Every move leads to a larger cell, and h is
+    consistent, so a move c -> t that gives t its least key comes from a
+    cell with cost(g(c)) + h(c) <= cost(g(t)) + h(t) and c < t: c pops
+    first, with its least key, and every such move has arrived when t
+    pops.  The heap does not order by the packed key g + h: with signed
+    scores a move of equal cost can add a vector below zero, and t could
+    pop before a move that lowers its key arrives.  The final weights are
+    moves from each popped final cell into a sink, the largest cell,
+    where h is 0: the sink pops after every cell whose cost of g, plus h,
+    is at most its cost, and the pass ends there.  Each cell of the
+    winning alignment, of any alignment tied with it, and each cell that
+    gives one of them its least key has cost(g) + h <= f*, so all pop
+    first.
 
     Most moves lose, so the pass tries only the hiero arcs that can win.
     Each kept hiero state's word arcs to one target form a group, sorted
-    by (arc cost, arc index).  A label that is not UNK tries its free
-    matches first, then the other words in cost order, all at one edit
-    cost (:func:`~latcomb.editfst.edit_weight` types them alike); UNK
-    and insertions try the group in cost order.  Each stops at the first
-    arc that loses, UNK even without its typed edit cost: edit costs are
-    nonnegative, so every later arc loses too.
+    by (arc key, arc index).  A label that is not UNK tries its free
+    matches first, then the other words in key order, all with one edit
+    weight (:func:`~latcomb.editfst.edit_weight` types them alike); UNK
+    and insertions try the group in key order.  Each stops at the first
+    arc that loses, UNK even without its typed edit weight: edit weights'
+    keys are nonnegative (their costs are, and their counts), so every
+    later arc loses too.
     """
     tab = _MoveTables(nmt, hiero, mask, nmt_vocab, params)
     heuristic = _heuristic(tab)
     width, start, hiero_moves, nmt_moves = tab.width, tab.start, tab.hiero_moves, tab.nmt_moves
     finals_n, finals_h, final_n, final_h = tab.finals_n, tab.finals_h, tab.final_n, tab.final_h
-    signed, type_pair, exact_ints = tab.signed, tab.type_pair, tab.ints
+    signed, type_pair, shift = tab.signed, tab.type_pair, tab.packed.shift
     w_skip, s_skip, w_ins, s_ins = tab.w_skip, tab.s_skip, tab.w_ins, tab.s_ins
+    half = 1 << shift >> 1  # a key's cost is (key + half) >> shift
 
-    # Per cell, and at ``sink`` for the final weights: its least cost found
-    # (inf unset) and the move that set it; the moves that tied it, each
-    # with the cost it tied; and the cells to pop, as (g + h, cell, g).
+    # Per cell, and at ``sink`` for the final weights: its least key found
+    # (inf unset) and the move that set it; and the cells to pop, as (cost
+    # of g, plus h, cell, g).
     sink = tab.size
     g: list[float] = [math.inf] * (sink + 1)
     back: list[_Move | None] = [None] * (sink + 1)
-    ties: dict[int, list[tuple[int, _Move]]] = {}
     heap: list[tuple[int, int, int]] = []
-
-    # The exact ints of each value vector a move adds.
-    ints: dict[Dense, tuple[int, ...]] = {}
-
-    def added(move: _Move) -> list[Dense]:
-        _, _, _, a, h, e = move
-        return [v for v in (e, a and a[3], h and h[3]) if v]
-
-    def parted(ma: _Move, mb: _Move) -> tuple[list[Dense], list[Dense]]:
-        # The value vectors that the paths ending in moves ma and mb add
-        # after they part: a move leads to a larger cell, so the path at the
-        # larger cell steps back until they meet.  Their keys compare as the
-        # sums of these do.
-        va, vb, a, b = added(ma), added(mb), ma[0], mb[0]
-        while a != b:
-            if a > b:
-                va, a = va + added(back[a]), back[a][0]
-            else:
-                vb, b = vb + added(back[b]), back[b][0]
-        return va, vb
-
-    def summed(vs: list[Dense]) -> tuple[int, ...]:
-        d0 = d1 = d2 = d3 = d4 = 0
-        for v in vs:
-            x0, x1, x2, x3, x4 = ints.get(v) or ints.setdefault(v, exact_ints(v))
-            d0, d1, d2, d3, d4 = d0 + x0, d1 + x1, d2 + x2, d3 + x3, d4 + x4
-        return d0, d1, d2, d3, d4
 
     def relax(t: int, e: int, move: _Move) -> None:
         # The caller has checked that e is not above g[t].
         if e == g[t]:
-            ties.setdefault(t, []).append((e, move))
+            if move[:3] < back[t][:3]:  # the least (source cell, NMT arc, hiero arc) wins
+                back[t] = move
         elif (h := 0 if t == sink else heuristic(t)) is not None:
             g[t], back[t] = e, move
-            heappush(heap, (e + h, t, e))
-
-    def settle(t: int) -> None:
-        # t pops: of the moves at its least cost, the least key sets it.
-        for e, move in ties.pop(t):
-            if e > g[t]:  # a later move cost less
-                continue
-            old = back[t]
-            va, vb = parted(move, old)
-            # The same values in another order sum alike: no need to add them.
-            if sorted(map(id, va)) != sorted(map(id, vb)) \
-                    and (sa := summed(va)) != (sb := summed(vb)):
-                if sa < sb:
-                    back[t] = move
-            elif move[:3] < old[:3]:  # equal keys: the least (source cell, NMT arc, hiero arc) wins
-                back[t] = move
+            heappush(heap, (((e + half) >> shift) + h, t, e))
 
     relax(start, 0, (start, 0, 0, None, None, ONE.values))  # reached; never followed
     while heap:
         _, c, g_c = heappop(heap)
-        if g_c > g[c]:  # superseded by a cheaper move
+        if g_c > g[c]:  # superseded by a lesser key
             continue
-        if c in ties:
-            settle(c)
         if c == sink:
             break
         i, j = divmod(c, width)

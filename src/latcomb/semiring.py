@@ -23,8 +23,9 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from itertools import chain, compress, count
 from operator import mul
-from typing import Callable, Iterable, Mapping, NamedTuple
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import Checked, ContractError
 
@@ -215,6 +216,61 @@ def exact_order(params: ParamVector, values: Iterable[float]) -> ExactOrder:
             return [p * (n << (k + 1 - d.bit_length())) for n, d in map(float.as_integer_ratio, xs)]
 
     return ExactOrder(scale, lams, 1 << (k + l))
+
+
+class PackedKeys(NamedTuple):
+    """Exact keys packed into integers: see :func:`pack_keys`."""
+
+    keys: list[int]
+    order: ExactOrder
+    features: tuple[int, ...]
+    bits: int
+
+    @property
+    def shift(self) -> int:
+        """The bits below a key's cost."""
+        return self.bits * len(self.features)
+
+    def cost(self, key: int) -> int:
+        """The cost of a key, or of a sum of keys within the digits' bound."""
+        return (key + (1 << self.shift >> 1)) >> self.shift
+
+
+def pack_keys(params: ParamVector, vectors: Sequence[Dense], terms: int) -> PackedKeys:
+    """Each vector's exact key under :func:`exact_order`, packed into one integer.
+
+    A key is the cost, then one digit ``bits`` wide per feature that some
+    vector carries, but the last such feature when its parameter is not
+    zero (the cost and the others fix it); ``features`` lists the features
+    that have a digit.  A sum of at most ``terms`` keys has each digit
+    below 2**(bits - 1) in magnitude, so such sums compare as the keys
+    they pack do, and :meth:`PackedKeys.cost` reads the sum's cost off it.
+    Under a parameter vector with one feature that the vectors carry, a
+    key is its cost.
+    """
+    columns = []  # per feature that some vector carries: its id, its values, those not zero
+    for i, c in enumerate(zip(*vectors)):
+        nonzero = list(filter(None, c))
+        if nonzero:
+            columns.append((i, c, nonzero))
+    order = exact_order(params, chain.from_iterable(nz for _, _, nz in columns))
+    digits = columns[:-1] if columns and order.params[columns[-1][0]] else columns
+    top = max((max(map(abs, nz)) for _, _, nz in digits), default=0.0)
+    bits = (order.scale([top])[0] * terms).bit_length() + 1 if digits else 0
+    shift = bits * len(digits)
+    # A key is linear in the scaled values: each adds its parameter times
+    # itself to the cost, and itself to its feature's digit.  The column
+    # with the most values not zero is scaled whole; the others add theirs
+    # where they are not zero.
+    keys: list[int] | None = None
+    for d, (i, c, nonzero) in sorted(enumerate(columns), key=lambda col: -len(col[1][2])):
+        factor = (order.params[i] << shift) + (1 << (shift - bits * (d + 1)) if d < len(digits) else 0)
+        if keys is None:
+            keys = order.scale(c, factor)
+            continue
+        for at, key in zip(compress(count(), c), order.scale(nonzero, factor)):
+            keys[at] += key
+    return PackedKeys(keys or [0] * len(vectors), order, tuple(i for i, _, _ in digits), bits)
 
 
 @lru_cache(maxsize=16)

@@ -329,7 +329,8 @@ def test_heuristic_is_admissible_and_consistent():
         nmt, hiero, params = untrimmed_instance(rng)
         tab = tables_of(nmt, hiero, params)
         h = pipeline._heuristic(tab)
-        width, cost = tab.width, tab.cost
+        # The tables hold packed keys; h and this reference compare costs.
+        width, part, cost = tab.width, tab.packed.cost, tab.packed.order.cost
         epsilon += any(skips for *_, skips in tab.hiero_moves)
 
         def edit(x, y):
@@ -342,14 +343,15 @@ def test_heuristic_is_admissible_and_consistent():
             words = singles + [entry for _, group in groups for entry in group]
             moves = []
             for _, x, t_base, s_a, *_ in tab.nmt_moves[i]:
-                moves.append((t_base + j, s_a + edit(x, EPSILON)))
+                moves.append((t_base + j, part(s_a) + edit(x, EPSILON)))
                 if x != EPSILON:
-                    moves += [(t_base + t_j, s_a + edit(x, y) + s_h)
+                    moves += [(t_base + t_j, part(s_a) + edit(x, y) + part(s_h))
                               for s_h, _, t_j, _, y in words]
-            moves += [(c - j + t_j, edit(EPSILON, y) + s_h) for s_h, _, t_j, _, y in words + skips]
+            moves += [(c - j + t_j, edit(EPSILON, y) + part(s_h))
+                      for s_h, _, t_j, _, y in words + skips]
             options = [w + togo[t] for t, w in moves if togo[t] is not None]
             if tab.final_n[i] is not None and tab.final_h[j] is not None:
-                options.append(tab.final_n[i] + tab.final_h[j])
+                options.append(part(tab.final_n[i]) + part(tab.final_h[j]))
             togo[c] = min(options, default=None)
             assert (h(c) is None) == (togo[c] is None)
             if togo[c] is not None:
@@ -363,10 +365,9 @@ def test_heuristic_is_admissible_and_consistent():
 
 @pytest.mark.parametrize("lambda_hiero", [0.0, 0.7, 1.0, 3.0])
 def test_hiero_entry_costs_equal_their_search_key(lambda_hiero):
-    # The tables read a kept hiero arc's cost as the scaled lambda_hiero
-    # times the scaled score, not through the exact order's cost: the same
-    # on hiero-contract lattices under CombinationParams, signed and zero
-    # (ONE) scores included.
+    # Each kept hiero arc's entry in the tables holds a packed key whose
+    # cost is the arc's exact cost, under every lambda_hiero, signed and
+    # zero (ONE) scores included.
     rng = random.Random(2323)
     negative = one = 0
     for _ in range(100):
@@ -375,7 +376,7 @@ def test_hiero_entry_costs_equal_their_search_key(lambda_hiero):
         tab = tables_of(nmt, hiero, params)
         for singles, groups, _, skips in tab.hiero_moves:
             for s_h, _, _, row, _ in singles + [e for _, group in groups for e in group] + skips:
-                assert s_h == tab.cost(row[3])
+                assert tab.packed.cost(s_h) == tab.packed.order.cost(row[3])
                 negative += row[3][HIERO_SCORE] < 0.0
                 one += row[3] == ONE.values
     assert negative > 50 and one > 50
