@@ -9,12 +9,12 @@ builds the pruned machine.
 
 Search order: every search here (shortest path, n-best, pruning), like
 ``plus`` and the alignment pass of :mod:`latcomb.pipeline`, compares
-paths by exact integer keys (:func:`latcomb.semiring.exact_order`):
-scalarized cost first, then the feature vector, packed into one integer
-per arc (:func:`latcomb.semiring.pack_keys`).  The keys do not round,
-so keeping the least key per state finds the least path, and every tie
-is a real one.  A found path reports its weight and cost in floats,
-summed along it by :func:`latcomb.semiring.dense_times`.
+paths by exact integer keys: scalarized cost first, then the feature
+vector, packed into one integer per arc
+(:func:`latcomb.semiring.pack_keys`).  The keys do not round, so keeping
+the least key per state finds the least path, and every tie is a real
+one.  No search adds floats; a found path reports its weight and cost in
+floats, summed along it by :func:`latcomb.semiring.dense_times`.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from .fst import (
     arc_of,
     coaccessible_states,
     dense_arcs,
-    has_negative,
     topological_order,
 )
 from .semiring import (ONE, Dense, FeatureWeight, ParamVector, dense_times, pack_keys, scalarize,
@@ -152,7 +151,7 @@ def compose(t1: Wfst, t2: Wfst) -> Wfst:
         return sid
 
     def mul(u: Dense | None, v: Dense | None) -> Dense | None:
-        return None if u is None or v is None else dense_times(u, v, True)
+        return None if u is None or v is None else dense_times(u, v)
 
     initial = state_of((t1.initial, t2.initial, 0))
     while queue:
@@ -225,7 +224,7 @@ def _search(fst: Wfst, params: ParamVector, terms: int = 0) -> _Search:
     if topological_order(fst) is None and any(w < -(1 << shift >> 1) for pairs in keyed
                                               for _, w in pairs):
         raise ContractError("cyclic machine with a negative-cost arc: shortest path undefined")
-    return _Search(keyed, dict(zip(finals, each)), packed.order.unit, shift)
+    return _Search(keyed, dict(zip(finals, each)), packed.unit, shift)
 
 
 def _distances(fst: Wfst, search: _Search, backward: bool = False) -> tuple[list, list]:
@@ -304,17 +303,16 @@ def shortest_path(fst: Wfst, params: ParamVector) -> PathWitness:
     """
     _check_frozen(fst)
     search = _search(fst, params)
-    return _witness(*_best_path(fst, search, *_distances(fst, search)), params, has_negative(fst))
+    return _witness(*_best_path(fst, search, *_distances(fst, search)), params)
 
 
-def _witness(rows: Sequence[Row], final_weight: FeatureWeight, params: ParamVector,
-             signed: bool) -> PathWitness:
+def _witness(rows: Sequence[Row], final_weight: FeatureWeight, params: ParamVector) -> PathWitness:
     """A found path, its weight and cost in floats: its values added in
-    path order by ``dense_times`` (``signed`` as it takes), then scalarized."""
+    path order by ``dense_times``, then scalarized."""
     values = ONE.values
     for row in rows:
-        values = dense_times(values, row[3], signed)
-    weight = FeatureWeight(dense_times(values, final_weight.values, signed))
+        values = dense_times(values, row[3])
+    weight = FeatureWeight(dense_times(values, final_weight.values))
     return PathWitness(rows=tuple(rows), final_weight=final_weight, weight=weight,
                        cost=scalarize(weight, params))
 
@@ -429,8 +427,7 @@ def iter_nbest(fst: Wfst, n: int, params: ParamVector,
     times; the unique one filters a stream with neither cap, so its
     paths do not depend on n.
     """
-    signed = has_negative(fst)
-    return (_witness(rows, fw, params, signed) for rows, fw in _ranked(fst, n, params, unique))
+    return (_witness(rows, fw, params) for rows, fw in _ranked(fst, n, params, unique))
 
 
 def nbest(fst: Wfst, n: int, params: ParamVector, unique: bool = False) -> list[PathWitness]:

@@ -30,7 +30,7 @@ from __future__ import annotations
 from typing import AbstractSet
 
 from .errors import ContractError, check_count
-from .fst import EPSILON, NO_STATE, UNK, Row, SymbolTable, Wfst, _keep, has_negative
+from .fst import EPSILON, NO_STATE, UNK, Row, SymbolTable, Wfst
 from .semiring import EDIT_COUNT, ONE, SUB_COUNT, UNK_EXT_COUNT, FeatureWeight
 
 _EDIT_ONE = FeatureWeight.from_features({EDIT_COUNT: 1.0})
@@ -109,9 +109,7 @@ def expand_unk_runs(nmt: Wfst, max_run: int) -> Wfst:
     s -> r1 (weight w) right after the UNK arc, then out of each r(k) the
     arc to r(k+1) and the arc to t, each carrying one ``unk_ext_count``.
     So a run of k tokens is exactly one path s -> t of weight w plus
-    k - 1 extensions, and no epsilon arc is added.  The copy keeps
-    :func:`~latcomb.fst.has_negative` of ``nmt``: its new arcs repeat an
-    UNK arc's weight or add one extension count.
+    k - 1 extensions, and no epsilon arc is added.
     """
     check_count("max_run", max_run)
     if nmt.initial == NO_STATE:
@@ -128,6 +126,4 @@ def expand_unk_runs(nmt: Wfst, max_run: int) -> Wfst:
             for nxt in range(len(rows) + 1, len(rows) + max_run - 1):
                 rows.append([(nxt, UNK, UNK, ext), (target, UNK, UNK, ext)])
             rows.append([(target, UNK, UNK, ext)])
-    extended = Wfst.frozen_from(nmt.isyms, rows, dict(nmt.finals()), nmt.initial, nmt.osyms)
-    _keep(extended, has_negative, has_negative(nmt))
-    return extended
+    return Wfst.frozen_from(nmt.isyms, rows, dict(nmt.finals()), nmt.initial, nmt.osyms)

@@ -12,8 +12,8 @@ only by the accessors :meth:`Wfst.arcs` and
 checked builder, takes an :class:`Arc` and stores its row.
 
 This module is the one place that derives facts from a machine's
-structure: :func:`topological_order`, :func:`has_negative`,
-:func:`dense_arcs` and, per lattice kind, :func:`contract_errors`.  Each
+structure: :func:`topological_order`, :func:`dense_arcs` and, per
+lattice kind, :func:`contract_errors`.  Each
 is computed at most once per frozen machine and kept on it (a builder
 that learns one while building records it instead); a mutable machine
 recomputes on every call.  Sharing a frozen machine across threads is
@@ -299,18 +299,6 @@ def count_paths(fst: Wfst) -> int | None:
             for row in fst._arcs[s]:
                 ways[row[0]] += ways[s]
     return sum(ways[s] for s, _ in fst.finals())
-
-
-@_derived
-def has_negative(fst: Wfst) -> bool:
-    """Whether an arc or final weight holds a negative value.
-
-    Only then can a sum of weights cancel to below CANONICAL_EPS, so only
-    then do searches need the zeroing of
-    :func:`~latcomb.semiring.dense_times`.
-    """
-    return (any(row[3] is not None and min(row[3]) < 0.0 for rows in fst._arcs for row in rows)
-            or any(v < 0.0 for _, w in fst.finals() for v in w.values))
 
 
 @_derived

@@ -22,7 +22,7 @@ from typing import Iterable, Iterator
 
 from .errors import ContractError, FormatError
 from .fst import (EPSILON_SYMBOL, LATTICE_KINDS, NO_STATE, UNK, UNK_SYMBOL, Row, SymbolTable,
-                  Wfst, _keep, contract_errors, dense_arcs, has_negative, topological_order)
+                  Wfst, _keep, contract_errors, dense_arcs, topological_order)
 from .pipeline import CombinationParams
 from .semiring import (CANONICAL_EPS, HIERO_SCORE, NMT_SCORE, NUM_FEATURES, ONE, Dense,
                        FeatureWeight, format_weight, parse_values)
@@ -136,8 +136,7 @@ def read_lattice(path: str, table: SymbolTable, kind: str = "generic") -> Wfst:
     the contract, a missing final state or a cycle makes the reader walk
     the machine for the messages; a clean file keeps its empty error
     list, so ``combine`` does not check it again.  The machine also keeps
-    :func:`~latcomb.fst.has_negative` and :func:`~latcomb.fst.dense_arcs`,
-    learned while parsing.
+    :func:`~latcomb.fst.dense_arcs`, learned while parsing.
     """
     with open(path, "r", encoding="utf-8") as handle:
         text = handle.read()
@@ -157,7 +156,7 @@ def read_lattice(path: str, table: SymbolTable, kind: str = "generic") -> Wfst:
 
     rows_of: defaultdict[int, list[Row]] = defaultdict(list)
     finals: dict[int, FeatureWeight] = {}
-    negative = zero = False
+    zero = False
     suspect = kind not in LATTICE_KINDS  # contract_errors rejects the kind
     labels = table._label_to_word
     label_of = table._label_of_text
@@ -178,7 +177,6 @@ def read_lattice(path: str, table: SymbolTable, kind: str = "generic") -> Wfst:
                 values: Dense | None = ONE.values
             else:
                 values = (x, 0.0, 0.0, 0.0, 0.0) if fid == NMT_SCORE else (0.0, x, 0.0, 0.0, 0.0)
-                negative = negative or x < 0.0
                 suspect = suspect or fid == foreign
             rows_of[src].append((dst, il, ol, values))
             if score is not None and (il != ol or il == banned):
@@ -203,8 +201,6 @@ def read_lattice(path: str, table: SymbolTable, kind: str = "generic") -> Wfst:
                 values = parse_values(fields[-1])
             except ValueError as exc:
                 raise FormatError(str(exc), path, lineno) from None
-            if values is not None:
-                negative = negative or min(values) < 0.0
         if score is not None and values is not None \
                 and values.count(0.0) + (values[score] != 0.0) != NUM_FEATURES:
             suspect = True  # a feature other than the kind's score
@@ -224,7 +220,6 @@ def read_lattice(path: str, table: SymbolTable, kind: str = "generic") -> Wfst:
     if not state_of:
         raise FormatError("empty lattice file (no initial state)", path)
     fst = Wfst.frozen_from(table, [rows_of[s] for s in range(len(state_of))], finals, 0)
-    _keep(fst, has_negative, negative)
     if not zero:
         _keep(fst, dense_arcs, fst._arcs)
     if suspect or not finals or (score is not None and topological_order(fst) is None):

@@ -31,7 +31,7 @@ from typing import Callable, FrozenSet, Iterable, NamedTuple, Sequence
 from .algorithms import Mask, PathWitness, _prune_mask, _ranked, _witness
 from .editfst import _EDIT_ONE, _SUB_ONE, edit_weight, expand_unk_runs
 from .errors import Checked, ContractError, NoPathError, check_count
-from .fst import EPSILON, UNK, Row, Wfst, contract_errors, dense_arcs, has_negative, topological_order
+from .fst import EPSILON, UNK, Row, Wfst, contract_errors, dense_arcs, topological_order
 from .semiring import (EDIT_COUNT, ONE, SUB_COUNT, UNK_EXT_COUNT, Dense, FeatureWeight, ParamVector,
                        dense_times, format_weight, pack_keys)
 
@@ -185,9 +185,10 @@ def combine(nmt_lattice: Wfst, hiero_lattice: Wfst, params: CombinationParams,
     pruned machine is built.
 
     Tie rule.  Alignments compare on (cost, feature vector in id order),
-    both exact sums (:func:`~latcomb.semiring.exact_order`), so a tie is a
-    real tie; the reported cost and feature vector are float sums along
-    the winning path, and may differ from another path's by rounding.
+    both exact sums packed into one integer key
+    (:func:`~latcomb.semiring.pack_keys`), so a tie is a real tie; the
+    reported cost and feature vector are float sums along the winning
+    path, and may differ from another path's by rounding.
     Exact ties go by an order on moves, as in a lexicographic semiring
     (Roark, Sproat and Shafran, 2011).  A move leaves a source cell (NMT
     state, hiero state) along an NMT arc, a hiero arc or one of each.  Of
@@ -336,7 +337,6 @@ class _MoveTables:
         # The final weights' keys per position, None where a state is not final.
         self.final_n, self.final_h = ([None if fw is None else next(keys) for fw in fws]
                                       for fws in (finals_n, finals_h))
-        self.signed = has_negative(nmt) or has_negative(hiero)
 
     def edit(self, x: int, y: int) -> tuple[Dense, int]:
         """The values and key of the edit weight of aligning ``x`` with ``y``."""
@@ -467,7 +467,7 @@ def _best_alignment(nmt: Wfst, hiero: Wfst, mask: Mask, nmt_vocab: FrozenSet[int
     heuristic = _heuristic(tab)
     width, start, hiero_moves, nmt_moves = tab.width, tab.start, tab.hiero_moves, tab.nmt_moves
     finals_n, finals_h, final_n, final_h = tab.finals_n, tab.finals_h, tab.final_n, tab.final_h
-    signed, type_pair, shift = tab.signed, tab.type_pair, tab.packed.shift
+    type_pair, shift = tab.type_pair, tab.packed.shift
     w_skip, s_skip, w_ins, s_ins = tab.w_skip, tab.s_skip, tab.w_ins, tab.s_ins
     half = 1 << shift >> 1  # a key's cost is (key + half) >> shift
 
@@ -500,7 +500,7 @@ def _best_alignment(nmt: Wfst, hiero: Wfst, mask: Mask, nmt_vocab: FrozenSet[int
         if final_n[i] is not None and final_h[j] is not None \
                 and (e := g_c + final_n[i] + final_h[j]) <= g[sink]:
             relax(sink, e, (c, 0, 0, None, None,
-                            dense_times(finals_n[i].values, finals_h[j].values, True)))
+                            dense_times(finals_n[i].values, finals_h[j].values)))
         singles, groups, labels, skips = hiero_moves[j]
         for a, x, t_base, s_a, w_del, s_del, typed, sub, s_sub, w_m, s_m, k in nmt_moves[i]:
             g_a = g_c + s_a
@@ -565,13 +565,13 @@ def _best_alignment(nmt: Wfst, hiero: Wfst, mask: Mask, nmt_vocab: FrozenSet[int
     while c != start:
         src, _, _, a, h, w = back[c]
         if a is not None:
-            w = dense_times(a[3], w, True)
+            w = dense_times(a[3], w)
         if h is not None:
-            w = dense_times(w, h[3], True)
+            w = dense_times(w, h[3])
         rows.append((c, EPSILON if a is None else a[1], EPSILON if h is None else h[2], w))
         c = src
     rows.reverse()
-    return _witness(rows, final_weight, params, signed)
+    return _witness(rows, final_weight, params)
 
 
 class CorpusReport(NamedTuple):

@@ -13,10 +13,11 @@ times is addition, +inf is the absorbing zero and 0.0 the identity.
 
 The algebra and the search order are defined here once:
 :func:`dense_times` extends a path in floats, which is what a path
-reports, and :func:`exact_order` orders paths exactly, by scalarized
-cost and then by the vector, both summed in integers.  :func:`times`,
-:func:`scalarize` and :func:`plus` are those on weights, and the
-searches apply them to the stored vectors directly.
+reports, and :func:`pack_keys` orders paths exactly, by scalarized cost
+and then by the vector, both summed in integers and packed into one
+integer key.  :func:`times`, :func:`scalarize` and :func:`plus` are
+those on weights, and the searches apply them to the stored vectors
+directly.
 """
 
 from __future__ import annotations
@@ -24,8 +25,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from itertools import chain, compress, count
-from operator import mul
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import Checked, ContractError
 
@@ -136,7 +136,7 @@ def times(a: FeatureWeight, b: FeatureWeight) -> FeatureWeight:
     """Componentwise sum of two weights (path extension)."""
     if a.infinite or b.infinite:
         return ZERO
-    return FeatureWeight(dense_times(a.values, b.values, True))
+    return FeatureWeight(dense_times(a.values, b.values))
 
 
 def scalarize(w: FeatureWeight, params: ParamVector) -> float:
@@ -153,76 +153,19 @@ def _canonical(values: Iterable[float]) -> Dense:
     return tuple(0.0 if -CANONICAL_EPS < x < CANONICAL_EPS else x for x in values)
 
 
-def dense_times(u: Dense, v: Dense, signed: bool) -> Dense:
-    """The componentwise sum of two canonical value vectors.
-
-    With ``signed``, entries of magnitude below CANONICAL_EPS are zeroed,
-    which keeps the sum canonical.  Only a sum of opposite signs can fall
-    there, so a search over machines that hold no negative value passes
-    False and skips the check.
-    """
+def dense_times(u: Dense, v: Dense) -> Dense:
+    """The componentwise sum of two canonical value vectors, canonical:
+    entries of magnitude below CANONICAL_EPS are zeroed."""
     u0, u1, u2, u3, u4 = u
     v0, v1, v2, v3, v4 = v
-    out = (u0 + v0, u1 + v1, u2 + v2, u3 + v3, u4 + v4)
-    return _canonical(out) if signed else out
-
-
-class ExactOrder(NamedTuple):
-    """The search order of one search, in integers: see :func:`exact_order`."""
-
-    scale: Callable[..., list[int]]
-    params: tuple[int, ...]
-    unit: int
-
-    def ints(self, v: Dense) -> tuple[int, ...]:
-        return tuple(self.scale(v))
-
-    def cost(self, v: Dense) -> int:
-        return sum(map(mul, self.params, self.scale(v)))
-
-
-def exact_order(params: ParamVector, values: Iterable[float]) -> ExactOrder:
-    """The search order under ``params`` over value vectors that hold only
-    ``values`` and integers (such as edit counts).
-
-    A path's key is (cost, vector), both exact integer sums over its
-    value vectors, compared as tuples: by cost, then by the value vector
-    lexicographically (the lexicographic semiring of Roark, Sproat and
-    Shafran, 2011).  ``scale(xs, p)`` gives each of ``xs`` times 2**k,
-    times p, for one power of two that makes every value an integer: a
-    nonzero float is m * 2**(e - 53) for an integer m and its
-    :func:`math.frexp` exponent e, so k = 53 - (least e) will do.  A
-    float product x * 2.0**k is exact; where it would overflow (values
-    some 970 binary orders apart), each value's exact ratio is shifted
-    instead, at some 2.4 times the cost.  ``params`` are the parameters
-    times 2**l, the least power of two that makes each an integer; a
-    vector's cost is the dot product of the two, 2**(k + l) times
-    sum_i p_i * v_i, and ``unit`` is 2**(k + l), the cost 1.0.  Integer
-    sums do not round, so the order is kept under extension, and keeping
-    the least key per state finds the least path.
-    """
-    l, lams = _scaled(params)
-    mags = list(map(abs, filter(None, values)))
-    k = max(0, 53 - math.frexp(min(mags))[1]) if mags else 0
-    if not mags or k + max(1, math.frexp(max(mags))[1]) <= 1024:
-        f = 2.0 ** k
-
-        def scale(xs: Iterable[float], p: int = 1) -> list[int]:
-            return [p * int(x * f) for x in xs]
-    else:  # values some 970 binary orders apart: x * 2.0**k would overflow
-
-        def scale(xs: Iterable[float], p: int = 1) -> list[int]:
-            # x = n / d, d a power of two no larger than 2**k
-            return [p * (n << (k + 1 - d.bit_length())) for n, d in map(float.as_integer_ratio, xs)]
-
-    return ExactOrder(scale, lams, 1 << (k + l))
+    return _canonical((u0 + v0, u1 + v1, u2 + v2, u3 + v3, u4 + v4))
 
 
 class PackedKeys(NamedTuple):
     """Exact keys packed into integers: see :func:`pack_keys`."""
 
     keys: list[int]
-    order: ExactOrder
+    unit: int
     features: tuple[int, ...]
     bits: int
 
@@ -237,26 +180,54 @@ class PackedKeys(NamedTuple):
 
 
 def pack_keys(params: ParamVector, vectors: Sequence[Dense], terms: int) -> PackedKeys:
-    """Each vector's exact key under :func:`exact_order`, packed into one integer.
+    """Each vector's exact key under ``params``, packed into one integer.
 
-    A key is the cost, then one digit ``bits`` wide per feature that some
-    vector carries, but the last such feature when its parameter is not
-    zero (the cost and the others fix it); ``features`` lists the features
-    that have a digit.  A sum of at most ``terms`` keys has each digit
-    below 2**(bits - 1) in magnitude, so such sums compare as the keys
-    they pack do, and :meth:`PackedKeys.cost` reads the sum's cost off it.
-    Under a parameter vector with one feature that the vectors carry, a
-    key is its cost.
+    A path's key is (cost, vector), both exact integer sums over its
+    value vectors, compared as tuples: by cost, then by the value vector
+    lexicographically (the lexicographic semiring of Roark, Sproat and
+    Shafran, 2011).  Every value is scaled by one power of two 2**k that
+    makes each an integer: a nonzero float is m * 2**(e - 53) for an
+    integer m and its :func:`math.frexp` exponent e, so k = 53 - (least
+    e) will do.  A float product x * 2.0**k is exact; where it would
+    overflow (values some 970 binary orders apart), each value's exact
+    ratio is shifted instead, at some 2.4 times the cost.  The parameters
+    are scaled by 2**l, the least power of two that makes each an
+    integer; a vector's cost is the dot product of the two, 2**(k + l)
+    times sum_i p_i * v_i, and ``unit`` is 2**(k + l), the cost 1.0.
+    Integer sums do not round, so the order is kept under extension, and
+    keeping the least key per state finds the least path.
+
+    A packed key is the cost, then one digit ``bits`` wide per feature
+    that some vector carries, but the last such feature when its
+    parameter is not zero (the cost and the others fix it); ``features``
+    lists the features that have a digit.  A sum of at most ``terms``
+    keys has each digit below 2**(bits - 1) in magnitude, so such sums
+    compare as the keys they pack do, and :meth:`PackedKeys.cost` reads
+    the sum's cost off it.  Under a parameter vector with one feature
+    that the vectors carry, a key is its cost.
     """
     columns = []  # per feature that some vector carries: its id, its values, those not zero
     for i, c in enumerate(zip(*vectors)):
         nonzero = list(filter(None, c))
         if nonzero:
             columns.append((i, c, nonzero))
-    order = exact_order(params, chain.from_iterable(nz for _, _, nz in columns))
-    digits = columns[:-1] if columns and order.params[columns[-1][0]] else columns
+    l, lams = _scaled(params)
+    mags = list(map(abs, chain.from_iterable(nz for _, _, nz in columns)))
+    k = max(0, 53 - math.frexp(min(mags))[1]) if mags else 0
+    if not mags or k + max(1, math.frexp(max(mags))[1]) <= 1024:
+        f = 2.0 ** k
+
+        def scale(xs: Iterable[float], p: int) -> list[int]:
+            return [p * int(x * f) for x in xs]
+    else:  # values some 970 binary orders apart: x * 2.0**k would overflow
+
+        def scale(xs: Iterable[float], p: int) -> list[int]:
+            # x = n / d, d a power of two no larger than 2**k
+            return [p * (n << (k + 1 - d.bit_length())) for n, d in map(float.as_integer_ratio, xs)]
+
+    digits = columns[:-1] if columns and lams[columns[-1][0]] else columns
     top = max((max(map(abs, nz)) for _, _, nz in digits), default=0.0)
-    bits = (order.scale([top])[0] * terms).bit_length() + 1 if digits else 0
+    bits = scale([top], terms)[0].bit_length() + 1 if digits else 0
     shift = bits * len(digits)
     # A key is linear in the scaled values: each adds its parameter times
     # itself to the cost, and itself to its feature's digit.  The column
@@ -264,13 +235,13 @@ def pack_keys(params: ParamVector, vectors: Sequence[Dense], terms: int) -> Pack
     # where they are not zero.
     keys: list[int] | None = None
     for d, (i, c, nonzero) in sorted(enumerate(columns), key=lambda col: -len(col[1][2])):
-        factor = (order.params[i] << shift) + (1 << (shift - bits * (d + 1)) if d < len(digits) else 0)
+        factor = (lams[i] << shift) + (1 << (shift - bits * (d + 1)) if d < len(digits) else 0)
         if keys is None:
-            keys = order.scale(c, factor)
+            keys = scale(c, factor)
             continue
-        for at, key in zip(compress(count(), c), order.scale(nonzero, factor)):
+        for at, key in zip(compress(count(), c), scale(nonzero, factor)):
             keys[at] += key
-    return PackedKeys(keys or [0] * len(vectors), order, tuple(i for i, _, _ in digits), bits)
+    return PackedKeys(keys or [0] * len(vectors), 1 << (k + l), tuple(i for i, _, _ in digits), bits)
 
 
 @lru_cache(maxsize=16)
@@ -284,7 +255,7 @@ def _scaled(params: ParamVector) -> tuple[int, tuple[int, ...]]:
 def plus(a: FeatureWeight, b: FeatureWeight, params: ParamVector) -> FeatureWeight:
     """Select the better of two weights under the parameter vector.
 
-    The operand with the smaller exact key (:func:`exact_order`) wins,
+    The operand with the smaller exact key (:func:`pack_keys`) wins,
     ``a`` on equal keys: the smaller scalarization over the reals, with
     exact ties broken by the value vectors in ascending feature-id order.
     That order is invariant under exact componentwise addition, so
@@ -294,9 +265,8 @@ def plus(a: FeatureWeight, b: FeatureWeight, params: ParamVector) -> FeatureWeig
         return b
     if b.infinite:
         return a
-    order = exact_order(params, a.values + b.values)
-    key_a = order.cost(a.values), order.ints(a.values)
-    return a if key_a <= (order.cost(b.values), order.ints(b.values)) else b
+    key_a, key_b = pack_keys(params, (a.values, b.values), 1).keys
+    return a if key_a <= key_b else b
 
 
 def _format_number(v: float) -> str:

@@ -268,10 +268,22 @@ def assert_matches_flower_combine(result, reference, syms):
     assert_substitution_property(result, syms)
 
 
+def holds_negative(fst: Wfst) -> bool:
+    """Whether an arc or final weight of ``fst`` holds a negative value."""
+    return (any(row[3] is not None and min(row[3]) < 0.0 for s in fst.states() for row in fst.rows(s))
+            or any(v < 0.0 for _, w in fst.finals() for v in w.values))
+
+
 def exact_key(values, params) -> tuple:
     """The exact key of a path whose values sum to ``values`` (Fractions):
     (sum_k p_k * v_k, values), compared as a tuple."""
     return sum(Fraction(p) * v for p, v in zip(params, values)), tuple(values)
+
+
+def exact_cost(values, params, unit: int) -> Fraction:
+    """The exact cost of the value vector ``values`` under ``params``, in
+    units of ``unit`` (a :class:`~latcomb.semiring.PackedKeys`' cost 1.0)."""
+    return unit * exact_key(list(map(Fraction, values)), params)[0]
 
 
 def path_key(rows, final_weight, params) -> tuple:

@@ -31,7 +31,7 @@ from latcomb import (
 )
 from latcomb import algorithms, editfst, pipeline
 from latcomb.editfst import build_modified_edit_fst, edit_weight
-from latcomb.fst import has_negative, topological_order
+from latcomb.fst import topological_order
 from latcomb.lattice_io import read_lattice, write_lattice
 from latcomb.algorithms import PathWitness
 from latcomb.semiring import dense_times, scalarize
@@ -41,6 +41,7 @@ from helpers import (
     all_labels,
     assert_matches_flower_combine,
     flower_combine,
+    holds_negative,
     linear_chain,
     random_combination_instance,
     tie_rule_alignment,
@@ -306,7 +307,7 @@ def test_combine_equals_flower_chain_on_inexact_stream():
         assert_matches_flower_combine(combine(nmt, hiero, params),
                                       flower_combine(nmt, hiero, params), syms)
         checked += 1
-        signed += has_negative(nmt) or has_negative(hiero)
+        signed += holds_negative(nmt) or holds_negative(hiero)
         big += any(abs(arc.weight.values[0]) > 1e8 for s in nmt.states() for arc in nmt.arcs(s))
     assert signed > 100 and big > 100  # the stream covers both
 

@@ -9,14 +9,15 @@ where float sums would round, cancel or overflow.
 import math
 import random
 import sys
+from fractions import Fraction
 
 from latcomb import (Arc, CombinationParams, ParamVector, SymbolTable, Wfst, combine, nbest,
                      shortest_path, weight)
 from latcomb import pipeline
-from latcomb.fst import has_negative
 from latcomb.semiring import ONE
 
-from helpers import flower_machine, least_exact_key, linear_chain, path_key, tie_rule_alignment
+from helpers import (exact_key, flower_machine, holds_negative, least_exact_key, linear_chain,
+                     path_key, tie_rule_alignment)
 from test_direct_alignment import build_instance, has_word
 
 
@@ -184,12 +185,15 @@ def keys_checked(nmt, hiero, params):
     how many keys were checked."""
     _, _, seen = watch_pass(lambda: combine(nmt, hiero, params))
     tab, g, back = seen["tab"], seen["g"], seen["back"]
-    packed, checked = tab.packed, 0
-    order, bits, half = packed.order, packed.bits, 1 << packed.bits >> 1
+    packed, checked, lambdas = tab.packed, 0, params.as_param_vector()
+    bits, half = packed.bits, 1 << packed.bits >> 1
+    # The cost 1.0 is 2**(k + l): values are scaled by 2**k, the
+    # parameters by 2**l, the greatest of their denominators.
+    scale = Fraction(packed.unit, max(Fraction(p).denominator for p in lambdas))
     for cell, key in enumerate(g):
         if key == math.inf:
             continue
-        c, values = cell, []
+        c, values = cell, [ONE.values]  # the start cell adds nothing
         if cell == tab.size:  # the sink: the final weights of the cell it left
             c = back[cell][0]
             i, j = divmod(c, tab.width)
@@ -201,8 +205,9 @@ def keys_checked(nmt, hiero, params):
         for _ in packed.features:  # signed digits, the last feature's lowest
             digits.append((key + half) % (1 << bits) - half)
             key = (key - digits[-1]) >> bits
-        assert key == sum(map(order.cost, values))
-        assert digits[::-1] == [sum(order.ints(v)[f] for v in values) for f in packed.features]
+        cost, sums = exact_key([sum(map(Fraction, column)) for column in zip(*values)], lambdas)
+        assert key == packed.unit * cost
+        assert digits[::-1] == [scale * sums[f] for f in packed.features]
         checked += 1
     return checked
 
@@ -215,7 +220,7 @@ def test_keys_never_carry_from_one_digit_into_the_next():
     rng, signed = random.Random(3131), 0
     while signed < 100:
         _, nmt, hiero, params = build_instance(rng.choice, inexact=True)
-        if has_word(nmt, hiero) and (has_negative(nmt) or has_negative(hiero)):
+        if has_word(nmt, hiero) and (holds_negative(nmt) or holds_negative(hiero)):
             checked += keys_checked(nmt, hiero, params)
             signed += 1
     assert checked > 1_000

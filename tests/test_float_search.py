@@ -1,6 +1,6 @@
 """Searches over hiero lattices whose float sums round, cancel or overflow.
 
-Every search keys paths exactly (``semiring.exact_order``), so on many
+Every search keys paths exactly (``semiring.pack_keys``), so on many
 small, tie-heavy hiero lattices with cancelling or overflowing scores
 each must find the least path that an exact walk of every path in
 Fractions finds (``helpers.least_exact_key``).  The unique n-best is also

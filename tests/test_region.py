@@ -32,10 +32,10 @@ from latcomb import (
 from latcomb import pipeline
 from latcomb.algorithms import _prune_mask
 from latcomb.editfst import edit_weight, expand_unk_runs
-from latcomb.fst import accessible_states, has_negative
+from latcomb.fst import accessible_states
 
-from helpers import (assert_matches_flower_combine, flower_combine, linear_chain,
-                     tie_rule_alignment)
+from helpers import (assert_matches_flower_combine, exact_cost, flower_combine, holds_negative,
+                     linear_chain, tie_rule_alignment)
 from test_direct_alignment import build_instance, has_word, wide_instance
 from test_golden import load_workloads
 
@@ -168,7 +168,7 @@ def test_region_leaves_the_inexact_cancelling_and_wide_group_streams_bit_identic
             continue
         matches_both_references(nmt, hiero, params)
         checked += 1
-        signed += has_negative(nmt) or has_negative(hiero)
+        signed += holds_negative(nmt) or holds_negative(hiero)
     assert signed > 100
     # 0.1 + 0.2 - 0.3 leaves 5.6e-17, which the exact pass zeroes.
     syms = SymbolTable()
@@ -225,7 +225,7 @@ def test_signed_scores_keep_the_region_exact():
     checked = 0
     while checked < 150:
         syms, nmt, hiero, params = build_instance(rng.choice, inexact=True)
-        if not has_word(nmt, hiero) or not (has_negative(nmt) or has_negative(hiero)):
+        if not has_word(nmt, hiero) or not (holds_negative(nmt) or holds_negative(hiero)):
             continue
         assert_matches_flower_combine(combine(nmt, hiero, params),
                                       flower_combine(nmt, hiero, params), syms)
@@ -330,11 +330,11 @@ def test_heuristic_is_admissible_and_consistent():
         tab = tables_of(nmt, hiero, params)
         h = pipeline._heuristic(tab)
         # The tables hold packed keys; h and this reference compare costs.
-        width, part, cost = tab.width, tab.packed.cost, tab.packed.order.cost
+        width, part, lambdas = tab.width, tab.packed.cost, params.as_param_vector()
         epsilon += any(skips for *_, skips in tab.hiero_moves)
 
         def edit(x, y):
-            return cost(edit_weight(params.nmt_vocab, x, y).values)
+            return exact_cost(edit_weight(params.nmt_vocab, x, y).values, lambdas, tab.packed.unit)
 
         togo = [None] * tab.size
         for c in reversed(range(tab.size)):
@@ -373,10 +373,10 @@ def test_hiero_entry_costs_equal_their_search_key(lambda_hiero):
     for _ in range(100):
         nmt, hiero, params = untrimmed_instance(rng)
         params = params._replace(lambda_hiero=lambda_hiero)
-        tab = tables_of(nmt, hiero, params)
+        tab, lambdas = tables_of(nmt, hiero, params), params.as_param_vector()
         for singles, groups, _, skips in tab.hiero_moves:
             for s_h, _, _, row, _ in singles + [e for _, group in groups for e in group] + skips:
-                assert tab.packed.cost(s_h) == tab.packed.order.cost(row[3])
+                assert tab.packed.cost(s_h) == exact_cost(row[3], lambdas, tab.packed.unit)
                 negative += row[3][HIERO_SCORE] < 0.0
                 one += row[3] == ONE.values
     assert negative > 50 and one > 50

@@ -20,7 +20,7 @@ from latcomb import (
     weight,
 )
 
-from latcomb.semiring import CANONICAL_EPS, NUM_FEATURES, dense_times, exact_order
+from latcomb.semiring import CANONICAL_EPS, NUM_FEATURES, pack_keys
 
 from helpers import grid_params, grid_weight
 
@@ -59,20 +59,46 @@ def test_plus_orders_exact_sums_where_floats_round():
     assert plus(times(a, c), times(b, c), UNIT) == times(b, c)
 
 
-def test_exact_order_keys_values_far_apart():
+def test_pack_keys_scales_values_far_apart():
     # 1e-15 needs 2**102 to be an integer.  With 1.7e8, x * 2.0**102 fits
     # a float; 1.7e308 times 2**102 overflows one, so there each value is
     # shifted from its exact ratio instead.  Either way every value comes
-    # out exact, on one power-of-two scale.
+    # out exact, on one power-of-two scale: under UNIT each value alone in
+    # feature 0 has a key that is its cost, and the cost 1.0 is 2**102.
     for big in (1.7e8, 1.7e308):
         values = (0.1, -big, big, 0.0, 1e-15)
-        order = exact_order(UNIT, values)
-        ints = order.ints(values)
-        scale = Fraction(ints[0]) / Fraction(values[0])
-        assert scale.denominator == 1 and scale.numerator.bit_count() == 1  # a power of two
-        assert [Fraction(x) * scale for x in values] == list(ints)
-        # The big pair cancels exactly: the cost is that of 0.1 + 1e-15.
-        assert order.cost(values) == order.unit * (Fraction(0.1) + Fraction(1e-15))
+        alone = pack_keys(UNIT, [(x, 0.0, 0.0, 0.0, 0.0) for x in values], 1)
+        assert alone.unit == 1 << 102 and alone.features == ()
+        assert alone.keys == [Fraction(x) * alone.unit for x in values]
+        # The big pair cancels exactly: the cost is that of 0.1 + 1e-15,
+        # and the digits hold the first three values.
+        packed = pack_keys(UNIT, [values], 1)
+        (key,), half = packed.keys, 1 << packed.bits >> 1
+        assert packed.cost(key) == packed.unit * (Fraction(0.1) + Fraction(1e-15))
+        digits = []
+        for _ in packed.features:  # signed digits, the last feature's lowest
+            digits.append((key + half) % (1 << packed.bits) - half)
+            key = (key - digits[-1]) >> packed.bits
+        assert packed.features == (0, 1, 2)
+        assert digits[::-1] == [Fraction(x) * packed.unit for x in values[:3]]
+
+
+def test_plus_orders_weights_far_apart_exactly():
+    # The values lie more than 970 binary orders apart, so the keys take
+    # the exact-ratio scaling; plus must agree with (cost, vector)
+    # compared in Fractions.
+    def key(w, p):
+        values = [Fraction(v) for v in w.values]
+        return sum(Fraction(q) * v for q, v in zip(p, values)), values
+
+    far = weight({0: 1.7e308, 2: -1.7e308})
+    near = weight({0: 1e-15})
+    cancels, below, above, tied = (UNIT, ParamVector(1.0, 1.0, 2.0, 1.0, 1.0),
+                                   ParamVector(1.0, 1.0, 0.0, 1.0, 1.0),
+                                   ParamVector(0.0, 1.0, 0.0, 1.0, 1.0))
+    for p, winner in ((cancels, far), (below, far), (above, near), (tied, near)):
+        for a, b in ((far, near), (near, far)):
+            assert plus(a, b, p) == (a if key(a, p) <= key(b, p) else b) == winner
 
 
 def test_times_componentwise():
@@ -248,10 +274,9 @@ def test_dense_key_equals_sparse_grid(seed):
             cost += params.coefficient(fid) * product[fid]
         expected = _bits((cost, vector))
         assert _bits((scalarize(times(a, b), params), times(a, b).values)) == expected
-        if not any(v < 0.0 for v in a.values + b.values):
-            assert dense_times(a.values, b.values, False) == times(a, b).values
-        order = exact_order(params, a.values + b.values + vector)
-        assert order.cost(vector) == order.cost(a.values) + order.cost(b.values)
+        # Keys are linear: the product's key is the sum of its factors'.
+        key_a, key_b, key_ab = pack_keys(params, [a.values, b.values, vector], 2).keys
+        assert key_ab == key_a + key_b
 
 
 @st.composite
