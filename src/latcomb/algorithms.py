@@ -228,17 +228,18 @@ def _search(fst: Wfst, params: ParamVector, terms: int = 0) -> _Search:
 
 
 def _distances(fst: Wfst, search: _Search, backward: bool = False) -> tuple[list, list]:
-    """Least key from the initial state to every state, pointers back to
-    the previous state; with ``backward``, from every state to
-    acceptance, final weight included, pointers on to the next state.
+    """Least key from the initial state to every state; with
+    ``backward``, from every state to acceptance, final weight included.
 
     Returns, per state, its least key (None where there is no path) and
-    the pointer it was set by (the other state and the row of the arc
-    taken, None at a root).  A path takes a state only on a smaller key,
-    so the first arc tried keeps a tie.  An acyclic machine is relaxed in
-    topological order (backward, each state takes the least of its final
-    key and its own arcs' keys plus their targets', Mohri, 2002); a
-    cyclic one is searched with Dijkstra, backward on reversed arcs.
+    the pointer that set it: the previous state and the row of the arc
+    taken, None at the initial state and where there is no path.  A path
+    takes a state only on a smaller key, so the first arc tried keeps a
+    tie.  An acyclic machine is relaxed in topological order (backward,
+    each state takes the least of its final key and its own arcs' keys
+    plus their targets', Mohri, 2002, and sets no pointer); a cyclic one
+    is searched with Dijkstra, backward on reversed arcs, where a pointer
+    names the next state.
     """
     order = topological_order(fst)
     adj = search.arcs
@@ -257,7 +258,7 @@ def _distances(fst: Wfst, search: _Search, backward: bool = False) -> tuple[list
             for row, w in adj[s]:
                 kt = key[row[0]]
                 if kt is not None and (best is None or kt + w < best):
-                    best, ptr[s] = kt + w, (row[0], row)
+                    best = kt + w
             key[s] = best
     elif order is not None:
         for s in order:
@@ -335,27 +336,27 @@ def _best_path(fst: Wfst, search: _Search, key: list[Any],
 
 
 def _nbest_raw(fst: Wfst, cap: float, search: _Search,
-               beta: tuple) -> Iterator[tuple[list[Row], FeatureWeight]]:
+               bkey: list) -> Iterator[tuple[list[Row], FeatureWeight]]:
     """The rows and final weight of up to ``cap`` paths of least key,
     drawn lazily by best-first search with an exact heuristic, expanding
     no state more than ``cap`` times; push order keeps a tie.
 
     ``cap`` may be ``math.inf``: every path, in key order, which ends
-    only on an acyclic machine.  ``beta`` is the backward tree of
+    only on an acyclic machine.  ``bkey`` holds the backward keys of
     :func:`_distances`; the initial state has a path.
     """
-    arcs, finals, bkey = search.arcs, search.finals, beta[0]
+    arcs, finals = search.arcs, search.finals
 
     # Nodes are (state, row, parent-index); rows recovered by walking parents.
     nodes: list[tuple[int, Row | None, int]] = [(fst.initial, None, -1)]
-    counter = count()
-    # Entries are (bound, tie counter, node, prefix key).
-    heap = [(bkey[fst.initial], next(counter), 0, 0)]
+    # Entries are (bound, node, prefix key): a node's index grows with
+    # every push, so it keeps a tie in push order.
+    heap = [(bkey[fst.initial], 0, 0)]
     pops = [0] * fst.num_states
     drawn = 0
 
     while heap and drawn < cap:
-        _, _, node_idx, prefix = heapq.heappop(heap)
+        _, node_idx, prefix = heapq.heappop(heap)
         state = nodes[node_idx][0]
         if state == NO_STATE:  # a completed path
             path = []
@@ -375,14 +376,14 @@ def _nbest_raw(fst: Wfst, cap: float, search: _Search,
         fk = finals.get(state)
         if fk is not None:
             nodes.append((NO_STATE, None, node_idx))
-            heapq.heappush(heap, (prefix + fk, next(counter), len(nodes) - 1, 0))
+            heapq.heappush(heap, (prefix + fk, len(nodes) - 1, 0))
         for row, w in arcs[state]:
             b = bkey[row[0]]
             if b is None:
                 continue
             ext = prefix + w
             nodes.append((row[0], row, node_idx))
-            heapq.heappush(heap, (ext + b, next(counter), len(nodes) - 1, ext))
+            heapq.heappush(heap, (ext + b, len(nodes) - 1, ext))
 
 
 def _unique(paths: Iterator[tuple[list[Row], FeatureWeight]],
@@ -391,9 +392,9 @@ def _unique(paths: Iterator[tuple[list[Row], FeatureWeight]],
     had, lazily: from a stream in key order, each string's least."""
     seen: set[tuple[int, ...]] = set()
     for path in paths:
-        labels = tuple(r[2] for r in path[0] if r[2] != EPSILON)
-        if labels not in seen:
-            seen.add(labels)
+        string = tuple(r[2] for r in path[0] if r[2] != EPSILON)
+        if string not in seen:
+            seen.add(string)
             yield path
             if len(seen) == n:
                 return
@@ -401,8 +402,14 @@ def _unique(paths: Iterator[tuple[list[Row], FeatureWeight]],
 
 def _ranked(fst: Wfst, n: int, params: ParamVector,
             unique: bool) -> Iterator[tuple[list[Row], FeatureWeight]]:
-    """The stream of rows and final weights behind :func:`iter_nbest`,
-    whose checks it makes before returning."""
+    """The rows and final weights of the paths of :func:`nbest`, each
+    searched for only when asked for; the checks and errors of
+    :func:`nbest` come before it returns.
+
+    The raw stream stops after n paths, expanding no state more than n
+    times; the unique one filters a stream with neither cap, so its
+    paths do not depend on n.
+    """
     _check_frozen(fst)
     check_count("n", n)
     acyclic = topological_order(fst) is not None
@@ -411,23 +418,11 @@ def _ranked(fst: Wfst, n: int, params: ParamVector,
     search = _search(fst, params, 0 if acyclic else (n + 1) * fst.num_states)
     if unique and not acyclic:
         raise ContractError("unique n-best requires an acyclic machine")
-    beta = _distances(fst, search, backward=True)
-    if beta[0][fst.initial] is None:
+    bkey = _distances(fst, search, backward=True)[0]
+    if bkey[fst.initial] is None:
         raise NoPathError("no path from the initial state to a final state")
-    paths = _nbest_raw(fst, math.inf if unique else n, search, beta)
+    paths = _nbest_raw(fst, math.inf if unique else n, search, bkey)
     return _unique(paths, n) if unique else paths
-
-
-def iter_nbest(fst: Wfst, n: int, params: ParamVector,
-               unique: bool = False) -> Iterator[PathWitness]:
-    """The paths of :func:`nbest`, each searched for only when asked for.
-
-    Checks its input, and raises as :func:`nbest` does, before returning.
-    The raw stream stops after n paths, expanding no state more than n
-    times; the unique one filters a stream with neither cap, so its
-    paths do not depend on n.
-    """
-    return (_witness(rows, fw, params) for rows, fw in _ranked(fst, n, params, unique))
 
 
 def nbest(fst: Wfst, n: int, params: ParamVector, unique: bool = False) -> list[PathWitness]:
@@ -438,7 +433,7 @@ def nbest(fst: Wfst, n: int, params: ParamVector, unique: bool = False) -> list[
     (otherwise there is no bound on how many raw paths must be drawn),
     and its list at n is the first n of its list at any larger n.
     """
-    return list(iter_nbest(fst, n, params, unique))
+    return [_witness(rows, fw, params) for rows, fw in _ranked(fst, n, params, unique)]
 
 
 # What pruning keeps of a machine, on its own state ids: see _prune_mask.

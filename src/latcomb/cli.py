@@ -219,9 +219,9 @@ def _cmd_shortest_path(args) -> int:
     params = lattice_io.read_params(args.params)
     fst = lattice_io.read_lattice(args.lattice, table, kind="generic")
     path = algorithms.shortest_path(fst, params.as_param_vector())
-    labels = {"input": path.input_labels, "output": path.output_labels,
-              "unk-filled": path.unk_filled_labels}[args.side]()
-    sentence = " ".join(table.word(l) for l in labels)
+    side = {"input": path.input_labels, "output": path.output_labels,
+            "unk-filled": path.unk_filled_labels}[args.side]()
+    sentence = " ".join(table.word(l) for l in side)
     print(f"{path.cost:.10g}\t{sentence}" if args.show_cost else sentence)
     return 0
 

@@ -7,9 +7,11 @@ empty for one) and may be omitted when it is one.  The first state
 mentioned in the file is the initial state.  Labels are integers,
 resolved against a symbol table file of ``word<TAB>id`` lines.
 
-Blank lines and lines starting with ``#`` are ignored everywhere, but
-counted: an error's line number counts every line of the file, and a line
-ends at LF, CR LF or a lone CR (universal newlines) and nowhere else.
+Files are UTF-8, with or without a leading byte order mark; a file that
+does not decode raises :class:`FormatError`.  Blank lines and lines
+starting with ``#`` are ignored everywhere, but counted: an error's line
+number counts every line of the file, and a line ends at LF, CR LF or a
+lone CR (universal newlines) and nowhere else.
 Output ordering is deterministic: the initial state first (renumbered to
 0), remaining states ascending, arcs sorted by (ilabel, olabel, target).
 """
@@ -28,13 +30,22 @@ from .semiring import (CANONICAL_EPS, HIERO_SCORE, NMT_SCORE, NUM_FEATURES, ONE,
                        FeatureWeight, format_weight, parse_values)
 
 
+def _read_text(path: str) -> str:
+    """The text of the file at ``path``, without a leading byte order mark
+    and with its line ends read as LF (see above)."""
+    try:
+        with open(path, "r", encoding="utf-8-sig") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"not UTF-8 text: {exc.reason} at byte {exc.start}", path) from None
+
+
 def data_lines(path: str) -> Iterator[tuple[int, str]]:
     """(line number, stripped line) for each line that is neither blank nor a comment."""
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if line and not line.startswith("#"):
-                yield lineno, line
+    for lineno, raw in enumerate(_read_text(path).split("\n"), start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield lineno, line
 
 
 def read_symtab(path: str) -> SymbolTable:
@@ -57,9 +68,19 @@ def read_symtab(path: str) -> SymbolTable:
 
 
 def write_symtab(table: SymbolTable, path: str) -> None:
+    """Write the table as :func:`read_symtab` reads it back.
+
+    Raises :class:`FormatError`, before writing, for a word it would not
+    read back: an empty one, one that starts with ``#``, white space or a
+    byte order mark, or one that holds a tab or a line break.
+    """
+    lines = []
+    for word, label in table.items():
+        if not word or word[0] in "#\ufeff" or word[0].isspace() or any(c in word for c in "\t\n\r"):
+            raise FormatError(f"word {word!r} (label {label}) would not read back", path)
+        lines.append(f"{word}\t{label}\n")
     with open(path, "w", encoding="utf-8") as handle:
-        for word, label in table.items():
-            handle.write(f"{word}\t{label}\n")
+        handle.writelines(lines)
 
 
 def read_vocab(path: str, table: SymbolTable) -> frozenset[int]:
@@ -69,15 +90,15 @@ def read_vocab(path: str, table: SymbolTable) -> frozenset[int]:
     stay total.  Duplicates and the UNK token are rejected.
     """
     seen: set[str] = set()
-    labels: set[int] = set()
+    vocab: set[int] = set()
     for lineno, line in data_lines(path):
         if line in seen:
             raise FormatError(f"duplicate vocabulary word {line!r}", path, lineno)
         if line in (UNK_SYMBOL, EPSILON_SYMBOL):
             raise FormatError(f"{line!r} is reserved and may not appear in a vocabulary", path, lineno)
         seen.add(line)
-        labels.add(table.add(line))
-    return frozenset(labels)
+        vocab.add(table.add(line))
+    return frozenset(vocab)
 
 
 _PARAM_FLOAT_KEYS = ("lambda_nmt", "lambda_hiero", "lambda_sub", "lambda_edit", "lambda_ins")
@@ -138,8 +159,7 @@ def read_lattice(path: str, table: SymbolTable, kind: str = "generic") -> Wfst:
     list, so ``combine`` does not check it again.  The machine also keeps
     :func:`~latcomb.fst.dense_arcs`, learned while parsing.
     """
-    with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
+    text = _read_text(path)
     # The kind's score feature and the one no arc may carry, None when arcs
     # are not checked; and the label no arc may carry (NO_STATE is none).
     score = {"nmt": NMT_SCORE, "hiero": HIERO_SCORE}.get(kind)
@@ -158,7 +178,7 @@ def read_lattice(path: str, table: SymbolTable, kind: str = "generic") -> Wfst:
     finals: dict[int, FeatureWeight] = {}
     zero = False
     suspect = kind not in LATTICE_KINDS  # contract_errors rejects the kind
-    labels = table._label_to_word
+    known = table._label_to_word
     label_of = table._label_of_text
     # Not splitlines(), which also splits at other characters (see above).
     for lineno, line in enumerate(text.split("\n"), start=1):
@@ -192,8 +212,8 @@ def read_lattice(path: str, table: SymbolTable, kind: str = "generic") -> Wfst:
             raise FormatError(f"non-integer field in {line.strip()!r}", path, lineno) from None
         if n not in (1, 2, 4, 5):
             raise FormatError(f"expected 1, 2, 4, or 5 fields, got {n}", path, lineno)
-        if n > 2 and not (ids[2] in labels and ids[3] in labels):
-            label = ids[3] if ids[2] in labels else ids[2]
+        if n > 2 and not (ids[2] in known and ids[3] in known):
+            label = ids[3] if ids[2] in known else ids[2]
             raise FormatError(f"label {label} is not in the symbol table", path, lineno)
         values = ONE.values
         if n == 2 or n == 5:

@@ -279,8 +279,7 @@ class _MoveTables:
 
         # Per hiero position, its arcs as (key, index, target, arc, label):
         # the word arcs alone on their target; the other word arcs grouped by
-        # target, each group sorted by (key, index), and the same arcs by
-        # label; the epsilon arcs.
+        # target, each group sorted by (key, index); the epsilon arcs.
         self.hiero_moves = hiero_moves = []
         words: list[int] = []  # two distinct hiero words, if there are two
         for s in order_h:
@@ -297,16 +296,13 @@ class _MoveTables:
                     words.append(y)
             singles: list[_Entry] = []
             groups: list[tuple[int, list[_Entry]]] = []
-            labels: dict[int, list[_Entry]] = {}
             for t_j, group in targets.items():
                 if len(group) == 1:
                     singles.append(group[0])
                     continue
                 group.sort()
                 groups.append((t_j, group))
-                for entry in group:
-                    labels.setdefault(entry[4], []).append(entry)
-            hiero_moves.append((singles, groups, labels, skips))
+            hiero_moves.append((singles, groups, skips))
 
         # Edit typing charges alike for inserting any word, and for pairing a
         # label that is not UNK with any word but itself; so those weights are
@@ -314,20 +310,18 @@ class _MoveTables:
         self.w_skip, self.s_skip = self.edit(EPSILON, EPSILON)
         self.w_ins, self.s_ins = self.edit(EPSILON, words[0]) if words else (None, 0)
 
-        # Per NMT label: the values and key of deleting it; the weights of
-        # pairing it with the words typed one by one (filled on demand for
-        # UNK, by type_pair); the weight of pairing it with every other word
-        # (None for UNK) and a floor under their keys; and the free match.
+        # Per NMT label: the values and key of deleting it; its pairings typed
+        # word by word, starting with its match; and the weight of pairing it
+        # with any other word, None for UNK, whose pairings type_pair fills
+        # on demand.
         pairings: dict[int, tuple] = {}
         for x in {r[2] for rows in arcs_n for r in rows}:
-            deleting = self.edit(x, EPSILON)
             if x == UNK:  # the hiero side has no UNK to match
-                pairings[x] = (*deleting, {}, None, 0, ONE.values, 0)
+                pairings[x] = (*self.edit(x, EPSILON), {}, None)
                 continue
-            match = self.edit(x, x)
             other = [y for y in words if y != x]
-            sub = self.edit(x, other[0]) if other else None
-            pairings[x] = (*deleting, {x: match}, sub, 0 if sub is None else sub[1], *match)
+            pairings[x] = (*self.edit(x, EPSILON), {x: self.edit(x, x)},
+                           self.edit(x, other[0]) if other else None)
 
         # Moves per NMT position: (arc, label matched, target base, arc key,
         # then the label's pairings, then the arc's index).  An epsilon arc
@@ -375,7 +369,7 @@ def _heuristic(tab: _MoveTables) -> Callable[[int], int | None]:
     width, lam, shift = tab.width, tab.lambda_edit, tab.packed.shift
     # Per kept hiero position its least word arc to each target, then its epsilon arcs.
     advances = [singles + [g[0] for _, g in groups] + skips if groups or skips else singles
-                for singles, groups, _, skips in tab.hiero_moves]
+                for singles, groups, skips in tab.hiero_moves]
     kn, lo_n, hi_n = _to_go(tab.final_n, [[(m[3], 0, m[2] // width, 0, m[1]) for m in row]
                                           for row in tab.nmt_moves])
     kh, lo_h, hi_h = _to_go(tab.final_h, advances)
@@ -455,13 +449,14 @@ def _best_alignment(nmt: Wfst, hiero: Wfst, mask: Mask, nmt_vocab: FrozenSet[int
 
     Most moves lose, so the pass tries only the hiero arcs that can win.
     Each kept hiero state's word arcs to one target form a group, sorted
-    by (arc key, arc index).  A label that is not UNK tries its free
-    matches first, then the other words in key order, all with one edit
-    weight (:func:`~latcomb.editfst.edit_weight` types them alike); UNK
-    and insertions try the group in key order.  Each stops at the first
-    arc that loses, UNK even without its typed edit weight: edit weights'
-    keys are nonnegative (their costs are, and their counts), so every
-    later arc loses too.
+    by (arc key, arc index).  An NMT label walks each group in that order,
+    as an insertion does, and stops at the first arc that loses before its
+    edit weight is added: edit weights' keys are nonnegative (their costs
+    are, and their counts), so that arc and every later one lose.  An arc
+    before it takes its edit weight from the label's table: the match, or
+    for a label that is not UNK the one weight of pairing it with any
+    other word (:func:`~latcomb.editfst.edit_weight` types those alike);
+    UNK's pairings are typed one word at a time.
     """
     tab = _MoveTables(nmt, hiero, mask, nmt_vocab, params)
     heuristic = _heuristic(tab)
@@ -501,8 +496,8 @@ def _best_alignment(nmt: Wfst, hiero: Wfst, mask: Mask, nmt_vocab: FrozenSet[int
                 and (e := g_c + final_n[i] + final_h[j]) <= g[sink]:
             relax(sink, e, (c, 0, 0, None, None,
                             dense_times(finals_n[i].values, finals_h[j].values)))
-        singles, groups, labels, skips = hiero_moves[j]
-        for a, x, t_base, s_a, w_del, s_del, typed, sub, s_sub, w_m, s_m, k in nmt_moves[i]:
+        singles, groups, skips = hiero_moves[j]
+        for a, x, t_base, s_a, w_del, s_del, typed, sub, k in nmt_moves[i]:
             g_a = g_c + s_a
             t = t_base + j
             e = g_a + s_del
@@ -516,22 +511,11 @@ def _best_alignment(nmt: Wfst, hiero: Wfst, mask: Mask, nmt_vocab: FrozenSet[int
                 e = g_a + w_e[1] + s_h
                 if e <= g[t]:
                     relax(t, e, (c, k, rank, a, h, w_e[0]))
-            if not groups:
-                continue
-            # A group: the free matches, then the other words in cost order.
-            for s_h, rank, t_j, h, _ in labels.get(x, ()):
-                t = t_base + t_j
-                e = g_a + s_m + s_h
-                if e <= g[t]:
-                    relax(t, e, (c, k, rank, a, h, w_m))
-            floor = g_a + s_sub
             for t_j, group in groups:
                 t = t_base + t_j
                 for s_h, rank, _, h, y in group:
-                    if floor + s_h > g[t]:
+                    if g_a + s_h > g[t]:
                         break
-                    if y == x:
-                        continue
                     w_e = typed.get(y, sub) or type_pair(typed, x, y)
                     e = g_a + w_e[1] + s_h
                     if e <= g[t]:
@@ -626,8 +610,9 @@ def corpus_report(results: Sequence[CombinationResult], hiero_lattices: Sequence
     All are read off one table: per sentence, the three edit counts and
     the rank of its hiero hypothesis in one unique n-best list of its
     lattice at the largest n (that n if absent; the list at a smaller n
-    is its first n, so a smaller n reads the same list), drawn as by
-    :func:`~latcomb.algorithms.iter_nbest` only up to the match, as rows.
+    is its first n, so a smaller n reads the same list), drawn lazily, as
+    rows, and only up to the match (``algorithms._ranked``, the stream
+    behind :func:`~latcomb.algorithms.nbest`).
     """
     if not results:
         raise ContractError("corpus report needs at least one result")

@@ -185,11 +185,11 @@ def test_unique_nbest_must_not_cap_its_pops():
     capped = 0
     for h in lattices(19, 2000, TIES):
         search = _search(h, HIERO_ONLY)
-        beta = _distances(h, search, backward=True)
-        if beta[0][h.initial] is None:
+        bkey = _distances(h, search, backward=True)[0]
+        if bkey[h.initial] is None:
             continue
         for n in range(1, 7):
-            once = [tuple(rows) for rows, _ in _unique(_nbest_raw(h, n, search, beta), n)]
+            once = [tuple(rows) for rows, _ in _unique(_nbest_raw(h, n, search, bkey), n)]
             capped += once != [p.rows for p in nbest(h, n, HIERO_ONLY, unique=True)]
     assert capped > 0
 

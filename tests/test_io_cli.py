@@ -73,6 +73,42 @@ def test_symtab_rejects_reserved_conflict(tmp_path):
         read_symtab(path)
 
 
+def test_symtab_writer_rejects_words_the_reader_would_not_read_back(tmp_path):
+    # A comment mark or leading white space would be read as a comment or
+    # stripped; a tab or a line break would split the line.
+    for word in ("#tag", " haus", "\thaus", "ha\tus", "ha\nus", "ha\rus", "\ufeffhaus"):
+        syms = SymbolTable()
+        label = syms.add(word)
+        path = tmp_path / "words.sym"
+        with pytest.raises(FormatError) as err:
+            write_symtab(syms, str(path))
+        assert repr(word) in str(err.value) and f"label {label}" in str(err.value)
+        assert not path.exists()
+    syms = SymbolTable()
+    for word in ("haus#", "ha us", "haus ", "Straße", "a\u2028b"):
+        syms.add(word)
+    write_symtab(syms, str(tmp_path / "words.sym"))
+    assert read_symtab(str(tmp_path / "words.sym")).same_mapping(syms)
+
+
+def test_a_byte_order_mark_is_not_read_as_text(tmp_path):
+    # A UTF-8 byte order mark is not part of a file's first word, key or
+    # state: the vocabulary's haus is the table's, not a new label.
+    bom = "\ufeff"
+    syms = read_symtab(write(tmp_path / "words.sym", f"{bom}haus\t2\nbaum\t3\n"))
+    assert (syms.label("haus"), syms.label("baum"), len(syms)) == (2, 3, 4)
+    assert read_vocab(write(tmp_path / "vocab.txt", f"{bom}haus\n"), syms) == {2}
+    assert len(syms) == 4
+    assert read_params(write(tmp_path / "params.cfg", bom + PARAMS_TEXT)) == \
+        read_params(write(tmp_path / "plain.cfg", PARAMS_TEXT))
+    text = "0 1 2 2 0:0.5\n1 2 3 3\n2\n"
+    marked = read_lattice(write(tmp_path / "bom.fst", bom + text), syms, kind="nmt")
+    plain = read_lattice(write(tmp_path / "plain.fst", text), syms, kind="nmt")
+    assert (marked.num_states, marked.initial) == (3, 0)
+    assert dense_arcs(marked) == dense_arcs(plain)
+    assert dict(marked.finals()) == dict(plain.finals())
+
+
 def test_vocab_loading(tmp_path):
     syms = SymbolTable()
     path = write(tmp_path / "vocab.txt", "der\nplan\n")
@@ -580,6 +616,17 @@ def test_cli_missing_file_exits_two(worked_files, capsys):
     bad["nmt"] = str(worked_files["tmp"] / "missing.fst")
     assert cli_main(combine_args(bad)) == 2
     capsys.readouterr()
+
+
+def test_cli_rejects_a_file_that_is_not_utf8(worked_files, capsys):
+    # A Latin-1 byte is a data error naming the file, not a traceback.
+    for role in ("lattice", "symtab"):
+        bad = worked_files["tmp"] / f"latin1.{role}"
+        bad.write_bytes(b"# gr\xfc\xdf\n0\n")
+        paths = {"lattice": worked_files["hiero"], "symtab": worked_files["symtab"], role: str(bad)}
+        assert cli_main(["validate", paths["lattice"], "--symtab", paths["symtab"]]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(bad) in err and "not UTF-8" in err
 
 
 def test_cli_validate(worked_files, tmp_path, capsys):

@@ -339,7 +339,7 @@ def test_heuristic_is_admissible_and_consistent():
         togo = [None] * tab.size
         for c in reversed(range(tab.size)):
             i, j = divmod(c, width)
-            singles, groups, _, skips = tab.hiero_moves[j]
+            singles, groups, skips = tab.hiero_moves[j]
             words = singles + [entry for _, group in groups for entry in group]
             moves = []
             for _, x, t_base, s_a, *_ in tab.nmt_moves[i]:
@@ -374,7 +374,7 @@ def test_hiero_entry_costs_equal_their_search_key(lambda_hiero):
         nmt, hiero, params = untrimmed_instance(rng)
         params = params._replace(lambda_hiero=lambda_hiero)
         tab, lambdas = tables_of(nmt, hiero, params), params.as_param_vector()
-        for singles, groups, _, skips in tab.hiero_moves:
+        for singles, groups, skips in tab.hiero_moves:
             for s_h, _, _, row, _ in singles + [e for _, group in groups for e in group] + skips:
                 assert tab.packed.cost(s_h) == exact_cost(row[3], lambdas, tab.packed.unit)
                 negative += row[3][HIERO_SCORE] < 0.0
