@@ -15,6 +15,11 @@ vector, packed into one integer per arc
 the least key per state finds the least path, and every tie is a real
 one.  No search adds floats; a found path reports its weight and cost in
 floats, summed along it by :func:`latcomb.semiring.dense_times`.
+
+One tie rule: a least-path search (the shortest path, and the one path
+pruning keeps when even the optimal plateau is over budget) returns the
+first path of the n-best stream (:func:`_nbest_raw`), which breaks equal
+keys by push order.
 """
 
 from __future__ import annotations
@@ -22,7 +27,6 @@ from __future__ import annotations
 import heapq
 import math
 from collections import deque
-from itertools import count
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import ContractError, NoPathError, check_count
@@ -227,84 +231,73 @@ def _search(fst: Wfst, params: ParamVector, terms: int = 0) -> _Search:
     return _Search(keyed, dict(zip(finals, each)), packed.unit, shift)
 
 
-def _distances(fst: Wfst, search: _Search, backward: bool = False) -> tuple[list, list]:
-    """Least key from the initial state to every state; with
-    ``backward``, from every state to acceptance, final weight included.
+def _forward(fst: Wfst, search: _Search) -> list:
+    """Least key from the initial state to every state of an acyclic
+    machine, None where there is no path: relaxed in topological order."""
+    key: list[Any] = [None] * fst.num_states
+    key[fst.initial] = 0
+    for s in topological_order(fst):
+        ks = key[s]
+        if ks is None:
+            continue
+        for row, w in search.arcs[s]:
+            t = row[0]
+            if key[t] is None or ks + w < key[t]:
+                key[t] = ks + w
+    return key
 
-    Returns, per state, its least key (None where there is no path) and
-    the pointer that set it: the previous state and the row of the arc
-    taken, None at the initial state and where there is no path.  A path
-    takes a state only on a smaller key, so the first arc tried keeps a
-    tie.  An acyclic machine is relaxed in topological order (backward,
-    each state takes the least of its final key and its own arcs' keys
-    plus their targets', Mohri, 2002, and sets no pointer); a cyclic one
-    is searched with Dijkstra, backward on reversed arcs, where a pointer
-    names the next state.
+
+def _backward(fst: Wfst, search: _Search) -> list:
+    """Least key from every state to acceptance, final weight included,
+    None where there is no path.
+
+    An acyclic machine is relaxed in reverse topological order: each
+    state takes the least of its final key and its own arcs' keys plus
+    their targets' (Mohri, 2002).  A cyclic one runs Dijkstra over
+    reversed (source, key) pairs.
     """
     order = topological_order(fst)
-    adj = search.arcs
-    n = fst.num_states
-    key: list[Any] = [None] * n
-    ptr: list[Any] = [None] * n
-    if backward:
-        for s, k in search.finals.items():
-            key[s] = k
-    else:
-        key[fst.initial] = 0
-
-    if order is not None and backward:
+    key: list[Any] = [None] * fst.num_states
+    for s, k in search.finals.items():
+        key[s] = k
+    if order is not None:
         for s in reversed(order):
             best = key[s]
-            for row, w in adj[s]:
+            for row, w in search.arcs[s]:
                 kt = key[row[0]]
                 if kt is not None and (best is None or kt + w < best):
                     best = kt + w
             key[s] = best
-    elif order is not None:
-        for s in order:
-            ks = key[s]
-            if ks is None:
-                continue
-            for row, w in adj[s]:
-                t = row[0]
-                k, old = ks + w, key[t]
-                if old is None or k < old:
-                    key[t], ptr[t] = k, (s, row)
-    else:
-        if backward:
-            rev: list[list[tuple[Row, int]]] = [[] for _ in range(n)]
-            for s, pairs in enumerate(adj):
-                for (t, il, ol, v), w in pairs:
-                    rev[t].append(((s, il, ol, v), w))
-            adj = rev
-        counter = count()
-        heap = [(k, next(counter), s) for s, k in enumerate(key) if k is not None]
-        heapq.heapify(heap)
-        settled = [False] * n
-        while heap:
-            ks, _, s = heapq.heappop(heap)
-            if settled[s]:
-                continue
-            settled[s] = True
-            for row, w in adj[s]:
-                t = row[0]
-                k, old = ks + w, key[t]
-                if not settled[t] and (old is None or k < old):
-                    key[t], ptr[t] = k, (s, row)
-                    heapq.heappush(heap, (k, next(counter), t))
-    return key, ptr
+        return key
+    rev: list[list[tuple[int, int]]] = [[] for _ in key]
+    for s, pairs in enumerate(search.arcs):
+        for row, w in pairs:
+            rev[row[0]].append((s, w))
+    heap = [(k, s) for s, k in enumerate(key) if k is not None]
+    heapq.heapify(heap)
+    settled = [False] * len(key)
+    while heap:
+        ks, s = heapq.heappop(heap)
+        if settled[s]:
+            continue
+        settled[s] = True
+        for t, w in rev[s]:
+            k = ks + w
+            if not settled[t] and (key[t] is None or k < key[t]):
+                key[t] = k
+                heapq.heappush(heap, (k, t))
+    return key
 
 
 def shortest_path(fst: Wfst, params: ParamVector) -> PathWitness:
-    """The path of least exact key from the initial state to acceptance.
+    """The path of least exact key from the initial state to acceptance:
+    the first path of :func:`nbest`, so an exact tie goes to the path
+    that the n-best stream lists first (see "Search order").
 
-    Acyclic machines use topological relaxation; cyclic ones require all
-    arc scalarizations to be nonnegative and use Dijkstra.  Raises
-    :class:`NoPathError` when the machine accepts nothing.
+    A cyclic machine requires all arc scalarizations to be nonnegative.
+    Raises :class:`NoPathError` when the machine accepts nothing.
     """
-    _check_frozen(fst)
-    search = _search(fst, params)
-    return _witness(*_best_path(fst, search, *_distances(fst, search)), params)
+    return nbest(fst, 1, params)[0]
 
 
 def _witness(rows: Sequence[Row], final_weight: FeatureWeight, params: ParamVector) -> PathWitness:
@@ -318,32 +311,20 @@ def _witness(rows: Sequence[Row], final_weight: FeatureWeight, params: ParamVect
                        cost=scalarize(weight, params))
 
 
-def _best_path(fst: Wfst, search: _Search, key: list[Any],
-               back: list[Any]) -> tuple[list[Row], FeatureWeight]:
-    """The rows and final weight of the complete path of least key, given
-    the forward tree; the final state of least id keeps a tie."""
-    keys = [(key[s] + k, s) for s, k in search.finals.items() if key[s] is not None]
-    if not keys:
-        raise NoPathError("no path from the initial state to a final state")
-    best_state = min(keys)[1]
-    rows: list[Row] = []
-    s = best_state
-    while s != fst.initial:
-        s, row = back[s]
-        rows.append(row)
-    rows.reverse()
-    return rows, fst.final_weight(best_state)
-
-
 def _nbest_raw(fst: Wfst, cap: float, search: _Search,
                bkey: list) -> Iterator[tuple[list[Row], FeatureWeight]]:
     """The rows and final weight of up to ``cap`` paths of least key,
     drawn lazily by best-first search with an exact heuristic, expanding
-    no state more than ``cap`` times; push order keeps a tie.
+    no state more than ``cap`` times (Mohri and Riley, 2002).
+
+    Equal keys go by push order: a state's final weight is pushed before
+    its arcs, its arcs in arc order, and of two entries of equal bound
+    the one pushed first pops first.  Every least-path search in this
+    module returns this stream's first path.
 
     ``cap`` may be ``math.inf``: every path, in key order, which ends
     only on an acyclic machine.  ``bkey`` holds the backward keys of
-    :func:`_distances`; the initial state has a path.
+    :func:`_backward`; the initial state has a path.
     """
     arcs, finals = search.arcs, search.finals
 
@@ -418,7 +399,7 @@ def _ranked(fst: Wfst, n: int, params: ParamVector,
     search = _search(fst, params, 0 if acyclic else (n + 1) * fst.num_states)
     if unique and not acyclic:
         raise ContractError("unique n-best requires an acyclic machine")
-    bkey = _distances(fst, search, backward=True)[0]
+    bkey = _backward(fst, search)
     if bkey[fst.initial] is None:
         raise NoPathError("no path from the initial state to a final state")
     paths = _nbest_raw(fst, math.inf if unique else n, search, bkey)
@@ -450,7 +431,8 @@ def prune_to_node_budget(fst: Wfst, budget: int, params: ParamVector) -> Wfst:
     through-costs) as large as possible while meeting the budget; costs
     are exact (see :func:`_search`).  The shortest path always survives
     with its cost intact; when even the optimal-cost plateau is over
-    budget, only the shortest path is kept.
+    budget, only it is kept: the first path of the n-best stream, as
+    :func:`shortest_path` returns it.
     """
     keep, arcs, finals = _prune_mask(fst, budget, params)
     if fst.num_states <= budget:
@@ -466,9 +448,13 @@ def _prune_mask(fst: Wfst, budget: int, params: ParamVector) -> Mask:
     state); and the kept final weights.  Within budget that is all of
     ``fst``, its own ``dense_arcs`` included.  Kept states need not all
     be connected through the kept arcs; the public function trims them.
-    Through-costs and the threshold are exact (see :func:`_search`).  The
-    forward pass also tells which final states are accessible; the
-    threshold is found in one downward scan of the sorted through-costs.
+    Through-costs and the threshold are exact (see :func:`_search`): one
+    forward and one backward pass of keys.  The forward pass also tells
+    which final states are accessible; the threshold is found in one
+    downward scan of the sorted through-costs.  Only when even the
+    optimal plateau is over budget is a path drawn, the first of the
+    n-best stream (:func:`_nbest_raw`), and a budget below its states is
+    a :class:`ContractError`.
     """
     _check_frozen(fst)
     check_count("budget", budget)
@@ -479,17 +465,15 @@ def _prune_mask(fst: Wfst, budget: int, params: ParamVector) -> Mask:
             raise NoPathError("machine accepts nothing")
         return fst.states(), dense_arcs(fst), dict(fst.finals())
     search = _search(fst, params)
-    fkey, back = _distances(fst, search)
+    fkey = _forward(fst, search)
     # A final state that the forward pass reaches is accessible.
     if all(fkey[s] is None for s in search.finals) \
             and not any(fst.is_final(s) for s in accessible_states(fst)):
         raise NoPathError("machine accepts nothing")
-    best, final_w = _best_path(fst, search, fkey, back)
-    sp_states = len(best) + 1
-    if budget < sp_states:
-        raise ContractError(f"budget {budget} is below the {sp_states} states on the shortest path")
+    bkey = _backward(fst, search)
+    if bkey[fst.initial] is None:
+        raise NoPathError("no path from the initial state to a final state")
 
-    bkey = _distances(fst, search, backward=True)[0]
     # The costs of sums of keys (see _search).
     shift, half = search.shift, 1 << search.shift >> 1
     best_cost = (bkey[fst.initial] + half) >> shift
@@ -507,10 +491,15 @@ def _prune_mask(fst: Wfst, budget: int, params: ParamVector) -> Mask:
     if budget < len(finite):
         while i >= 0 and finite[budget] <= finite[i] + plateau:
             i -= 1
-    if i < 0 or finite[i] < best_cost - plateau:
-        # Even the optimal plateau is over budget: keep just the best
-        # path, its states in path order.
+    if i < 0:
+        # Even the optimal plateau is over budget: keep just the best path
+        # (the first of the n-best stream), its states in path order.  A
+        # plateau within budget holds every optimal path, so only here can
+        # the budget be short of the best path's states.
+        best, final_w = next(_nbest_raw(fst, 1, search, bkey))
         keep = [fst.initial, *(row[0] for row in best)]
+        if budget < len(keep):
+            raise ContractError(f"budget {budget} is below the {len(keep)} states on the shortest path")
         arcs: list[Sequence[Row]] = [()] * fst.num_states
         for s, row in zip(keep, best):
             arcs[s] = (row,)

@@ -272,7 +272,8 @@ def test_prune_rejects_budget_below_shortest_path():
 def test_prune_fallback_numbers_the_best_path_in_path_order():
     # Two tied paths 0 -c-> 3 -d-> 1 and 0 -a-> 2 -b-> 1 make an optimal
     # plateau of 4 states, over the budget of 3, so only the best path is
-    # kept; it visits the ids 0, 2, 1 and comes out numbered 0, 1, 2.
+    # kept: the first path of the n-best stream, which takes the tie in
+    # push order.  It visits the ids 0, 3, 1 and comes out numbered 0, 1, 2.
     syms = SymbolTable()
     a, b, c, d = (syms.add(word) for word in "abcd")
     fst = Wfst(syms, syms)
@@ -283,11 +284,12 @@ def test_prune_fallback_numbers_the_best_path_in_path_order():
         fst.add_arc(src, Arc(label, label, ONE, dst))
     fst.set_final(1, ONE)
     fst.freeze()
-    assert [arc.target for arc in shortest_path(fst, UNIT).arcs] == [2, 1]
+    assert shortest_path(fst, UNIT).rows == nbest(fst, 1, UNIT)[0].rows
+    assert [arc.target for arc in shortest_path(fst, UNIT).arcs] == [3, 1]
     pruned = prune_to_node_budget(fst, 3, UNIT)
     assert pruned.num_states == 3 and pruned.initial == 0
-    assert list(pruned.arcs(0)) == [Arc(a, a, ONE, 1)]
-    assert list(pruned.arcs(1)) == [Arc(b, b, ONE, 2)]
+    assert list(pruned.arcs(0)) == [Arc(c, c, ONE, 1)]
+    assert list(pruned.arcs(1)) == [Arc(d, d, ONE, 2)]
     assert list(pruned.arcs(2)) == []
     assert list(pruned.finals()) == [(2, ONE)]
 

@@ -15,7 +15,8 @@ import pytest
 
 from latcomb import (EPSILON, ONE, ZERO, Arc, ContractError, NoPathError, ParamVector, SymbolTable,
                      Wfst, weight)
-from latcomb.algorithms import _distances, _nbest_raw, _prune_mask, _search, _unique, nbest, shortest_path
+from latcomb.algorithms import (_backward, _forward, _nbest_raw, _prune_mask, _search, _unique, nbest,
+                                shortest_path)
 from latcomb.pipeline import HIERO_ONLY
 from latcomb.semiring import HIERO_SCORE
 
@@ -86,8 +87,9 @@ def test_searches_find_the_exact_least_path(scores, count):
     # CANONICAL_EPS and are zeroed; with OVERFLOWING, they reach inf, -inf
     # and, through inf - inf, nan.  The keys are exact: the shortest path,
     # the 1-best and the unique 1-best all have the least key of the walk,
-    # and pruning keeps the shortest path at every budget from its state
-    # count up (a ContractError below it).
+    # the shortest path is the 1-best, ties included, and pruning keeps the
+    # shortest path at every budget from its state count up (a
+    # ContractError below it).
     no_path = 0
     for h in lattices(18, count, scores):
         least = least_exact_key(h, HIERO_ONLY)
@@ -101,6 +103,7 @@ def test_searches_find_the_exact_least_path(scores, count):
         (unique,) = nbest(h, 1, HIERO_ONLY, unique=True)
         assert [path_key(p.rows, p.final_weight, HIERO_ONLY) for p in (best, first, unique)] \
             == [least] * 3
+        assert best.rows == first.rows
         states = {h.initial, *(row[0] for row in best.rows)}
         with pytest.raises(ContractError):
             _prune_mask(h, len(states) - 1, HIERO_ONLY)
@@ -185,7 +188,7 @@ def test_unique_nbest_must_not_cap_its_pops():
     capped = 0
     for h in lattices(19, 2000, TIES):
         search = _search(h, HIERO_ONLY)
-        bkey = _distances(h, search, backward=True)[0]
+        bkey = _backward(h, search)
         if bkey[h.initial] is None:
             continue
         for n in range(1, 7):
@@ -211,7 +214,7 @@ def test_an_overflowed_sum_is_reached_at_inf():
         h.add_arc(src, Arc(label, label, weight({1: score}), dst))
     h.set_final(3, ONE)
     h = h.freeze()
-    fwd = _distances(h, _search(h, HIERO_ONLY))[0]
+    fwd = _forward(h, _search(h, HIERO_ONLY))
     assert fwd[0] == 0 and fwd[2] == 2 * fwd[1] == 2 * fwd[3] > 0 and fwd[4] is None
     (path,) = nbest(h, 3, HIERO_ONLY, unique=True)
     assert (path.output_labels(), path.cost) == ((a, a, a), math.inf)

@@ -12,6 +12,7 @@ ties included; and its region must stay small, by counts pinned here.
 import os
 import random
 from dataclasses import replace as dc_replace
+from fractions import Fraction
 
 import pytest
 
@@ -30,9 +31,9 @@ from latcomb import (
     weight,
 )
 from latcomb import pipeline
-from latcomb.algorithms import _prune_mask
+from latcomb.algorithms import _backward, _prune_mask, _search
 from latcomb.editfst import edit_weight, expand_unk_runs
-from latcomb.fst import accessible_states
+from latcomb.fst import accessible_states, topological_order
 
 from helpers import (assert_matches_flower_combine, exact_cost, flower_combine, holds_negative,
                      linear_chain, tie_rule_alignment)
@@ -380,3 +381,37 @@ def test_hiero_entry_costs_equal_their_search_key(lambda_hiero):
                 negative += row[3][HIERO_SCORE] < 0.0
                 one += row[3] == ONE.values
     assert negative > 50 and one > 50
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_hiero_cost_to_go_is_lambda_hiero_times_the_prunes_backward_cost(workload, tmp_path):
+    # The A* estimate's hiero cost to go from a kept state (_to_go over
+    # the tables' hiero advances, as _heuristic reads them) equals
+    # lambda_hiero times the prune's backward cost of that state, as exact
+    # rationals: pruning keeps every state and arc on the least suffix from
+    # a kept state.  On the seed-1 corpus at its own budget and at 26, 16
+    # and 10, under its own lambda_hiero and 0.7; only deep-hiero's
+    # lattices are over those budgets.
+    params, pairs = generated(tmp_path, workload, 1)
+    compared = pruned = 0
+    for budget in (params.hiero_node_budget, 26, 16, 10):
+        for lambda_hiero in (params.lambda_hiero, 0.7):
+            run = params._replace(hiero_node_budget=budget, lambda_hiero=lambda_hiero)
+            for nmt, hiero in pairs:
+                tab = tables_of(nmt, hiero, run)
+                advances = [singles + [g[0] for _, g in groups] + skips
+                            for singles, groups, skips in tab.hiero_moves]
+                to_go = pipeline._to_go(tab.final_h, advances)[0]
+                search = _search(hiero, pipeline.HIERO_ONLY)
+                back, half = _backward(hiero, search), 1 << search.shift >> 1
+                kept = set(_prune_mask(hiero, budget, pipeline.HIERO_ONLY)[0])
+                order = [s for s in topological_order(hiero) if s in kept]
+                for j, s in enumerate(order):
+                    assert (to_go[j] is None) == (back[s] is None)
+                    if to_go[j] is not None:
+                        assert Fraction(tab.packed.cost(to_go[j]), tab.packed.unit) == \
+                            Fraction(lambda_hiero) \
+                            * Fraction((back[s] + half) >> search.shift, search.unit)
+                        compared += 1
+                pruned += len(order) < hiero.num_states
+    assert compared >= 3200 and (pruned > 0) == (workload == "deep-hiero")
